@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race race-core race-dataplane race-screp race-server race-tenant race-bytecode allocs-gate race-poison serve-smoke trace-smoke tenant-smoke check bench bench-guard bench-smoke bench-dataplane bench-server bench-tenant fuzz-smoke fuzz clean
+.PHONY: all build vet fmt-check test race race-core race-dataplane race-screp race-server race-tenant race-bytecode allocs-gate race-poison serve-smoke trace-smoke tenant-smoke check bench bench-test bench-guard bench-smoke bench-dataplane bench-server bench-tenant fuzz-smoke fuzz clean
 
 all: check
 
@@ -39,8 +39,13 @@ race-dataplane:
 # SubmitBatch ~zero per chunk (testing.AllocsPerRun counts process-wide
 # mallocs, so worker-side regressions are caught too). Deliberately not
 # under -race: the race runtime allocates, so those tests self-skip there.
+# The wire gate holds the daemon's I/O shell to the same bar: decoding a
+# stream into a slab allocates nothing, and a whole loopback closed-loop run
+# (client, codec, ingress queue, admit loop, engine, ack path) stays under
+# 0.1 process-wide allocations per packet.
 allocs-gate:
 	$(GO) test -count 1 -run 'TestSubmitSteadyStateAllocs|TestSubmitBatchSteadyStateAllocs' ./internal/dataplane
+	$(GO) test -count 1 -run TestWireSteadyStateAllocs ./internal/server
 
 # race-poison runs the dataplane suite with poison-on-free compiled in
 # (-tags mp5debug) under the race detector: every recycled packet is
@@ -98,22 +103,33 @@ tenant-smoke:
 trace-smoke:
 	sh scripts/trace_smoke.sh
 
+# bench-test vets and tests the nested bench/ module (the benchmark harness
+# behind BENCHMARK.json). It is a Go module of its own, so the root
+# `go build ./... && go test ./...` cannot see it — and it compiles against
+# the dataplane and server surfaces, so a signature change there breaks it
+# silently unless the gate goes in and looks.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # check is the full local gate: build, gofmt, vet, the race-enabled test
 # suite, the hot-path allocation gate, the poison-on-free lifecycle pass,
 # the deterministic differential-fuzzing smoke, the daemon and tracing
-# soaks, and the telemetry-overhead guard benchmark.
-check: vet race race-screp allocs-gate race-poison fuzz-smoke serve-smoke trace-smoke tenant-smoke bench-guard
+# soaks, the benchmark harness's own tests, and the telemetry-overhead guard
+# benchmark.
+check: vet race race-screp allocs-gate race-poison fuzz-smoke serve-smoke trace-smoke tenant-smoke bench-test bench-guard
 
 # fuzz-smoke is the deterministic, seeded, time-bounded slice of the
 # differential fuzzing harness: MP5_FUZZ_CASES fixed cases (program +
 # workload) checked against the single-pipeline reference on every
 # order-preserving architecture, plus a run of the committed seed corpus —
 # then the same smoke again with the compiled bytecode executor forced on
-# every engine.
+# every engine, and the wire codec's seed corpus (FuzzDecodeStream: the slab
+# stream decoder and decodeDatagram against the one-frame reference).
 fuzz-smoke:
 	MP5_FUZZ_CASES=40 $(GO) test -run 'TestDifferentialSmoke|FuzzDifferential' ./internal/fuzz
 	MP5_FUZZ_CASES=40 MP5_FUZZ_EXECUTOR=bytecode $(GO) test -count 1 -run TestDifferentialSmoke ./internal/fuzz
 	MP5_FUZZ_CASES=40 MP5_FUZZ_ENGINE=screp $(GO) test -count 1 -run TestDifferentialSmoke ./internal/fuzz
+	$(GO) test -count 1 -run FuzzDecodeStream ./internal/server
 
 # fuzz runs open-ended coverage-guided differential fuzzing (ctrl-C to stop;
 # see also cmd/mp5fuzz for long offline sweeps with JSONL artifacts).

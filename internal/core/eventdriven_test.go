@@ -192,3 +192,22 @@ func TestRetryOrderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRecyclesPackets pins the allocation behaviour of a line-rate run:
+// egressed packets (env and visit lists included) are reused for later
+// arrivals, so a run allocates well under one object per packet where it
+// used to allocate five. (TestMP5EquivalenceSynthetic holds the recycled
+// runs to the single-pipeline reference.)
+func TestRunRecyclesPackets(t *testing.T) {
+	const n = 8192
+	prog, trace := synthSetup(t, 4, 512, 4, n, workload.Skewed, 1)
+	cfg := core.Config{Arch: core.ArchMP5, Pipelines: 4, Seed: 1}
+	perPkt := testing.AllocsPerRun(3, func() {
+		if res := core.NewSimulator(prog, cfg).Run(trace); res.Completed != n {
+			t.Fatalf("completed %d of %d", res.Completed, n)
+		}
+	}) / n
+	if perPkt >= 1 {
+		t.Fatalf("%.2f allocations per packet, want < 1", perPkt)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mp5/internal/banzai"
@@ -161,6 +162,11 @@ type Simulator struct {
 	// compares event streams, results, and outputs bit for bit.
 	fullSweep bool
 
+	// freePkts holds egressed packets for newPacket to reuse. Nothing
+	// refers to a packet once it has left the last stage: events and the
+	// bookkeeping maps carry ids, and recorded outputs are copies.
+	freePkts []*Packet
+
 	accessLog   map[accessKey][]int64
 	outputs     map[int64][]int64
 	egressOrder []int64
@@ -262,6 +268,8 @@ func (s *Simulator) Run(arrivals []Arrival) *Result {
 		}
 	}
 	s.res.Injected = int64(len(arrivals))
+	s.egressOrder = slices.Grow(s.egressOrder, len(arrivals))
+	s.latencies = slices.Grow(s.latencies, len(arrivals))
 	if len(arrivals) > 0 {
 		s.res.FirstArrival = arrivals[0].Cycle
 		s.res.LastArrival = arrivals[len(arrivals)-1].Cycle
@@ -586,14 +594,7 @@ func (s *Simulator) noteFIFODepth(stage int, st *stageState) {
 func (s *Simulator) admitArrivals(arrivals []Arrival, ai int) int {
 	for ai < len(arrivals) && arrivals[ai].Cycle <= s.now {
 		a := &arrivals[ai]
-		p := &Packet{
-			ID:           int64(ai),
-			Port:         a.Port,
-			Size:         a.Size,
-			ArrivalCycle: a.Cycle,
-			Env:          ir.NewEnv(s.prog),
-		}
-		copy(p.Env.Fields, a.Fields)
+		p := s.newPacket(int64(ai), a)
 		s.work = true
 		if s.cfg.Arch == ArchRecirc {
 			pipe := a.Port * s.k / s.cfg.Ports
@@ -673,6 +674,24 @@ func (s *Simulator) admitArrivals(arrivals []Arrival, ai int) int {
 		}
 	}
 	return ai
+}
+
+// newPacket builds the in-flight record of arrival a, reusing an egressed
+// packet (its env and its visit-list backing arrays) when one is free: a
+// line-rate run otherwise allocates three objects per packet and spends a
+// fifth of its time collecting them.
+func (s *Simulator) newPacket(id int64, a *Arrival) *Packet {
+	var p *Packet
+	if n := len(s.freePkts); n > 0 {
+		p, s.freePkts = s.freePkts[n-1], s.freePkts[:n-1]
+		*p = Packet{Env: p.Env, visits: p.visits[:0], accsBuf: p.accsBuf[:0]}
+		p.Env.ResetFor(a.Fields)
+	} else {
+		p = &Packet{Env: ir.NewEnv(s.prog)}
+		copy(p.Env.Fields, a.Fields)
+	}
+	p.ID, p.Port, p.Size, p.ArrivalCycle = id, a.Port, a.Size, a.Cycle
+	return p
 }
 
 // processStages runs every (stage, pipeline) slot for one cycle: serve at
@@ -919,8 +938,10 @@ func (s *Simulator) resolve(p *Packet, pipe int) {
 		// One flat allocation each for the visit list and the access
 		// records; same-stage access groups sub-slice accsBuf (which
 		// never reallocates, so the sub-slices stay valid).
-		p.visits = make([]visit, 0, n)
-		p.accsBuf = make([]visitAcc, 0, n)
+		if cap(p.accsBuf) < n { // a recycled packet brings its own
+			p.visits = make([]visit, 0, n)
+			p.accsBuf = make([]visitAcc, 0, n)
+		}
 	}
 	for ai := range s.prog.Accesses {
 		a := &s.prog.Accesses[ai]
@@ -1080,6 +1101,7 @@ func (s *Simulator) egress(p *Packet) {
 	if s.outputs != nil {
 		s.outputs[p.ID] = append([]int64(nil), p.Env.Fields...)
 	}
+	s.freePkts = append(s.freePkts, p)
 }
 
 // maybeRemap runs the dynamic-sharding step on its period and applies the

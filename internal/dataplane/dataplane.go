@@ -93,12 +93,14 @@ type Config struct {
 	// with nil-check-only overhead on the hot path.
 	Tracer *Tracer
 	// OnEgress, when non-nil, runs on the egressing worker's goroutine
-	// with the packet id, after outputs are recorded and before the window
-	// token is released. Keep it fast: a callback that blocks stalls that
-	// worker and, through the admission window, eventually the whole
-	// stream (the server uses it to send per-packet acks in lossless
-	// mode, which is exactly the backpressure it wants).
-	OnEgress func(id int64)
+	// with the packet id and the tag it was submitted with (SubmitTo /
+	// SubmitBatchTo; 0 from Submit/SubmitBatch), after outputs are
+	// recorded and before the window token is released. Keep it fast: a
+	// callback that blocks stalls that worker and, through the admission
+	// window, eventually the whole stream (the server uses it to queue
+	// per-packet acks in lossless mode, which is exactly the backpressure
+	// it wants).
+	OnEgress func(id int64, tag uint64)
 }
 
 func (c Config) withDefaults() Config {

@@ -25,6 +25,10 @@ type regShard struct {
 	owner []int
 	// count[i] counts resolutions since the last remap (§3.4).
 	count []int64
+	// slots[i] is index i's ticket queue (slots[0] the whole-array queue of
+	// an unsharded array) — the same *slotState Handle.slots maps by key,
+	// positioned so the per-access resolve path indexes instead of hashing.
+	slots []*slotState
 }
 
 // Engine runs compiled MP5 programs on a real goroutine topology (see the
@@ -272,19 +276,24 @@ func (e *Engine) Start() {
 // the packet, and dispatch it to its first worker. Returns false when the
 // engine aborted (watchdog stall) — the stream is dead and the caller
 // should Drain. Admitter-serial: never call Submit concurrently.
-func (e *Engine) Submit(a *core.Arrival) bool { return e.SubmitTo(e.def, a, nil) }
+func (e *Engine) Submit(a *core.Arrival) bool { return e.SubmitTo(e.def, a, nil, 0) }
 
 // SubmitTraced is Submit for a sampled packet: sp (started by the caller
 // at decode — see Tracer.Sample) rides the packet and accrues
 // window-wait, admit, crossbar, exec, ticket-wait, and egress segments
 // until the tracer collects it at egress. A nil sp is a plain Submit.
-func (e *Engine) SubmitTraced(a *core.Arrival, sp *Span) bool { return e.SubmitTo(e.def, a, sp) }
+func (e *Engine) SubmitTraced(a *core.Arrival, sp *Span) bool {
+	return e.SubmitTo(e.def, a, sp, 0)
+}
 
 // SubmitTo admits one packet on handle h. On top of Submit's contract it
 // enforces h's admission quota: when the tenant's tokens are exhausted the
 // packet is shed — counted on the handle, no id consumed, the admit loop
-// never blocked — and SubmitTo returns false. Admitter-serial.
-func (e *Engine) SubmitTo(h *Handle, a *core.Arrival, sp *Span) bool {
+// never blocked — and SubmitTo returns false. tag is opaque to the engine: it
+// rides the packet and comes back as OnEgress's second argument, so the
+// caller can carry a completion target instead of keeping an id-keyed table.
+// Admitter-serial.
+func (e *Engine) SubmitTo(h *Handle, a *core.Arrival, sp *Span, tag uint64) bool {
 	select {
 	case <-e.abort:
 		return false // dead engine: refuse before consuming an id
@@ -307,6 +316,7 @@ func (e *Engine) SubmitTo(h *Handle, a *core.Arrival, sp *Span) bool {
 		sp.ID = id
 	}
 	p := e.prepare(h, id, a)
+	p.tag = tag
 	e.submitted.Add(1)
 	if sp != nil {
 		sp.Advance(StageAdmit, -1)
@@ -347,7 +357,7 @@ func (e *Engine) SubmitTo(h *Handle, a *core.Arrival, sp *Span) bool {
 // SubmitBatch admits a run of packets on the default handle — see
 // SubmitBatchTo.
 func (e *Engine) SubmitBatch(arrs []core.Arrival, spans []*Span) int {
-	return e.SubmitBatchTo(e.def, arrs, spans)
+	return e.SubmitBatchTo(e.def, arrs, spans, nil)
 }
 
 // SubmitBatchTo admits a run of packets on handle h, amortizing the
@@ -358,13 +368,14 @@ func (e *Engine) SubmitBatch(arrs []core.Arrival, spans []*Span) int {
 // order, every ticket of the chunk is enqueued before any packet
 // dispatches, and per-slot ticket runs flush in admission order.
 //
-// spans is either nil or parallel to arrs (nil entries for unsampled
-// packets). Returns how many packets were admitted; fewer than len(arrs)
-// means either the engine aborted (the run is dead) or h's quota ran out —
-// in the quota case the entire unadmitted tail is shed (counted on the
-// handle) rather than blocking the admit loop, so the admitted count is
-// always a dense prefix of arrs. Admitter-serial, like Submit.
-func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span) int {
+// spans and tags are each either nil or parallel to arrs (nil span entries
+// for unsampled packets; tags as in SubmitTo, nil meaning all zero).
+// Returns how many packets were admitted; fewer than len(arrs) means either
+// the engine aborted (the run is dead) or h's quota ran out — in the quota
+// case the entire unadmitted tail is shed (counted on the handle) rather
+// than blocking the admit loop, so the admitted count is always a dense
+// prefix of arrs. Admitter-serial, like Submit.
+func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, tags []uint64) int {
 	admitted := 0
 	for admitted < len(arrs) {
 		select {
@@ -421,6 +432,9 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span) in
 				sp.ID = id
 			}
 			p := e.prepare(h, id, a)
+			if tags != nil {
+				p.tag = tags[admitted+i]
+			}
 			if sp != nil {
 				sp.Advance(StageAdmit, -1)
 				p.span = sp
@@ -539,12 +553,6 @@ func (e *Engine) retire(p *packet) {
 	e.releaseWindow()
 }
 
-// NextID returns the packet id the next Submit will assign (ids are dense
-// across all handles, starting at 0). Admitter-serial, like Submit: callers
-// that need to index per-packet bookkeeping before the packet can possibly
-// egress read it immediately before the Submit it predicts.
-func (e *Engine) NextID() int64 { return e.submitted.Load() }
-
 // Drain ends admission and blocks until every in-flight packet egressed
 // (or the watchdog aborted), then joins the workers and returns the run
 // summary. After Drain the engine's post-run accessors are valid.
@@ -605,6 +613,7 @@ func (e *Engine) prepare(h *Handle, id int64, a *core.Arrival) *packet {
 	p.visits = p.visits[:0]
 	p.vi = 0
 	p.span = nil
+	p.tag = 0
 	p.start = time.Now()
 	for si := 0; si < h.prog.ResolutionStages; si++ {
 		if h.bc != nil {
@@ -729,7 +738,7 @@ func (e *Engine) resolve(h *Handle, p *packet) {
 				}
 			}
 			if !dup {
-				v.slots = append(v.slots, slotRef{key: key, st: h.slots[key]})
+				v.slots = append(v.slots, slotRef{key: key, st: sh.slots[pos]})
 			}
 		}
 	}

@@ -98,6 +98,9 @@ type Handle struct {
 	// to worker i hold the live copy.
 	wregs []*banzai.RegFile
 
+	// slots keys every ticket queue by (register, index) for the cold
+	// iterators (access-order export, ticket depths, remap); the admitter's
+	// per-access path reaches the same queues through shard[r].slots.
 	slots map[slotKey]*slotState
 	shard []regShard
 
@@ -177,8 +180,10 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 					sh.owner[i], sh.owner[j] = sh.owner[j], sh.owner[i]
 				})
 			}
-			for i := 0; i < info.Size; i++ {
-				h.slots[slotKey{r, i}] = &slotState{}
+			sh.slots = make([]*slotState, info.Size)
+			for i := range sh.slots {
+				sh.slots[i] = &slotState{}
+				h.slots[slotKey{r, i}] = sh.slots[i]
 			}
 		} else {
 			home := 0
@@ -187,7 +192,8 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 			}
 			sh.owner = []int{home}
 			sh.count = make([]int64, 1)
-			h.slots[slotKey{r, -1}] = &slotState{}
+			sh.slots = []*slotState{{}}
+			h.slots[slotKey{r, -1}] = sh.slots[0]
 		}
 	}
 	return h

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,8 +30,8 @@ func TestStreamingEquivalence(t *testing.T) {
 			})
 			e.Start()
 			for i := range arrivals {
-				if e.NextID() != int64(i) {
-					t.Fatalf("NextID %d before submitting packet %d", e.NextID(), i)
+				if e.Submitted() != int64(i) {
+					t.Fatalf("Submitted %d before submitting packet %d", e.Submitted(), i)
 				}
 				if !e.Submit(&arrivals[i]) {
 					t.Fatalf("Submit of packet %d failed", i)
@@ -175,24 +176,57 @@ func TestSeededPlacementEquivalence(t *testing.T) {
 }
 
 // TestOnEgressHook checks the egress callback: every admitted id is
-// reported exactly once, and the callback observes recorded outputs.
+// reported exactly once, and it carries the tag the packet was submitted
+// with — per-packet through SubmitBatchTo and SubmitTo, zero through the
+// untagged Run/SubmitBatch surface.
 func TestOnEgressHook(t *testing.T) {
 	prog, err := apps.Synthetic(2, 32, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	arrivals := workload.Synthetic(prog, workload.Spec{Packets: 1000, Pipelines: 4, Seed: 8}, 2, 32)
-	seen := make([]int32, len(arrivals))
-	cfg := Config{Workers: 4}
-	cfg.OnEgress = func(id int64) { seen[id]++ }
-	e := New(prog, cfg)
-	res := e.Run(arrivals)
-	if res.Completed != int64(len(arrivals)) {
-		t.Fatalf("%d of %d completed", res.Completed, len(arrivals))
-	}
-	for id, n := range seen {
-		if n != 1 {
-			t.Fatalf("packet %d egressed %d times", id, n)
+	tagOf := func(id int) uint64 { return uint64(id)<<32 | 0xabc }
+	for _, tagged := range []bool{false, true} {
+		seen := make([]atomic.Int32, len(arrivals))
+		var badTag atomic.Int64
+		cfg := Config{Workers: 4}
+		cfg.OnEgress = func(id int64, tag uint64) {
+			seen[id].Add(1)
+			if want := tagOf(int(id)); tagged && tag != want || !tagged && tag != 0 {
+				badTag.Add(1)
+			}
+		}
+		e := New(prog, cfg)
+		var res *Result
+		if tagged {
+			tags := make([]uint64, len(arrivals))
+			for i := range tags {
+				tags[i] = tagOf(i)
+			}
+			half := len(arrivals) / 2
+			e.Start()
+			if got := e.SubmitBatchTo(e.Default(), arrivals[:half], nil, tags[:half]); got != half {
+				t.Fatalf("SubmitBatchTo admitted %d of %d", got, half)
+			}
+			for i := half; i < len(arrivals); i++ {
+				if !e.SubmitTo(e.Default(), &arrivals[i], nil, tags[i]) {
+					t.Fatalf("SubmitTo refused packet %d", i)
+				}
+			}
+			res = e.Drain()
+		} else {
+			res = e.Run(arrivals)
+		}
+		if res.Completed != int64(len(arrivals)) {
+			t.Fatalf("%d of %d completed", res.Completed, len(arrivals))
+		}
+		for id := range seen {
+			if n := seen[id].Load(); n != 1 {
+				t.Fatalf("packet %d egressed %d times", id, n)
+			}
+		}
+		if n := badTag.Load(); n != 0 {
+			t.Fatalf("tagged=%v: %d packets egressed with the wrong tag", tagged, n)
 		}
 	}
 }

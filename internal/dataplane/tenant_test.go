@@ -48,10 +48,10 @@ func TestMultiTenantInterleaveEquivalence(t *testing.T) {
 		hB := e.AddProgram("beta", progB, nil)
 		e.Start()
 		for i := 0; i < len(arrsA); i++ {
-			if !e.SubmitTo(hA, &arrsA[i], nil) {
+			if !e.SubmitTo(hA, &arrsA[i], nil, 0) {
 				t.Fatalf("workers=%d: alpha submit %d refused", workers, i)
 			}
-			if !e.SubmitTo(hB, &arrsB[i], nil) {
+			if !e.SubmitTo(hB, &arrsB[i], nil, 0) {
 				t.Fatalf("workers=%d: beta submit %d refused", workers, i)
 			}
 		}
@@ -91,14 +91,14 @@ func TestMultiTenantBatchInterleave(t *testing.T) {
 	for offA < len(arrsA) || offB < len(arrsB) {
 		if offA < len(arrsA) {
 			end := min(offA+chunk, len(arrsA))
-			if e.SubmitBatchTo(hA, arrsA[offA:end], nil) != end-offA {
+			if e.SubmitBatchTo(hA, arrsA[offA:end], nil, nil) != end-offA {
 				t.Fatal("alpha batch refused")
 			}
 			offA = end
 		}
 		if offB < len(arrsB) {
 			end := min(offB+chunk, len(arrsB))
-			if e.SubmitBatchTo(hB, arrsB[offB:end], nil) != end-offB {
+			if e.SubmitBatchTo(hB, arrsB[offB:end], nil, nil) != end-offB {
 				t.Fatal("beta batch refused")
 			}
 			offB = end
@@ -132,7 +132,7 @@ func TestQuotaShedsWithoutBlocking(t *testing.T) {
 	// call: only 8 can hold tokens at once, and since workers drain them
 	// concurrently the admitted count lands anywhere in [8, 64] — but any
 	// refusal must be a shed, and admitted+shed must cover the burst.
-	admitted := e.SubmitBatchTo(hFlood, arrs, nil)
+	admitted := e.SubmitBatchTo(hFlood, arrs, nil, nil)
 	if admitted < 8 {
 		t.Fatalf("flood admitted %d, want >= quota 8", admitted)
 	}
@@ -147,7 +147,7 @@ func TestQuotaShedsWithoutBlocking(t *testing.T) {
 		t.Fatalf("admitted %d + shed %d < burst %d", st.Submitted, st.Shed, len(arrs))
 	}
 	// The well-behaved tenant admits its whole burst regardless.
-	if got := e.SubmitBatchTo(hGood, arrs, nil); got != len(arrs) {
+	if got := e.SubmitBatchTo(hGood, arrs, nil, nil); got != len(arrs) {
 		t.Fatalf("good tenant admitted %d of %d behind a flooding neighbor", got, len(arrs))
 	}
 	res := e.Drain()
@@ -183,7 +183,7 @@ func TestHotAddUnderLoad(t *testing.T) {
 	e.Start()
 	// First half of alpha's traffic runs alone.
 	half := len(arrsA) / 2
-	if e.SubmitBatchTo(hA, arrsA[:half], nil) != half {
+	if e.SubmitBatchTo(hA, arrsA[:half], nil, nil) != half {
 		t.Fatal("alpha first half refused")
 	}
 	// Hot-add beta mid-stream — no drain, no pause; the admitter keeps
@@ -196,14 +196,14 @@ func TestHotAddUnderLoad(t *testing.T) {
 	for offA < len(arrsA) || offB < len(arrsB) {
 		if offA < len(arrsA) {
 			end := min(offA+29, len(arrsA))
-			if e.SubmitBatchTo(hA, arrsA[offA:end], nil) != end-offA {
+			if e.SubmitBatchTo(hA, arrsA[offA:end], nil, nil) != end-offA {
 				t.Fatal("alpha tail refused")
 			}
 			offA = end
 		}
 		if offB < len(arrsB) {
 			end := min(offB+29, len(arrsB))
-			if e.SubmitBatchTo(hB, arrsB[offB:end], nil) != end-offB {
+			if e.SubmitBatchTo(hB, arrsB[offB:end], nil, nil) != end-offB {
 				t.Fatal("beta refused")
 			}
 			offB = end
@@ -234,7 +234,7 @@ func TestMultiTenantAbortRetiresAcrossHandles(t *testing.T) {
 	hA := e.AddProgram("alpha", prog, q)
 	hB := e.AddProgram("beta", prog, nil)
 	e.Start()
-	if e.SubmitBatchTo(hB, arrs, nil) != n {
+	if e.SubmitBatchTo(hB, arrs, nil, nil) != n {
 		t.Fatal("beta warmup batch refused")
 	}
 	// Let beta's packets egress first: in-flight packets legitimately hold
@@ -247,7 +247,7 @@ func TestMultiTenantAbortRetiresAcrossHandles(t *testing.T) {
 	e.testAfterTicket = func() {
 		e.abortOnce.Do(func() { close(e.abort) })
 	}
-	admitted := e.SubmitBatchTo(hA, arrs, nil)
+	admitted := e.SubmitBatchTo(hA, arrs, nil, nil)
 	if admitted != n {
 		t.Fatalf("aborted batch admitted %d of %d (ids must stay dense)", admitted, n)
 	}

@@ -42,7 +42,7 @@ type TraceStage uint8
 
 const (
 	// StageIngressWait is decode → admitter pickup: time spent queued in
-	// the server's bounded ingress channel (stamped by the server).
+	// the server's bounded ingress queue (stamped by the server).
 	StageIngressWait TraceStage = iota
 	// StageWindowWait is the admission-control wait: blocking on the
 	// engine's window semaphore before a ticket can be issued.

@@ -35,6 +35,9 @@ type packet struct {
 	// span is the packet's wire-to-wire trace (nil for unsampled packets).
 	// Packet-owned like every other field, so stamps never lock.
 	span *Span
+	// tag is the submitter's opaque completion cookie, handed back through
+	// Config.OnEgress.
+	tag uint64
 }
 
 // visit is one resolved stateful stage visit: the stage, the worker owning
@@ -400,9 +403,9 @@ func (w *worker) execVisit(p *packet, v *visit) {
 }
 
 // egress completes the packet: record outputs and egress order (both into
-// worker-private shards — no lock on the egress path), notify the OnEgress
-// hook, recycle the packet, release the window token, and close the
-// engine's done gate on the last packet.
+// worker-private shards — no lock on the egress path), return the quota
+// token, notify the OnEgress hook, recycle the packet, release the window
+// token, and close the engine's done gate on the last packet.
 func (w *worker) egress(p *packet) {
 	e := w.e
 	if p.span != nil {
@@ -423,8 +426,18 @@ func (w *worker) egress(p *packet) {
 	w.lat.Add(float64(time.Since(p.start).Microseconds()))
 	w.egressedN.Add(1)
 	e.met.Egressed.Inc()
+	// The quota token goes back before the hook announces the egress: a
+	// submitter that keeps no more in flight than its quota (a wire client
+	// whose window equals it) may send the next packet the moment it hears
+	// of this one, and that packet must not be shed against a token this
+	// one still holds. (The quota is only a count; nothing reuses storage
+	// on it, unlike the window token below.)
+	h := p.h
+	if h.quota != nil {
+		h.quota.release(1)
+	}
 	if f := e.cfg.OnEgress; f != nil {
-		f(p.id)
+		f(p.id, p.tag)
 	}
 	if p.span != nil {
 		p.span.Advance(StageEgress, w.id)
@@ -433,13 +446,9 @@ func (w *worker) egress(p *packet) {
 	}
 	// Every observer — outputs copy, access log (written at pop), egress
 	// record, span, OnEgress — is done with the packet: recycle it, then
-	// return the quota and window tokens so the admitter can only reuse the
-	// id slot after the packet is safely on the free list.
-	h := p.h
+	// return the window token so the admitter can only reuse the id slot
+	// after the packet is safely on the free list.
 	h.putPacket(p)
-	if h.quota != nil {
-		h.quota.release(1)
-	}
 	h.completed.Add(1)
 	e.releaseWindow()
 	c := e.completed.Add(1)

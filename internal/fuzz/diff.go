@@ -529,7 +529,7 @@ func runMultiTenant(c *Case, workers int) []*Failure {
 			if end > len(tenants[i].arrs) {
 				end = len(tenants[i].arrs)
 			}
-			got := eng.SubmitBatchTo(handles[i], tenants[i].arrs[offs[i]:end], nil)
+			got := eng.SubmitBatchTo(handles[i], tenants[i].arrs[offs[i]:end], nil, nil)
 			offs[i] += got
 			total += got
 			if got == 0 { // unlimited tenants: a refusal means the engine died

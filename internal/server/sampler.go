@@ -37,7 +37,7 @@ func (s *Server) registerGauges(r *telemetry.Registry) {
 		return float64(s.eng.WindowInUse())
 	})
 	r.NewGaugeFunc("server_ingress_queue_depth", "packets queued between the decoders and the serial admitter", func() float64 {
-		return float64(len(s.ingress))
+		return float64(s.ingress.packets())
 	})
 	s.mailboxG = r.NewGaugeVec("dataplane_mailbox_depth", "crossbar mailbox occupancy per worker", "worker")
 	s.parkedG = r.NewGaugeVec("dataplane_parked_packets", "packets parked waiting for head tickets, per worker", "worker")
@@ -251,7 +251,7 @@ func (s *Server) statsSnapshot() StatsSnapshot {
 		AckPPS:    s.ackPPS.Value(),
 		EgressPPS: s.egPPS.Value(),
 
-		Ingress: QueueStat{Depth: len(s.ingress), Cap: cap(s.ingress)},
+		Ingress: QueueStat{Depth: s.ingress.packets(), Cap: s.ingress.cap},
 		Window:  QueueStat{Depth: eng.WindowInUse(), Cap: eng.WindowCap()},
 
 		WorkerStats: eng.WorkerStats(),

@@ -6,9 +6,22 @@
 //
 // Topology:
 //
-//	UDP datagrams ─┐                                  ┌─ worker 0
-//	               ├─ decode ─→ ingress queue ─→ admit ├─ worker 1   (dataplane)
-//	TCP streams  ──┘  (per-conn goroutines)  (serial)  └─ worker k-1
+//	UDP datagram ──┐ decode into                        ┌─ worker 0 ─┐
+//	               ├─ a slab ─→ ingress queue ─→ admit ─┼─ worker 1  ├─ OnEgress(id, tag)
+//	TCP stream   ──┘ (per-conn    (of slabs,   (serial) └─ worker k-1┘        │
+//	  ▲               reader)   packet-bounded)                               ▼
+//	  └── one write(2) per burst ◀── ack writer ◀── per-connection ack buffer
+//
+// Every hop is batch-granular. A connection's reader decodes every whole
+// frame already sitting in its socket buffer into one slab (≤ 256 packets,
+// field values in the slab's own arena) and hands it over with one queue
+// operation; the admitter submits each same-tenant run of the slab with one
+// SubmitBatchTo. The ack target rides the packet as the engine's opaque tag
+// (connection index ≪ 32 | client seq), so egress appends four bytes to
+// that connection's ack buffer, and the connection's writer swaps the
+// buffer out and writes it with one syscall. Both directions follow one
+// rule — flush before blocking: a reader hands off its slab before it waits
+// on the socket, a writer sleeps only on an empty buffer.
 //
 // The bounded ingress queue is the explicit backpressure point in front of
 // the engine's admission window: UDP producers either drop at the queue
@@ -32,6 +45,7 @@ import (
 	"net"
 	"net/http"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,7 +95,7 @@ type Config struct {
 	// AdminAddr is the HTTP admin-plane listen address; "" disables it.
 	AdminAddr string
 	// IngressCap bounds the ingress queue between the decode goroutines
-	// and the serial admitter (default 1024).
+	// and the serial admitter, in packets (default 1024).
 	IngressCap int
 	// Policy is the UDP overflow behavior (TCP always blocks).
 	Policy Policy
@@ -148,24 +162,6 @@ func newSrvMetrics(r *telemetry.Registry) *srvMetrics {
 	}
 }
 
-// item is one decoded packet queued for admission; c is nil for UDP, sp is
-// nil for unsampled packets. tn is the tenant the frame addressed —
-// resolved at decode time, so the admitter never touches the registry's
-// name table.
-type item struct {
-	arr core.Arrival
-	tn  *tenant.Tenant
-	c   *tcpConn
-	seq uint32
-	sp  *dataplane.Span
-}
-
-// pendingAck remembers where packet id's egress ack goes.
-type pendingAck struct {
-	c   *tcpConn
-	seq uint32
-}
-
 // Server is the network daemon: listeners, bounded ingress, the serial
 // admitter, the wrapped engine, and the admin plane. Lifecycle: New →
 // Start → (serve traffic) → Shutdown, each exactly once.
@@ -198,19 +194,31 @@ type Server struct {
 	samplerStop chan struct{}
 	samplerWg   sync.WaitGroup
 
-	ingress chan item
+	ingress *ingressQ
 	closed  chan struct{}
+	// tcpSlabs/udpSlabs recycle slabs between the decoders and the admitter
+	// (see slab.free): full-size ones for TCP readers, one-packet ones for
+	// the UDP reader, so a UDP backlog of IngressCap datagrams never pins
+	// IngressCap full-size slabs.
+	tcpSlabs sync.Pool
+	udpSlabs sync.Pool
 
 	tcpLn   net.Listener
 	udpConn net.PacketConn
 	adminLn net.Listener
 	admin   *http.Server
 
-	connMu sync.Mutex
-	conns  map[*tcpConn]struct{}
-
-	pendMu  sync.Mutex
-	pending map[int64]pendingAck
+	// connTab maps the connection index in a packet's tag to its ack
+	// buffer. It is copy-on-write — connMu serializes the writers (accept
+	// fills a slot, a finished connection's writer clears it), egressing
+	// workers read it with one atomic load. A slot is cleared, and listed in
+	// connFree for the next accept, only once no packet tagged with it is in
+	// flight (tcpConn.inflight), so the table is as long as the most
+	// connections ever open at once, not as every connection ever seen.
+	// Slot 0 is permanently nil: tag 0 means "no ack" (UDP).
+	connMu   sync.Mutex
+	connTab  atomic.Pointer[[]*tcpConn]
+	connFree []int
 
 	// verify holds the per-version recorded admission-order traces (Verify
 	// only); admitter-owned during the run, read after Shutdown joins it.
@@ -262,12 +270,13 @@ func NewMulti(tenants []TenantProgram, cfg Config) (*Server, error) {
 		prog:    tenants[0].Prog,
 		met:     newSrvMetrics(cfg.Registry),
 		trc:     cfg.Tracer,
-		ingress: make(chan item, cfg.IngressCap),
+		ingress: newIngressQ(cfg.IngressCap),
 		closed:  make(chan struct{}),
-		conns:   make(map[*tcpConn]struct{}),
-		pending: make(map[int64]pendingAck),
 		verify:  make(map[*tenant.Version][]core.Arrival),
 	}
+	s.connTab.Store(&[]*tcpConn{nil})
+	s.tcpSlabs.New = func() any { return newSlab(&s.tcpSlabs, slabFrames, slabArena) }
+	s.udpSlabs.New = func() any { return newSlab(&s.udpSlabs, 1, 0) }
 	engCfg := cfg.Engine
 	if cfg.Verify {
 		engCfg.RecordOutputs = true
@@ -384,102 +393,73 @@ func (s *Server) AdminAddr() string {
 
 // admitLoop is the serial admitter: the single goroutine that feeds the
 // engine, so admission order — the order C1 is defined by — is exactly the
-// ingress-queue order. It registers the egress-ack target under the id the
-// engine will assign *before* submitting, closing the race with a packet
-// that egresses while Submit is still returning.
+// ingress-queue order (and, within a slab, wire order). One queue pop brings
+// a whole burst; the slab's columns go to the engine as they are.
 func (s *Server) admitLoop() {
 	defer s.admitWg.Done()
-	// Batch buffers, reused across rounds: one blocking receive starts a
-	// round, then whatever else is already queued (up to admitBatch) is
-	// drained non-blocking and submitted through the engine's amortized
-	// SubmitBatch path — one window acquisition, one ticket-queue lock per
-	// slot, one crossbar send per worker for the whole run.
-	const admitBatch = 256
-	items := make([]item, 0, admitBatch)
-	arrs := make([]core.Arrival, 0, admitBatch)
-	spans := make([]*dataplane.Span, 0, admitBatch)
 	for {
-		it, ok := <-s.ingress
+		sl, ok := s.ingress.pop()
 		if !ok {
 			return
 		}
-		items = append(items[:0], it)
-		closing := false
-		for len(items) < admitBatch {
-			select {
-			case it2, ok2 := <-s.ingress:
-				if !ok2 {
-					closing = true
-				} else {
-					items = append(items, it2)
-					continue
-				}
-			default:
-			}
-			break
-		}
-		// Split the drained batch into consecutive same-tenant runs: each
-		// run admits on one version snapshot, so the per-tenant ticket
-		// order — hence C1 within a version — is exactly ingress order.
-		for lo := 0; lo < len(items); {
+		// Split the slab into consecutive same-tenant runs: each run admits
+		// on one version snapshot, so the per-tenant ticket order — hence C1
+		// within a version — is exactly ingress order.
+		for lo := 0; lo < len(sl.arrs); {
 			hi := lo + 1
-			for hi < len(items) && items[hi].tn == items[lo].tn {
+			for hi < len(sl.arrs) && sl.tns[hi] == sl.tns[lo] {
 				hi++
 			}
-			s.admitItems(items[lo:hi], arrs[:0], spans[:0])
+			s.admitRun(sl, lo, hi)
 			lo = hi
 		}
-		if closing {
-			return
-		}
+		// The engine copied every admitted packet's fields into its own
+		// frame (and Verify cloned what it retains), so the arena is free.
+		sl.free()
 	}
 }
 
-// admitItems submits one coalesced same-tenant run: snapshots the tenant's
+// admitRun submits one same-tenant run sl[lo:hi]: it snapshots the tenant's
 // active version ONCE — the swap epoch; everything in this run is admitted
-// on that version even if a hot swap lands mid-run — registers every
-// packet's ack target under the dense ids the engine will assign *before*
-// submitting (closing the race with a packet that egresses while
-// SubmitBatch is still returning), then unregisters the tail the engine
-// refused. A refusal is either an engine abort (watchdog stall, counted as
-// a submit abort) or a tenant-quota shed (counted by the engine); either
-// way a refused TCP frame is never acked — the client's ack timeout is the
-// shed signal in lossless mode.
-func (s *Server) admitItems(items []item, arrs []core.Arrival, spans []*dataplane.Span) {
-	v := items[0].tn.Active()
-	id0 := s.eng.NextID()
-	s.pendMu.Lock()
-	for i := range items {
+// on that version even if a hot swap lands mid-run. Each packet's ack target
+// rides it as its tag, so a refused tail needs no per-packet clean-up: the
+// connection is told once how many of its packets will never egress. A
+// refusal is either an engine abort (watchdog stall, counted as a submit
+// abort) or a tenant-quota shed (counted by the engine); either way a
+// refused TCP frame is never acked — the client's ack timeout is the shed
+// signal in lossless mode.
+func (s *Server) admitRun(sl *slab, lo, hi int) {
+	v := sl.tns[lo].Active()
+	arrs, spans := sl.arrs[lo:hi], sl.spans[lo:hi]
+	for _, sp := range spans {
 		// Close the sampled packet's first segment: everything since the
-		// decode stamp was time queued in the ingress channel.
-		items[i].sp.Advance(dataplane.StageIngressWait, -1)
-		if items[i].c != nil {
-			s.pending[id0+int64(i)] = pendingAck{items[i].c, items[i].seq}
-		}
-		arrs = append(arrs, items[i].arr)
-		spans = append(spans, items[i].sp)
+		// decode stamp was time queued at ingress.
+		sp.Advance(dataplane.StageIngressWait, -1)
 	}
-	s.pendMu.Unlock()
-	n := s.eng.SubmitBatchTo(v.Handle, arrs, spans)
-	if n < len(items) {
-		s.pendMu.Lock()
-		for i := n; i < len(items); i++ {
-			if items[i].c != nil {
-				delete(s.pending, id0+int64(i))
-			}
-		}
-		s.pendMu.Unlock()
+	n := s.eng.SubmitBatchTo(v.Handle, arrs, spans, sl.tags[lo:hi])
+	if n < len(arrs) {
 		if s.eng.Stalled() {
-			s.met.submitFail.Add(int64(len(items) - n))
+			s.met.submitFail.Add(int64(len(arrs) - n))
+		}
+		if sl.conn != nil {
+			sl.conn.settle(len(arrs) - n)
 		}
 	}
-	if s.cfg.Verify {
+	if s.cfg.Verify && n > 0 {
 		trace, seen := s.verify[v]
 		if !seen {
 			s.verifySeen = append(s.verifySeen, v)
 		}
-		for i := 0; i < n; i++ {
-			a := items[i].arr
+		// The recorded trace outlives the slab: clone the run's field values
+		// out of the arena, one allocation for the whole run.
+		nf := 0
+		for i := range arrs[:n] {
+			nf += len(arrs[i].Fields)
+		}
+		own := make([]int64, 0, nf)
+		for _, a := range arrs[:n] {
+			own = append(own, a.Fields...)
+			a.Fields = own[len(own)-len(a.Fields) : len(own) : len(own)]
 			a.Cycle = int64(len(trace))
 			trace = append(trace, a)
 		}
@@ -487,27 +467,62 @@ func (s *Server) admitItems(items []item, arrs []core.Arrival, spans []*dataplan
 	}
 }
 
-// onEgress runs on the egressing worker: look up the packet's ack target
-// and hand the ack to that connection's writer.
-func (s *Server) onEgress(id int64) {
-	s.pendMu.Lock()
-	pa, ok := s.pending[id]
-	if ok {
-		delete(s.pending, id)
-	}
-	s.pendMu.Unlock()
-	if ok {
-		pa.c.ack(pa.seq)
-		s.met.acks.Inc()
+// onEgress runs on the egressing worker: the tag names the connection and
+// the client's sequence number; queue the ack on that connection.
+func (s *Server) onEgress(_ int64, tag uint64) {
+	if tc := (*s.connTab.Load())[tag>>32]; tc != nil {
+		tc.ack(uint32(tag))
 	}
 }
 
-// udpLoop decodes datagrams and applies the backpressure policy at the
-// ingress queue. Drop mode never blocks: overload sheds load here, visibly
-// (server_ingress_dropped_total), and nowhere else.
+// resolve turns a decoded slab into an admissible one: frames addressed to
+// an unknown tenant, or carrying another field count than that tenant's
+// program declares, are counted as decode errors and dropped in place (the
+// stream they came from stays usable — frame boundaries were intact);
+// survivors get their tenant, their ack tag (tc's connection index in the
+// high half, the client's seq in the low; 0 for ackless UDP, tc == nil) and
+// the tracer's sampling decision. The connection is charged with the
+// survivors: each is owed an ack or a settle.
+func (s *Server) resolve(sl *slab, tc *tcpConn, proto string) {
+	var conn uint64
+	if tc != nil {
+		conn = uint64(tc.idx) << 32
+	}
+	k := 0
+	for i := range sl.arrs {
+		tn := s.reg.ByID(sl.tids[i])
+		if tn == nil || len(sl.arrs[i].Fields) != len(tn.Active().Prog.Fields) {
+			s.met.decodeErr.Inc()
+			continue
+		}
+		sp := s.trc.Sample()
+		if sp != nil {
+			sp.Proto = proto
+		}
+		sl.arrs[k] = sl.arrs[i]
+		sl.tns = append(sl.tns, tn)
+		sl.tags = append(sl.tags, conn|uint64(sl.seqs[i]))
+		sl.spans = append(sl.spans, sp)
+		k++
+	}
+	clear(sl.arrs[k:])
+	sl.arrs = sl.arrs[:k]
+	if k > 0 {
+		s.met.rx.Add(proto, int64(k))
+		if tc != nil {
+			sl.conn = tc
+			tc.owe(k)
+		}
+	}
+}
+
+// udpLoop decodes datagrams — one one-packet slab each — and applies the
+// backpressure policy at the ingress queue. Drop mode never blocks: overload
+// sheds load here, visibly (server_ingress_dropped_total), and nowhere else.
 func (s *Server) udpLoop() {
 	defer s.readerWg.Done()
 	buf := make([]byte, frameHeader+maxPayload)
+	var sl *slab
 	for {
 		n, _, err := s.udpConn.ReadFrom(buf)
 		if err != nil {
@@ -521,40 +536,34 @@ func (s *Server) udpLoop() {
 			s.met.decodeErr.Inc()
 			continue
 		}
-		seq, tid, arr, err := decodeDatagram(buf[:n])
+		if sl == nil {
+			sl = s.udpSlabs.Get().(*slab)
+		}
+		// UDP is ackless; seq is carried for symmetry only. The slab adopts
+		// the storage the fields landed in, so once its arena has grown to
+		// the tenant's field count a datagram allocates nothing.
+		seq, tid, arr, err := decodeDatagram(buf[:n], sl.arena)
 		if err != nil {
 			s.met.decodeErr.Inc()
 			continue
 		}
-		tn := s.reg.ByID(tid)
-		if tn == nil || len(arr.Fields) != len(tn.Active().Prog.Fields) {
-			s.met.decodeErr.Inc()
-			continue
-		}
-		_ = seq // UDP is ackless; seq is carried for symmetry only
-		s.met.rx.Inc("udp")
-		it := item{arr: arr, tn: tn}
-		if sp := s.trc.Sample(); sp != nil {
-			sp.Proto = "udp"
-			it.sp = sp
-		}
-		if s.cfg.Policy == PolicyDrop {
-			select {
-			case s.ingress <- it:
-			default:
-				s.met.dropped.Inc()
-			}
-		} else {
-			select {
-			case s.ingress <- it:
-			case <-s.closed:
-				return
-			}
+		sl.arena = arr.Fields
+		sl.push(seq, tid, arr)
+		s.resolve(sl, nil, "udp")
+		switch {
+		case len(sl.arrs) == 0:
+			sl.reset()
+		case s.ingress.push(sl, s.cfg.Policy == PolicyBlock):
+			sl = nil
+		default:
+			s.met.dropped.Inc()
+			sl.reset()
 		}
 	}
 }
 
-// acceptLoop accepts TCP connections until the listener closes.
+// acceptLoop accepts TCP connections until the listener closes, publishing
+// each in the connection table under the index its packets' tags will carry.
 func (s *Server) acceptLoop() {
 	defer s.readerWg.Done()
 	for {
@@ -565,8 +574,23 @@ func (s *Server) acceptLoop() {
 		s.met.conns.Inc()
 		tc := newTCPConn(c)
 		s.connMu.Lock()
-		s.conns[tc] = struct{}{}
+		next := slices.Clone(*s.connTab.Load())
+		if n := len(s.connFree); n > 0 {
+			tc.idx, s.connFree = s.connFree[n-1], s.connFree[:n-1]
+			next[tc.idx] = tc
+		} else {
+			tc.idx = len(next)
+			next = append(next, tc)
+		}
+		s.connTab.Store(&next)
 		s.connMu.Unlock()
+		select {
+		case <-s.closed:
+			// Shutdown's read-abort pass may have loaded the table before
+			// this connection was in it.
+			c.SetReadDeadline(time.Now())
+		default:
+		}
 		s.writerWg.Add(1)
 		go s.writeLoop(tc)
 		s.readerWg.Add(1)
@@ -574,80 +598,75 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// readLoop decodes frames off one TCP connection and feeds the ingress
-// queue, blocking when it is full — that block, propagated by TCP flow
-// control, is the lossless backpressure path. A clean client half-close
-// (EOF) ends reading but keeps the connection and its ack writer alive, so
-// trailing acks for in-flight packets still reach the client.
+// readLoop turns one TCP connection's byte stream into slabs and feeds the
+// ingress queue, blocking when it is full — that block, propagated by TCP
+// flow control, is the lossless backpressure path. It waits on the socket
+// holding no slab, then hands over everything one read brought in before it
+// waits again. A clean client half-close (EOF) ends reading but keeps the
+// connection and its ack writer alive until the trailing acks for in-flight
+// packets have reached the client; a hostile length prefix is counted and
+// ends reading the same way — the frame boundary is lost for good.
 func (s *Server) readLoop(tc *tcpConn) {
 	defer s.readerWg.Done()
-	br := bufio.NewReaderSize(tc.c, 1<<16)
+	defer tc.readEnded()
+	br := bufio.NewReaderSize(tc.c, readBuf)
+	limit := min(slabFrames, s.cfg.IngressCap) // a slab must fit the queue
 	for {
-		seq, tid, arr, err := readFrame(br)
-		if err != nil {
+		if _, err := br.Peek(frameHeader); err != nil {
 			return
 		}
-		tn := s.reg.ByID(tid)
-		if tn == nil || len(arr.Fields) != len(tn.Active().Prog.Fields) {
-			s.met.decodeErr.Inc()
-			continue
+		sl := s.tcpSlabs.Get().(*slab)
+		malformed, err := sl.fill(br, limit)
+		s.met.decodeErr.Add(int64(malformed))
+		s.resolve(sl, tc, "tcp")
+		if len(sl.arrs) > 0 {
+			// The admitter consumes until the queue closes, which happens
+			// only after this goroutine exits (Shutdown ordering).
+			s.ingress.push(sl, true)
+		} else {
+			sl.free()
 		}
-		s.met.rx.Inc("tcp")
-		it := item{arr: arr, tn: tn, c: tc, seq: seq}
-		if sp := s.trc.Sample(); sp != nil {
-			sp.Proto = "tcp"
-			it.sp = sp
+		if err != nil {
+			if err == errFrameRange {
+				s.met.decodeErr.Inc()
+			}
+			return
 		}
-		// Plain send: the admitter consumes until the queue closes, which
-		// happens only after this goroutine exits (Shutdown ordering).
-		s.ingress <- it
 	}
 }
 
-// writeLoop delivers egress acks for one connection, batching flushes when
-// the ack channel runs dry. A write error retires the connection: the
-// stream is broken, so readers and pending acks for it are abandoned.
+// writeLoop delivers one connection's egress acks: sleep while the ack
+// buffer is empty, swap it out, write the whole burst with one syscall. It
+// owns the end of the connection — once the connection is finished (reader
+// ended and nothing in flight, or Shutdown) it drains what egress queued,
+// writes it, and only then closes the socket, so no trailing ack is written
+// into a closed fd, and gives the table slot back. After a write error the
+// stream is broken: the socket is closed at once (which ends the reader) and
+// the acks still in flight are taken and dropped until the last one is in.
 func (s *Server) writeLoop(tc *tcpConn) {
 	defer s.writerWg.Done()
-	bw := bufio.NewWriterSize(tc.c, 1<<12)
-	var buf [ackBytes]byte
-	write := func(seq uint32) bool {
-		binary.BigEndian.PutUint32(buf[:], seq)
-		if _, err := bw.Write(buf[:]); err != nil {
-			return false
-		}
-		if len(tc.acks) == 0 {
-			return bw.Flush() == nil
-		}
-		return true
-	}
+	spare := make([]byte, 0, ackBufBytes)
+	broken := false
 	for {
-		select {
-		case seq := <-tc.acks:
-			if !write(seq) {
-				tc.shutdown()
-				s.dropConn(tc)
-				return
-			}
-		case <-tc.done:
-			for {
-				select {
-				case seq := <-tc.acks:
-					if !write(seq) {
-						return
-					}
-				default:
-					bw.Flush()
-					return
-				}
+		out, ok := tc.take(spare)
+		if !ok {
+			break
+		}
+		if !broken {
+			s.met.acks.Add(int64(len(out) / ackBytes))
+			if _, err := tc.c.Write(out); err != nil {
+				broken = true
+				tc.c.Close()
 			}
 		}
+		spare = out[:0]
 	}
-}
-
-func (s *Server) dropConn(tc *tcpConn) {
+	tc.c.Close()
 	s.connMu.Lock()
-	delete(s.conns, tc)
+	next := slices.Clone(*s.connTab.Load())
+	next[tc.idx] = nil
+	s.connTab.Store(&next)
+	s.connFree = append(s.connFree, tc.idx)
 	s.connMu.Unlock()
 }
 
@@ -661,26 +680,23 @@ func (s *Server) Shutdown() *dataplane.Result {
 		close(s.closed)
 		s.closeListeners()
 		// Abort in-progress reads without closing the connections: the
-		// write half stays up for trailing acks.
-		s.connMu.Lock()
-		for tc := range s.conns {
-			tc.c.SetReadDeadline(time.Now())
+		// write half stays up for trailing acks. (A connection accepted
+		// after this pass sees s.closed and aborts its own reads.)
+		for _, tc := range *s.connTab.Load() {
+			if tc != nil {
+				tc.c.SetReadDeadline(time.Now())
+			}
 		}
-		s.connMu.Unlock()
 		s.readerWg.Wait()
-		close(s.ingress)
+		s.ingress.close()
 		s.admitWg.Wait()
 		s.res = s.eng.Drain()
-		// All egresses (and their acks) have been issued; let the writers
-		// flush and close the connections.
-		s.connMu.Lock()
-		conns := make([]*tcpConn, 0, len(s.conns))
-		for tc := range s.conns {
-			conns = append(conns, tc)
-		}
-		s.connMu.Unlock()
-		for _, tc := range conns {
-			tc.shutdown()
+		// All egresses have queued their acks; each writer still running
+		// drains its buffer, writes it, and closes its connection.
+		for _, tc := range *s.connTab.Load() {
+			if tc != nil {
+				tc.shutdown()
+			}
 		}
 		s.writerWg.Wait()
 		if s.admin != nil {
@@ -793,33 +809,120 @@ func (s *Server) Tenants() *tenant.Registry { return s.reg }
 // Dropped returns the ingress-queue drop count (the PolicyDrop counter).
 func (s *Server) Dropped() int64 { return s.met.dropped.Value() }
 
-// tcpConn pairs a TCP connection with its ack channel. The buffered
-// channel decouples egressing workers from the socket; when it fills (a
-// client that stopped reading acks), ack() blocks the worker — which is
-// the lossless mode's backpressure, ending in a watchdog abort if the
-// client never recovers.
+// ackBufBytes bounds a connection's pending acks at 4,096; past that the
+// egressing worker blocks (tcpConn.ack).
+const ackBufBytes = 4096 * ackBytes
+
+// tcpConn pairs a TCP connection with its ack buffer: egressing workers
+// append 4-byte acks under mu, the connection's writer swaps the buffer out
+// and writes the burst with one syscall. The buffer decouples workers from
+// the socket; when it fills (a client that stopped reading acks), ack()
+// blocks the worker — which is the lossless mode's backpressure, ending in a
+// watchdog abort if the client never recovers.
+//
+// The connection is finished — closed set, the writer draining towards the
+// close — when its reader has ended and every packet it fed the engine has
+// been acked or refused (inflight back to 0), or when Shutdown says so.
 type tcpConn struct {
-	c         net.Conn
-	acks      chan uint32
-	done      chan struct{}
-	closeOnce sync.Once
+	c   net.Conn
+	idx int // slot in Server.connTab; the high half of this connection's tags
+
+	mu       sync.Mutex
+	cond     sync.Cond // both directions: the writer on empty, workers on full
+	acks     []byte
+	inflight int  // packets resolved off this connection, not yet acked or settled
+	readDone bool // the reader has ended: inflight can only fall
+	closed   bool
 }
 
 func newTCPConn(c net.Conn) *tcpConn {
-	return &tcpConn{c: c, acks: make(chan uint32, 4096), done: make(chan struct{})}
+	tc := &tcpConn{c: c, acks: make([]byte, 0, ackBufBytes)}
+	tc.cond.L = &tc.mu
+	return tc
 }
 
-// ack enqueues one egress ack; after shutdown it is a no-op.
-func (tc *tcpConn) ack(seq uint32) {
-	select {
-	case tc.acks <- seq:
-	case <-tc.done:
+// owe charges the connection with n packets on their way to the engine; the
+// reader calls it before it queues them.
+func (tc *tcpConn) owe(n int) {
+	tc.mu.Lock()
+	tc.inflight += n
+	tc.mu.Unlock()
+}
+
+// settle writes off n packets the engine refused: they will never be acked.
+func (tc *tcpConn) settle(n int) {
+	tc.mu.Lock()
+	tc.inflight -= n
+	done := tc.finishLocked()
+	tc.mu.Unlock()
+	if done {
+		tc.cond.Broadcast()
 	}
 }
 
+// readEnded marks the end of the connection's input.
+func (tc *tcpConn) readEnded() {
+	tc.mu.Lock()
+	tc.readDone = true
+	done := tc.finishLocked()
+	tc.mu.Unlock()
+	if done {
+		tc.cond.Broadcast()
+	}
+}
+
+// finishLocked closes the connection once nothing more can be owed to it.
+func (tc *tcpConn) finishLocked() bool {
+	if tc.readDone && tc.inflight == 0 {
+		tc.closed = true
+	}
+	return tc.closed
+}
+
+// ack queues one egress ack, blocking while the buffer is full; after
+// shutdown it is a no-op. Only the append that makes the buffer non-empty,
+// or the connection's last ack, wakes the writer — one wakeup per burst.
+func (tc *tcpConn) ack(seq uint32) {
+	tc.mu.Lock()
+	for len(tc.acks) >= ackBufBytes && !tc.closed {
+		tc.cond.Wait()
+	}
+	if tc.closed {
+		tc.mu.Unlock()
+		return
+	}
+	tc.acks = binary.BigEndian.AppendUint32(tc.acks, seq)
+	tc.inflight--
+	wake := tc.finishLocked() || len(tc.acks) == ackBytes
+	tc.mu.Unlock()
+	if wake {
+		tc.cond.Broadcast()
+	}
+}
+
+// take blocks until acks are pending or the connection is shut down, then
+// swaps the pending buffer for spare (empty, same capacity) and returns it.
+// ok is false when the connection is shut down and nothing is left to write.
+func (tc *tcpConn) take(spare []byte) (out []byte, ok bool) {
+	tc.mu.Lock()
+	for len(tc.acks) == 0 && !tc.closed {
+		tc.cond.Wait()
+	}
+	out, tc.acks = tc.acks, spare
+	tc.mu.Unlock()
+	if len(out) >= ackBufBytes {
+		tc.cond.Broadcast() // workers may be blocked on the full buffer
+	}
+	return out, len(out) > 0
+}
+
+// shutdown finishes the connection whatever is in flight (Shutdown, after the
+// engine drained): queued acks are still written (the writer drains, then
+// closes the socket), later ones are dropped, and any worker blocked on a
+// full buffer is released.
 func (tc *tcpConn) shutdown() {
-	tc.closeOnce.Do(func() {
-		close(tc.done)
-		tc.c.Close()
-	})
+	tc.mu.Lock()
+	tc.closed = true
+	tc.mu.Unlock()
+	tc.cond.Broadcast()
 }

@@ -172,6 +172,9 @@ func TestAdminPlane(t *testing.T) {
 	if _, err := c.Run(trace[:500], LoadOptions{Window: 32}); err != nil {
 		t.Fatal(err)
 	}
+	// The engine counts a completion just after OnEgress queued the ack, so
+	// the last ack can reach the client a moment before the counter moves.
+	waitFor(t, "the last completion to be counted", func() bool { return s.eng.Completed() == 500 })
 
 	var h healthz
 	getJSON(t, "http://"+s.AdminAddr()+"/healthz", &h)

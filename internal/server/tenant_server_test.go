@@ -127,6 +127,41 @@ func TestMultiTenantWireIsolation(t *testing.T) {
 	}
 }
 
+// TestQuotaEqualsClientWindow: an ack means the packet's quota token is
+// back. A client whose window equals its tenant's quota sends the next frame
+// the moment it hears an ack, and that frame must never be shed against a
+// token the acked packet still holds (the engine used to announce the egress
+// first and return the token after).
+func TestQuotaEqualsClientWindow(t *testing.T) {
+	const quota = 8
+	prog, trace := soakProgram(t)
+	s, err := NewMulti([]TenantProgram{{Name: "capped", Prog: prog, Quota: quota}}, Config{
+		Engine:  dataplane.Config{Workers: 2},
+		TCPAddr: "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	c, err := Dial("tcp", s.TCPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var long []core.Arrival
+	for i := 0; i < 10; i++ {
+		long = append(long, trace...)
+	}
+	rep, err := c.Run(long, LoadOptions{Window: quota, AckTimeout: 2 * time.Second})
+	shed := s.Tenants().ByID(0).Active().Handle.Stats().Shed
+	if err != nil || rep.Acked != rep.Sent || shed != 0 {
+		t.Fatalf("window == quota lost packets: sent %d acked %d shed %d (%v)", rep.Sent, rep.Acked, shed, err)
+	}
+}
+
 // TestHotSwapZeroLoss is the acceptance bar for the swap protocol on the
 // wire: POST /programs/{tenant} while a TCP client streams traffic — no
 // packet is lost across the flip, both versions see traffic, and each
@@ -343,6 +378,8 @@ func TestTenantAdminSurfaces(t *testing.T) {
 	if _, err := c.Run(traceA, LoadOptions{Tenant: 0, Window: 32}); err != nil {
 		t.Fatal(err)
 	}
+	// Completion is counted just after the ack is queued (see TestAdminPlane).
+	waitFor(t, "the last completion to be counted", func() bool { return s.eng.Completed() == 400 })
 
 	var st StatsSnapshot
 	getJSON(t, base+"/stats", &st)

@@ -116,7 +116,7 @@ func TestSwapUnderLoad(t *testing.T) {
 	for off < len(arrsA) {
 		v := tn.Active()
 		end := min(off+53, len(arrsA))
-		got := eng.SubmitBatchTo(v.Handle, arrsA[off:end], nil)
+		got := eng.SubmitBatchTo(v.Handle, arrsA[off:end], nil, nil)
 		off += got
 		if got == 0 {
 			time.Sleep(100 * time.Microsecond) // quota full: wait for egress
@@ -138,7 +138,7 @@ func TestSwapUnderLoad(t *testing.T) {
 			t.Fatal("active version regressed")
 		}
 		end := min(off+53, len(arrsB))
-		got := eng.SubmitBatchTo(v.Handle, arrsB[off:end], nil)
+		got := eng.SubmitBatchTo(v.Handle, arrsB[off:end], nil, nil)
 		off += got
 		if got == 0 {
 			time.Sleep(100 * time.Microsecond)

@@ -31,6 +31,10 @@ go test -race -count 1 ./internal/server
 # Deliberately NOT under -race (the race runtime allocates, which would
 # make AllocsPerRun meaningless — those tests self-skip under -race).
 go test -count 1 -run 'TestSubmitSteadyStateAllocs|TestSubmitBatchSteadyStateAllocs' ./internal/dataplane
+# The wire path's allocation gate: decoding a stream into a slab allocates
+# nothing, and a loopback closed-loop run stays under 0.1 process-wide
+# allocations per packet (same self-skip under -race).
+go test -count 1 -run TestWireSteadyStateAllocs ./internal/server
 # Pooled-object lifecycle gate: the mp5debug build poisons every recycled
 # packet, so a use-after-recycle shows up as an oracle mismatch or a race.
 # Run the whole dataplane suite with poisoning AND the race detector on.
@@ -57,6 +61,10 @@ MP5_FUZZ_CASES=40 MP5_FUZZ_EXECUTOR=bytecode go test -count 1 -run TestDifferent
 # fourth engine leg alone, so a replication regression is attributed
 # directly instead of surfacing as noise in the full sweep.
 MP5_FUZZ_CASES=40 MP5_FUZZ_ENGINE=screp go test -count 1 -run TestDifferentialSmoke ./internal/fuzz
+# The wire codec's seed corpus: arbitrary bytes through the slab stream
+# decoder and decodeDatagram must match the one-frame reference, poison the
+# stream on a hostile length, and never leave the slab's arena.
+go test -count 1 -run FuzzDecodeStream ./internal/server
 # End-to-end daemon soak: mp5load drives mp5d over loopback TCP with a
 # fixed seed; zero loss, a live admin plane, and a clean SIGTERM drain with
 # reference equivalence are all required.
@@ -71,6 +79,9 @@ sh scripts/tenant_smoke.sh
 # must serve, and mp5trace must reconcile every exported span's stage sums
 # against its total.
 sh scripts/trace_smoke.sh
+# The benchmark harness is a nested Go module the root build cannot see, and
+# it compiles against the dataplane and server surfaces: vet and test it.
+(cd bench && go vet ./... && go test ./...)
 # Guard: the simulator with tracing disabled (BenchmarkTraceDisabled) must
 # stay within 2% of the seed's BenchmarkSimulatorPacketRate; compare the
 # pkts/s metrics printed below. BenchmarkTraceTelemetry shows the cost of

@@ -133,8 +133,17 @@ wait "$LPID_B" || { echo "tenant_smoke: beta load lost packets"; cat "$DIR/beta.
 curl -fsS "http://$ADMIN/stats" | grep -q '"tenants":\[{"name":"alpha"'
 curl -fsS "http://$ADMIN/shardmap?tenant=beta" | grep -q '"owners"'
 curl -fsS "http://$ADMIN/programs" | grep -q '"active_version":2'
-curl -fsS "http://$ADMIN/metrics" | grep -q '^tenant_submitted_packets{tenant="alpha"}'
-curl -fsS "http://$ADMIN/metrics" | grep -q '^tenant_quota_inuse{tenant="beta"} 0$'
+# The tenant_* gauges are refreshed by the background sampler (every 250 ms),
+# and the loads above can finish inside one period: poll, don't assume a tick.
+for want in '^tenant_submitted_packets{tenant="alpha"}' \
+            '^tenant_quota_inuse{tenant="beta"} 0$'; do
+    i=0
+    until curl -fsS "http://$ADMIN/metrics" | grep -q "$want"; do
+        i=$((i + 1))
+        test "$i" -le 100 || { echo "tenant_smoke: /metrics never showed $want"; exit 1; }
+        sleep 0.05
+    done
+done
 
 # Graceful drain: per-version equivalence detail plus the aggregate bar.
 kill -TERM "$DPID"
