@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race race-core race-dataplane race-screp race-server race-tenant race-bytecode allocs-gate race-poison serve-smoke trace-smoke tenant-smoke check bench bench-test bench-guard bench-smoke bench-dataplane bench-server bench-tenant fuzz-smoke fuzz clean
+.PHONY: all build vet fmt-check test race race-core race-dataplane flake-hunt race-screp race-server race-tenant race-bytecode allocs-gate race-poison serve-smoke trace-smoke tenant-smoke check bench bench-test bench-guard bench-smoke bench-dataplane bench-server bench-tenant fuzz-smoke fuzz clean
 
 all: check
 
@@ -29,10 +29,22 @@ race-core:
 
 # race-dataplane focuses the race detector on the concurrent execution
 # engine — the one package whose correctness claims are about goroutine
-# interleavings; like race-core, pinned here so `race` can never silently
-# drop it.
+# interleavings (lock-free ticket counters, slot-local wait rings, remap's
+# ownership handoff); like race-core, pinned here so `race` can never
+# silently drop it.
 race-dataplane:
 	$(GO) test -race -count 1 ./internal/dataplane
+
+# flake-hunt repeats the tests whose outcome once depended on timing — remap
+# migration under load and at quiescence, and the slot handoff between owners
+# — 50 times each plain, under -race, and under -race with poison-on-free.
+# A pre-merge tool for changes to the ticket, park or remap path (~1 min),
+# deliberately not part of `check` or scripts/check.sh; the bar is 0 failures.
+FLAKY = TestRemapMigratesState|TestRemapMigratesAtQuiescence|TestSlotHandoffBetweenOwners
+flake-hunt:
+	$(GO) test -count 50 -run '$(FLAKY)' ./internal/dataplane
+	$(GO) test -race -count 50 -run '$(FLAKY)' ./internal/dataplane
+	$(GO) test -tags mp5debug -race -count 50 -run '$(FLAKY)' ./internal/dataplane
 
 # allocs-gate is the hot-path allocation regression gate: steady-state
 # Submit must perform exactly zero heap allocations per packet and

@@ -9,22 +9,25 @@
 //   - D2 (dynamically sharded state): each register index is owned by
 //     exactly one worker, which holds the only live copy in its private
 //     register file; a Figure-6-style remap migrates hot indices between
-//     workers while their ticket queues are empty.
+//     workers while none of their tickets is outstanding.
 //   - D3 (crossbar steering): a packet whose next stateful stage resolved
 //     to another pipeline is forwarded over that worker's mailbox channel.
 //   - D4 (phantom order enforcement): at admission, a serial admitter
-//     enqueues one ticket per resolved state slot in arrival order — the
-//     execution-engine equivalent of the phantom placeholder. A worker may
-//     only perform an access while the packet's ticket is at the head of
-//     every slot queue of the visit; otherwise the packet parks on the
-//     owning worker until the blocking ticket is retired.
+//     stamps one ticket per resolved state slot from the slot's issued
+//     counter, in arrival order — the execution-engine equivalent of the
+//     phantom placeholder. A worker may only perform an access while every
+//     slot of the visit is serving the packet's ticket (served == ticket);
+//     otherwise the packet parks in the blocking slot's wait ring, on the
+//     owning worker, until the ticket before it is retired. The path takes
+//     no lock and hashes nothing (see slotState).
 //
-// Correctness (condition C1) follows by construction: per-slot ticket
-// queues are admission-ordered, accesses retire tickets in queue order, and
-// the earliest in-flight packet always holds the head ticket of every slot
-// it still needs — so the engine is deadlock-free and every slot observes
-// accesses in arrival order, which implies functional equivalence with the
-// single-pipeline reference (checked differentially in internal/fuzz).
+// Correctness (condition C1) follows by construction: per-slot tickets are
+// issued in admission order, accesses retire them in ticket order, and the
+// earliest in-flight packet always holds the ticket being served on every
+// slot it still needs — so the engine is deadlock-free and every slot
+// observes accesses in arrival order, which implies functional equivalence
+// with the single-pipeline reference (checked differentially in
+// internal/fuzz).
 package dataplane
 
 import (
@@ -77,7 +80,8 @@ type Config struct {
 	// like the simulator's EvAccess stream (required for C1 checking).
 	RecordAccessOrder bool
 	// RecordEgressOrder retains the wall-clock egress sequence so Result
-	// can report Reordered (adds one mutex acquisition per egress).
+	// can report Reordered (adds one shared atomic increment and one
+	// worker-private append per egress; merged at Drain).
 	RecordEgressOrder bool
 	// StallTimeout aborts the run when no packet egresses for this long
 	// while packets are in flight (a liveness watchdog so differential

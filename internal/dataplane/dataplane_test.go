@@ -110,8 +110,11 @@ func TestStatelessSpray(t *testing.T) {
 	}
 }
 
-// TestRemapMigratesState forces frequent remaps on a skewed trace and checks
-// that migrations actually happen — and that equivalence survives them.
+// TestRemapMigratesState forces frequent remaps under load on a churning
+// skewed trace and checks that equivalence survives whatever migrations the
+// timing allowed. How many there are depends on which slots happen to be
+// fully served at each boundary, so that migrations do happen is asserted
+// where it is deterministic: TestRemapMigratesAtQuiescence.
 func TestRemapMigratesState(t *testing.T) {
 	prog, err := apps.Synthetic(2, 64, 16)
 	if err != nil {
@@ -122,9 +125,73 @@ func TestRemapMigratesState(t *testing.T) {
 		Pattern: workload.Skewed, ChurnInterval: 64,
 	}, 2, 64)
 	res := runChecked(t, prog, arrivals, Config{Workers: 4, RemapInterval: 32})
-	if res.ShardMoves == 0 {
-		t.Fatal("no shard migrations on a churning skewed trace with RemapInterval=32")
+	t.Logf("%d shard moves under load", res.ShardMoves)
+}
+
+// TestRemapMigratesAtQuiescence runs the same trace with every remap at a
+// quiescent boundary: RemapInterval-1 packets, wait for all of them to
+// egress, then a boundary packet that is stateless (it holds no ticket), so
+// remap finds issued == served on every slot and what it migrates is a
+// function of the trace alone. Every migrated index must arrive with its
+// value live in the new owner's register file, and the run must pass the
+// three oracles.
+func TestRemapMigratesAtQuiescence(t *testing.T) {
+	const interval = 32
+	prog, err := apps.Synthetic(2, 64, 16)
+	if err != nil {
+		t.Fatal(err)
 	}
+	arrivals := workload.Synthetic(prog, workload.Spec{
+		Packets: 4000, Pipelines: 4, Seed: 5,
+		Pattern: workload.Skewed, ChurnInterval: 64,
+	}, 2, 64)
+	stateless := prog.FieldIndex("stateless")
+	hdr := []int{prog.FieldIndex("h0"), prog.FieldIndex("h1")}
+	for i := interval - 1; i < len(arrivals); i += interval {
+		arrivals[i].Fields[stateless] = 1
+	}
+	e := New(prog, Config{
+		Workers: 4, RemapInterval: interval,
+		RecordOutputs: true, RecordAccessOrder: true, RecordEgressOrder: true,
+	})
+	e.Start()
+	// want[r][i] is the value the synthetic program leaves in reg r, index
+	// i: one increment per stateful access so far.
+	want := [][]int64{make([]int64, 64), make([]int64, 64)}
+	for off := 0; off+interval <= len(arrivals); off += interval {
+		if e.SubmitBatch(arrivals[off:off+interval-1], nil) != interval-1 {
+			t.Fatalf("window at %d refused", off)
+		}
+		for _, a := range arrivals[off : off+interval-1] {
+			for r, f := range hdr {
+				want[r][a.Fields[f]%64]++
+			}
+		}
+		quiesce(t, e)
+		before := e.ShardMap()
+		if !e.Submit(&arrivals[off+interval-1]) { // remap runs inside
+			t.Fatalf("boundary packet %d refused", off+interval-1)
+		}
+		for r, ent := range e.ShardMap() {
+			for i, owner := range ent.Owners {
+				if owner == before[r].Owners[i] {
+					continue
+				}
+				if got := e.def.wregs[owner].Array(r)[i]; got != want[r][i] {
+					t.Fatalf("packet %d: r%d[%d] moved %d -> %d but the new owner holds %d, want %d",
+						off+interval-1, r, i, before[r].Owners[i], owner, got, want[r][i])
+				}
+			}
+		}
+	}
+	res := e.Drain()
+	if res.Stalled || res.Completed != int64(len(arrivals)) {
+		t.Fatalf("%d of %d completed (stalled=%v)", res.Completed, len(arrivals), res.Stalled)
+	}
+	if res.ShardMoves == 0 {
+		t.Fatal("no shard migrations on a churning skewed trace with every remap at quiescence")
+	}
+	checkEquivalence(t, prog, e, arrivals, 4)
 }
 
 // TestRemapDisabled makes sure a negative interval really pins the initial
@@ -185,9 +252,24 @@ func TestMetrics(t *testing.T) {
 	if m.Egressed.Value() != res.Completed {
 		t.Fatalf("egressed counter %d != completed %d", m.Egressed.Value(), res.Completed)
 	}
-	if m.Steers.Value() != res.Steers || m.Parks.Value() != res.Parks ||
-		m.Wasted.Value() != res.Wasted || m.ShardMoves.Value() != res.ShardMoves {
-		t.Fatalf("counters diverge from result: %+v vs %+v", m, res)
+	// Workers tally steers, parks and wasted visits privately and publish
+	// them in bulk; by Drain every tally must have reached both the Result
+	// and the telemetry counters, exactly.
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"steers", m.Steers.Value(), res.Steers},
+		{"parks", m.Parks.Value(), res.Parks},
+		{"wasted", m.Wasted.Value(), res.Wasted},
+		{"shard moves", m.ShardMoves.Value(), res.ShardMoves},
+	} {
+		if c.got != c.want {
+			t.Fatalf("%s: telemetry counter %d != result %d", c.name, c.got, c.want)
+		}
+	}
+	if res.Steers == 0 {
+		t.Fatal("no steers on a four-worker two-array run: the counter check above is vacuous")
 	}
 	if res.Latency.Total() != int(res.Completed) {
 		t.Fatalf("latency histogram holds %d samples for %d completions", res.Latency.Total(), res.Completed)

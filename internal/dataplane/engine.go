@@ -25,16 +25,16 @@ type regShard struct {
 	owner []int
 	// count[i] counts resolutions since the last remap (§3.4).
 	count []int64
-	// slots[i] is index i's ticket queue (slots[0] the whole-array queue of
-	// an unsharded array) — the same *slotState Handle.slots maps by key,
-	// positioned so the per-access resolve path indexes instead of hashing.
-	slots []*slotState
+	// slots[i] is index i's ticket lock (slots[0] the whole-array one of an
+	// unsharded array), positioned so the per-access resolve path indexes
+	// instead of hashing.
+	slots []slotState
 }
 
 // Engine runs compiled MP5 programs on a real goroutine topology (see the
 // package comment for the architecture map). The topology — workers,
 // crossbar mailboxes, the admission-window semaphore — is shared; every
-// loaded program gets its own isolated Handle (registers, ticket queues,
+// loaded program gets its own isolated Handle (registers, ticket locks,
 // shard map, frame pool, optional admission quota), so one engine can serve
 // N tenant programs side by side and hot-add new program versions while
 // traffic flows.
@@ -129,12 +129,10 @@ type Engine struct {
 
 	// Admitter-only scratch, reused across SubmitBatch chunks and remap
 	// passes so the hot path allocates nothing. chunk holds the packets of
-	// the batch being admitted, tkSlots the slots with buffered tickets
-	// (slotState.pend), xbuf the per-worker dispatch batches under
+	// the batch being admitted, xbuf the per-worker dispatch batches under
 	// assembly (their backing slices come from batchPool and are returned
 	// by the draining worker), remapAgg the per-worker load aggregation.
 	chunk    []*packet
-	tkSlots  []*slotState
 	xbuf     []*pktBatch
 	remapAgg []int64
 	// batchPool recycles the []*packet slices that ride xbarMsg batches
@@ -147,7 +145,7 @@ type Engine struct {
 	// testBeforeExec, when set, runs on the owning worker right before a
 	// visit executes — the white-box hook the stall test uses to wedge a
 	// packet and exercise the watchdog. testAfterTicket runs on the
-	// admitter after tickets are issued but before dispatch — the hook the
+	// admitter after tickets are stamped but before dispatch — the hook the
 	// abort-retirement tests use to kill the engine at the worst moment.
 	testBeforeExec  func(*packet)
 	testAfterTicket func()
@@ -193,7 +191,7 @@ func New(prog *ir.Program, cfg Config) *Engine {
 }
 
 // AddProgram loads a program onto the engine under its own isolated Handle
-// (registers, ticket queues, shard placement, frame pool) with an optional
+// (registers, ticket locks, shard placement, frame pool) with an optional
 // admission quota (nil = unlimited). Safe to call while the engine is
 // running and serving other handles — the hot-swap path: the handle is
 // fully built before it is published, in-flight packets of other handles
@@ -322,20 +320,13 @@ func (e *Engine) SubmitTo(h *Handle, a *core.Arrival, sp *Span, tag uint64) bool
 		sp.Advance(StageAdmit, -1)
 		p.span = sp
 	}
-	for vi := range p.visits {
-		for _, ref := range p.visits[vi].slots {
-			ref.st.enqueue(id)
-		}
-	}
 	if f := e.testAfterTicket; f != nil {
 		f()
 	}
 	dest := e.destOf(p)
-	// Deterministic abort check between ticketing and dispatch: without it
-	// the dispatch select below could take the (closed) abort case even
-	// with mailbox room, leaving this packet's tickets stranded at queue
-	// heads forever — the ticket-leak bug. Either abort path retires the
-	// packet: tickets cancelled, window token returned, packet recycled.
+	// Deterministic abort check between ticketing and dispatch, so a dead
+	// engine never dispatches. Either abort path retires the packet: window
+	// and quota tokens returned, packet recycled.
 	select {
 	case <-e.abort:
 		e.retire(p)
@@ -361,12 +352,10 @@ func (e *Engine) SubmitBatch(arrs []core.Arrival, spans []*Span) int {
 }
 
 // SubmitBatchTo admits a run of packets on handle h, amortizing the
-// per-packet costs of SubmitTo across the batch: one window acquisition per
-// chunk, one ticket queue lock per touched slot per chunk, and one crossbar
-// mailbox send per destination worker per chunk. Ticket order — hence C1 —
-// is still exactly arrival order: packets are resolved serially in slice
-// order, every ticket of the chunk is enqueued before any packet
-// dispatches, and per-slot ticket runs flush in admission order.
+// per-packet costs of SubmitTo across the batch: one window acquisition and
+// one crossbar mailbox send per destination worker per chunk. Ticket order —
+// hence C1 — is still exactly arrival order: packets are resolved, and their
+// tickets stamped, serially in slice order.
 //
 // spans and tags are each either nil or parallel to arrs (nil span entries
 // for unsampled packets; tags as in SubmitTo, nil meaning all zero).
@@ -388,7 +377,7 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, ta
 		if iv := int64(e.cfg.RemapInterval); iv > 0 {
 			// Chunks never straddle a remap boundary, so remap keeps its
 			// every-RemapInterval-admissions cadence (and its chance to see
-			// drained ticket queues) exactly as under per-packet Submit.
+			// fully served slots) exactly as under per-packet Submit.
 			if until := iv - base%iv; want > until {
 				want = until
 			}
@@ -439,28 +428,9 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, ta
 				sp.Advance(StageAdmit, -1)
 				p.span = sp
 			}
-			// Buffer tickets chunk-locally (pend is admitter-owned); the
-			// flush below takes each slot's lock once for the whole chunk.
-			for vi := range p.visits {
-				for _, ref := range p.visits[vi].slots {
-					st := ref.st
-					if len(st.pend) == 0 {
-						e.tkSlots = append(e.tkSlots, st)
-					}
-					st.pend = append(st.pend, id)
-				}
-			}
 			e.chunk = append(e.chunk, p)
 		}
 		e.submitted.Store(base + int64(got))
-		// Flush every ticket of the chunk before any packet dispatches: a
-		// dispatched packet must be able to find its own tickets (and park
-		// behind earlier ones) the moment it reaches a worker.
-		for _, st := range e.tkSlots {
-			st.enqueueBatch(st.pend)
-			st.pend = st.pend[:0]
-		}
-		e.tkSlots = e.tkSlots[:0]
 		admitted += got
 		if f := e.testAfterTicket; f != nil {
 			f()
@@ -533,17 +503,13 @@ func (e *Engine) destOf(p *packet) int {
 	return d
 }
 
-// retire un-admits a packet on the abort path: cancel its tickets, return
-// its window and quota tokens, and recycle it. The packet's id stays
-// consumed (submitted is not rolled back — ids must stay dense) but it will
-// never egress; that is fine because retire only runs on a dead engine,
-// whose results are already discarded as Stalled/incomplete.
+// retire un-admits a packet on the abort path: return its window and quota
+// tokens and recycle it. The packet's id stays consumed (submitted is not
+// rolled back — ids must stay dense) and so do its tickets, which will never
+// be served; that is fine because retire only runs on a dead engine, whose
+// workers have stopped consulting tickets and whose results are already
+// discarded as Stalled/incomplete.
 func (e *Engine) retire(p *packet) {
-	for vi := range p.visits {
-		for _, ref := range p.visits[vi].slots {
-			ref.st.cancel(p.id)
-		}
-	}
 	p.span = nil
 	h := p.h
 	h.putPacket(p)
@@ -603,9 +569,7 @@ func (e *Engine) mergeEgressOrder() {
 // prepare readies one packet on the admitter: take a recycled packet from
 // the handle's free list (or build one), reset its env for the new arrival,
 // execute the handle's stateless resolution stages, and resolve every state
-// access to a (stage, worker, slots) visit list. Ticket issue is the
-// caller's job — SubmitTo enqueues directly, SubmitBatchTo buffers and
-// flushes per chunk.
+// access to a (stage, worker, tickets) visit list.
 func (e *Engine) prepare(h *Handle, id int64, a *core.Arrival) *packet {
 	p := h.getPacket()
 	p.id = id
@@ -690,10 +654,10 @@ func (e *Engine) putBatch(b *pktBatch) {
 
 // resolve performs preemptive address resolution (§3.3) against the
 // handle's shard placement: evaluate resolvable predicates, clamp indices,
-// look up slot owners, and build the visit list. Same-stage accesses form
-// one visit and must co-locate (the code generator guarantees multi-array
-// stages hold only unsharded, same-home arrays). Duplicate same-stage
-// references to one slot collapse to a single ticket.
+// look up slot owners, stamp one ticket per slot, and build the visit list.
+// Same-stage accesses form one visit and must co-locate (the code generator
+// guarantees multi-array stages hold only unsharded, same-home arrays).
+// Duplicate same-stage references to one slot collapse to a single ticket.
 func (e *Engine) resolve(h *Handle, p *packet) {
 	for stage, bucket := range h.accByStage {
 		var v *visit
@@ -738,7 +702,8 @@ func (e *Engine) resolve(h *Handle, p *packet) {
 				}
 			}
 			if !dup {
-				v.slots = append(v.slots, slotRef{key: key, st: sh.slots[pos]})
+				st := &sh.slots[pos]
+				v.slots = append(v.slots, slotRef{key: key, st: st, tk: st.issue()})
 			}
 		}
 	}
@@ -759,9 +724,9 @@ func (e *Engine) remap() {
 // remapHandle runs one Figure-6 iteration per sharded array of one handle:
 // find the heaviest (H) and lightest (L) workers by windowed access count,
 // pick the hottest index on H counting less than half the gap, and migrate
-// it to L — but only if its ticket queue is empty, checked and copied under
-// the slot mutex so no in-flight or future access can observe a torn value.
-// Window counters reset afterwards.
+// it to L — but only if every ticket issued on it has been served, so no
+// in-flight access can observe a torn value (and no future one exists until
+// this goroutine issues it). Window counters reset afterwards.
 func (e *Engine) remapHandle(h *Handle) {
 	for reg := range h.shard {
 		sh := &h.shard[reg]
@@ -796,14 +761,14 @@ func (e *Engine) remapHandle(h *Handle) {
 				}
 			}
 			if best >= 0 {
-				st := h.slots[slotKey{reg, best}]
-				st.mu.Lock()
-				if st.head >= len(st.queue) {
-					// No pending tickets: nobody is touching (or will
-					// touch) the old copy, and the next ticket will be
-					// issued after owner[] is updated below — the slot
-					// mutex carries the value to the new owner. placeMu
-					// publishes the new owner to ShardMap snapshots.
+				if st := &sh.slots[best]; st.served.Load() == st.issued.Load() {
+					// Every ticket served: the old owner's last touch of
+					// the slot (pop's served store) happened before this
+					// acquire-load, and the next ticket is issued after
+					// owner[] is updated below — the mailbox send of its
+					// packet carries the value, the access log and the
+					// wait ring on to the new owner. placeMu publishes the
+					// new owner to ShardMap snapshots.
 					h.wregs[lo].Array(reg)[best] = h.wregs[hi].Array(reg)[best]
 					e.placeMu.Lock()
 					sh.owner[best] = lo
@@ -811,7 +776,6 @@ func (e *Engine) remapHandle(h *Handle) {
 					e.shardMoves++
 					e.met.ShardMoves.Inc()
 				}
-				st.mu.Unlock()
 			}
 		}
 		for i := range sh.count {
@@ -971,11 +935,7 @@ func (e *Engine) FinalRegsFor(h *Handle) [][]int64 {
 // Config.RecordAccessOrder set. Multi-program engines use AccessOrdersFor.
 func (e *Engine) AccessOrders() map[string][]int64 {
 	out := make(map[string][]int64)
-	for key, st := range e.def.slots {
-		for ci, seq := range st.log {
-			out[banzai.AccessKey(key.reg, ci)] = seq
-		}
-	}
+	e.def.eachLog(func(key string, seq []int64) { out[key] = seq })
 	return out
 }
 
@@ -990,15 +950,13 @@ func (e *Engine) AccessOrdersFor(h *Handle) map[string][]int64 {
 		idx[gid] = int64(i)
 	}
 	out := make(map[string][]int64)
-	for key, st := range h.slots {
-		for ci, seq := range st.log {
-			m := make([]int64, len(seq))
-			for j, gid := range seq {
-				m[j] = idx[gid]
-			}
-			out[banzai.AccessKey(key.reg, ci)] = m
+	h.eachLog(func(key string, seq []int64) {
+		m := make([]int64, len(seq))
+		for j, gid := range seq {
+			m[j] = idx[gid]
 		}
-	}
+		out[key] = m
+	})
 	return out
 }
 
@@ -1034,11 +992,13 @@ func (e *Engine) WindowCap() int { return int(e.winCap) }
 
 // WorkerStat is one worker's live occupancy/throughput view, in the shape
 // the admin plane serves (/stats) and mp5top renders. Mailbox is the
-// channel depth (queued crossbar handoffs), Parked the packets waiting on
-// head tickets, Processed the process-loop invocations (mailbox receives +
-// promotions), Egressed the packets completed on this worker, and BusyNs
-// cumulative wall time spent inside the process loop — only accounted
-// while a Tracer is attached, 0 otherwise.
+// channel depth (queued crossbar handoffs), Parked the packets waiting in
+// slot wait rings for their tickets, Processed the process-loop invocations
+// (mailbox receives + promotions), Egressed the packets completed on this
+// worker, and BusyNs cumulative wall time spent inside the process loop —
+// only accounted while a Tracer is attached, 0 otherwise. Parked and
+// Processed are published once per handled mailbox message, so a live
+// reading trails the worker by at most one message.
 type WorkerStat struct {
 	ID         int   `json:"id"`
 	Mailbox    int   `json:"mailbox"`
@@ -1068,29 +1028,21 @@ func (e *Engine) WorkerStats() []WorkerStat {
 	return out
 }
 
-// TicketDepths sums the pending (issued-but-unretired) tickets across
-// every slot queue of every handle and reports the deepest single queue —
-// the live D4 backlog. It takes each slot's mutex briefly; meant for the
-// admin plane's background sampler, not the per-packet path.
+// TicketDepths sums the pending (issued-but-unserved) tickets across every
+// slot of every handle and reports the deepest single slot — the live D4
+// backlog. O(1) per slot and lock-free (two atomic loads), so safe from any
+// goroutine. Meaningful only on a live engine: an aborted engine's issued
+// tickets are never served, so its depths stay where the abort left them.
 func (e *Engine) TicketDepths() (pending, maxDepth int64) {
 	for _, h := range e.Handles() {
-		p, m := e.ticketDepthsFor(h)
-		pending += p
-		if m > maxDepth {
-			maxDepth = m
-		}
-	}
-	return pending, maxDepth
-}
-
-func (e *Engine) ticketDepthsFor(h *Handle) (pending, maxDepth int64) {
-	for _, st := range h.slots {
-		st.mu.Lock()
-		d := int64(len(st.queue) - st.head)
-		st.mu.Unlock()
-		pending += d
-		if d > maxDepth {
-			maxDepth = d
+		for reg := range h.shard {
+			for i := range h.shard[reg].slots {
+				d := h.shard[reg].slots[i].depth()
+				pending += d
+				if d > maxDepth {
+					maxDepth = d
+				}
+			}
 		}
 	}
 	return pending, maxDepth

@@ -64,7 +64,7 @@ func (q *Quota) Cap() int64 { return q.cap }
 func (q *Quota) InUse() int64 { return q.used.Load() }
 
 // Handle is one loaded program's isolated runtime namespace on a shared
-// engine: its compiled form, its ticket queues and shard placement, one
+// engine: its compiled form, its ticket locks and shard placement, one
 // private register file per worker, and its own packet/env frame pool (envs
 // are program-shaped — ir.Env.ResetFor preserves seed-once frame pools — so
 // packets are never recycled across programs). Every mutable structure the
@@ -73,10 +73,10 @@ func (q *Quota) InUse() int64 { return q.used.Load() }
 //
 // A Handle is immutable after AddProgram publishes it except for the
 // structures its own packets flow through, each with its existing ownership
-// rule: slots (admitter enqueues / owning worker pops, under the slot
-// mutex), shard counters and owner arrays (admitter-only, snapshots under
-// placeMu), wregs (owning worker, plus remap's migrate under the slot
-// mutex), the free list (its own mutex), and the atomics.
+// rule: slots (admitter issues / owning worker serves; see slotState),
+// shard counters and owner arrays (admitter-only, snapshots under placeMu),
+// wregs (owning worker, plus remap's migrate of a fully served slot), the
+// free list (its own mutex), and the atomics.
 type Handle struct {
 	e       *Engine
 	name    string
@@ -98,10 +98,7 @@ type Handle struct {
 	// to worker i hold the live copy.
 	wregs []*banzai.RegFile
 
-	// slots keys every ticket queue by (register, index) for the cold
-	// iterators (access-order export, ticket depths, remap); the admitter's
-	// per-access path reaches the same queues through shard[r].slots.
-	slots map[slotKey]*slotState
+	// shard holds every register array's placement and ticket locks.
 	shard []regShard
 
 	quota *Quota
@@ -162,7 +159,6 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 	if e.cfg.Seed != 0 {
 		placeRng = rand.New(rand.NewSource(e.cfg.Seed + int64(version)))
 	}
-	h.slots = make(map[slotKey]*slotState)
 	h.shard = make([]regShard, len(prog.Regs))
 	for r := range prog.Regs {
 		info := &prog.Regs[r]
@@ -180,11 +176,7 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 					sh.owner[i], sh.owner[j] = sh.owner[j], sh.owner[i]
 				})
 			}
-			sh.slots = make([]*slotState, info.Size)
-			for i := range sh.slots {
-				sh.slots[i] = &slotState{}
-				h.slots[slotKey{r, i}] = sh.slots[i]
-			}
+			sh.slots = make([]slotState, info.Size)
 		} else {
 			home := 0
 			if info.Stage >= 0 {
@@ -192,11 +184,22 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 			}
 			sh.owner = []int{home}
 			sh.count = make([]int64, 1)
-			sh.slots = []*slotState{{}}
-			h.slots[slotKey{r, -1}] = sh.slots[0]
+			sh.slots = make([]slotState, 1)
 		}
 	}
 	return h
+}
+
+// eachLog calls f with every recorded per-index access sequence of the
+// handle, keyed like banzai's indexed log. Only valid after Drain.
+func (h *Handle) eachLog(f func(key string, seq []int64)) {
+	for reg := range h.shard {
+		for i := range h.shard[reg].slots {
+			for ci, seq := range h.shard[reg].slots[i].log {
+				f(banzai.AccessKey(reg, ci), seq)
+			}
+		}
+	}
 }
 
 // Name returns the name the handle was registered under (the tenant name).

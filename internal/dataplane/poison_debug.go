@@ -4,10 +4,11 @@ package dataplane
 
 // poisonPacket clobbers a packet as it enters the free list so any code
 // still holding a reference fails loudly instead of reading stale-but-
-// plausible data: the id becomes -1 (which trips the pop "without holding
-// the head ticket" panic and can never match a ticket), the visit plan is
-// emptied, and fields/temps are filled with a sentinel that corrupts any
-// output it leaks into — the differential oracles then flag the run.
+// plausible data: the id becomes -1 (no live packet's, so it stands out in
+// any access log it leaks into), the visit plan — and with it every ticket —
+// is emptied and its cursor set out of range, and fields/temps are filled
+// with a sentinel that corrupts any output it leaks into — the differential
+// oracles then flag the run.
 //
 // The frame headroom beyond Fields/Temps is deliberately NOT poisoned: it
 // holds the bytecode VM's seed-once constant pools, which legitimately

@@ -27,6 +27,22 @@ func checkEquivalence(t *testing.T, prog *ir.Program, e *Engine, arrivals []core
 	}
 }
 
+// drainReturns drains an aborted engine and fails the test if Drain does not
+// come back: every worker must leave on the abort signal, none may wait on a
+// ticket whose holder was retired.
+func drainReturns(t *testing.T, e *Engine) *Result {
+	t.Helper()
+	done := make(chan *Result, 1)
+	go func() { done <- e.Drain() }()
+	select {
+	case res := <-done:
+		return res
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain did not return on an aborted engine (a worker is waiting on an orphaned ticket?)")
+		return nil
+	}
+}
+
 // TestSubmitSteadyStateAllocs is the zero-alloc acceptance criterion: once
 // the free list and every scratch buffer warmed up, a Submit must perform
 // zero heap allocations — on the admitter *and* on the workers, since
@@ -68,7 +84,10 @@ func TestSubmitSteadyStateAllocs(t *testing.T) {
 // TestSubmitBatchSteadyStateAllocs holds the coalesced path to (almost) the
 // same bar: a whole SubmitBatch chunk must not allocate beyond the slack of
 // its sync.Pool-backed batch carriers. GC is disabled during the
-// measurement so a collection cannot drain the batch pool mid-run.
+// measurement so a collection cannot drain the batch pool mid-run. The trace
+// is skewed so that packets park and are promoted inside the measured window:
+// once the hot slots' wait rings have grown, D4 must cost no allocation
+// either.
 func TestSubmitBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is meaningless under -race (the race runtime allocates)")
@@ -78,7 +97,9 @@ func TestSubmitBatchSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrivals := workload.Synthetic(prog, workload.Spec{Packets: 2048, Pipelines: 2, Seed: 12}, 4, 64)
+	arrivals := workload.Synthetic(prog, workload.Spec{
+		Packets: 2048, Pipelines: 2, Seed: 12, Pattern: workload.Skewed,
+	}, 4, 64)
 	e := New(prog, Config{Workers: 2, Window: 64})
 	e.Start()
 	const chunk = 128
@@ -87,6 +108,11 @@ func TestSubmitBatchSteadyStateAllocs(t *testing.T) {
 			t.Fatal("engine aborted during warmup")
 		}
 	}
+	quiesce(t, e)
+	// Warm-up parks a worker has tallied but not yet published (at most one
+	// mailbox message's worth) may land in the window's count; the floor
+	// below is far above that.
+	parksBefore := e.parks.Load()
 	avg := testing.AllocsPerRun(100, func() {
 		if e.SubmitBatch(arrivals[:chunk], nil) != chunk {
 			t.Fatal("engine aborted mid-measurement")
@@ -96,8 +122,13 @@ func TestSubmitBatchSteadyStateAllocs(t *testing.T) {
 	if res.Stalled {
 		t.Fatalf("engine stalled: %d of %d completed", res.Completed, res.Injected)
 	}
+	parks := res.Parks - parksBefore
+	t.Logf("%v allocs per %d-packet batch, %d parks in the measured window", avg, chunk, parks)
+	if parks < 10*chunk {
+		t.Fatalf("only %d parks in the measured window: the gate is not exercising D4", parks)
+	}
 	// One batch call covers `chunk` packets; allow a couple of stray
-	// allocations per call (slot-queue growth on unlucky skew) without
+	// allocations per call (wait-ring growth on unlucky skew) without
 	// letting a per-packet regression (≥ chunk allocs/call) through.
 	if avg > 2 {
 		t.Fatalf("steady-state SubmitBatch allocates %v per %d-packet batch, want ~0", avg, chunk)
@@ -151,10 +182,14 @@ func TestSubmitBatchChunkedEquivalence(t *testing.T) {
 }
 
 // TestSubmitAbortRetiresTickets is the regression test for the abort-path
-// ticket leak: Submit used to enqueue tickets and then leave them stranded
-// forever if the engine aborted before the crossbar dispatch. Now the
-// abort path must cancel the tickets, return the window token, and recycle
-// the packet.
+// leak: a packet ticketed but not yet dispatched when the engine dies must
+// give back its window token and be recycled, and nothing may wait on the
+// tickets it leaves behind.
+//
+// There is deliberately no TicketDepths() == 0 assertion: tickets are
+// counters stamped at resolve time, retire has nothing to cancel, and a dead
+// engine's issued-but-unserved tickets are never served and never consulted
+// (workers leave on abort) — what matters is that Drain returns.
 func TestSubmitAbortRetiresTickets(t *testing.T) {
 	prog, err := apps.Synthetic(2, 16, 16)
 	if err != nil {
@@ -164,15 +199,12 @@ func TestSubmitAbortRetiresTickets(t *testing.T) {
 	e := New(prog, Config{Workers: 2, Window: 8})
 	e.Start()
 	// Kill the engine at the worst possible moment: after the packet's
-	// tickets are enqueued, before it dispatches.
+	// tickets are stamped, before it dispatches.
 	e.testAfterTicket = func() {
 		e.abortOnce.Do(func() { close(e.abort) })
 	}
 	if e.Submit(&arrivals[0]) {
 		t.Fatal("Submit succeeded on an engine that aborted mid-admission")
-	}
-	if pend, _ := e.TicketDepths(); pend != 0 {
-		t.Fatalf("aborted Submit leaked %d tickets", pend)
 	}
 	if got := e.WindowInUse(); got != 0 {
 		t.Fatalf("aborted Submit leaked %d window tokens", got)
@@ -191,15 +223,16 @@ func TestSubmitAbortRetiresTickets(t *testing.T) {
 	if e.Submitted() != before {
 		t.Fatal("dead-engine Submit consumed a packet id")
 	}
-	res := e.Drain()
+	res := drainReturns(t, e)
 	if res.Completed != 0 {
 		t.Fatalf("retired packets egressed: completed=%d", res.Completed)
 	}
 }
 
 // TestSubmitBatchAbortRetiresTickets is the batched twin: a chunk whose
-// tickets are already flushed when the engine dies must be retired wholesale
-// — no pending tickets, no held window tokens, every packet recycled.
+// tickets are already stamped when the engine dies must be retired wholesale
+// — no held window tokens, every packet recycled, Drain returns (and, as
+// above, no claim about the dead engine's TicketDepths).
 func TestSubmitBatchAbortRetiresTickets(t *testing.T) {
 	prog, err := apps.Synthetic(2, 16, 16)
 	if err != nil {
@@ -216,9 +249,6 @@ func TestSubmitBatchAbortRetiresTickets(t *testing.T) {
 	if admitted != n {
 		t.Fatalf("SubmitBatch admitted %d of %d (ids must stay dense even on abort)", admitted, n)
 	}
-	if pend, _ := e.TicketDepths(); pend != 0 {
-		t.Fatalf("aborted SubmitBatch leaked %d tickets", pend)
-	}
 	if got := e.WindowInUse(); got != 0 {
 		t.Fatalf("aborted SubmitBatch leaked %d window tokens", got)
 	}
@@ -228,7 +258,7 @@ func TestSubmitBatchAbortRetiresTickets(t *testing.T) {
 	if freed != n {
 		t.Fatalf("aborted SubmitBatch recycled %d of %d packets", freed, n)
 	}
-	res := e.Drain()
+	res := drainReturns(t, e)
 	if res.Completed != 0 {
 		t.Fatalf("retired packets egressed: completed=%d", res.Completed)
 	}

@@ -1,6 +1,6 @@
 package dataplane
 
-import "sync"
+import "sync/atomic"
 
 // slotKey names one unit of state placement: a single index of a sharded
 // register array, or a whole unsharded array (idx == -1), mirroring the
@@ -10,93 +10,89 @@ type slotKey struct {
 	idx int
 }
 
-// slotState is the runtime ticket queue of one slot — the execution-engine
-// form of the paper's phantom placeholders (D4). The serial admitter appends
-// one ticket (the packet id) per resolved access in admission order; the
-// owning worker retires tickets head-first when it performs the access.
+// slotState is the ticket lock of one slot — the execution-engine form of
+// the paper's phantom placeholders (D4). The admitter is serial, so a
+// position in the slot's order is just a number: issue stamps consecutive
+// tickets in admission order, and the owning worker serves them in that
+// order, one access each. Nothing here is locked; every field has exactly
+// one writer:
 //
-// The mutex orders three parties: the admitter enqueueing tickets and
-// checking emptiness during remap, and the owning worker testing/advancing
-// the head. Worker-side park/promote decisions need no extra locking beyond
-// this because every head test and every pop of a given slot happens on the
-// one goroutine that owns the slot's pipeline (see worker.go).
+//	issued            the admitter
+//	served, wait, log the slot's owning worker
+//
+// The two halves sit on separate cache lines, so the admitter's issue and
+// the owner's pop never contend for one: the struct is 128 bytes, handles
+// allocate slots in arrays, and the allocator starts those at most a malloc
+// header (8 bytes) past a 64-byte boundary, which the tail padding absorbs
+// (TestSlotLayout checks the arrays themselves).
+//
+// Ownership changes only in remap, and only at issued == served. That works
+// without a lock because of the last-touch rule: the served store in pop is
+// the owner's last touch of the slot for that ticket — the register write,
+// the log append and the wait-ring read-and-clear all precede it — so the
+// admitter's acquire-load of served, followed by the mailbox send of the
+// next ticket's packet, carries the register value, the log and the ring to
+// the new owner.
 type slotState struct {
-	mu    sync.Mutex
-	queue []int64
-	head  int
+	issued atomic.Uint64
+	_      [56]byte
+
+	served atomic.Uint64
+	// wait is the park bench: a power-of-two ring holding, at tk&mask, the
+	// packet parked on this slot with ticket tk. Parked tickets lie in
+	// (served, served+len(wait)); park grows the ring to keep that true, so
+	// it never exceeds twice the tickets outstanding — at most one per
+	// in-flight packet (a register array lives in one stage), hence bounded
+	// by Window.
+	wait []*packet
 	// log records the effective access order per concrete register index
 	// (clamped), lazily allocated when the engine records access order.
 	// For sharded slots it has a single key; an unsharded array-level slot
 	// accumulates every index of the array here.
 	log map[int][]int64
-	// pend is the admitter's chunk-local ticket buffer for SubmitBatch:
-	// tickets accumulate here lock-free (the admitter is serial and pend is
-	// never touched by workers) and flush into queue with one mutex
-	// acquisition per slot per chunk (see Engine.SubmitBatch).
-	pend []int64
+	_   [24]byte
 }
 
-// enqueue appends a ticket for packet id (admitter only).
-func (s *slotState) enqueue(id int64) {
-	s.mu.Lock()
-	s.compactLocked()
-	s.queue = append(s.queue, id)
-	s.mu.Unlock()
+// issue stamps the next ticket (admitter only). The counter is atomic only
+// so TicketDepths may read it from a sampler goroutine.
+func (s *slotState) issue() uint64 { return s.issued.Add(1) - 1 }
+
+// depth returns the tickets issued but not yet served (any goroutine).
+// served is read first: it never passes issued, so the difference of a
+// later issued and an earlier served cannot go negative.
+func (s *slotState) depth() int64 {
+	sv := s.served.Load()
+	return int64(s.issued.Load() - sv)
 }
 
-// enqueueBatch appends a run of tickets under one lock acquisition
-// (admitter only; ids are already in admission order).
-func (s *slotState) enqueueBatch(ids []int64) {
-	s.mu.Lock()
-	s.compactLocked()
-	s.queue = append(s.queue, ids...)
-	s.mu.Unlock()
-}
-
-// compactLocked drops the retired prefix once it dominates the backing
-// array so a long run cannot grow the queue without bound. Caller holds mu.
-func (s *slotState) compactLocked() {
-	if s.head > 32 && s.head*2 >= len(s.queue) {
-		s.queue = append(s.queue[:0], s.queue[s.head:]...)
-		s.head = 0
-	}
-}
-
-// cancel removes packet id's pending ticket, scanning from the tail (the
-// cancelled packet was admitted most recently). Abort-path only: it runs
-// after the engine died, when workers are winding down, so removing a head
-// ticket deliberately promotes nobody — there is no worker left to run a
-// promoted packet, and the run is already failed (Stalled). Returns whether
-// a ticket was found.
-func (s *slotState) cancel(id int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := len(s.queue) - 1; i >= s.head; i-- {
-		if s.queue[i] == id {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			return true
+// park benches p until ticket tk is served (owner only; tk is not being
+// served yet).
+func (s *slotState) park(tk uint64, p *packet) {
+	sv := s.served.Load()
+	if n := uint64(len(s.wait)); tk-sv >= n {
+		if n == 0 {
+			n = 4
 		}
+		for tk-sv >= n {
+			n *= 2
+		}
+		grown := make([]*packet, n)
+		for i := range s.wait {
+			t := sv + uint64(i)
+			grown[t&(n-1)] = s.wait[t&uint64(len(s.wait)-1)]
+		}
+		s.wait = grown
 	}
-	return false
+	s.wait[tk&uint64(len(s.wait)-1)] = p
 }
 
-// headIs reports whether packet id holds the slot's head ticket.
-func (s *slotState) headIs(id int64) bool {
-	s.mu.Lock()
-	ok := s.head < len(s.queue) && s.queue[s.head] == id
-	s.mu.Unlock()
-	return ok
-}
-
-// pop retires packet id's head ticket after its access executed, logging the
-// concrete indices it touched (when record is set), and returns the id now
-// holding the head ticket, or -1 when the queue drained. The caller must own
-// the head (it just executed the visit).
-func (s *slotState) pop(touched []int, id int64, record bool) int64 {
-	s.mu.Lock()
-	if s.head >= len(s.queue) || s.queue[s.head] != id {
-		s.mu.Unlock()
-		panic("dataplane: pop without holding the head ticket")
+// pop retires ticket tk after packet id's access executed, logging the
+// concrete indices it touched (when record is set), and returns the packet
+// parked on ticket tk+1, or nil when its holder has not arrived yet. Owner
+// only; the caller must hold the ticket being served.
+func (s *slotState) pop(tk uint64, touched []int, id int64, record bool) *packet {
+	if s.served.Load() != tk {
+		panic("dataplane: pop of a ticket that is not being served")
 	}
 	if record && len(touched) > 0 {
 		if s.log == nil {
@@ -106,27 +102,11 @@ func (s *slotState) pop(touched []int, id int64, record bool) int64 {
 			s.log[ci] = append(s.log[ci], id)
 		}
 	}
-	s.head++
-	next := int64(-1)
-	if s.head < len(s.queue) {
-		next = s.queue[s.head]
-	} else {
-		// Drained: reset so the backing array is reusable and remap's
-		// emptiness test stays O(1).
-		s.queue = s.queue[:0]
-		s.head = 0
+	var next *packet
+	if n := uint64(len(s.wait)); n > 0 {
+		i := (tk + 1) & (n - 1)
+		next, s.wait[i] = s.wait[i], nil
 	}
-	s.mu.Unlock()
+	s.served.Store(tk + 1) // last touch: after this the slot may change owner
 	return next
-}
-
-// empty reports whether no tickets are pending — the remap safety gate: an
-// empty queue means no resolved-but-unperformed access targets this slot, so
-// its value may migrate. Callers that migrate must do so under mu themselves
-// (see Engine.remap, which uses lock/check/copy/unlock directly).
-func (s *slotState) empty() bool {
-	s.mu.Lock()
-	ok := s.head >= len(s.queue)
-	s.mu.Unlock()
-	return ok
 }

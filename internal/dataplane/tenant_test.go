@@ -218,10 +218,11 @@ func TestHotAddUnderLoad(t *testing.T) {
 }
 
 // TestMultiTenantAbortRetiresAcrossHandles extends the PR 8 abort-path
-// regression across tenants: a batch whose tickets are flushed when the
-// engine dies must retire cleanly on every handle — no pending tickets on
-// either tenant's slots, no window tokens, no quota tokens, every packet
-// back on its own handle's free list.
+// regression across tenants: a batch whose tickets are stamped when the
+// engine dies must retire cleanly on every handle — no window tokens, no
+// quota tokens, every packet back on its own handle's free list, and Drain
+// returns. (No TicketDepths() == 0 assertion: a dead engine's issued tickets
+// are never served and never consulted; see TestSubmitAbortRetiresTickets.)
 func TestMultiTenantAbortRetiresAcrossHandles(t *testing.T) {
 	prog, err := apps.Synthetic(2, 16, 16)
 	if err != nil {
@@ -243,16 +244,13 @@ func TestMultiTenantAbortRetiresAcrossHandles(t *testing.T) {
 	for hB.Stats().Completed != n {
 		time.Sleep(time.Millisecond)
 	}
-	// Kill the engine after alpha's chunk tickets flush, before dispatch.
+	// Kill the engine after alpha's chunk is ticketed, before dispatch.
 	e.testAfterTicket = func() {
 		e.abortOnce.Do(func() { close(e.abort) })
 	}
 	admitted := e.SubmitBatchTo(hA, arrs, nil, nil)
 	if admitted != n {
 		t.Fatalf("aborted batch admitted %d of %d (ids must stay dense)", admitted, n)
-	}
-	if pend, _ := e.TicketDepths(); pend != 0 {
-		t.Fatalf("abort leaked %d tickets across handles", pend)
 	}
 	if got := e.WindowInUse(); got != 0 {
 		t.Fatalf("abort leaked %d window tokens", got)
@@ -266,5 +264,7 @@ func TestMultiTenantAbortRetiresAcrossHandles(t *testing.T) {
 	if freed != n {
 		t.Fatalf("abort recycled %d of %d alpha packets", freed, n)
 	}
-	e.Drain()
+	if res := drainReturns(t, e); res.Completed != n {
+		t.Fatalf("completed %d, want beta's %d and none of alpha's", res.Completed, n)
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"mp5/internal/banzai"
 	"mp5/internal/ir"
 	"mp5/internal/stats"
+	"mp5/internal/telemetry"
 )
 
 // packet is one in-flight packet: its execution environment, its resolved
@@ -41,18 +42,20 @@ type packet struct {
 }
 
 // visit is one resolved stateful stage visit: the stage, the worker owning
-// every slot the stage may touch, and the slots' ticket queues.
+// every slot the stage may touch, and the packet's ticket on each slot.
 type visit struct {
 	stage int
 	pipe  int
 	slots []slotRef
 }
 
-// slotRef pairs a slot's identity with its ticket queue so workers never
-// consult the (admitter-owned) placement tables.
+// slotRef is one ticket: the slot's identity, its ticket lock (so workers
+// never consult the admitter-owned placement tables), and the position tk
+// the admitter stamped at resolve time.
 type slotRef struct {
 	key slotKey
 	st  *slotState
+	tk  uint64
 }
 
 // xbarMsg is one crossbar mailbox transfer: a single packet (Submit's
@@ -83,21 +86,19 @@ type egRec struct {
 
 // worker is one pipeline mapped onto one goroutine. For every loaded
 // handle it owns one private register file (h.wregs[w.id]) — only the
-// indices the handle's sharding map assigns to it hold the live copy —
-// plus the park bench for packets waiting on a head ticket. All pops and
-// head tests of a slot happen on the slot's owning worker, so the
-// park-or-proceed decision and the promotion after a pop are serialized on
-// one goroutine and cannot lose a wakeup. Program state (stages, bytecode,
-// VMs, register files) is reached through p.h, never stored on the worker:
-// a worker is pure topology.
+// indices the handle's sharding map assigns to it hold the live copy. A
+// packet that reaches its visit before its tickets are served parks in the
+// blocking slot's own wait ring; all ticket tests, parks and pops of a slot
+// happen on the slot's owning worker, so the park-or-proceed decision and
+// the promotion after a pop are serialized on one goroutine and cannot lose
+// a wakeup. Program state (stages, bytecode, VMs, register files) is reached
+// through p.h, never stored on the worker: a worker is pure topology.
 type worker struct {
 	id      int
 	e       *Engine
 	mailbox chan xbarMsg
-	// parked holds packets that reached their visit before holding every
-	// head ticket; runnable holds packets promoted by a pop and drained
-	// before the next mailbox receive.
-	parked   map[int64]*packet
+	// runnable holds packets promoted by a pop, drained before the next
+	// mailbox receive.
 	runnable []*packet
 	// xout accumulates outgoing steers per destination worker while this
 	// worker drains its mailbox; xoutPend lists the dirty destinations in
@@ -112,12 +113,10 @@ type worker struct {
 	// engine-wide egress mutex.
 	outs   map[int64][]int64
 	egRecs []egRec
-	// seen and touched are per-visit scratch (dedup of (reg, clamped idx)
-	// within one stage execution, and the concrete indices touched per
-	// visit slot). touched grows on demand to the widest visit seen —
-	// bounded by the largest per-stage slot count across loaded programs,
-	// so it stops allocating after warmup.
-	seen    map[[2]int]bool
+	// touched is per-visit scratch: the distinct concrete indices touched
+	// per visit slot within one stage execution. It grows on demand to the
+	// widest visit seen — bounded by the largest per-stage slot count across
+	// loaded programs, so it stops allocating after warmup.
 	touched [][]int
 	// obs is the access observer bound once at construction (a fresh
 	// closure per visit would put one heap allocation back on the hot
@@ -130,6 +129,11 @@ type worker struct {
 	// after the goroutine joins (the share-nothing stats.Histogram
 	// pattern).
 	lat *stats.Histogram
+	// steers, parks, wasted, processed and parkedDelta tally events since
+	// the last publish: plain fields on the hot path, added to the shared
+	// engine and telemetry counters (and processedN, parkedN) once per
+	// handled mailbox message and before blocking.
+	steers, parks, wasted, processed, parkedDelta int64
 	// Live occupancy counters for WorkerStats: parked packets, process
 	// invocations, egresses, and (tracer-gated) busy wall time.
 	parkedN    atomic.Int64
@@ -144,8 +148,6 @@ func newWorker(e *Engine, id int) *worker {
 		e:       e,
 		mailbox: make(chan xbarMsg, e.cfg.Window),
 		xout:    make([]*pktBatch, e.cfg.Workers),
-		parked:  make(map[int64]*packet),
-		seen:    make(map[[2]int]bool),
 		lat:     stats.NewHistogram(latLo, latHi, latBuckets),
 	}
 	if e.cfg.RecordOutputs {
@@ -184,8 +186,10 @@ func (w *worker) run() {
 		}
 		// Nothing runnable and the mailbox is dry: flush the coalesced
 		// steers (their holders may be the only packets able to make
-		// progress), then block.
+		// progress) and the event tallies (so Drain and the samplers read
+		// exact totals from an idle worker), then block.
 		w.flushSteers()
+		w.publish()
 		select {
 		case m := <-w.mailbox:
 			w.handle(m)
@@ -210,14 +214,15 @@ func (w *worker) handle(m xbarMsg) {
 			w.process(p)
 		}
 		w.e.putBatch(m.batch)
-		return
+	} else {
+		if m.p.span != nil {
+			// The elapsed segment is the crossbar hop: mailbox queueing plus
+			// transit (initial dispatch or a steer).
+			m.p.span.Advance(StageCrossbar, w.id)
+		}
+		w.process(m.p)
 	}
-	if m.p.span != nil {
-		// The elapsed segment is the crossbar hop: mailbox queueing plus
-		// transit (initial dispatch or a steer).
-		m.p.span.Advance(StageCrossbar, w.id)
-	}
-	w.process(m.p)
+	w.publish()
 }
 
 // bufferSteer parks an outgoing steer in the per-destination batch instead
@@ -253,13 +258,32 @@ func (w *worker) flushSteers() {
 	w.xoutPend = w.xoutPend[:0]
 }
 
+// publish adds the event tallies to the shared counters — one atomic add per
+// counter that moved, instead of one per event.
+func (w *worker) publish() {
+	e := w.e
+	publishTally(&w.steers, &e.steers, e.met.Steers)
+	publishTally(&w.parks, &e.parks, e.met.Parks)
+	publishTally(&w.wasted, &e.wasted, e.met.Wasted)
+	publishTally(&w.processed, &w.processedN, nil)
+	publishTally(&w.parkedDelta, &w.parkedN, nil)
+}
+
+func publishTally(n *int64, total *atomic.Int64, met *telemetry.Counter) {
+	if *n != 0 {
+		total.Add(*n)
+		met.Add(*n) // nil-safe
+		*n = 0
+	}
+}
+
 // process advances the packet as far as it can go on this worker: stateless
 // stages execute inline; a visit stage either steers the packet to the
-// owning worker (D3), parks it until it holds every head ticket (D4), or
-// executes. Reaching the last stage egresses the packet.
+// owning worker (D3), parks it on the first slot whose ticket is not yet
+// served (D4), or executes. Reaching the last stage egresses the packet.
 func (w *worker) process(p *packet) {
 	e := w.e
-	w.processedN.Add(1)
+	w.processed++
 	if e.trc != nil {
 		// Busy-time accounting rides the tracing switch: two time.Now
 		// calls per process invocation are only paid when an operator
@@ -289,8 +313,7 @@ func (w *worker) process(p *packet) {
 			continue
 		}
 		if v.pipe != w.id {
-			e.steers.Add(1)
-			e.met.Steers.Inc()
+			w.steers++
 			if p.span != nil {
 				// Close the exec segment before the handoff; the receiving
 				// worker stamps the crossbar hop (which now includes any
@@ -300,11 +323,12 @@ func (w *worker) process(p *packet) {
 			w.bufferSteer(v.pipe, p)
 			return
 		}
-		if !w.eligible(p, v) {
-			w.parked[p.id] = p
-			w.parkedN.Add(1)
-			e.parks.Add(1)
-			e.met.Parks.Inc()
+		if ref := blocked(v); ref != nil {
+			// Parked on one slot at a time: the promotion re-tests every
+			// ticket of the visit and re-parks on the next laggard.
+			ref.st.park(ref.tk, p)
+			w.parks++
+			w.parkedDelta++
 			if p.span != nil {
 				// Close the exec segment; the promotion stamp turns the
 				// parked time into a ticket_wait segment.
@@ -329,11 +353,6 @@ func (w *worker) process(p *packet) {
 func (w *worker) observe(reg int, idx int64, write bool) {
 	p, v, touched := w.obsP, w.obsV, w.obsT
 	ci := banzai.ClampIndex(int(idx), p.h.prog.Regs[reg].Size)
-	dk := [2]int{reg, ci}
-	if w.seen[dk] {
-		return
-	}
-	w.seen[dk] = true
 	ri := -1
 	for i, ref := range v.slots {
 		if ref.key.reg == reg && (ref.key.idx == ci || ref.key.idx < 0) {
@@ -345,29 +364,33 @@ func (w *worker) observe(reg int, idx int64, write bool) {
 		panic(fmt.Sprintf("dataplane: packet %d accessed r%d[%d] in stage %d without a ticket",
 			p.id, reg, ci, v.stage))
 	}
+	for _, seen := range touched[ri] {
+		if seen == ci {
+			return
+		}
+	}
 	touched[ri] = append(touched[ri], ci)
 }
 
-// eligible reports whether p holds the head ticket of every slot of the
-// visit. Safe only on the owning worker (w.id == v.pipe).
-func (w *worker) eligible(p *packet, v *visit) bool {
-	for _, ref := range v.slots {
-		if !ref.st.headIs(p.id) {
-			return false
+// blocked returns the first ticket of the visit that is not being served
+// yet, or nil when the packet may execute. Safe only on the visit's owning
+// worker.
+func blocked(v *visit) *slotRef {
+	for i := range v.slots {
+		if ref := &v.slots[i]; ref.st.served.Load() != ref.tk {
+			return ref
 		}
 	}
-	return true
+	return nil
 }
 
 // execVisit executes the visit's stage with the access observer attached,
 // recording which concrete register indices each slot ticket actually
 // covered (predicates evaluate live, so a conservative ticket may cover
 // nothing — a wasted visit). It then retires one ticket per slot and
-// promotes any parked packet that now holds a head ticket.
+// promotes the packet parked on each slot's next ticket, if any.
 func (w *worker) execVisit(p *packet, v *visit) {
-	e := w.e
 	h := p.h
-	clear(w.seen)
 	for len(w.touched) < len(v.slots) {
 		w.touched = append(w.touched, nil)
 	}
@@ -385,19 +408,15 @@ func (w *worker) execVisit(p *packet, v *visit) {
 		ir.ExecStageObserved(&h.prog.Stages[v.stage], p.env, regs, w.obs)
 	}
 	w.obsP, w.obsV, w.obsT = nil, nil, nil
-	record := e.cfg.RecordAccessOrder
-	for i, ref := range v.slots {
+	record := w.e.cfg.RecordAccessOrder
+	for i := range v.slots {
+		ref := &v.slots[i]
 		if len(touched[i]) == 0 {
-			e.wasted.Add(1)
-			e.met.Wasted.Inc()
+			w.wasted++
 		}
-		next := ref.st.pop(touched[i], p.id, record)
-		if next >= 0 {
-			if q, ok := w.parked[next]; ok {
-				delete(w.parked, next)
-				w.parkedN.Add(-1)
-				w.runnable = append(w.runnable, q)
-			}
+		if q := ref.st.pop(ref.tk, touched[i], p.id, record); q != nil {
+			w.parkedDelta--
+			w.runnable = append(w.runnable, q)
 		}
 	}
 }

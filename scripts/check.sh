@@ -15,8 +15,9 @@ go test -race ./...
 # above can never silently drop it.
 go test -race -count 1 ./internal/core
 # The concurrent dataplane's correctness claims are about goroutine
-# interleavings (ticket queues, parking, remap migration); its differential
-# equivalence suite must always run under the race detector.
+# interleavings (lock-free ticket counters, slot-local parking, remap's
+# ownership handoff); its differential equivalence suite must always run
+# under the race detector.
 go test -race -count 1 ./internal/dataplane
 # The state-compute-replication engine's coherence story is a lock-free
 # stamp-chained replay ring shared by all replicas; its differential suite
