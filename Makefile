@@ -1,5 +1,14 @@
 GO ?= go
 
+# The dataplane derives its driver-goroutine count from GOMAXPROCS (one P per
+# driver plus one for the admitter), so on a 2-vCPU host the suites whose
+# claims are about cross-goroutine interleavings would run every pipeline on
+# one goroutine. PROCS pins them to more Ps than any test's Workers+1 — the OS
+# time-slices the extra threads, which only adds interleavings. Plain
+# `go test ./...` (and `race`) stay at the host default and cover the
+# multiplexed shape.
+PROCS = GOMAXPROCS=8
+
 .PHONY: all build vet fmt-check test race race-core race-dataplane flake-hunt race-screp race-server race-tenant race-bytecode allocs-gate race-poison serve-smoke trace-smoke tenant-smoke check bench bench-test bench-guard bench-smoke bench-dataplane bench-server bench-tenant fuzz-smoke fuzz clean
 
 all: check
@@ -33,7 +42,7 @@ race-core:
 # ownership handoff); like race-core, pinned here so `race` can never
 # silently drop it.
 race-dataplane:
-	$(GO) test -race -count 1 ./internal/dataplane
+	$(PROCS) $(GO) test -race -count 1 ./internal/dataplane
 
 # flake-hunt repeats the tests whose outcome once depended on timing — remap
 # migration under load and at quiescence, and the slot handoff between owners
@@ -42,9 +51,9 @@ race-dataplane:
 # deliberately not part of `check` or scripts/check.sh; the bar is 0 failures.
 FLAKY = TestRemapMigratesState|TestRemapMigratesAtQuiescence|TestSlotHandoffBetweenOwners
 flake-hunt:
-	$(GO) test -count 50 -run '$(FLAKY)' ./internal/dataplane
-	$(GO) test -race -count 50 -run '$(FLAKY)' ./internal/dataplane
-	$(GO) test -tags mp5debug -race -count 50 -run '$(FLAKY)' ./internal/dataplane
+	$(PROCS) $(GO) test -count 50 -run '$(FLAKY)' ./internal/dataplane
+	$(PROCS) $(GO) test -race -count 50 -run '$(FLAKY)' ./internal/dataplane
+	$(PROCS) $(GO) test -tags mp5debug -race -count 50 -run '$(FLAKY)' ./internal/dataplane
 
 # allocs-gate is the hot-path allocation regression gate: steady-state
 # Submit must perform exactly zero heap allocations per packet and
@@ -64,7 +73,7 @@ allocs-gate:
 # clobbered with sentinels, so a stale reference either races or corrupts
 # an equivalence oracle loudly.
 race-poison:
-	$(GO) test -tags mp5debug -race -count 1 ./internal/dataplane
+	$(PROCS) $(GO) test -tags mp5debug -race -count 1 ./internal/dataplane
 
 # race-screp focuses the race detector on the state-compute-replication
 # engine — its coherence story is a lock-free stamp-chained replay ring
@@ -79,13 +88,13 @@ race-screp:
 # all interleave; the loopback soak with differential verification must
 # stay race-clean.
 race-server:
-	$(GO) test -race -count 1 ./internal/server
+	$(PROCS) $(GO) test -race -count 1 ./internal/server
 
 # race-tenant focuses the race detector on the multi-tenant registry —
 # lock-free ByID/Active snapshots racing hot swaps and quota accounting are
 # exactly the interleavings the package exists to get right.
 race-tenant:
-	$(GO) test -race -count 1 ./internal/tenant
+	$(PROCS) $(GO) test -race -count 1 ./internal/tenant
 
 # race-bytecode pins a race-enabled pass over the shared bytecode
 # compiler/VM — the per-stage executor under every engine — so its
@@ -138,9 +147,9 @@ check: vet race race-screp allocs-gate race-poison fuzz-smoke serve-smoke trace-
 # every engine, and the wire codec's seed corpus (FuzzDecodeStream: the slab
 # stream decoder and decodeDatagram against the one-frame reference).
 fuzz-smoke:
-	MP5_FUZZ_CASES=40 $(GO) test -run 'TestDifferentialSmoke|FuzzDifferential' ./internal/fuzz
-	MP5_FUZZ_CASES=40 MP5_FUZZ_EXECUTOR=bytecode $(GO) test -count 1 -run TestDifferentialSmoke ./internal/fuzz
-	MP5_FUZZ_CASES=40 MP5_FUZZ_ENGINE=screp $(GO) test -count 1 -run TestDifferentialSmoke ./internal/fuzz
+	$(PROCS) MP5_FUZZ_CASES=40 $(GO) test -run 'TestDifferentialSmoke|FuzzDifferential' ./internal/fuzz
+	$(PROCS) MP5_FUZZ_CASES=40 MP5_FUZZ_EXECUTOR=bytecode $(GO) test -count 1 -run TestDifferentialSmoke ./internal/fuzz
+	$(PROCS) MP5_FUZZ_CASES=40 MP5_FUZZ_ENGINE=screp $(GO) test -count 1 -run TestDifferentialSmoke ./internal/fuzz
 	$(GO) test -count 1 -run FuzzDecodeStream ./internal/server
 
 # fuzz runs open-ended coverage-guided differential fuzzing (ctrl-C to stop;

@@ -51,8 +51,12 @@ func NewRegFile(p *ir.Program) *RegFile {
 
 // ClampIndex reduces an arbitrary index into [0, size): the dataplane-safe
 // wrap used by every register store in this repository, so the reference
-// executor and the MP5 simulator agree on out-of-range accesses.
+// executor and the MP5 simulator agree on out-of-range accesses. An index
+// already in range — nearly every one — returns without the integer divide.
 func ClampIndex(idx int, size int) int {
+	if size > 0 && uint(idx) < uint(size) {
+		return idx
+	}
 	if size <= 0 {
 		return 0
 	}

@@ -1,8 +1,9 @@
 // Package dataplane executes compiled MP5 programs on a real goroutine
-// topology instead of simulating one: one worker goroutine per pipeline,
-// channel crossbars between pipelines, and actual shared-nothing register
-// shards. Where internal/core models the architecture cycle by cycle, this
-// package *is* the architecture, mapped onto cores:
+// topology instead of simulating one: k pipelines (workers) stepped by
+// min(k, GOMAXPROCS-1) driver goroutines, crossbars between them (a channel
+// between drivers, a plain queue within one), and actual shared-nothing
+// register shards. Where internal/core models the architecture cycle by
+// cycle, this package *is* the architecture, mapped onto cores:
 //
 //   - D1 (processing homogeneity): every worker runs the full program;
 //     stateless packets are sprayed round-robin across workers.
@@ -11,7 +12,7 @@
 //     register file; a Figure-6-style remap migrates hot indices between
 //     workers while none of their tickets is outstanding.
 //   - D3 (crossbar steering): a packet whose next stateful stage resolved
-//     to another pipeline is forwarded over that worker's mailbox channel.
+//     to another pipeline is forwarded over that pipeline's crossbar.
 //   - D4 (phantom order enforcement): at admission, a serial admitter
 //     stamps one ticket per resolved state slot from the slot's issued
 //     counter, in arrival order — the execution-engine equivalent of the
@@ -31,7 +32,6 @@
 package dataplane
 
 import (
-	"runtime"
 	"time"
 
 	"mp5/internal/stats"
@@ -48,8 +48,8 @@ const (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Workers is the number of pipeline workers k (one goroutine each);
-	// 0 defaults to runtime.GOMAXPROCS(0).
+	// Workers is the number of pipelines k (units of placement and order;
+	// see driver for who runs them); 0 defaults to runtime.GOMAXPROCS(0).
 	Workers int
 	// Window bounds the number of in-flight packets (admitted but not yet
 	// egressed). It is the admission-control semaphore that keeps every
@@ -107,9 +107,9 @@ type Config struct {
 	OnEgress func(id int64, tag uint64)
 }
 
-func (c Config) withDefaults() Config {
+func (c Config) withDefaults(procs int) Config {
 	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+		c.Workers = procs
 	}
 	if c.Window <= 0 {
 		c.Window = 256

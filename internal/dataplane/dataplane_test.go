@@ -21,6 +21,14 @@ var workerCounts = []int{1, 2, 4}
 // final registers, and per-slot access order (C1).
 func runChecked(t *testing.T, prog *ir.Program, arrivals []core.Arrival, cfg Config) *Result {
 	t.Helper()
+	_, res := runCheckedEngine(t, prog, arrivals, cfg)
+	return res
+}
+
+// runCheckedEngine is runChecked for tests that also inspect the drained
+// engine.
+func runCheckedEngine(t *testing.T, prog *ir.Program, arrivals []core.Arrival, cfg Config) (*Engine, *Result) {
+	t.Helper()
 	cfg.RecordOutputs = true
 	cfg.RecordAccessOrder = true
 	cfg.RecordEgressOrder = true
@@ -50,7 +58,7 @@ func runChecked(t *testing.T, prog *ir.Program, arrivals []core.Arrival, cfg Con
 		}
 		t.Fatalf("workers=%d: access orders diverged", cfg.Workers)
 	}
-	return res
+	return e, res
 }
 
 func TestSyntheticEquivalence(t *testing.T) {
@@ -245,12 +253,25 @@ func TestMetrics(t *testing.T) {
 	arrivals := workload.Synthetic(prog, workload.Spec{Packets: 1500, Pipelines: 4, Seed: 13}, 2, 32)
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
-	res := runChecked(t, prog, arrivals, Config{Workers: 4, Metrics: m})
+	e, res := runCheckedEngine(t, prog, arrivals, Config{Workers: 4, Metrics: m})
 	if m.Admitted.Value() != res.Injected {
 		t.Fatalf("admitted counter %d != injected %d", m.Admitted.Value(), res.Injected)
 	}
 	if m.Egressed.Value() != res.Completed {
 		t.Fatalf("egressed counter %d != completed %d", m.Egressed.Value(), res.Completed)
+	}
+	// Completion is counted per burst; after Drain no burst is outstanding,
+	// so the per-pipeline view must add up to the same total, with nothing
+	// left queued.
+	var egressed int64
+	for _, ws := range e.WorkerStats() {
+		egressed += ws.Egressed
+		if ws.Mailbox != 0 {
+			t.Fatalf("pipeline %d reports %d queued handoffs on a drained engine", ws.ID, ws.Mailbox)
+		}
+	}
+	if egressed != res.Completed {
+		t.Fatalf("per-pipeline egress counts sum to %d, completed %d", egressed, res.Completed)
 	}
 	// Workers tally steers, parks and wasted visits privately and publish
 	// them in bulk; by Drain every tally must have reached both the Result

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,8 +24,12 @@ type regShard struct {
 	// arrays use owner[0] as the whole-array home (stage mod k, so arrays
 	// sharing a stage share a worker, as sharding.New does).
 	owner []int
-	// count[i] counts resolutions since the last remap (§3.4).
+	// count[i] counts resolutions of sharded index i since the last remap
+	// (§3.4), hot lists the indices counted, agg[w] sums the counts of worker
+	// w's indices: a remap reads and resets what the window touched.
 	count []int64
+	hot   []int
+	agg   []int64
 	// slots[i] is index i's ticket lock (slots[0] the whole-array one of an
 	// unsharded array), positioned so the per-access resolve path indexes
 	// instead of hashing.
@@ -51,7 +56,9 @@ type Engine struct {
 	cfg Config
 	k   int
 
+	// workers are the k pipelines, drivers the goroutines stepping them.
 	workers []*worker
+	drivers []*driver
 
 	// hMu guards the handle list: AddProgram publishes (possibly mid-run,
 	// from any goroutine — the hot-swap path), the admitter snapshots it
@@ -70,10 +77,11 @@ type Engine struct {
 	// single-slot signal channel cannot lose a wakeup: the admitter is the
 	// only acquirer and re-checks winUsed after every wake, and a retained
 	// signal merely causes one spurious re-check. Because every in-flight
-	// packet occupies at most one mailbox slot (a coalesced batch occupies
-	// one slot for many packets) and mailboxes are sized to Window, crossbar
-	// sends can never block — the window bound is what makes the topology
-	// deadlock-free.
+	// packet sits in at most one queued message (a coalesced batch is one
+	// message for many packets) and every driver's mailbox holds Window of
+	// them, crossbar sends can never block however the pipelines are dealt
+	// (a driver's local FIFO grows instead) — the window bound is what makes
+	// the topology deadlock-free.
 	winCap   int64
 	winUsed  atomic.Int64
 	winAvail chan struct{}
@@ -131,10 +139,9 @@ type Engine struct {
 	// passes so the hot path allocates nothing. chunk holds the packets of
 	// the batch being admitted, xbuf the per-worker dispatch batches under
 	// assembly (their backing slices come from batchPool and are returned
-	// by the draining worker), remapAgg the per-worker load aggregation.
-	chunk    []*packet
-	xbuf     []*pktBatch
-	remapAgg []int64
+	// by the draining worker).
+	chunk []*packet
+	xbuf  []*pktBatch
 	// batchPool recycles the []*packet slices that ride xbarMsg batches
 	// between the admitter and the workers.
 	batchPool sync.Pool
@@ -155,7 +162,8 @@ type Engine struct {
 // least once before Start; the first program added becomes the default
 // handle behind the single-program API (Submit, Outputs, …).
 func NewMulti(cfg Config) *Engine {
-	cfg = cfg.withDefaults()
+	procs := runtime.GOMAXPROCS(0) // the platform's one input: read here, once
+	cfg = cfg.withDefaults(procs)
 	e := &Engine{
 		cfg:      cfg,
 		k:        cfg.Workers,
@@ -169,13 +177,19 @@ func NewMulti(cfg Config) *Engine {
 	}
 	e.chunk = make([]*packet, 0, cfg.Window)
 	e.xbuf = make([]*pktBatch, cfg.Workers)
-	e.remapAgg = make([]int64, cfg.Workers)
 	e.total.Store(-1)
 	if e.met == nil {
 		e.met = &Metrics{} // all-nil counters: every update is a no-op
 	}
+	// One P is the admitter's; more drivers than the rest would take turns.
+	for m := min(e.k, max(1, procs-1)); len(e.drivers) < m; {
+		e.drivers = append(e.drivers, &driver{e: e, mailbox: make(chan xbarMsg, cfg.Window)})
+	}
 	for i := 0; i < e.k; i++ {
-		e.workers = append(e.workers, newWorker(e, i))
+		d := e.drivers[i%len(e.drivers)]
+		w := newWorker(e, i, d)
+		d.pipes = append(d.pipes, w)
+		e.workers = append(e.workers, w)
 	}
 	return e
 }
@@ -249,7 +263,7 @@ func (e *Engine) Run(arrivals []core.Arrival) *Result {
 	return e.Drain()
 }
 
-// Start launches the worker topology and the liveness watchdog, switching
+// Start launches the drivers and the liveness watchdog, switching
 // the engine into open-ended ingestion mode: the caller becomes the serial
 // admitter and feeds packets with Submit until Drain. Start must be called
 // exactly once, and Submit only from one goroutine at a time (admission
@@ -260,9 +274,9 @@ func (e *Engine) Start() {
 	}
 	e.started = true
 	e.startT = time.Now()
-	e.wg.Add(e.k)
-	for _, w := range e.workers {
-		go w.run()
+	e.wg.Add(len(e.drivers))
+	for _, d := range e.drivers {
+		go d.run()
 	}
 	e.wdStop = make(chan struct{})
 	e.wdWg.Add(1)
@@ -313,9 +327,11 @@ func (e *Engine) SubmitTo(h *Handle, a *core.Arrival, sp *Span, tag uint64) bool
 		sp.Advance(StageWindowWait, -1)
 		sp.ID = id
 	}
-	p := e.prepare(h, id, a)
+	p := e.prepare(h, id, a, time.Now())
 	p.tag = tag
 	e.submitted.Add(1)
+	h.submitted.Add(1)
+	e.met.Admitted.Inc()
 	if sp != nil {
 		sp.Advance(StageAdmit, -1)
 		p.span = sp
@@ -323,20 +339,8 @@ func (e *Engine) SubmitTo(h *Handle, a *core.Arrival, sp *Span, tag uint64) bool
 	if f := e.testAfterTicket; f != nil {
 		f()
 	}
-	dest := e.destOf(p)
-	// Deterministic abort check between ticketing and dispatch, so a dead
-	// engine never dispatches. Either abort path retires the packet: window
-	// and quota tokens returned, packet recycled.
-	select {
-	case <-e.abort:
-		e.retire(p)
-		return false
-	default:
-	}
-	select {
-	case e.workers[dest].mailbox <- xbarMsg{p: p}:
-	case <-e.abort:
-		e.retire(p)
+	if !e.send(xbarMsg{to: e.workers[e.destOf(p)], p: p}) {
+		e.retire(p) // window and quota tokens returned, packet recycled
 		return false
 	}
 	if n := e.submitted.Load(); e.cfg.RemapInterval > 0 && n%int64(e.cfg.RemapInterval) == 0 {
@@ -406,6 +410,7 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, ta
 		if h.quota != nil && int64(got) < want {
 			h.quota.release(want - int64(got))
 		}
+		now := time.Now() // before the chunk's first prepare: over-reports, never flatters
 		for i := 0; i < got; i++ {
 			a := &arrs[admitted+i]
 			id := base + int64(i)
@@ -420,7 +425,7 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, ta
 				sp.Advance(StageWindowWait, -1)
 				sp.ID = id
 			}
-			p := e.prepare(h, id, a)
+			p := e.prepare(h, id, a, now)
 			if tags != nil {
 				p.tag = tags[admitted+i]
 			}
@@ -431,6 +436,8 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, ta
 			e.chunk = append(e.chunk, p)
 		}
 		e.submitted.Store(base + int64(got))
+		h.submitted.Add(int64(got))
+		e.met.Admitted.Add(int64(got))
 		admitted += got
 		if f := e.testAfterTicket; f != nil {
 			f()
@@ -446,7 +453,7 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, ta
 }
 
 // dispatchChunk coalesces the admitted chunk into at most one mailbox send
-// per destination worker (admission order preserved within each batch) and
+// per destination pipeline (admission order preserved within each batch) and
 // clears the chunk. Returns false when the engine aborted mid-dispatch;
 // undispatched packets are retired in place.
 func (e *Engine) dispatchChunk() bool {
@@ -458,36 +465,39 @@ func (e *Engine) dispatchChunk() bool {
 		e.xbuf[dest].items = append(e.xbuf[dest].items, p)
 	}
 	e.chunk = e.chunk[:0]
-	aborted := false
-	select {
-	case <-e.abort:
-		aborted = true // deterministic pre-check, as in SubmitTo
-	default:
-	}
+	ok := true
 	for w := 0; w < e.k; w++ {
 		b := e.xbuf[w]
 		if b == nil {
 			continue
 		}
 		e.xbuf[w] = nil
-		if aborted {
-			for _, p := range b.items {
-				e.retire(p)
-			}
-			e.putBatch(b)
-			continue
-		}
-		select {
-		case e.workers[w].mailbox <- xbarMsg{batch: b}:
-		case <-e.abort:
-			aborted = true
+		if ok = ok && e.send(xbarMsg{to: e.workers[w], batch: b}); !ok {
 			for _, p := range b.items {
 				e.retire(p)
 			}
 			e.putBatch(b)
 		}
 	}
-	return !aborted
+	return ok
+}
+
+// send queues m on its pipeline's driver mailbox (which never fills — see
+// winCap), or returns false on an aborted engine: checked up front, so that a
+// dead engine never dispatches.
+func (e *Engine) send(m xbarMsg) bool {
+	select {
+	case <-e.abort:
+		return false
+	default:
+	}
+	m.to.inbox.Add(1)
+	select {
+	case m.to.d.mailbox <- m:
+		return true
+	case <-e.abort:
+		return false
+	}
 }
 
 // destOf returns the packet's first-hop worker: the owner of its first
@@ -512,11 +522,11 @@ func (e *Engine) destOf(p *packet) int {
 func (e *Engine) retire(p *packet) {
 	p.span = nil
 	h := p.h
-	h.putPacket(p)
+	h.putPackets(p)
 	if h.quota != nil {
 		h.quota.release(1)
 	}
-	e.releaseWindow()
+	e.releaseWindow(1)
 }
 
 // Drain ends admission and blocks until every in-flight packet egressed
@@ -569,8 +579,9 @@ func (e *Engine) mergeEgressOrder() {
 // prepare readies one packet on the admitter: take a recycled packet from
 // the handle's free list (or build one), reset its env for the new arrival,
 // execute the handle's stateless resolution stages, and resolve every state
-// access to a (stage, worker, tickets) visit list.
-func (e *Engine) prepare(h *Handle, id int64, a *core.Arrival) *packet {
+// access to a (stage, worker, tickets) visit list. start is the admit stamp,
+// read once per Submit call or SubmitBatch chunk.
+func (e *Engine) prepare(h *Handle, id int64, a *core.Arrival, start time.Time) *packet {
 	p := h.getPacket()
 	p.id = id
 	p.env.ResetFor(a.Fields)
@@ -578,7 +589,7 @@ func (e *Engine) prepare(h *Handle, id int64, a *core.Arrival) *packet {
 	p.vi = 0
 	p.span = nil
 	p.tag = 0
-	p.start = time.Now()
+	p.start = start
 	for si := 0; si < h.prog.ResolutionStages; si++ {
 		if h.bc != nil {
 			if err := h.admVM.ExecStage(&h.bc.Stages[si], p.env, h.admRegs); err != nil {
@@ -593,8 +604,6 @@ func (e *Engine) prepare(h *Handle, id int64, a *core.Arrival) *packet {
 	if h.record {
 		h.idSeq = append(h.idSeq, id)
 	}
-	h.submitted.Add(1)
-	e.met.Admitted.Inc()
 	return p
 }
 
@@ -623,10 +632,10 @@ func (e *Engine) acquireWindow(want int64) int64 {
 	}
 }
 
-// releaseWindow returns one token and wakes the admitter if it is waiting
-// (worker-side, at egress or abort-retirement).
-func (e *Engine) releaseWindow() {
-	e.winUsed.Add(-1)
+// releaseWindow returns n tokens and wakes the admitter if it is waiting
+// (a pipeline's finished burst, or abort-retirement).
+func (e *Engine) releaseWindow(n int64) {
+	e.winUsed.Add(-n)
 	select {
 	case e.winAvail <- struct{}{}:
 	default: // a wakeup is already pending; one is enough
@@ -675,8 +684,8 @@ func (e *Engine) resolve(h *Handle, p *packet) {
 			if sh.sharded {
 				key.idx = banzai.ClampIndex(int(p.env.Load(a.Idx)), sh.size)
 				pos = key.idx
+				sh.touch(pos)
 			}
-			sh.count[pos]++
 			dest := sh.owner[pos]
 			if v == nil {
 				// Extend in place when the recycled packet's visit array has
@@ -723,65 +732,64 @@ func (e *Engine) remap() {
 
 // remapHandle runs one Figure-6 iteration per sharded array of one handle:
 // find the heaviest (H) and lightest (L) workers by windowed access count,
-// pick the hottest index on H counting less than half the gap, and migrate
-// it to L — but only if every ticket issued on it has been served, so no
-// in-flight access can observe a torn value (and no future one exists until
-// this goroutine issues it). Window counters reset afterwards.
+// pick the hottest index on H counting less than half the gap (the lowest
+// on a tie), and migrate it to L — but only if every ticket issued on it has
+// been served, so no in-flight access can observe a torn value (and no
+// future one exists until this goroutine issues it). Only the indices the
+// window touched are read and reset.
 func (e *Engine) remapHandle(h *Handle) {
 	for reg := range h.shard {
 		sh := &h.shard[reg]
 		if !sh.sharded {
 			continue
 		}
-		agg := e.remapAgg // admitter-only scratch; remap is admitter-only
-		for i := range agg {
-			agg[i] = 0
-		}
-		for i, o := range sh.owner {
-			agg[o] += sh.count[i]
-		}
 		hi, lo := 0, 0
 		for w := 1; w < e.k; w++ {
-			if agg[w] > agg[hi] {
+			if sh.agg[w] > sh.agg[hi] {
 				hi = w
 			}
-			if agg[w] < agg[lo] {
+			if sh.agg[w] < sh.agg[lo] {
 				lo = w
 			}
 		}
-		if hi != lo && agg[hi] != agg[lo] {
-			c := (agg[hi] - agg[lo]) / 2
-			best := -1
-			for i, o := range sh.owner {
-				if o != hi || sh.count[i] >= c || sh.count[i] == 0 {
-					continue
-				}
-				if best < 0 || sh.count[i] > sh.count[best] {
-					best = i
-				}
-			}
-			if best >= 0 {
-				if st := &sh.slots[best]; st.served.Load() == st.issued.Load() {
-					// Every ticket served: the old owner's last touch of
-					// the slot (pop's served store) happened before this
-					// acquire-load, and the next ticket is issued after
-					// owner[] is updated below — the mailbox send of its
-					// packet carries the value, the access log and the
-					// wait ring on to the new owner. placeMu publishes the
-					// new owner to ShardMap snapshots.
-					h.wregs[lo].Array(reg)[best] = h.wregs[hi].Array(reg)[best]
-					e.placeMu.Lock()
-					sh.owner[best] = lo
-					e.placeMu.Unlock()
-					e.shardMoves++
-					e.met.ShardMoves.Inc()
-				}
+		c := (sh.agg[hi] - sh.agg[lo]) / 2 // 0 when there is no gap: no candidate
+		best, bestN := -1, int64(0)
+		for _, i := range sh.hot {
+			n := sh.count[i] // never 0 for a listed index
+			sh.count[i] = 0
+			if sh.owner[i] == hi && n < c && (n > bestN || n == bestN && i < best) {
+				best, bestN = i, n
 			}
 		}
-		for i := range sh.count {
-			sh.count[i] = 0
+		sh.hot = sh.hot[:0]
+		clear(sh.agg)
+		if best >= 0 {
+			if st := &sh.slots[best]; st.served.Load() == st.issued.Load() {
+				// Every ticket served: the old owner's last touch of
+				// the slot (pop's served store) happened before this
+				// acquire-load, and the next ticket is issued after
+				// owner[] is updated below — the mailbox send of its
+				// packet carries the value, the access log and the
+				// wait ring on to the new owner. placeMu publishes the
+				// new owner to ShardMap snapshots.
+				h.wregs[lo].Array(reg)[best] = h.wregs[hi].Array(reg)[best]
+				e.placeMu.Lock()
+				sh.owner[best] = lo
+				e.placeMu.Unlock()
+				e.shardMoves++
+				e.met.ShardMoves.Inc()
+			}
 		}
 	}
+}
+
+// touch counts one resolution of sharded index pos in the current window.
+func (sh *regShard) touch(pos int) {
+	if sh.count[pos] == 0 {
+		sh.hot = append(sh.hot, pos)
+	}
+	sh.count[pos]++
+	sh.agg[sh.owner[pos]]++
 }
 
 // watchdog aborts the run when no packet egresses for StallTimeout while
@@ -990,15 +998,16 @@ func (e *Engine) WindowInUse() int { return int(e.winUsed.Load()) }
 // WindowCap returns the admission-window size.
 func (e *Engine) WindowCap() int { return int(e.winCap) }
 
-// WorkerStat is one worker's live occupancy/throughput view, in the shape
-// the admin plane serves (/stats) and mp5top renders. Mailbox is the
-// channel depth (queued crossbar handoffs), Parked the packets waiting in
-// slot wait rings for their tickets, Processed the process-loop invocations
-// (mailbox receives + promotions), Egressed the packets completed on this
-// worker, and BusyNs cumulative wall time spent inside the process loop —
-// only accounted while a Tracer is attached, 0 otherwise. Parked and
-// Processed are published once per handled mailbox message, so a live
-// reading trails the worker by at most one message.
+// WorkerStat is one pipeline's live occupancy/throughput view, in the shape
+// the admin plane serves (/stats) and mp5top renders. Mailbox is the queued
+// crossbar handoffs addressed to this pipeline (in its driver's mailbox, of
+// capacity MailboxCap, or local FIFO), Parked the packets waiting in slot
+// wait rings for their tickets, Processed the process-loop invocations
+// (arrivals + promotions), Egressed the packets completed on this pipeline,
+// and BusyNs cumulative wall time spent inside the process loop — only
+// accounted while a Tracer is attached, 0 otherwise. Parked, Processed and
+// Egressed are published once per handled message (Egressed also every
+// doneCap egresses), so a live reading trails by at most one message.
 type WorkerStat struct {
 	ID         int   `json:"id"`
 	Mailbox    int   `json:"mailbox"`
@@ -1009,16 +1018,15 @@ type WorkerStat struct {
 	BusyNs     int64 `json:"busy_ns"`
 }
 
-// WorkerStats snapshots every worker's live occupancy counters. Safe from
-// any goroutine while the engine runs (all fields are atomics or channel
-// lengths).
+// WorkerStats snapshots every pipeline's live occupancy counters. Safe from
+// any goroutine while the engine runs (all fields are atomics).
 func (e *Engine) WorkerStats() []WorkerStat {
 	out := make([]WorkerStat, e.k)
 	for i, w := range e.workers {
 		out[i] = WorkerStat{
 			ID:         i,
-			Mailbox:    len(w.mailbox),
-			MailboxCap: cap(w.mailbox),
+			Mailbox:    int(w.inbox.Load() + w.localQ.Load()),
+			MailboxCap: cap(w.d.mailbox),
 			Parked:     w.parkedN.Load(),
 			Processed:  w.processedN.Load(),
 			Egressed:   w.egressedN.Load(),

@@ -168,6 +168,7 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 		if sh.sharded {
 			sh.owner = make([]int, info.Size)
 			sh.count = make([]int64, info.Size)
+			sh.agg = make([]int64, e.k)
 			for i := range sh.owner {
 				sh.owner[i] = i % e.k // round-robin, like sharding.PolicyRoundRobin
 			}
@@ -183,7 +184,6 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 				home = info.Stage % e.k
 			}
 			sh.owner = []int{home}
-			sh.count = make([]int64, 1)
 			sh.slots = make([]slotState, 1)
 		}
 	}
@@ -258,13 +258,15 @@ func (h *Handle) getPacket() *packet {
 	return &packet{h: h, env: ir.NewEnv(h.prog)}
 }
 
-// putPacket recycles a packet after its last observer is done with it
-// (worker-side at egress, admitter-side at abort-retirement). poisonPacket
-// is a no-op in release builds; under the mp5debug tag it clobbers the
-// packet so any use-after-recycle fails loudly.
-func (h *Handle) putPacket(p *packet) {
-	poisonPacket(p)
+// putPackets recycles packets after their last observer is done with them (a
+// pipeline's finished burst, or the admitter's abort-retirement) under one
+// lock acquisition. poisonPacket is a no-op in release builds; under the
+// mp5debug tag it clobbers the packet so any use-after-recycle fails loudly.
+func (h *Handle) putPackets(ps ...*packet) {
+	for _, p := range ps {
+		poisonPacket(p)
+	}
 	h.freeMu.Lock()
-	h.free = append(h.free, p)
+	h.free = append(h.free, ps...)
 	h.freeMu.Unlock()
 }

@@ -278,7 +278,7 @@ func TestPoisonOnFree(t *testing.T) {
 	p := e.def.getPacket()
 	p.id = 42
 	p.env.Fields[0] = 7
-	e.def.putPacket(p)
+	e.def.putPackets(p)
 	if p.id != -1 {
 		t.Fatalf("freed packet id = %d, want poisoned -1", p.id)
 	}

@@ -257,7 +257,7 @@ func (t *Tracer) finish(sp *Span) {
 	if t == nil || sp == nil {
 		return
 	}
-	sp.TotalNs = int64(time.Since(sp.t0))
+	sp.TotalNs = int64(sp.last) // the last stamp, so the segments sum to it whatever the scheduler does next
 	if t.closed.Load() {
 		t.pool.Put(sp)
 		return

@@ -13,9 +13,9 @@ import (
 
 // packet is one in-flight packet: its execution environment, its resolved
 // visit plan, and its progress through the stage sequence. A packet is
-// owned by exactly one goroutine at a time (the admitter, then whichever
-// worker holds it), handed off over mailbox channels — so none of its
-// fields need locking.
+// owned by exactly one goroutine at a time (the admitter, then the driver of
+// whichever pipeline holds it), handed off over mailbox channels — so none of
+// its fields need locking.
 type packet struct {
 	id int64
 	// h is the handle (program namespace) the packet was admitted under:
@@ -58,13 +58,14 @@ type slotRef struct {
 	tk  uint64
 }
 
-// xbarMsg is one crossbar mailbox transfer: a single packet (Submit's
-// dispatch) or a coalesced batch — an admission chunk's per-worker run
-// (SubmitBatch) or a worker's accumulated steers for one destination,
-// flushed when its mailbox runs dry. A batch occupies one mailbox slot
-// for many packets, so coalescing only strengthens the
-// mailboxes-never-fill invariant.
+// xbarMsg is one crossbar transfer to pipeline to: a single packet (Submit's
+// dispatch) or a coalesced batch — an admission chunk's per-pipeline run
+// (SubmitBatch) or a pipeline's accumulated steers for one destination,
+// flushed when its driver runs dry. A batch is one queued message for many
+// packets, so coalescing only strengthens the mailboxes-never-fill
+// invariant.
 type xbarMsg struct {
+	to    *worker
 	p     *packet
 	batch *pktBatch
 }
@@ -84,29 +85,99 @@ type egRec struct {
 	id  int64
 }
 
-// worker is one pipeline mapped onto one goroutine. For every loaded
+// doneCap bounds the egressed packets (and window tokens) finish waits for.
+const doneCap = 64
+
+// driver is one goroutine stepping one or more pipelines: pipelines are units
+// of state placement and ordering (D2, D3, D4), not of scheduling. NewMulti
+// builds min(k, GOMAXPROCS-1) drivers — a P each, plus one for the admitter —
+// and deals pipeline i to driver i mod m, so a host with the Ps runs one
+// goroutine per pipeline and a host without them is not oversubscribed.
+type driver struct {
+	e       *Engine
+	pipes   []*worker
+	mailbox chan xbarMsg
+	// local queues transfers between two pipelines of this driver: no
+	// channel, no atomic RMW, no wake. Filled by a flush, emptied by step.
+	local []xbarMsg
+}
+
+// run is the blocking shell around step: step while it progresses, then
+// block on the mailbox until the engine shuts down. Abort is checked between
+// steps too, so a driver that never runs dry still dies with the engine.
+func (d *driver) run() {
+	e := d.e
+	defer e.wg.Done()
+	for {
+		select {
+		case <-e.abort:
+			return
+		default:
+		}
+		if d.step() {
+			continue
+		}
+		select {
+		case m := <-d.mailbox:
+			m.to.inbox.Add(-1)
+			m.to.handle(m)
+		case <-e.quit:
+			return
+		case <-e.abort:
+			return
+		}
+	}
+}
+
+// step makes progress without blocking, or reports that it could not: handle
+// one mailbox message, letting steers pile into xout (queued messages are
+// bounded by the window, so this cannot starve the flush); or, the mailbox
+// dry, flush every pipeline's steers — their holders may be the only packets
+// able to make progress — and handle the local ones.
+func (d *driver) step() (progressed bool) {
+	select {
+	case m := <-d.mailbox:
+		m.to.inbox.Add(-1)
+		m.to.handle(m)
+		return true
+	default:
+	}
+	for _, w := range d.pipes {
+		w.flushSteers()
+	}
+	for _, m := range d.local {
+		m.to.localQ.Store(m.to.localQ.Load() - 1)
+		m.to.handle(m)
+	}
+	progressed = len(d.local) > 0
+	d.local = d.local[:0]
+	return progressed
+}
+
+// worker is one logical pipeline, stepped by its driver d. For every loaded
 // handle it owns one private register file (h.wregs[w.id]) — only the
 // indices the handle's sharding map assigns to it hold the live copy. A
 // packet that reaches its visit before its tickets are served parks in the
 // blocking slot's own wait ring; all ticket tests, parks and pops of a slot
-// happen on the slot's owning worker, so the park-or-proceed decision and
+// happen on the slot's owning pipeline, so the park-or-proceed decision and
 // the promotion after a pop are serialized on one goroutine and cannot lose
 // a wakeup. Program state (stages, bytecode, VMs, register files) is reached
 // through p.h, never stored on the worker: a worker is pure topology.
 type worker struct {
-	id      int
-	e       *Engine
-	mailbox chan xbarMsg
-	// runnable holds packets promoted by a pop, drained before the next
-	// mailbox receive.
+	id int
+	e  *Engine
+	d  *driver
+	// runnable holds packets promoted by a pop, drained before handle returns.
 	runnable []*packet
-	// xout accumulates outgoing steers per destination worker while this
-	// worker drains its mailbox; xoutPend lists the dirty destinations in
-	// first-touch order. Flushed (one batch send per destination) whenever
-	// the mailbox runs dry — and always before blocking on it, so a
-	// buffered packet another worker needs can never be stranded.
+	// xout accumulates outgoing steers per destination pipeline while the
+	// driver has messages to step; xoutPend lists the dirty destinations in
+	// first-touch order. Flushed (one batch per destination) whenever the
+	// driver runs dry — every pipeline's, and always before it blocks, so a
+	// buffered packet another pipeline needs is never stranded.
 	xout     []*pktBatch
 	xoutPend []int
+	// done holds egressed packets until finish completes them as one burst.
+	done []*packet
 	// outs collects streaming-mode egress outputs worker-privately (merged
 	// by Engine.Outputs after the join); egRecs collects (seq, id) egress
 	// records merged into the global order at Drain. Both replace the old
@@ -132,23 +203,27 @@ type worker struct {
 	// steers, parks, wasted, processed and parkedDelta tally events since
 	// the last publish: plain fields on the hot path, added to the shared
 	// engine and telemetry counters (and processedN, parkedN) once per
-	// handled mailbox message and before blocking.
+	// handled message.
 	steers, parks, wasted, processed, parkedDelta int64
-	// Live occupancy counters for WorkerStats: parked packets, process
+	// Live occupancy counters for WorkerStats: transfers queued for this
+	// pipeline in its driver's mailbox (inbox) and local FIFO (localQ, which
+	// only the driver writes: a load and a store), parked packets, process
 	// invocations, egresses, and (tracer-gated) busy wall time.
+	inbox      atomic.Int64
+	localQ     atomic.Int64
 	parkedN    atomic.Int64
 	processedN atomic.Int64
 	egressedN  atomic.Int64
 	busyNs     atomic.Int64
 }
 
-func newWorker(e *Engine, id int) *worker {
+func newWorker(e *Engine, id int, d *driver) *worker {
 	w := &worker{
-		id:      id,
-		e:       e,
-		mailbox: make(chan xbarMsg, e.cfg.Window),
-		xout:    make([]*pktBatch, e.cfg.Workers),
-		lat:     stats.NewHistogram(latLo, latHi, latBuckets),
+		id:   id,
+		e:    e,
+		d:    d,
+		xout: make([]*pktBatch, e.cfg.Workers),
+		lat:  stats.NewHistogram(latLo, latHi, latBuckets),
 	}
 	if e.cfg.RecordOutputs {
 		w.outs = make(map[int64][]int64) // streaming mode; unused when Run preallocates e.outs
@@ -157,70 +232,22 @@ func newWorker(e *Engine, id int) *worker {
 	return w
 }
 
-// run is the worker loop: drain promoted packets first, then opportunistically
-// drain the mailbox (coalescing outgoing steers per destination the whole
-// while), and only after flushing those steers block on the mailbox until
-// the engine shuts down.
-func (w *worker) run() {
-	defer w.e.wg.Done()
-	for {
-		for n := len(w.runnable); n > 0; n = len(w.runnable) {
-			p := w.runnable[n-1]
-			w.runnable = w.runnable[:n-1]
-			if p.span != nil {
-				// A promoted packet was parked: the elapsed segment is
-				// the D4 ordering wait.
-				p.span.Advance(StageTicketWait, w.id)
-			}
-			w.process(p)
-		}
-		// Opportunistic non-blocking receive: as long as work keeps
-		// arriving, keep processing and let steers pile into xout. Total
-		// undelivered messages are bounded by the window, so this cannot
-		// starve the flush below.
-		select {
-		case m := <-w.mailbox:
-			w.handle(m)
-			continue
-		default:
-		}
-		// Nothing runnable and the mailbox is dry: flush the coalesced
-		// steers (their holders may be the only packets able to make
-		// progress) and the event tallies (so Drain and the samplers read
-		// exact totals from an idle worker), then block.
-		w.flushSteers()
-		w.publish()
-		select {
-		case m := <-w.mailbox:
-			w.handle(m)
-		case <-w.e.quit:
-			return
-		case <-w.e.abort:
-			return
-		}
-	}
-}
-
-// handle processes one mailbox transfer: a coalesced batch in order (an
-// admission chunk or another worker's steer flush), or a single packet.
-// Promotions triggered by earlier batch members queue on runnable and
-// drain before the next mailbox receive.
+// handle is the pipeline's unit of work: one transfer — a coalesced batch in
+// order (an admission chunk or a steer flush), or a single packet — then
+// every packet its pops promoted, then the burst's bookkeeping.
 func (w *worker) handle(m xbarMsg) {
 	if m.batch != nil {
 		for _, p := range m.batch.items {
-			if p.span != nil {
-				p.span.Advance(StageCrossbar, w.id)
-			}
-			w.process(p)
+			w.process(p, StageCrossbar)
 		}
 		w.e.putBatch(m.batch)
 	} else {
-		if m.p.span != nil {
-			// The elapsed segment is the crossbar hop: mailbox queueing plus
-			// transit (initial dispatch or a steer).
-			m.p.span.Advance(StageCrossbar, w.id)
-		}
-		w.process(m.p)
+		w.process(m.p, StageCrossbar)
+	}
+	for n := len(w.runnable); n > 0; n = len(w.runnable) {
+		p := w.runnable[n-1]
+		w.runnable = w.runnable[:n-1]
+		w.process(p, StageTicketWait)
 	}
 	w.publish()
 }
@@ -238,30 +265,29 @@ func (w *worker) bufferSteer(dest int, p *packet) {
 	b.items = append(b.items, p)
 }
 
-// flushSteers sends every buffered steer batch to its destination worker,
-// in first-touch order. Called whenever the mailbox runs dry and always
-// before blocking on it. On abort the engine is being torn down — the
-// remaining batches are abandoned like any other in-flight packet.
+// flushSteers delivers every buffered steer batch, in first-touch order: to
+// a pipeline of this driver through the local FIFO, to any other over its
+// driver's mailbox. On abort the engine is being torn down — the remaining
+// batches are abandoned like any other in-flight packet.
 func (w *worker) flushSteers() {
-	if len(w.xoutPend) == 0 {
-		return
-	}
-	for _, d := range w.xoutPend {
-		b := w.xout[d]
-		w.xout[d] = nil
-		select {
-		case w.e.workers[d].mailbox <- xbarMsg{batch: b}:
-		case <-w.e.abort:
+	for _, dst := range w.xoutPend {
+		m := xbarMsg{to: w.e.workers[dst], batch: w.xout[dst]}
+		w.xout[dst] = nil
+		if m.to.d == w.d {
+			w.d.local = append(w.d.local, m)
+			m.to.localQ.Store(m.to.localQ.Load() + 1)
+		} else if !w.e.send(m) {
 			return
 		}
 	}
 	w.xoutPend = w.xoutPend[:0]
 }
 
-// publish adds the event tallies to the shared counters — one atomic add per
-// counter that moved, instead of one per event.
+// publish finishes the egressed burst and adds the event tallies to the
+// shared counters: one atomic add per counter that moved, not one per event.
 func (w *worker) publish() {
 	e := w.e
+	w.finish()
 	publishTally(&w.steers, &e.steers, e.met.Steers)
 	publishTally(&w.parks, &e.parks, e.met.Parks)
 	publishTally(&w.wasted, &e.wasted, e.met.Wasted)
@@ -281,9 +307,14 @@ func publishTally(n *int64, total *atomic.Int64, met *telemetry.Counter) {
 // stages execute inline; a visit stage either steers the packet to the
 // owning worker (D3), parks it on the first slot whose ticket is not yet
 // served (D4), or executes. Reaching the last stage egresses the packet.
-func (w *worker) process(p *packet) {
+// since names the span segment ending here: the crossbar hop (queueing plus
+// transit) for a packet off a transfer, the D4 wait for a promoted one.
+func (w *worker) process(p *packet, since TraceStage) {
 	e := w.e
 	w.processed++
+	if p.span != nil {
+		p.span.Advance(since, w.id)
+	}
 	if e.trc != nil {
 		// Busy-time accounting rides the tracing switch: two time.Now
 		// calls per process invocation are only paid when an operator
@@ -421,10 +452,10 @@ func (w *worker) execVisit(p *packet, v *visit) {
 	}
 }
 
-// egress completes the packet: record outputs and egress order (both into
-// worker-private shards — no lock on the egress path), return the quota
-// token, notify the OnEgress hook, recycle the packet, release the window
-// token, and close the engine's done gate on the last packet.
+// egress does the packet's own part of completing: record outputs and egress
+// order (both into worker-private shards — no lock on the egress path),
+// return the quota token, notify the OnEgress hook, close the span. The part
+// that is the same for every packet is paid per burst, in finish.
 func (w *worker) egress(p *packet) {
 	e := w.e
 	if p.span != nil {
@@ -442,18 +473,14 @@ func (w *worker) egress(p *packet) {
 	if e.cfg.RecordEgressOrder {
 		w.egRecs = append(w.egRecs, egRec{seq: e.egSeq.Add(1), id: p.id})
 	}
-	w.lat.Add(float64(time.Since(p.start).Microseconds()))
-	w.egressedN.Add(1)
-	e.met.Egressed.Inc()
 	// The quota token goes back before the hook announces the egress: a
 	// submitter that keeps no more in flight than its quota (a wire client
 	// whose window equals it) may send the next packet the moment it hears
 	// of this one, and that packet must not be shed against a token this
 	// one still holds. (The quota is only a count; nothing reuses storage
-	// on it, unlike the window token below.)
-	h := p.h
-	if h.quota != nil {
-		h.quota.release(1)
+	// on it, unlike the window token.)
+	if q := p.h.quota; q != nil {
+		q.release(1)
 	}
 	if f := e.cfg.OnEgress; f != nil {
 		f(p.id, p.tag)
@@ -463,15 +490,38 @@ func (w *worker) egress(p *packet) {
 		e.trc.finish(p.span)
 		p.span = nil // the tracer owns (and recycles) the span now
 	}
-	// Every observer — outputs copy, access log (written at pop), egress
-	// record, span, OnEgress — is done with the packet: recycle it, then
-	// return the window token so the admitter can only reuse the id slot
-	// after the packet is safely on the free list.
-	h.putPacket(p)
-	h.completed.Add(1)
-	e.releaseWindow()
-	c := e.completed.Add(1)
-	if t := e.total.Load(); t >= 0 && c == t {
+	if w.done = append(w.done, p); len(w.done) == doneCap {
+		w.finish()
+	}
+}
+
+// finish completes the burst of egressed packets; every observer (outputs
+// copy, access log, egress record, span, OnEgress) is done with them. One
+// clock read stamps their latencies after the last egress, as the admit stamp
+// precedes the chunk's first prepare: batching can only over-report. Then
+// recycle, one lock per run of one handle's packets, and only then return the
+// window tokens — the admitter may reuse an id slot only once its packet is on
+// the free list. Counters move last; the last packet closes the done gate.
+func (w *worker) finish() {
+	n := int64(len(w.done))
+	if n == 0 {
+		return
+	}
+	e := w.e
+	now := time.Now()
+	for i, j := 0, 0; i < len(w.done); i = j {
+		h := w.done[i].h
+		for ; j < len(w.done) && w.done[j].h == h; j++ {
+			w.lat.Add(float64(now.Sub(w.done[j].start).Microseconds()))
+		}
+		h.putPackets(w.done[i:j]...)
+		h.completed.Add(int64(j - i))
+	}
+	w.done = w.done[:0]
+	e.releaseWindow(n)
+	w.egressedN.Add(n)
+	e.met.Egressed.Add(n)
+	if c, t := e.completed.Add(n), e.total.Load(); c == t {
 		e.closeDone()
 	}
 }

@@ -5,6 +5,13 @@
 # `make check` for environments without make.
 set -eux
 
+# The dataplane derives its driver-goroutine count from GOMAXPROCS, so on a
+# 2-vCPU host the suites whose claims are about cross-goroutine interleavings
+# would run every pipeline on one goroutine. Those runs carry GOMAXPROCS=8 —
+# more Ps than any test's Workers+1 (the OS time-slices the extra threads,
+# which only adds interleavings); the suite-wide runs stay at the host default
+# and cover the multiplexed shape.
+
 go build ./...
 # Formatting gate: every tracked Go file must be gofmt-clean.
 test -z "$(gofmt -l .)" || { gofmt -l .; exit 1; }
@@ -18,7 +25,7 @@ go test -race -count 1 ./internal/core
 # interleavings (lock-free ticket counters, slot-local parking, remap's
 # ownership handoff); its differential equivalence suite must always run
 # under the race detector.
-go test -race -count 1 ./internal/dataplane
+GOMAXPROCS=8 go test -race -count 1 ./internal/dataplane
 # The state-compute-replication engine's coherence story is a lock-free
 # stamp-chained replay ring shared by all replicas; its differential suite
 # (including replica convergence) must always run under the race detector.
@@ -26,7 +33,7 @@ go test -race -count 1 ./internal/screp
 # The network daemon's loopback soak (streaming ingestion, backpressure,
 # egress acks, graceful drain, differential verification of the admitted
 # order) must stay race-clean too.
-go test -race -count 1 ./internal/server
+GOMAXPROCS=8 go test -race -count 1 ./internal/server
 # Allocs-per-op regression gate: steady-state Submit must stay at exactly
 # zero heap allocations per packet and SubmitBatch at ~zero per chunk.
 # Deliberately NOT under -race (the race runtime allocates, which would
@@ -39,11 +46,11 @@ go test -count 1 -run TestWireSteadyStateAllocs ./internal/server
 # Pooled-object lifecycle gate: the mp5debug build poisons every recycled
 # packet, so a use-after-recycle shows up as an oracle mismatch or a race.
 # Run the whole dataplane suite with poisoning AND the race detector on.
-go test -tags mp5debug -race -count 1 ./internal/dataplane
+GOMAXPROCS=8 go test -tags mp5debug -race -count 1 ./internal/dataplane
 # The multi-tenant registry's claims are about lock-free snapshots racing
 # hot swaps and shared-quota accounting; its suite gets a pinned
 # race-enabled pass.
-go test -race -count 1 ./internal/tenant
+GOMAXPROCS=8 go test -race -count 1 ./internal/tenant
 # The bytecode compiler/VM is the shared per-stage executor under every
 # engine; its differential suites (interpreter vs canonical stack loop vs
 # quickened micro-ops, golden disassembly, exact MaxStack, corrupt-code
@@ -53,15 +60,15 @@ go test -race -count 1 ./internal/ir/bytecode
 # the harness — fixed random programs and workloads checked against the
 # single-pipeline reference (state, outputs, C1 access order) on every
 # order-preserving architecture, plus the committed seed corpus.
-MP5_FUZZ_CASES=40 go test -run 'TestDifferentialSmoke|FuzzDifferential' ./internal/fuzz
+MP5_FUZZ_CASES=40 GOMAXPROCS=8 go test -run 'TestDifferentialSmoke|FuzzDifferential' ./internal/fuzz
 # The same smoke with the compiled bytecode executor forced on every
 # engine: all three oracles (state, outputs, C1 access order) must hold on
 # the quickened VM exactly as they do on the tree-walking interpreter.
-MP5_FUZZ_CASES=40 MP5_FUZZ_EXECUTOR=bytecode go test -count 1 -run TestDifferentialSmoke ./internal/fuzz
+MP5_FUZZ_CASES=40 MP5_FUZZ_EXECUTOR=bytecode GOMAXPROCS=8 go test -count 1 -run TestDifferentialSmoke ./internal/fuzz
 # The same smoke restricted to the state-compute-replication engine: the
 # fourth engine leg alone, so a replication regression is attributed
 # directly instead of surfacing as noise in the full sweep.
-MP5_FUZZ_CASES=40 MP5_FUZZ_ENGINE=screp go test -count 1 -run TestDifferentialSmoke ./internal/fuzz
+MP5_FUZZ_CASES=40 MP5_FUZZ_ENGINE=screp GOMAXPROCS=8 go test -count 1 -run TestDifferentialSmoke ./internal/fuzz
 # The wire codec's seed corpus: arbitrary bytes through the slab stream
 # decoder and decodeDatagram must match the one-frame reference, poison the
 # stream on a hostile length, and never leave the slab's arena.
