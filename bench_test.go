@@ -246,9 +246,9 @@ func benchCore(b *testing.B, sparse, fullSweep bool) {
 }
 
 // BenchmarkCoreSparseBursty / BenchmarkCoreSparseBurstyFullSweep: the
-// sparse-trace pair behind BENCH_core.json's speedup number (make
-// bench-smoke, cmd/mp5bench -core-bench). The event-driven scheduler must
-// beat the per-cycle sweep by ≥ 2x here.
+// sparse-trace pair, where the event-driven scheduler's idle-cycle skip
+// pays most (bench/README.md: core.host_ns_per_pkt vs
+// core.fullsweep_ns_per_pkt carry the tracked numbers).
 func BenchmarkCoreSparseBursty(b *testing.B)          { benchCore(b, true, false) }
 func BenchmarkCoreSparseBurstyFullSweep(b *testing.B) { benchCore(b, true, true) }
 

@@ -1,7 +1,8 @@
 // Command mp5bench regenerates the paper's evaluation tables and figures
 // (Table 1, the §4.2 SRAM overhead, the §4.3.2 D2/D3/D4 microbenchmarks,
 // the Figure-7 sensitivity sweeps, and the Figure-8 application runs) as
-// aligned text tables.
+// aligned text tables. Host-time measurements are not its job: those come
+// from the benchmark harness (bench/run.sh, see bench/README.md).
 //
 // Usage:
 //
@@ -10,65 +11,33 @@
 //	mp5bench -only fig7a     # one experiment
 //	                         # (table1, sram, d2, d3, d4,
 //	                         #  fig7a..fig7d, fig8)
-//	mp5bench -core-bench -bench-out BENCH_core.json
-//	                         # event-driven vs full-sweep scheduler timing
-//	mp5bench -dataplane-bench -bench-out BENCH_dataplane.json
-//	                         # concurrent dataplane worker-scaling timing
-//	mp5bench -server-bench -bench-out BENCH_server.json
-//	                         # network daemon loopback-TCP timing
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"reflect"
-	"runtime"
-	"sort"
 	"strings"
 	"time"
 
-	"mp5/internal/apps"
-	"mp5/internal/banzai"
-	"mp5/internal/core"
-	"mp5/internal/dataplane"
-	"mp5/internal/equiv"
 	"mp5/internal/experiments"
-	"mp5/internal/ir"
-	"mp5/internal/ir/bytecode"
-	"mp5/internal/screp"
-	"mp5/internal/workload"
 )
 
-func main() {
-	full := flag.Bool("full", false, "run at the paper's scale (10 seeds)")
-	only := flag.String("only", "", "run a single experiment: table1, sram, d2, d3, d4, fig7a, fig7b, fig7c, fig7d, fig8")
-	packets := flag.Int("packets", 0, "override trace length")
-	seeds := flag.Int("seeds", 0, "override seed count")
-	metricsOut := flag.String("metrics-out", "", "write a Prometheus-text snapshot of the harness metrics to this file when done")
-	coreBench := flag.Bool("core-bench", false, "time the event-driven scheduler against the legacy full sweep (sparse and dense traces) and exit")
-	dataplaneBench := flag.Bool("dataplane-bench", false, "time the concurrent dataplane across worker counts against the simulator baseline and exit")
-	serverBench := flag.Bool("server-bench", false, "time the network daemon over loopback TCP across worker counts and exit")
-	tenantBench := flag.Bool("tenant-bench", false, "measure the multi-tenant noisy-neighbor bar (victim pps solo vs with a quota-capped flood) and exit")
-	benchOut := flag.String("bench-out", "", "with -core-bench, -dataplane-bench, -server-bench, or -tenant-bench: write the machine-readable results to this JSON file")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *coreBench {
-		runCoreBench(*benchOut)
-		return
-	}
-	if *dataplaneBench {
-		runDataplaneBench(*benchOut)
-		return
-	}
-	if *serverBench {
-		runServerBench(*benchOut)
-		return
-	}
-	if *tenantBench {
-		runTenantBenchOnly(*benchOut)
-		return
+// run is main with its inputs and outputs as parameters; the return value
+// is the process exit code (2 for a usage error, 1 for an I/O failure).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mp5bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	full := fs.Bool("full", false, "run at the paper's scale (10 seeds)")
+	only := fs.String("only", "", "run a single experiment: table1, sram, d2, d3, d4, fig7a, fig7b, fig7c, fig7d, fig8")
+	packets := fs.Int("packets", 0, "override trace length")
+	seeds := fs.Int("seeds", 0, "override seed count")
+	metricsOut := fs.String("metrics-out", "", "write a Prometheus-text snapshot of the harness metrics to this file when done")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
 	sc := experiments.DefaultScale
@@ -106,552 +75,48 @@ func main() {
 	if *only != "" {
 		f, ok := all[strings.ToLower(*only)]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "mp5bench: unknown experiment %q (choices: %s)\n",
+			fmt.Fprintf(stderr, "mp5bench: unknown experiment %q (choices: %s)\n",
 				*only, strings.Join(append(append([]string{}, order...), ablations...), ", "))
-			os.Exit(2)
+			return 2
 		}
-		emit(f)
-		writeMetrics(*metricsOut)
-		return
+		emit(stdout, f)
+		return writeMetrics(stderr, *metricsOut)
 	}
-	fmt.Printf("MP5 evaluation reproduction — scale: %d packets x %d seeds\n\n", sc.Packets, sc.Seeds)
+	fmt.Fprintf(stdout, "MP5 evaluation reproduction — scale: %d packets x %d seeds\n\n", sc.Packets, sc.Seeds)
 	for _, name := range order {
-		emit(all[name])
+		emit(stdout, all[name])
 	}
-	fmt.Println("--- extensions beyond the paper's artifacts ---")
+	fmt.Fprintln(stdout, "--- extensions beyond the paper's artifacts ---")
 	for _, name := range ablations {
-		emit(all[name])
+		emit(stdout, all[name])
 	}
-	writeMetrics(*metricsOut)
+	return writeMetrics(stderr, *metricsOut)
 }
 
 // writeMetrics snapshots the harness-wide telemetry registry (simulations
 // run, packets pushed, cycles simulated, per-architecture breakdown) in
-// Prometheus text format.
-func writeMetrics(path string) {
+// Prometheus text format, and returns the exit code.
+func writeMetrics(stderr io.Writer, path string) int {
 	if path == "" {
-		return
+		return 0
 	}
 	f, err := os.Create(path)
+	if err == nil {
+		err = experiments.Metrics.WriteProm(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mp5bench:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "mp5bench:", err)
+		return 1
 	}
-	if err := experiments.Metrics.WriteProm(f); err != nil {
-		fmt.Fprintln(os.Stderr, "mp5bench:", err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "mp5bench:", err)
-		os.Exit(1)
-	}
+	return 0
 }
 
-// coreScenario is one row of BENCH_core.json: the same trace timed under
-// both schedulers.
-type coreScenario struct {
-	Name           string  `json:"name"`
-	Packets        int     `json:"packets"`
-	TraceCycles    int64   `json:"trace_cycles"`
-	EventNs        int64   `json:"event_ns_per_run"`
-	SweepNs        int64   `json:"sweep_ns_per_run"`
-	EventPktsPerS  float64 `json:"event_pkts_per_sec"`
-	SweepPktsPerS  float64 `json:"sweep_pkts_per_sec"`
-	Speedup        float64 `json:"speedup"`
-	ResultsMatched bool    `json:"results_matched"`
-}
-
-// execScenario is one executor row of BENCH_core.json: the same trace on
-// the event-driven scheduler, timed under the tree-walking interpreter and
-// under the compiled bytecode VM.
-type execScenario struct {
-	Name             string  `json:"name"`
-	Packets          int     `json:"packets"`
-	InterpNs         int64   `json:"interp_ns_per_run"`
-	BytecodeNs       int64   `json:"bytecode_ns_per_run"`
-	InterpPktsPerS   float64 `json:"interp_pkts_per_sec"`
-	BytecodePktsPerS float64 `json:"bytecode_pkts_per_sec"`
-	Speedup          float64 `json:"speedup"`
-	ResultsMatched   bool    `json:"results_matched"`
-}
-
-// coreBenchReport is the BENCH_core.json schema; the perf trajectory is
-// tracked from this file onward (sparse speedup must stay ≥ 2x, the dense
-// trace within 5% of the sweep, and the bytecode executor ≥ 1.5x over the
-// interpreter at dense line rate).
-type coreBenchReport struct {
-	Benchmark string         `json:"benchmark"`
-	Date      string         `json:"date"`
-	GoVersion string         `json:"go_version"`
-	Scenarios []coreScenario `json:"scenarios"`
-	// Executors compares the per-stage executors on the same scenarios
-	// (event-driven scheduling for both, only the executor differs).
-	Executors []execScenario `json:"executor_scenarios"`
-}
-
-// runCoreBench times the event-driven scheduler against the legacy
-// full-sweep scheduler on a sparse bursty trace (idle gaps dominate — the
-// event-driven design target) and a dense line-rate trace (every cycle
-// busy — the no-regression guard), and cross-checks that both produce the
-// same Result.
-func runCoreBench(outPath string) {
-	prog, err := apps.Synthetic(4, 512, 16)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mp5bench:", err)
-		os.Exit(1)
-	}
-	dense := workload.Synthetic(prog, workload.Spec{Packets: 20000, Pipelines: 4, Seed: 1}, 4, 512)
-	sparse := make([]core.Arrival, len(dense))
-	for i, a := range dense {
-		a.Cycle += int64(i/256) * 20000 // bursts of 256 split by 20k idle cycles
-		sparse[i] = a
-	}
-	report := coreBenchReport{
-		Benchmark: "core-scheduler",
-		Date:      time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Scenarios: []coreScenario{
-			timeScenario(prog, "sparse-bursty", sparse),
-			timeScenario(prog, "dense-line-rate", dense),
-		},
-		Executors: []execScenario{
-			timeExecScenario(prog, "sparse-bursty", sparse),
-			timeExecScenario(prog, "dense-line-rate", dense),
-		},
-	}
-	out, _ := json.MarshalIndent(report, "", "  ")
-	out = append(out, '\n')
-	if outPath == "" {
-		os.Stdout.Write(out)
-		return
-	}
-	if err := os.WriteFile(outPath, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "mp5bench:", err)
-		os.Exit(1)
-	}
-	for _, sc := range report.Scenarios {
-		fmt.Printf("%-16s event %8.2fms  sweep %8.2fms  speedup %.2fx\n",
-			sc.Name, float64(sc.EventNs)/1e6, float64(sc.SweepNs)/1e6, sc.Speedup)
-	}
-	for _, sc := range report.Executors {
-		fmt.Printf("%-16s interp %8.2fms  bytecode %8.2fms  speedup %.2fx\n",
-			sc.Name, float64(sc.InterpNs)/1e6, float64(sc.BytecodeNs)/1e6, sc.Speedup)
-	}
-	fmt.Println("wrote", outPath)
-}
-
-// timeExecScenario times the pure per-stage executors at line rate: every
-// trace packet is driven back-to-back through the full stage pipeline —
-// tree-walking interpreter versus compiled bytecode VM — against a fresh
-// Banzai register file per rep. No scheduler sits between packets: the
-// event-driven simulator spends ~95% of its wall clock on arbitration and
-// event plumbing that is identical under both executors, so only a direct
-// drive exposes the executor difference the scenario exists to track. The
-// two legs run interleaved (best-of after a warmup rep) to even out host
-// noise, and cross-check final register state plus a per-packet header
-// checksum — a coarse in-bench replay of the fuzz harness's executor
-// differential.
-func timeExecScenario(prog *ir.Program, name string, trace []core.Arrival) execScenario {
-	bp := bytecode.MustCompile(prog)
-	vm := bytecode.NewVM(bp)
-	run := func(interpret bool) (time.Duration, [][]int64, int64) {
-		regs := banzai.NewRegFile(prog)
-		env := ir.NewEnv(prog)
-		var sum int64
-		start := time.Now()
-		for _, a := range trace {
-			copy(env.Fields, a.Fields)
-			for i := len(a.Fields); i < len(env.Fields); i++ {
-				env.Fields[i] = 0
-			}
-			for i := range env.Temps {
-				env.Temps[i] = 0
-			}
-			if interpret {
-				for si := range prog.Stages {
-					ir.ExecStage(&prog.Stages[si], env, regs)
-				}
-			} else {
-				for si := range bp.Stages {
-					if err := vm.ExecStage(&bp.Stages[si], env, regs); err != nil {
-						fmt.Fprintln(os.Stderr, "mp5bench: bytecode exec:", err)
-						os.Exit(1)
-					}
-				}
-			}
-			for _, f := range env.Fields {
-				sum += f
-			}
-		}
-		return time.Since(start), regs.Snapshot(), sum
-	}
-	const reps = 24 // short legs on a shared box: many reps, keep minima
-	bestI := time.Duration(1<<63 - 1)
-	bestB := bestI
-	var interpRegs, bcRegs [][]int64
-	var interpSum, bcSum int64
-	for rep := 0; rep <= reps; rep++ { // rep 0 is warmup
-		var dI, dB time.Duration
-		dI, interpRegs, interpSum = run(true)
-		dB, bcRegs, bcSum = run(false)
-		if rep == 0 {
-			continue
-		}
-		if dI < bestI {
-			bestI = dI
-		}
-		if dB < bestB {
-			bestB = dB
-		}
-	}
-	n := float64(len(trace))
-	return execScenario{
-		Name:             name,
-		Packets:          len(trace),
-		InterpNs:         bestI.Nanoseconds(),
-		BytecodeNs:       bestB.Nanoseconds(),
-		InterpPktsPerS:   n / bestI.Seconds(),
-		BytecodePktsPerS: n / bestB.Seconds(),
-		Speedup:          bestI.Seconds() / bestB.Seconds(),
-		ResultsMatched:   reflect.DeepEqual(interpRegs, bcRegs) && interpSum == bcSum,
-	}
-}
-
-func timeScenario(prog *ir.Program, name string, trace []core.Arrival) coreScenario {
-	run := func(fullSweep bool) (time.Duration, *core.Result) {
-		best := time.Duration(1<<63 - 1)
-		var res *core.Result
-		for rep := 0; rep < 8; rep++ { // rep 0 is warmup
-			sim := core.NewSimulator(prog, core.Config{Arch: core.ArchMP5, Pipelines: 4, Seed: 1})
-			sim.SetFullSweep(fullSweep)
-			start := time.Now()
-			res = sim.Run(trace)
-			if d := time.Since(start); rep > 0 && d < best {
-				best = d
-			}
-		}
-		return best, res
-	}
-	eventD, eventR := run(false)
-	sweepD, sweepR := run(true)
-	n := float64(len(trace))
-	return coreScenario{
-		Name:           name,
-		Packets:        len(trace),
-		TraceCycles:    eventR.Cycles,
-		EventNs:        eventD.Nanoseconds(),
-		SweepNs:        sweepD.Nanoseconds(),
-		EventPktsPerS:  n / eventD.Seconds(),
-		SweepPktsPerS:  n / sweepD.Seconds(),
-		Speedup:        sweepD.Seconds() / eventD.Seconds(),
-		ResultsMatched: reflect.DeepEqual(eventR, sweepR),
-	}
-}
-
-// Execution strategy names recorded on dpScenario rows. Both are omitempty
-// additions, so BENCH_dataplane.json files written before the replication
-// engine existed still decode: a row with no strategy is a sharded run of
-// the original (sole) workload.
-const (
-	strategySharded    = "sharded"
-	strategyReplicated = "screp"
-)
-
-// dpScenario is one row of BENCH_dataplane.json: one (workload, strategy,
-// worker count) cell, timed on the same dense trace.
-type dpScenario struct {
-	// Workload names the trace/program pair; Strategy the engine that ran it
-	// (sharded = internal/dataplane's D2 index sharding, screp =
-	// internal/screp's state-compute replication). Empty values mean the
-	// pre-replication schema: the write-heavy workload on the sharded engine.
-	Workload      string  `json:"workload,omitempty"`
-	Strategy      string  `json:"strategy,omitempty"`
-	Workers       int     `json:"workers"`
-	NsPerRun      int64   `json:"ns_per_run"`
-	PktsPerSec    float64 `json:"pkts_per_sec"`
-	SpeedupVs1    float64 `json:"speedup_vs_1"`
-	SpeedupVsCore float64 `json:"speedup_vs_core"`
-	// AllocsPerPkt is the marginal heap allocations per packet at steady
-	// state, measured as the malloc-count delta between a double-length and
-	// a single-length run over the extra packets — engine construction and
-	// pool warmup cancel out. The pooled hot path keeps this near zero.
-	AllocsPerPkt float64 `json:"allocs_per_pkt"`
-	Matched      bool    `json:"matched"`
-}
-
-// dpBenchReport is the BENCH_dataplane.json schema. NumCPU/GoMaxProcs pin
-// the hardware context: worker scaling beyond the core count measures
-// scheduling overhead, not parallel speedup, so the honest headline on a
-// small box is speedup_vs_core (direct execution vs. the cycle-accurate
-// simulator on the same trace).
-type dpBenchReport struct {
-	Benchmark  string `json:"benchmark"`
-	Date       string `json:"date"`
-	GoVersion  string `json:"go_version"`
-	NumCPU     int    `json:"num_cpu"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	// SingleCPU flags a run where GOMAXPROCS or NumCPU is 1: worker
-	// scaling numbers then measure scheduling overhead, not parallel
-	// speedup, and must not be read as scaling claims.
-	SingleCPU      bool         `json:"single_cpu"`
-	Packets        int          `json:"packets"`
-	CorePktsPerSec float64      `json:"core_pkts_per_sec"`
-	Scenarios      []dpScenario `json:"scenarios"`
-}
-
-// warnSingleCPU prints the prominent single-CPU warning and reports whether
-// it fired — mp5bench must never write scaling numbers from a one-core box
-// without complaint.
-func warnSingleCPU(bench string) bool {
-	if runtime.NumCPU() > 1 && runtime.GOMAXPROCS(0) > 1 {
-		return false
-	}
-	fmt.Fprintf(os.Stderr,
-		"WARNING: %s is running with num_cpu=%d gomaxprocs=%d — a single-CPU box.\n"+
-			"WARNING: multi-worker rows measure scheduling overhead, NOT parallel speedup;\n"+
-			"WARNING: the JSON is flagged \"single_cpu\": true. Re-run on a multi-core box for scaling claims.\n",
-		bench, runtime.NumCPU(), runtime.GOMAXPROCS(0))
-	return true
-}
-
-// dpWorkload is one program/trace pair the strategy sweep times. The two
-// committed workloads are chosen to put the sharded-vs-replicated trade on
-// the record: heavy per-packet state writes make the replicated engine
-// re-apply every store on all replicas (sharding's home turf), while a
-// steering-hostile workload whose packets each touch several different
-// register arrays makes the sharded admitter resolve and steer every packet
-// across owners (replication's home turf — it sprays and pays nothing at
-// admission).
-type dpWorkload struct {
-	name  string
-	prog  *ir.Program
-	trace []core.Arrival
-}
-
-func dpWorkloads() []dpWorkload {
-	write, err := apps.Synthetic(4, 512, 16)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mp5bench:", err)
-		os.Exit(1)
-	}
-	// Many small arrays with skewed access: resolution + crossbar steering
-	// dominate the sharded engine's per-packet cost, while the deltas the
-	// replicated engine must replay stay tiny.
-	scatter, err := apps.Synthetic(8, 8, 16)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mp5bench:", err)
-		os.Exit(1)
-	}
-	return []dpWorkload{
-		{
-			name:  "write-heavy",
-			prog:  write,
-			trace: workload.Synthetic(write, workload.Spec{Packets: 20000, Pipelines: 4, Seed: 1}, 4, 512),
-		},
-		{
-			name: "scatter",
-			prog: scatter,
-			trace: workload.Synthetic(scatter, workload.Spec{
-				Packets: 20000, Pipelines: 4, Seed: 1, Pattern: workload.Skewed,
-			}, 8, 8),
-		},
-	}
-}
-
-// dpStrategyRun abstracts one engine strategy for the bench loop: a
-// recording cross-check run and an untimed-construction timed run.
-type dpStrategyRun struct {
-	name string
-	// check runs once with recording on and reports whether all three
-	// oracles held; run constructs a fresh engine and processes the trace
-	// (the timed/alloc-counted body).
-	check func(prog *ir.Program, trace []core.Arrival, w int, refOrder map[string][]int64) bool
-	run   func(prog *ir.Program, trace []core.Arrival, w int)
-}
-
-func dpStrategies() []dpStrategyRun {
-	return []dpStrategyRun{
-		{
-			name: strategySharded,
-			check: func(prog *ir.Program, trace []core.Arrival, w int, refOrder map[string][]int64) bool {
-				eng := dataplane.New(prog, dataplane.Config{
-					Workers: w, RecordOutputs: true, RecordAccessOrder: true,
-				})
-				res := eng.Run(trace)
-				return !res.Stalled && res.Completed == res.Injected &&
-					equiv.CheckState(prog, eng.FinalRegs(), eng.Outputs(), trace).Equivalent &&
-					reflect.DeepEqual(refOrder, eng.AccessOrders())
-			},
-			run: func(prog *ir.Program, trace []core.Arrival, w int) {
-				dataplane.New(prog, dataplane.Config{Workers: w}).Run(trace)
-			},
-		},
-		{
-			name: strategyReplicated,
-			check: func(prog *ir.Program, trace []core.Arrival, w int, refOrder map[string][]int64) bool {
-				eng := screp.New(prog, screp.Config{
-					Workers: w, RecordOutputs: true, RecordAccessOrder: true,
-				})
-				res := eng.Run(trace)
-				return !res.Stalled && res.Completed == res.Injected &&
-					equiv.CheckState(prog, eng.FinalRegs(), eng.Outputs(), trace).Equivalent &&
-					reflect.DeepEqual(refOrder, eng.AccessOrders())
-			},
-			run: func(prog *ir.Program, trace []core.Arrival, w int) {
-				screp.New(prog, screp.Config{Workers: w}).Run(trace)
-			},
-		},
-	}
-}
-
-// runDataplaneBench times both concurrent execution strategies — D2 index
-// sharding (internal/dataplane) and state-compute replication
-// (internal/screp) — on dense line-rate traces at worker counts
-// {1, 2, 4, GOMAXPROCS}, against the event-driven simulator on the primary
-// workload as the baseline. Every (workload, strategy, workers) cell is
-// first cross-checked against the single-pipeline reference (state,
-// outputs, C1 order) in a recording run; the timed runs disable recording.
-func runDataplaneBench(outPath string) {
-	workloads := dpWorkloads()
-	strategies := dpStrategies()
-
-	// Core baseline on the primary workload, as before the strategy sweep.
-	primary := workloads[0]
-	coreBest := time.Duration(1<<63 - 1)
-	for rep := 0; rep < 8; rep++ { // rep 0 is warmup
-		sim := core.NewSimulator(primary.prog, core.Config{Arch: core.ArchMP5, Pipelines: 4, Seed: 1})
-		start := time.Now()
-		sim.Run(primary.trace)
-		if d := time.Since(start); rep > 0 && d < coreBest {
-			coreBest = d
-		}
-	}
-	corePPS := float64(len(primary.trace)) / coreBest.Seconds()
-
-	counts := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
-	sort.Ints(counts)
-	report := dpBenchReport{
-		Benchmark:      "dataplane-scaling",
-		Date:           time.Now().UTC().Format(time.RFC3339),
-		GoVersion:      runtime.Version(),
-		NumCPU:         runtime.NumCPU(),
-		GoMaxProcs:     runtime.GOMAXPROCS(0),
-		SingleCPU:      warnSingleCPU("dataplane-bench"),
-		Packets:        len(primary.trace),
-		CorePktsPerSec: corePPS,
-	}
-	for _, wl := range workloads {
-		n := float64(len(wl.trace))
-		refOrder := equiv.ReferenceOrder(wl.prog, wl.trace)
-		for _, st := range strategies {
-			var pps1 float64
-			for i, w := range counts {
-				if i > 0 && w == counts[i-1] {
-					continue // GOMAXPROCS collides with 1 or 2 on small boxes
-				}
-				matched := st.check(wl.prog, wl.trace, w, refOrder)
-				best := time.Duration(1<<63 - 1)
-				for rep := 0; rep < 8; rep++ { // rep 0 is warmup
-					start := time.Now()
-					st.run(wl.prog, wl.trace, w)
-					if d := time.Since(start); rep > 0 && d < best {
-						best = d
-					}
-				}
-				pps := n / best.Seconds()
-				if pps1 == 0 {
-					pps1 = pps
-				}
-				report.Scenarios = append(report.Scenarios, dpScenario{
-					Workload:      wl.name,
-					Strategy:      st.name,
-					Workers:       w,
-					NsPerRun:      best.Nanoseconds(),
-					PktsPerSec:    pps,
-					SpeedupVs1:    pps / pps1,
-					SpeedupVsCore: pps / corePPS,
-					AllocsPerPkt:  measureDpAllocs(wl.prog, wl.trace, w, st.run),
-					Matched:       matched,
-				})
-			}
-		}
-	}
-	out, _ := json.MarshalIndent(report, "", "  ")
-	out = append(out, '\n')
-	if outPath == "" {
-		os.Stdout.Write(out)
-		return
-	}
-	if err := os.WriteFile(outPath, out, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "mp5bench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("core baseline    %10.0f pkts/s (%s)\n", corePPS, primary.name)
-	for _, sc := range report.Scenarios {
-		fmt.Printf("%-12s %-8s workers=%-2d %10.0f pkts/s  vs1 %.2fx  vs core %.2fx  allocs/pkt %.3f  matched=%v\n",
-			sc.Workload, sc.Strategy, sc.Workers, sc.PktsPerSec, sc.SpeedupVs1,
-			sc.SpeedupVsCore, sc.AllocsPerPkt, sc.Matched)
-	}
-	for _, wl := range workloads {
-		fmt.Printf("winner %-12s %s\n", wl.name, dpWinners(report.Scenarios, wl.name))
-	}
-	fmt.Println("wrote", outPath)
-}
-
-// dpWinners names the faster strategy per worker count for a workload —
-// the strategies are only comparable at matched parallelism (the replicated
-// engine's one-worker row is a near-overhead-free serial loop, the sharded
-// engine's multi-worker rows are where partitioned state pays off).
-func dpWinners(rows []dpScenario, workload string) string {
-	best := map[int]dpScenario{}
-	var order []int
-	for _, sc := range rows {
-		if sc.Workload != workload {
-			continue
-		}
-		if prev, ok := best[sc.Workers]; !ok {
-			best[sc.Workers] = sc
-			order = append(order, sc.Workers)
-		} else if sc.PktsPerSec > prev.PktsPerSec {
-			best[sc.Workers] = sc
-		}
-	}
-	sort.Ints(order)
-	var b strings.Builder
-	for i, w := range order {
-		if i > 0 {
-			b.WriteString("  ")
-		}
-		fmt.Fprintf(&b, "w%d:%s", w, best[w].Strategy)
-	}
-	return b.String()
-}
-
-// measureDpAllocs measures an engine's marginal heap allocations per
-// packet at steady state: the malloc-count delta between a double-length
-// and a single-length run, divided by the extra packets — the fixed costs
-// (engine construction, worker startup, free-list and scratch warmup)
-// cancel out of the subtraction.
-func measureDpAllocs(prog *ir.Program, trace []core.Arrival, workers int, run func(*ir.Program, []core.Arrival, int)) float64 {
-	count := func(tr []core.Arrival) uint64 {
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		run(prog, tr, workers)
-		runtime.ReadMemStats(&m1)
-		return m1.Mallocs - m0.Mallocs
-	}
-	double := append(append(make([]core.Arrival, 0, 2*len(trace)), trace...), trace...)
-	d := float64(count(double)) - float64(count(trace))
-	if d < 0 {
-		d = 0
-	}
-	return d / float64(len(trace))
-}
-
-func emit(f func() *experiments.Table) {
+func emit(w io.Writer, f func() *experiments.Table) {
 	start := time.Now()
 	t := f()
-	fmt.Println(t.Format())
-	fmt.Printf("(%.1fs)\n\n", time.Since(start).Seconds())
+	fmt.Fprintln(w, t.Format())
+	fmt.Fprintf(w, "(%.1fs)\n\n", time.Since(start).Seconds())
 }

@@ -123,18 +123,6 @@ func render(st, prev *server.StatsSnapshot) string {
 			w.ID, bar(w.Mailbox, w.MailboxCap), w.Parked, w.Processed, w.Egressed, 100*busy)
 	}
 
-	// Replication section: present only when the daemon fronts a
-	// state-compute-replication engine (the sharded daemon never emits it).
-	if len(st.Replication) > 0 {
-		fmt.Fprintf(&b, "\n%-8s %10s %10s %8s %12s\n",
-			"replica", "executed", "applied", "lag", "replay wait")
-		for _, rs := range st.Replication {
-			fmt.Fprintf(&b, "%-8d %10d %10d %8d %12s\n",
-				rs.ID, rs.Executed, rs.Applied, rs.Lag,
-				time.Duration(rs.ReplayWaitNs).Round(time.Microsecond))
-		}
-	}
-
 	if len(st.Stages) > 0 {
 		fmt.Fprintf(&b, "\nwire spans (sampled %d, dropped %d)\n", st.TraceSampled, st.TraceDropped)
 		fmt.Fprintf(&b, "%-14s %10s %10s %10s %10s\n", "stage", "count", "p50 µs", "p90 µs", "p99 µs")

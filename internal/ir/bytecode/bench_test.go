@@ -1,7 +1,8 @@
 // Executor microbenchmarks: pure ExecStage throughput of the tree-walking
 // interpreter vs the bytecode VM, without any simulator scheduling around
 // them. `go test -bench Exec ./internal/ir/bytecode` is the first stop when
-// the BENCH_core.json executor rows move.
+// the benchmark's ir.exec_ns_per_pkt / bytecode.exec_ns_per_pkt rungs move
+// (bench/README.md).
 package bytecode_test
 
 import (

@@ -29,8 +29,8 @@
 //     against equiv.ReferenceOrder in this package's tests and as a fourth
 //     engine leg in internal/fuzz.
 //
-// The trade against sharding is the honest one the benchmarks measure
-// (cmd/mp5bench -dataplane-bench, DESIGN.md §18): replication pays
+// The trade against sharding is the one the benchmark's screp.over_sharded
+// rung measures (bench/README.md, DESIGN.md §18): replication pays
 // nothing at admission and nothing for steering — stateless and
 // read-mostly programs spray perfectly — but every written slot is
 // re-applied by all k replicas, so write-heavy state costs k times the

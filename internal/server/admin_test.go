@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mp5/internal/dataplane"
-	"mp5/internal/screp"
 	"mp5/internal/telemetry"
 )
 
@@ -103,14 +102,6 @@ func TestAdminObservability(t *testing.T) {
 	}
 	if len(st.Stages) == 0 || st.Stages[len(st.Stages)-1].Stage != "total" {
 		t.Fatalf("/stats stages: %+v", st.Stages)
-	}
-	// The sharded daemon has no ReplicationStats hook: the snapshot omits
-	// the section and no replication gauges exist on the registry.
-	if len(st.Replication) != 0 {
-		t.Fatalf("/stats replication section on a sharded daemon: %+v", st.Replication)
-	}
-	if strings.Contains(metrics, "screp_replication_lag") {
-		t.Fatal("/metrics exposes replication gauges on a sharded daemon")
 	}
 
 	// Unknown paths 404 (the mux has no catch-all handler).
@@ -262,73 +253,5 @@ func TestTracedSoakTCP(t *testing.T) {
 	maxRTTNs := int64(rep.Latency.Quantile(1)*1e3) + slackNs
 	if medianNs > maxRTTNs {
 		t.Fatalf("median span total %dns exceeds max client RTT %dns", medianNs, maxRTTNs)
-	}
-}
-
-// TestReplicationStatsSurface wires a real state-compute-replication engine
-// into the daemon's ReplicationStats hook and checks both introspection
-// surfaces: /stats grows a per-replica section, and the sampler registers
-// (and feeds) the replication-lag gauges — neither of which exists on the
-// sharded daemon (asserted in TestAdminObservability above).
-func TestReplicationStatsSurface(t *testing.T) {
-	prog, trace := soakProgram(t)
-
-	// Drive a replicated engine to a converged drain so the hook serves
-	// non-trivial numbers.
-	rep := screp.New(prog, screp.Config{Workers: 2})
-	if res := rep.Run(trace[:600]); res.Stalled || res.Completed != 600 {
-		t.Fatalf("screp warmup run: %+v", res)
-	}
-
-	reg := telemetry.NewRegistry()
-	s, err := New(prog, Config{
-		Engine:           dataplane.Config{Workers: 2, Window: 64},
-		TCPAddr:          "127.0.0.1:0",
-		AdminAddr:        "127.0.0.1:0",
-		Registry:         reg,
-		SampleInterval:   10 * time.Millisecond,
-		ReplicationStats: rep.ReplicaStats,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown()
-	time.Sleep(30 * time.Millisecond) // at least one sampler tick
-	base := "http://" + s.AdminAddr()
-
-	var st StatsSnapshot
-	getJSON(t, base+"/stats", &st)
-	if len(st.Replication) != 2 {
-		t.Fatalf("/stats replication section: %+v", st.Replication)
-	}
-	var executed int64
-	for i, rs := range st.Replication {
-		if rs.ID != i {
-			t.Fatalf("replica %d reports id %d", i, rs.ID)
-		}
-		if rs.Applied != 600 {
-			t.Fatalf("replica %d applied %d of 600 after converge", i, rs.Applied)
-		}
-		if rs.Lag != 0 {
-			t.Fatalf("replica %d lag %d at rest", i, rs.Lag)
-		}
-		executed += rs.Executed
-	}
-	if executed != 600 {
-		t.Fatalf("executed counts sum to %d, want 600", executed)
-	}
-
-	metrics := httpGet(t, base+"/metrics")
-	for _, want := range []string{
-		"# TYPE screp_replication_lag gauge",
-		`screp_replication_lag{replica="0"}`,
-		`screp_replay_wait_ns{replica="1"}`,
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
 	}
 }

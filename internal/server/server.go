@@ -54,7 +54,6 @@ import (
 	"mp5/internal/dataplane"
 	"mp5/internal/equiv"
 	"mp5/internal/ir"
-	"mp5/internal/screp"
 	"mp5/internal/telemetry"
 	"mp5/internal/tenant"
 )
@@ -118,13 +117,6 @@ type Config struct {
 	// depths, per-worker occupancy, pps rates, histogram-window rotation);
 	// 0 defaults to 250ms.
 	SampleInterval time.Duration
-	// ReplicationStats, when non-nil, is polled by the sampler and /stats
-	// for per-replica replication gauges (replay lag, pending replay depth,
-	// cumulative replay wait) — set by embedders that drive a state-compute-
-	// replication engine (internal/screp) alongside or instead of the
-	// sharded one. Nil — the daemon's own sharded engine — is fully inert:
-	// no gauges registered, no snapshot section emitted.
-	ReplicationStats func() []screp.ReplicaStat
 }
 
 func (c Config) withDefaults() Config {
@@ -188,9 +180,6 @@ type Server struct {
 	rxPPS       *telemetry.Gauge
 	ackPPS      *telemetry.Gauge
 	egPPS       *telemetry.Gauge
-	// Replication gauges (nil unless Config.ReplicationStats is set).
-	replLagG    *telemetry.GaugeVec
-	replWaitG   *telemetry.GaugeVec
 	samplerStop chan struct{}
 	samplerWg   sync.WaitGroup
 

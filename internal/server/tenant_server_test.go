@@ -60,6 +60,7 @@ func twoTenantServer(t *testing.T, quotaBeta int) (*Server, *ir.Program, *ir.Pro
 	}, Config{
 		Engine:    dataplane.Config{Workers: 4, Window: 128},
 		TCPAddr:   "127.0.0.1:0",
+		UDPAddr:   "127.0.0.1:0",
 		AdminAddr: "127.0.0.1:0",
 		Verify:    true,
 	})
@@ -159,6 +160,93 @@ func TestQuotaEqualsClientWindow(t *testing.T) {
 	shed := s.Tenants().ByID(0).Active().Handle.Stats().Shed
 	if err != nil || rep.Acked != rep.Sent || shed != 0 {
 		t.Fatalf("window == quota lost packets: sent %d acked %d shed %d (%v)", rep.Sent, rep.Acked, shed, err)
+	}
+}
+
+// TestQuotaContainsFlood is the noisy-neighbour bar stated as counts, not
+// rates: beta, capped at a sliver of the window, is blasted over UDP without
+// pacing for as long as alpha's closed loop runs. The quota sheds the excess
+// at admission, every datagram the daemon read is accounted for, no token
+// leaks, and alpha loses nothing.
+func TestQuotaContainsFlood(t *testing.T) {
+	const quota = 4
+	s, progA, progB := twoTenantServer(t, quota)
+	victim := workload.Synthetic(progA, workload.Spec{Packets: 4000, Pipelines: 4, Seed: 47, Pattern: workload.Skewed}, 4, 64)
+	flood := workload.RandomFields(progB, workload.Spec{Packets: 256, Pipelines: 4, Seed: 48})
+	beta := s.Tenants().ByName("beta")
+	shed := func() int64 { return beta.Active().Handle.Stats().Shed }
+
+	stop := make(chan struct{})
+	stopFlood := sync.OnceFunc(func() { close(stop) })
+	defer stopFlood() // a failed wait below must not leave the blaster running
+
+	peak := make(chan int64, 1) // highest quota occupancy seen between bursts
+	go func() {
+		var hi int64
+		defer func() { peak <- hi }()
+		uc, err := Dial("udp", s.UDPAddr())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer uc.Close()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := uc.Run(flood, LoadOptions{Tenant: 1}); err != nil {
+				t.Error(err)
+				return
+			}
+			hi = max(hi, beta.Quota().InUse())
+		}
+	}()
+	// The victim starts only once the quota is demonstrably shedding, so its
+	// whole run overlaps the flood.
+	waitFor(t, "the flood to hit beta's quota", func() bool { return shed() > 0 })
+	c, err := Dial("tcp", s.TCPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rep, err := c.Run(victim, LoadOptions{Tenant: 0, Window: 64})
+	stopFlood()
+	if hi := <-peak; hi > quota {
+		t.Fatalf("beta held %d quota tokens, cap %d", hi, quota)
+	}
+	if err != nil || rep.Acked != rep.Sent || rep.Sent != int64(len(victim)) {
+		t.Fatalf("victim under flood: sent %d acked %d of %d (%v)", rep.Sent, rep.Acked, len(victim), err)
+	}
+
+	if res := s.Shutdown(); res.Stalled || res.Completed != res.Injected {
+		t.Fatalf("drain: %+v", res)
+	}
+	bs := beta.Active().Handle.Stats()
+	if rx := s.met.rx.Value("udp"); bs.Submitted+bs.Shed+s.Dropped() != rx {
+		t.Fatalf("flood unaccounted: submitted %d + quota-shed %d + ingress-dropped %d != %d datagrams read",
+			bs.Submitted, bs.Shed, s.Dropped(), rx)
+	}
+	if got := beta.Quota().InUse(); got != 0 {
+		t.Fatalf("leaked %d quota tokens", got)
+	}
+	if got := s.eng.WindowInUse(); got != 0 {
+		t.Fatalf("leaked %d window tokens", got)
+	}
+	tvs, err := s.VerifyTenants()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{"alpha": int64(len(victim)), "beta": bs.Submitted}
+	if len(tvs) != 2 {
+		t.Fatalf("verified %d versions, want 2: %+v", len(tvs), tvs)
+	}
+	for _, tv := range tvs {
+		if !tv.Report.Equivalent || !tv.OrderOK || int64(tv.Packets) != want[tv.Tenant] {
+			t.Fatalf("tenant %s: %d packets (want %d), C1 %v\n%s",
+				tv.Tenant, tv.Packets, want[tv.Tenant], tv.OrderOK, tv.Report)
+		}
 	}
 }
 
