@@ -1,12 +1,15 @@
 GO ?= go
 
 # The dataplane derives its driver-goroutine count from GOMAXPROCS (one P per
-# driver plus one for the admitter), so on a 2-vCPU host the suites whose
-# claims are about cross-goroutine interleavings would run every pipeline on
-# one goroutine. PROCS pins them to more Ps than any test's Workers+1 — the OS
-# time-slices the extra threads, which only adds interleavings. Plain
-# `go test ./...` (and `race`) stay at the host default and cover the
-# multiplexed shape.
+# driver plus one for the admitter), so the host decides which topology a
+# suite exercises unless the suite pins it. Two shapes matter and each gets a
+# race pass on every host: `race` runs the whole tree at GOMAXPROCS=2 — one
+# driver, whose baton the admitter takes and steps itself (the quota and
+# server soak tests included) — and the suites whose claims are about
+# cross-goroutine interleavings run again at PROCS, more Ps than any test's
+# Workers+1, so every pipeline gets its own driver (the OS time-slices the
+# extra threads, which only adds interleavings). Plain `go test ./...` stays
+# at the host default.
 PROCS = GOMAXPROCS=8
 
 .PHONY: all build vet fmt-check test race race-dataplane flake-hunt race-server race-tenant allocs-gate race-poison serve-smoke trace-smoke tenant-smoke check bench bench-test fuzz-smoke fuzz clean
@@ -28,7 +31,7 @@ test: vet
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	GOMAXPROCS=2 $(GO) test -race ./...
 
 # race-dataplane focuses the race detector on the concurrent execution
 # engine — the one package whose correctness claims are about goroutine
@@ -39,11 +42,13 @@ race-dataplane:
 	$(PROCS) $(GO) test -race -count 1 ./internal/dataplane
 
 # flake-hunt repeats the tests whose outcome once depended on timing — remap
-# migration under load and at quiescence, and the slot handoff between owners
-# — 50 times each plain, under -race, and under -race with poison-on-free.
-# A pre-merge tool for changes to the ticket, park or remap path (~1 min),
+# migration under load and at quiescence, the slot handoff between owners,
+# and the baton handoffs between admitter and driver goroutine (leave with
+# work, reclaim, abort and stall under the baton) — 50 times each plain,
+# under -race, and under -race with poison-on-free. A pre-merge tool for
+# changes to the ticket, park, remap or driver path (a few minutes),
 # deliberately not part of `check`; the bar is 0 failures.
-FLAKY = TestRemapMigratesState|TestRemapMigratesAtQuiescence|TestSlotHandoffBetweenOwners
+FLAKY = TestRemapMigratesState|TestRemapMigratesAtQuiescence|TestSlotHandoffBetweenOwners|TestAdmitterLeavesWorkToDriver|TestAdmitterReclaimsBaton|TestWatchdogDetectsStall|TestSubmitAbortRetiresTickets|TestSubmitBatchAbortRetiresTickets
 flake-hunt:
 	$(PROCS) $(GO) test -count 50 -run '$(FLAKY)' ./internal/dataplane
 	$(PROCS) $(GO) test -race -count 50 -run '$(FLAKY)' ./internal/dataplane
@@ -113,7 +118,7 @@ bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # check is the gate, and its only definition (scripts/check.sh execs it):
-# build, gofmt, vet; the whole suite under -race at the host's GOMAXPROCS;
+# build, gofmt, vet; the whole suite under -race at GOMAXPROCS=2;
 # the three interleaving-sensitive packages again under -race at $(PROCS),
 # and the dataplane once more with poison-on-free; the allocation gate; the
 # differential-fuzzing smoke; the three daemon soaks; the benchmark harness's

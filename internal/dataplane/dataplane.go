@@ -1,9 +1,14 @@
 // Package dataplane executes compiled MP5 programs on a real goroutine
 // topology instead of simulating one: k pipelines (workers) stepped by
-// min(k, GOMAXPROCS-1) driver goroutines, crossbars between them (a channel
-// between drivers, a plain queue within one), and actual shared-nothing
-// register shards. Where internal/core models the architecture cycle by
-// cycle, this package *is* the architecture, mapped onto cores:
+// min(k, GOMAXPROCS-1) drivers, crossbars between them (a channel between
+// drivers, a plain queue within one), and actual shared-nothing register
+// shards. A driver is stepped only by the holder of its baton — its own
+// goroutine, or, when there is a single driver, the serial admitter, which
+// claims it wherever it would wait on the driver (a batch that fills the
+// window, a full window, Drain), steps it instead of waiting, and hands it
+// back when it returns. Where internal/core
+// models the architecture cycle by cycle, this package *is* the
+// architecture, mapped onto cores:
 //
 //   - D1 (processing homogeneity): every worker runs the full program;
 //     stateless packets are sprayed round-robin across workers.

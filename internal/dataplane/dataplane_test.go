@@ -26,13 +26,17 @@ func runChecked(t *testing.T, prog *ir.Program, arrivals []core.Arrival, cfg Con
 }
 
 // runCheckedEngine is runChecked for tests that also inspect the drained
-// engine.
-func runCheckedEngine(t *testing.T, prog *ir.Program, arrivals []core.Arrival, cfg Config) (*Engine, *Result) {
+// engine; setup, if any, runs on the engine before Run (to install test
+// hooks).
+func runCheckedEngine(t *testing.T, prog *ir.Program, arrivals []core.Arrival, cfg Config, setup ...func(*Engine)) (*Engine, *Result) {
 	t.Helper()
 	cfg.RecordOutputs = true
 	cfg.RecordAccessOrder = true
 	cfg.RecordEgressOrder = true
 	e := New(prog, cfg)
+	for _, f := range setup {
+		f(e)
+	}
 	res := e.Run(arrivals)
 	if res.Stalled {
 		t.Fatalf("workers=%d: engine stalled (%d of %d completed)", cfg.Workers, res.Completed, res.Injected)

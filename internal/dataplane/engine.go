@@ -57,8 +57,13 @@ type Engine struct {
 	k   int
 
 	// workers are the k pipelines, drivers the goroutines stepping them.
+	// solo is the one driver when there is exactly one (nil otherwise): the
+	// admitter then claims its baton wherever it would wait on it (held,
+	// admitter-only, says it got it) and steps it instead — see take.
 	workers []*worker
 	drivers []*driver
+	solo    *driver
+	held    bool
 
 	// hMu guards the handle list: AddProgram publishes (possibly mid-run,
 	// from any goroutine — the hot-swap path), the admitter snapshots it
@@ -73,15 +78,16 @@ type Engine struct {
 	// token per in-flight packet, shared by every handle (per-tenant limits
 	// layer on top as Quotas). The serial admitter takes tokens with one
 	// atomic CAS per batch (not per packet); egressing workers return them
-	// with an atomic decrement plus a non-blocking signal on winAvail. The
-	// single-slot signal channel cannot lose a wakeup: the admitter is the
-	// only acquirer and re-checks winUsed after every wake, and a retained
-	// signal merely causes one spurious re-check. Because every in-flight
-	// packet sits in at most one queued message (a coalesced batch is one
-	// message for many packets) and every driver's mailbox holds Window of
-	// them, crossbar sends can never block however the pipelines are dealt
-	// (a driver's local FIFO grows instead) — the window bound is what makes
-	// the topology deadlock-free.
+	// with an atomic decrement plus a non-blocking signal on winAvail, which
+	// a driver goroutine handing the baton to the admitter (want) sends too.
+	// The single-slot signal channel cannot lose a wakeup: the admitter is
+	// the only acquirer and re-checks winUsed (and the baton) after every
+	// wake, and a retained signal merely causes one spurious re-check.
+	// Because every in-flight packet sits in at most one queued message (a
+	// coalesced batch is one message for many packets) and every driver's
+	// mailbox holds Window of them, crossbar sends can never block however
+	// the pipelines are dealt (a driver's local FIFO grows instead) — the
+	// window bound is what makes the topology deadlock-free.
 	winCap   int64
 	winUsed  atomic.Int64
 	winAvail chan struct{}
@@ -182,8 +188,15 @@ func NewMulti(cfg Config) *Engine {
 		e.met = &Metrics{} // all-nil counters: every update is a no-op
 	}
 	// One P is the admitter's; more drivers than the rest would take turns.
+	// A single driver shares the admitter's goroutine whenever the admitter
+	// would wait on it (take), and has its own P the rest of the time.
 	for m := min(e.k, max(1, procs-1)); len(e.drivers) < m; {
-		e.drivers = append(e.drivers, &driver{e: e, mailbox: make(chan xbarMsg, cfg.Window)})
+		e.drivers = append(e.drivers, &driver{
+			e: e, mailbox: make(chan xbarMsg, cfg.Window), kick: make(chan struct{}, 1),
+		})
+	}
+	if len(e.drivers) == 1 {
+		e.solo = e.drivers[0]
 	}
 	for i := 0; i < e.k; i++ {
 		d := e.drivers[i%len(e.drivers)]
@@ -306,6 +319,7 @@ func (e *Engine) SubmitTraced(a *core.Arrival, sp *Span) bool {
 // caller can carry a completion target instead of keeping an id-keyed table.
 // Admitter-serial.
 func (e *Engine) SubmitTo(h *Handle, a *core.Arrival, sp *Span, tag uint64) bool {
+	defer e.leave()
 	select {
 	case <-e.abort:
 		return false // dead engine: refuse before consuming an id
@@ -369,6 +383,10 @@ func (e *Engine) SubmitBatch(arrs []core.Arrival, spans []*Span) int {
 // than blocking the admit loop, so the admitted count is always a dense
 // prefix of arrs. Admitter-serial, like Submit.
 func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, tags []uint64) int {
+	if int64(len(arrs)) >= e.winCap-e.winUsed.Load() {
+		e.take() // the batch fills the window: this call will wait on the driver
+	}
+	defer e.leave()
 	admitted := 0
 	for admitted < len(arrs) {
 		select {
@@ -483,21 +501,105 @@ func (e *Engine) dispatchChunk() bool {
 }
 
 // send queues m on its pipeline's driver mailbox (which never fills — see
-// winCap), or returns false on an aborted engine: checked up front, so that a
-// dead engine never dispatches.
+// winCap) and kicks that driver's goroutine; or returns false on an aborted
+// engine: checked up front, so that a dead engine never dispatches. On a
+// one-driver engine an admitter that asked for the baton retries its claim
+// first, and while it holds it no kick is sent: it steps the message itself,
+// or kicks when it leaves.
 func (e *Engine) send(m xbarMsg) bool {
-	select {
-	case <-e.abort:
+	if e.aborted() {
 		return false
-	default:
 	}
 	m.to.inbox.Add(1)
 	select {
 	case m.to.d.mailbox <- m:
-		return true
 	case <-e.abort:
+		m.to.inbox.Add(-1)
 		return false
 	}
+	if d := e.solo; d != nil && d.want.Load() {
+		e.take()
+	}
+	if !e.held {
+		m.to.d.wake()
+	}
+	return true
+}
+
+// aborted reports, without blocking, whether the watchdog aborted the engine.
+func (e *Engine) aborted() bool {
+	select {
+	case <-e.abort:
+		return true
+	default:
+		return false
+	}
+}
+
+// take claims a one-driver engine's baton for the admitter, wherever it would
+// otherwise wait on the driver: on entry to a SubmitBatchTo whose batch fills
+// the window, in runSolo (a full window, and Drain), and again in every send
+// while an earlier claim is pending. If the driver goroutine holds the baton,
+// take sets want instead: the goroutine stops at its next step boundary, drops
+// the baton and signals winAvail, and the admitter's next take gets it. The
+// second CAS closes the race with a goroutine releasing between the first CAS
+// and the want store: either the CAS sees the release or the goroutine sees
+// want (sequentially consistent atomics, Dekker's argument). A no-op with
+// several drivers or when already held.
+func (e *Engine) take() {
+	d := e.solo
+	if d == nil || e.held {
+		return
+	}
+	if !d.baton.CompareAndSwap(false, true) {
+		d.want.Store(true)
+		if !d.baton.CompareAndSwap(false, true) {
+			return
+		}
+	}
+	d.want.Store(false)
+	e.held = true
+}
+
+// leave is the admitter's exit from a one-driver engine: withdraw want, drop
+// the baton, and kick the goroutine if anything is in flight, so admitted work
+// keeps moving (and in-flight counts — quotas — drain) after the call returns.
+// An admitter that neither took nor asked for the baton owes no kick: each of
+// its sends kicked.
+func (e *Engine) leave() {
+	d := e.solo
+	if d == nil {
+		return
+	}
+	asked := d.want.Swap(false)
+	if e.held {
+		e.held = false
+		d.baton.Store(false)
+	} else if !asked {
+		return
+	}
+	if e.winUsed.Load() > 0 {
+		d.wake()
+	}
+}
+
+// runSolo is the admitter's turn at the one driver in place of a sleep: step
+// while more than until window tokens are held. False when the baton is still
+// the goroutine's (want is set: it will signal winAvail), the engine aborted,
+// or no step made progress — then the baton is dropped before the caller
+// sleeps.
+func (e *Engine) runSolo(until int64) bool {
+	if e.take(); !e.held {
+		return false
+	}
+	ran := false
+	for e.winUsed.Load() > until && !e.aborted() && e.solo.step() {
+		ran = true
+	}
+	if !ran {
+		e.leave()
+	}
+	return ran
 }
 
 // destOf returns the packet's first-hop worker: the owner of its first
@@ -541,6 +643,10 @@ func (e *Engine) Drain() *Result {
 	if e.completed.Load() == submitted {
 		e.closeDone()
 	}
+	// Run the backlog out here; if the goroutine holds the baton, leave
+	// withdraws want and it runs to the end itself.
+	e.runSolo(0)
+	e.leave()
 	select {
 	case <-e.done:
 	case <-e.abort:
@@ -608,9 +714,11 @@ func (e *Engine) prepare(h *Handle, id int64, a *core.Arrival, start time.Time) 
 }
 
 // acquireWindow takes up to want admission-window tokens (at least one),
-// blocking while the window is full. Returns the number taken, or 0 when
-// the engine aborted. Admitter-serial — the single-acquirer assumption is
-// what makes the CAS loop plus one-slot wakeup channel race-free.
+// blocking while the window is full — on a one-driver engine, running the
+// driver first and blocking only when that makes no progress. Returns the
+// number taken, or 0 when the engine aborted. Admitter-serial — the
+// single-acquirer assumption is what makes the CAS loop plus one-slot wakeup
+// channel race-free.
 func (e *Engine) acquireWindow(want int64) int64 {
 	for {
 		used := e.winUsed.Load()
@@ -622,6 +730,12 @@ func (e *Engine) acquireWindow(want int64) int64 {
 			if e.winUsed.CompareAndSwap(used, used+n) {
 				return n
 			}
+			continue
+		}
+		// Step until half the window is free: the next chunk is then at
+		// least half a window, and the other half stays in flight, so the
+		// pipelines never drain to empty between chunks.
+		if e.runSolo(e.winCap / 2) {
 			continue
 		}
 		select {
@@ -636,6 +750,11 @@ func (e *Engine) acquireWindow(want int64) int64 {
 // (a pipeline's finished burst, or abort-retirement).
 func (e *Engine) releaseWindow(n int64) {
 	e.winUsed.Add(-n)
+	e.signalWindow()
+}
+
+// signalWindow wakes the admitter if it sleeps on winAvail.
+func (e *Engine) signalWindow() {
 	select {
 	case e.winAvail <- struct{}{}:
 	default: // a wakeup is already pending; one is enough
@@ -1004,10 +1123,11 @@ func (e *Engine) WindowCap() int { return int(e.winCap) }
 // capacity MailboxCap, or local FIFO), Parked the packets waiting in slot
 // wait rings for their tickets, Processed the process-loop invocations
 // (arrivals + promotions), Egressed the packets completed on this pipeline,
-// and BusyNs cumulative wall time spent inside the process loop — only
-// accounted while a Tracer is attached, 0 otherwise. Parked, Processed and
-// Egressed are published once per handled message (Egressed also every
-// doneCap egresses), so a live reading trails by at most one message.
+// and BusyNs cumulative wall time spent handling its messages (by whichever
+// goroutine held the driver's baton) — only accounted while a Tracer is
+// attached, 0 otherwise. Parked, Processed and Egressed are published once
+// per handled message (Egressed also every doneCap egresses), so a live
+// reading trails by at most one message.
 type WorkerStat struct {
 	ID         int   `json:"id"`
 	Mailbox    int   `json:"mailbox"`

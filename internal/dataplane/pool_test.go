@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"fmt"
 	"reflect"
 	"runtime/debug"
 	"testing"
@@ -184,7 +185,9 @@ func TestSubmitBatchChunkedEquivalence(t *testing.T) {
 // TestSubmitAbortRetiresTickets is the regression test for the abort-path
 // leak: a packet ticketed but not yet dispatched when the engine dies must
 // give back its window token and be recycled, and nothing may wait on the
-// tickets it leaves behind.
+// tickets it leaves behind. It runs in both driver shapes (see
+// forDriverShapes); a lone packet never fills the window, so in neither has
+// the admitter claimed a baton when the engine dies.
 //
 // There is deliberately no TicketDepths() == 0 assertion: tickets are
 // counters stamped at resolve time, retire has nothing to cancel, and a dead
@@ -196,43 +199,49 @@ func TestSubmitAbortRetiresTickets(t *testing.T) {
 		t.Fatal(err)
 	}
 	arrivals := workload.Synthetic(prog, workload.Spec{Packets: 4, Pipelines: 2, Seed: 15}, 2, 16)
-	e := New(prog, Config{Workers: 2, Window: 8})
-	e.Start()
-	// Kill the engine at the worst possible moment: after the packet's
-	// tickets are stamped, before it dispatches.
-	e.testAfterTicket = func() {
-		e.abortOnce.Do(func() { close(e.abort) })
-	}
-	if e.Submit(&arrivals[0]) {
-		t.Fatal("Submit succeeded on an engine that aborted mid-admission")
-	}
-	if got := e.WindowInUse(); got != 0 {
-		t.Fatalf("aborted Submit leaked %d window tokens", got)
-	}
-	e.def.freeMu.Lock()
-	freed := len(e.def.free)
-	e.def.freeMu.Unlock()
-	if freed != 1 {
-		t.Fatalf("aborted Submit did not recycle the packet (free list has %d)", freed)
-	}
-	// A dead engine must refuse further admissions without consuming ids.
-	before := e.Submitted()
-	if e.Submit(&arrivals[1]) {
-		t.Fatal("Submit succeeded on a dead engine")
-	}
-	if e.Submitted() != before {
-		t.Fatal("dead-engine Submit consumed a packet id")
-	}
-	res := drainReturns(t, e)
-	if res.Completed != 0 {
-		t.Fatalf("retired packets egressed: completed=%d", res.Completed)
-	}
+	forDriverShapes(t, func(t *testing.T) {
+		e := New(prog, Config{Workers: 2, Window: 8})
+		e.Start()
+		// Kill the engine at the worst possible moment: after the packet's
+		// tickets are stamped, before it dispatches.
+		var claimed bool
+		e.testAfterTicket = func() {
+			claimed = claimedBaton(e)
+			e.abortOnce.Do(func() { close(e.abort) })
+		}
+		if e.Submit(&arrivals[0]) {
+			t.Fatal("Submit succeeded on an engine that aborted mid-admission")
+		}
+		if claimed {
+			t.Fatalf("%d drivers: the admitter claimed the baton for one packet in an empty window", len(e.drivers))
+		}
+		if got := e.WindowInUse(); got != 0 {
+			t.Fatalf("aborted Submit leaked %d window tokens", got)
+		}
+		e.def.freeMu.Lock()
+		freed := len(e.def.free)
+		e.def.freeMu.Unlock()
+		if freed != 1 {
+			t.Fatalf("aborted Submit did not recycle the packet (free list has %d)", freed)
+		}
+		// A dead engine must refuse further admissions without consuming ids.
+		before := e.Submitted()
+		if e.Submit(&arrivals[1]) {
+			t.Fatal("Submit succeeded on a dead engine")
+		}
+		if e.Submitted() != before {
+			t.Fatal("dead-engine Submit consumed a packet id")
+		}
+		checkAbortedDrain(t, e)
+	})
 }
 
 // TestSubmitBatchAbortRetiresTickets is the batched twin: a chunk whose
 // tickets are already stamped when the engine dies must be retired wholesale
 // — no held window tokens, every packet recycled, Drain returns (and, as
-// above, no claim about the dead engine's TicketDepths).
+// above, no claim about the dead engine's TicketDepths). The batch fills the
+// window, so on one driver the admitter has claimed the baton when the engine
+// dies.
 func TestSubmitBatchAbortRetiresTickets(t *testing.T) {
 	prog, err := apps.Synthetic(2, 16, 16)
 	if err != nil {
@@ -240,27 +249,77 @@ func TestSubmitBatchAbortRetiresTickets(t *testing.T) {
 	}
 	const n = 8
 	arrivals := workload.Synthetic(prog, workload.Spec{Packets: n, Pipelines: 2, Seed: 16}, 2, 16)
-	e := New(prog, Config{Workers: 2, Window: 16})
-	e.Start()
-	e.testAfterTicket = func() {
-		e.abortOnce.Do(func() { close(e.abort) })
+	forDriverShapes(t, func(t *testing.T) {
+		e := New(prog, Config{Workers: 2, Window: n})
+		e.Start()
+		var claimed bool
+		e.testAfterTicket = func() {
+			claimed = claimedBaton(e)
+			e.abortOnce.Do(func() { close(e.abort) })
+		}
+		admitted := e.SubmitBatch(arrivals, nil)
+		if admitted != n {
+			t.Fatalf("SubmitBatch admitted %d of %d (ids must stay dense even on abort)", admitted, n)
+		}
+		if one := len(e.drivers) == 1; claimed != one {
+			t.Fatalf("%d drivers: admitter had claimed the baton at abort = %v, want %v", len(e.drivers), claimed, one)
+		}
+		if got := e.WindowInUse(); got != 0 {
+			t.Fatalf("aborted SubmitBatch leaked %d window tokens", got)
+		}
+		e.def.freeMu.Lock()
+		freed := len(e.def.free)
+		e.def.freeMu.Unlock()
+		if freed != n {
+			t.Fatalf("aborted SubmitBatch recycled %d of %d packets", freed, n)
+		}
+		checkAbortedDrain(t, e)
+	})
+}
+
+// forDriverShapes runs f as two subtests: at GOMAXPROCS 2 (one driver, whose
+// baton the admitter takes) and at 8 (a driver per pipeline, which the
+// admitter never steps) — whatever the host's own GOMAXPROCS.
+func forDriverShapes(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	for _, procs := range []int{2, 8} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			withProcs(procs, func() { f(t) })
+		})
 	}
-	admitted := e.SubmitBatch(arrivals, nil)
-	if admitted != n {
-		t.Fatalf("SubmitBatch admitted %d of %d (ids must stay dense even on abort)", admitted, n)
-	}
-	if got := e.WindowInUse(); got != 0 {
-		t.Fatalf("aborted SubmitBatch leaked %d window tokens", got)
-	}
-	e.def.freeMu.Lock()
-	freed := len(e.def.free)
-	e.def.freeMu.Unlock()
-	if freed != n {
-		t.Fatalf("aborted SubmitBatch recycled %d of %d packets", freed, n)
-	}
+}
+
+// claimedBaton reports whether the admitter has claimed the one driver's
+// baton: it holds it, or the goroutine did (its start-up pass, say) and want
+// is set. Admitter-only.
+func claimedBaton(e *Engine) bool {
+	return e.held || e.solo != nil && e.solo.want.Load()
+}
+
+// checkAbortedDrain drains an engine whose only admissions were retired and
+// checks what it leaves: nothing egressed, no queued transfer counted on any
+// pipeline (WorkerStat.Mailbox), and every driver's baton free.
+func checkAbortedDrain(t *testing.T, e *Engine) {
+	t.Helper()
 	res := drainReturns(t, e)
 	if res.Completed != 0 {
 		t.Fatalf("retired packets egressed: completed=%d", res.Completed)
+	}
+	for _, ws := range e.WorkerStats() {
+		if ws.Mailbox != 0 {
+			t.Fatalf("pipeline %d reports %d queued transfers after an aborted Drain", ws.ID, ws.Mailbox)
+		}
+	}
+	checkBatonsFree(t, e)
+}
+
+// checkBatonsFree fails if any driver's baton is still held after Drain.
+func checkBatonsFree(t *testing.T, e *Engine) {
+	t.Helper()
+	for i, d := range e.drivers {
+		if d.baton.Load() {
+			t.Fatalf("driver %d's baton is still held after Drain", i)
+		}
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 
 // packet is one in-flight packet: its execution environment, its resolved
 // visit plan, and its progress through the stage sequence. A packet is
-// owned by exactly one goroutine at a time (the admitter, then the driver of
-// whichever pipeline holds it), handed off over mailbox channels — so none of
-// its fields need locking.
+// owned by exactly one goroutine at a time (the admitter, then the baton
+// holder of whichever pipeline's driver holds it), handed off over mailbox
+// channels or the baton — so none of its fields need locking.
 type packet struct {
 	id int64
 	// h is the handle (program namespace) the packet was admitted under:
@@ -93,6 +93,16 @@ const doneCap = 64
 // builds min(k, GOMAXPROCS-1) drivers — a P each, plus one for the admitter —
 // and deals pipeline i to driver i mod m, so a host with the Ps runs one
 // goroutine per pipeline and a host without them is not oversubscribed.
+//
+// Only the holder of the driver's baton steps it, so everything a step
+// touches — the mailbox's read side, local, the pipelines' runnable, xout,
+// done and tallies, the wait rings and register words of the slots they own
+// — passes between holders through the baton's CAS (acquire) and store
+// (release). With several drivers the goroutine is the only holder. With one
+// (Engine.solo), the admitter claims it wherever it would wait on the driver,
+// steps the driver itself instead of sleeping on a full window, and keeps it
+// until it leaves the engine; the goroutine steps what the admitter leaves in
+// flight, between calls and during small ones.
 type driver struct {
 	e       *Engine
 	pipes   []*worker
@@ -100,27 +110,35 @@ type driver struct {
 	// local queues transfers between two pipelines of this driver: no
 	// channel, no atomic RMW, no wake. Filled by a flush, emptied by step.
 	local []xbarMsg
+	// baton is held by whoever steps the driver; want is the admitter asking
+	// the goroutine to hand it over; kick wakes the goroutine (one slot, so a
+	// wake sent while it runs is kept, never lost).
+	baton atomic.Bool
+	want  atomic.Bool
+	kick  chan struct{}
 }
 
-// run is the blocking shell around step: step while it progresses, then
-// block on the mailbox until the engine shuts down. Abort is checked between
-// steps too, so a driver that never runs dry still dies with the engine.
+// run is the goroutine's shell around step: take the baton, step while it
+// progresses and the admitter does not want the baton, drop it (waking the
+// admitter if it does), then sleep until kicked or the engine shuts down.
+// Abort is checked between steps too, so a driver that never runs dry still
+// dies with the engine. No wakeup is lost: every mailbox send is followed by a
+// kick (from an admitter holding the baton, by its leave), and a kick that
+// arrives while the goroutine is stepping stays in the channel.
 func (d *driver) run() {
 	e := d.e
 	defer e.wg.Done()
 	for {
-		select {
-		case <-e.abort:
-			return
-		default:
+		if d.baton.CompareAndSwap(false, true) {
+			for !d.want.Load() && !e.aborted() && d.step() {
+			}
+			d.baton.Store(false)
+			if d.want.Load() {
+				e.signalWindow()
+			}
 		}
-		if d.step() {
-			continue
-		}
 		select {
-		case m := <-d.mailbox:
-			m.to.inbox.Add(-1)
-			m.to.handle(m)
+		case <-d.kick:
 		case <-e.quit:
 			return
 		case <-e.abort:
@@ -129,11 +147,19 @@ func (d *driver) run() {
 	}
 }
 
-// step makes progress without blocking, or reports that it could not: handle
-// one mailbox message, letting steers pile into xout (queued messages are
-// bounded by the window, so this cannot starve the flush); or, the mailbox
-// dry, flush every pipeline's steers — their holders may be the only packets
-// able to make progress — and handle the local ones.
+// wake kicks the driver's goroutine.
+func (d *driver) wake() {
+	select {
+	case d.kick <- struct{}{}:
+	default: // a kick is already pending; one is enough
+	}
+}
+
+// step makes progress without blocking, or reports that it could not (baton
+// holder only): handle one mailbox message, letting steers pile into xout
+// (queued messages are bounded by the window, so this cannot starve the
+// flush); or, the mailbox dry, flush every pipeline's steers — their holders
+// may be the only packets able to make progress — and handle the local ones.
 func (d *driver) step() (progressed bool) {
 	select {
 	case m := <-d.mailbox:
@@ -234,8 +260,14 @@ func newWorker(e *Engine, id int, d *driver) *worker {
 
 // handle is the pipeline's unit of work: one transfer — a coalesced batch in
 // order (an admission chunk or a steer flush), or a single packet — then
-// every packet its pops promoted, then the burst's bookkeeping.
+// every packet its pops promoted, then the burst's bookkeeping. With a Tracer
+// attached it also accounts busy time: one clock pair per message, whoever
+// holds the baton.
 func (w *worker) handle(m xbarMsg) {
+	var t0 time.Time
+	if w.e.trc != nil {
+		t0 = time.Now()
+	}
 	if m.batch != nil {
 		for _, p := range m.batch.items {
 			w.process(p, StageCrossbar)
@@ -250,6 +282,9 @@ func (w *worker) handle(m xbarMsg) {
 		w.process(p, StageTicketWait)
 	}
 	w.publish()
+	if w.e.trc != nil {
+		w.busyNs.Add(time.Since(t0).Nanoseconds())
+	}
 }
 
 // bufferSteer parks an outgoing steer in the per-destination batch instead
@@ -314,13 +349,6 @@ func (w *worker) process(p *packet, since TraceStage) {
 	w.processed++
 	if p.span != nil {
 		p.span.Advance(since, w.id)
-	}
-	if e.trc != nil {
-		// Busy-time accounting rides the tracing switch: two time.Now
-		// calls per process invocation are only paid when an operator
-		// turned introspection on.
-		t0 := time.Now()
-		defer func() { w.busyNs.Add(time.Since(t0).Nanoseconds()) }()
 	}
 	h := p.h
 	regs := h.wregs[w.id]
