@@ -129,13 +129,13 @@ check: vet race race-dataplane race-server race-tenant race-poison allocs-gate f
 # fuzz-smoke is the deterministic, seeded, time-bounded slice of the
 # differential fuzzing harness: MP5_FUZZ_CASES fixed cases (program +
 # workload) checked against the single-pipeline reference on every
-# order-preserving architecture, plus a run of the committed seed corpus —
-# then the same smoke again with the compiled bytecode executor forced on
-# every engine, and the wire codec's seed corpus (FuzzDecodeStream: the slab
-# stream decoder and decodeDatagram against the one-frame reference).
+# order-preserving architecture, plus a run of the committed seed corpus
+# (engines run the bytecode VM by default, differenced against references
+# that run the interpreter) — then the same smoke on the replicated engine,
+# and the wire codec's seed corpus (FuzzDecodeStream: the slab stream
+# decoder and decodeDatagram against the one-frame reference).
 fuzz-smoke:
 	$(PROCS) MP5_FUZZ_CASES=40 $(GO) test -run 'TestDifferentialSmoke|FuzzDifferential' ./internal/fuzz
-	$(PROCS) MP5_FUZZ_CASES=40 MP5_FUZZ_EXECUTOR=bytecode $(GO) test -count 1 -run TestDifferentialSmoke ./internal/fuzz
 	$(PROCS) MP5_FUZZ_CASES=40 MP5_FUZZ_ENGINE=screp $(GO) test -count 1 -run TestDifferentialSmoke ./internal/fuzz
 	$(GO) test -count 1 -run FuzzDecodeStream ./internal/server
 

@@ -109,10 +109,10 @@ func (rf *RegFile) Snapshot() [][]int64 {
 type Machine struct {
 	prog *ir.Program
 	regs *RegFile
-	// bc and vm hold the bytecode-compiled form of prog and the operand
-	// stack that runs it; nil when the machine was switched to the
-	// tree-walking interpreter with Interpret (the semantic oracle mode
-	// internal/equiv pins).
+	// bc and vm hold the bytecode-compiled form of prog and the VM that
+	// runs it; nil when the machine was switched to the tree-walking
+	// interpreter with Interpret (the semantic oracle mode internal/equiv
+	// pins).
 	bc *bytecode.Program
 	vm *bytecode.VM
 	// AccessLog, when enabled with RecordAccesses, appends the packet id
@@ -146,7 +146,7 @@ func (m *Machine) Interpret() {
 func (m *Machine) execStage(si int, env *ir.Env) {
 	if m.bc != nil {
 		if err := m.vm.ExecStage(&m.bc.Stages[si], env, m.regs); err != nil {
-			panic("banzai: " + err.Error()) // compiled code is never corrupt
+			panic("banzai: " + err.Error()) // callers pass m.prog-shaped envs
 		}
 		return
 	}

@@ -101,9 +101,8 @@ type Simulator struct {
 	regs  []*banzai.RegFile
 	st    [][]stageState // [stage][pipe]
 
-	// bc and vm are the bytecode-compiled program and its operand stack;
-	// nil when cfg.Interpret pins the tree-walking interpreter. The
-	// simulator is single-goroutine, so one VM serves every pipeline.
+	// bc and vm are the bytecode-compiled program and the VM that runs it;
+	// nil when cfg.Interpret pins the tree-walking interpreter.
 	bc *bytecode.Program
 	vm *bytecode.VM
 
@@ -803,7 +802,7 @@ func (s *Simulator) execStage(p *Packet, stage, pipe int) {
 	if s.cfg.Trace == nil || !s.statefulStage[stage] {
 		if s.bc != nil {
 			if err := s.vm.ExecStage(&s.bc.Stages[stage], p.Env, s.regs[pipe]); err != nil {
-				panic("core: " + err.Error()) // compiled code is never corrupt
+				panic("core: " + err.Error()) // envs are s.prog-shaped
 			}
 			return
 		}

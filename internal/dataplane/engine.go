@@ -698,8 +698,8 @@ func (e *Engine) prepare(h *Handle, id int64, a *core.Arrival, start time.Time) 
 	p.start = start
 	for si := 0; si < h.prog.ResolutionStages; si++ {
 		if h.bc != nil {
-			if err := h.admVM.ExecStage(&h.bc.Stages[si], p.env, h.admRegs); err != nil {
-				panic("dataplane: " + err.Error()) // compiled code is never corrupt
+			if err := h.vm.ExecStage(&h.bc.Stages[si], p.env, h.admRegs); err != nil {
+				panic("dataplane: " + err.Error()) // envs are h.prog-shaped
 			}
 			continue
 		}

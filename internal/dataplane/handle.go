@@ -65,11 +65,12 @@ func (q *Quota) InUse() int64 { return q.used.Load() }
 
 // Handle is one loaded program's isolated runtime namespace on a shared
 // engine: its compiled form, its ticket locks and shard placement, one
-// private register file per worker, and its own packet/env frame pool (envs
-// are program-shaped — ir.Env.ResetFor preserves seed-once frame pools — so
-// packets are never recycled across programs). Every mutable structure the
-// single-program engine used to hold globally lives here, keyed by
-// (handle, register) instead of (register) — the multi-tenant refactor.
+// private register file per worker, and its own packet/env pool (envs are
+// program-shaped — the VM fits each one to this program's frame once, and
+// ir.Env.ResetFor keeps that frame — so packets are never recycled across
+// programs). Every mutable structure the single-program engine used to
+// hold globally lives here, keyed by (handle, register) instead of
+// (register) — the multi-tenant refactor.
 //
 // A Handle is immutable after AddProgram publishes it except for the
 // structures its own packets flow through, each with its existing ownership
@@ -87,12 +88,11 @@ type Handle struct {
 	// admRegs backs resolution-stage execution on the admitter (stateless
 	// by construction, so only read-only match tables are consulted).
 	admRegs *banzai.RegFile
-	// bc/admVM are this program's compiled form and the admitter's operand
-	// stack for it; wvms are the per-worker VMs (VMs are not
-	// goroutine-safe). All nil under Config.Interpret.
-	bc    *bytecode.Program
-	admVM *bytecode.VM
-	wvms  []*bytecode.VM
+	// bc is this program's compiled form and vm the VM that runs it on the
+	// admitter and every worker (a VM holds no state). Both nil under
+	// Config.Interpret.
+	bc *bytecode.Program
+	vm *bytecode.VM
 	// wregs[i] is worker i's private register file for this program — the
 	// per-tenant register namespace. Only the indices the shard map assigns
 	// to worker i hold the live copy.
@@ -140,11 +140,7 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 	h.free = make([]*packet, 0, e.cfg.Window)
 	if !e.cfg.Interpret {
 		h.bc = bytecode.MustCompile(prog)
-		h.admVM = bytecode.NewVM(h.bc)
-		h.wvms = make([]*bytecode.VM, e.k)
-		for i := range h.wvms {
-			h.wvms[i] = bytecode.NewVM(h.bc)
-		}
+		h.vm = bytecode.NewVM(h.bc)
 	}
 	h.wregs = make([]*banzai.RegFile, e.k)
 	for i := range h.wregs {

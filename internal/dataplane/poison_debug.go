@@ -10,9 +10,10 @@ package dataplane
 // with a sentinel that corrupts any output it leaks into — the differential
 // oracles then flag the run.
 //
-// The frame headroom beyond Fields/Temps is deliberately NOT poisoned: it
-// holds the bytecode VM's seed-once constant pools, which legitimately
-// survive recycling (see ir.Env.ResetFor).
+// The rest of the env's frame is deliberately NOT poisoned: it holds the
+// bytecode VM's scratch slots and the constant pools it copied in when it
+// fitted the env, which legitimately survive recycling (see
+// ir.Env.ResetFor).
 func poisonPacket(p *packet) {
 	const sentinel = int64(-0x6b6b6b6b6b6b6b6b) // 0x9494...95 — "freed" junk
 	p.id = -1

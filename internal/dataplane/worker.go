@@ -19,7 +19,7 @@ import (
 type packet struct {
 	id int64
 	// h is the handle (program namespace) the packet was admitted under:
-	// workers reach the program, its per-worker register files/VMs, and its
+	// workers reach the program, its VM, its per-worker register files, and its
 	// quota exclusively through the packet, so mixed-tenant traffic needs no
 	// per-worker program lookup and the mailbox handoff publishes a
 	// freshly-added handle to the worker (hot swap).
@@ -187,7 +187,7 @@ func (d *driver) step() (progressed bool) {
 // blocking slot's own wait ring; all ticket tests, parks and pops of a slot
 // happen on the slot's owning pipeline, so the park-or-proceed decision and
 // the promotion after a pop are serialized on one goroutine and cannot lose
-// a wakeup. Program state (stages, bytecode, VMs, register files) is reached
+// a wakeup. Program state (stages, bytecode, VM, register files) is reached
 // through p.h, never stored on the worker: a worker is pure topology.
 type worker struct {
 	id int
@@ -362,8 +362,8 @@ func (w *worker) process(p *packet, since TraceStage) {
 			// (resolution-time) false predicate, so executing the stage
 			// touches only the packet environment and read-only tables.
 			if h.bc != nil {
-				if err := h.wvms[w.id].ExecStage(&h.bc.Stages[p.nextStage], p.env, regs); err != nil {
-					panic("dataplane: " + err.Error()) // compiled code is never corrupt
+				if err := h.vm.ExecStage(&h.bc.Stages[p.nextStage], p.env, regs); err != nil {
+					panic("dataplane: " + err.Error()) // envs are h.prog-shaped
 				}
 			} else {
 				ir.ExecStage(&h.prog.Stages[p.nextStage], p.env, regs)
@@ -460,7 +460,7 @@ func (w *worker) execVisit(p *packet, v *visit) {
 	w.obsP, w.obsV, w.obsT = p, v, touched
 	regs := h.wregs[w.id]
 	if h.bc != nil {
-		if err := h.wvms[w.id].ExecStageObserved(&h.bc.Stages[v.stage], p.env, regs, w.obs); err != nil {
+		if err := h.vm.ExecStageObserved(&h.bc.Stages[v.stage], p.env, regs, w.obs); err != nil {
 			panic("dataplane: " + err.Error())
 		}
 	} else {

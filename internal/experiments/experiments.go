@@ -17,7 +17,6 @@ import (
 	"mp5/internal/compiler"
 	"mp5/internal/core"
 	"mp5/internal/ir"
-	"mp5/internal/ir/bytecode"
 	"mp5/internal/stats"
 	"mp5/internal/telemetry"
 	"mp5/internal/workload"
@@ -133,16 +132,7 @@ func synthProgram(stateful, regSize int) *ir.Program {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: synthetic compile: %v", err))
 	}
-	synthCache[key] = shared(p)
-	return p
-}
-
-// shared readies a program for the parallel cells of runAll, which each
-// build a simulator on it: compiling raises ir.Program.FrameHint, a plain
-// field, so the first compile happens here, before the program is shared —
-// later compiles only read the hint.
-func shared(p *ir.Program) *ir.Program {
-	bytecode.MustCompile(p)
+	synthCache[key] = p
 	return p
 }
 
@@ -474,7 +464,7 @@ func Fig8(sc Scale) *Table {
 	appList := apps.All()
 	progs := make([]*ir.Program, len(appList))
 	for i, a := range appList {
-		progs[i] = shared(a.MustCompile(compiler.TargetMP5))
+		progs[i] = a.MustCompile(compiler.TargetMP5)
 	}
 	ks := []int{1, 2, 4, 8}
 	tputs := make([][][]float64, len(ks))

@@ -1,33 +1,31 @@
-// Package bytecode compiles PVSM stages (ir.Stage) into a flat bytecode
-// form executed by a small operand-stack virtual machine. Every execution
-// engine in this repository — the Banzai single-pipeline reference, the
-// event-driven simulator core (and its legacy full-sweep scheduler), and
-// the concurrent dataplane workers — runs packets through ir.ExecStage on
-// its per-packet hot path; this package replaces that tree-walk with a
-// one-time compilation to a dense byte stream plus a tight dispatch loop.
+// Package bytecode compiles PVSM stages (ir.Stage) into quickened
+// three-address micro-ops and runs them on a small register VM. Every
+// execution engine in this repository — the Banzai single-pipeline
+// reference, the event-driven simulator core, the sharded dataplane and
+// the replicated engine — runs packets through it on its per-packet hot
+// path; ir.ExecStage's tree-walk stays the semantic ground truth the
+// compiled form is differenced against.
 //
 // Design points:
 //
-//   - One StageProgram per ir.Stage: a []byte code stream with inline
-//     little-endian uint16 operands, a per-stage deduplicated constant
-//     pool, and the compiler-computed maximum operand-stack depth.
-//   - Operand kinds are resolved at compile time: the interpreter's
-//     per-operand kind switch (const/field/temp) becomes distinct load
-//     opcodes, and predicates become conditional forward jumps, so an
-//     un-taken predicated instruction costs one load and one branch.
+//   - One StageProgram per ir.Stage: one fixed-width micro-op per
+//     predicated three-address instruction (the codelet form of Packet
+//     Transactions), every operand resolved at compile time to an absolute
+//     offset into the env's frame, plus a per-stage deduplicated constant
+//     pool. A peephole pass fuses read-modify-write triples (micro.go).
 //   - Semantics are bit-identical to ir.ExecInstr: safe division and
 //     modulo (x/0 == x%0 == 0), shift clamping to [0, 63], arithmetic
 //     right shift, and Go's wrapping MinInt64 / -1. The differential
 //     fuzz harness (internal/fuzz) holds the two executors to that
 //     contract on every generated program.
 //   - The C1 observation points survive compilation: ExecStageObserved
-//     reports every executed register access (predicate already decided
-//     by the jump, raw index on the stack) immediately before the access
-//     happens, in instruction order — exactly like the interpreter's
-//     ir.ExecStageObserved, so the order oracle needs no changes.
-//
-// A VM is a reusable operand stack; it is not goroutine-safe, so each
-// engine goroutine owns one (dataplane workers each carry their own).
+//     reports every executed register access (predicate already held, raw
+//     index) immediately before the access happens, in instruction order —
+//     exactly like the interpreter's ir.ExecStageObserved, so the order
+//     oracle needs no changes.
+//   - Compile reads its ir.Program and writes nothing back, and a VM holds
+//     no state: all of a packet's execution state lives in its env's frame
+//     and the RegStore. One Program and one VM serve every goroutine.
 package bytecode
 
 import (
@@ -36,109 +34,23 @@ import (
 	"mp5/internal/ir"
 )
 
-// Bytecode opcodes. Loads push onto the operand stack, stores pop, binary
-// operators pop two and push one. opLoadC, opLoadF, opLoadT, opStoreF,
-// opStoreT, opJz, opJnz, opLookup, opRdReg and opWrReg carry one inline
-// little-endian uint16 operand; all other opcodes are a single byte.
-const (
-	opInvalid byte = iota // never emitted: catches zeroed/corrupt code
-
-	opLoadC  // push consts[arg]
-	opLoadF  // push env.Fields[arg]
-	opLoadT  // push env.Temps[arg]
-	opStoreF // env.Fields[arg] = pop
-	opStoreT // env.Temps[arg] = pop
-	opDrop   // discard top of stack (ALU result with a None destination)
-
-	opAdd // binary: b = pop, a = pop, push a OP b
-	opSub
-	opMul
-	opDiv // safe: b == 0 yields 0
-	opMod // safe: b == 0 yields 0
-	opAnd
-	opOr
-	opXor
-	opShl // b clamped to [0, 63]
-	opShr // arithmetic; b clamped to [0, 63]
-	opEq
-	opNe
-	opLt
-	opLe
-	opGt
-	opGe
-	opLAnd
-	opLOr
-	opMax
-	opMin
-
-	opNot // unary: a = pop, push a == 0
-	opNeg // unary: a = pop, push -a
-
-	opSelect // c = pop, b = pop, a = pop, push a != 0 ? b : c
-	opHash2  // b = pop, a = pop, push ir.Hash2(a, b)
-	opHash3  // c = pop, b = pop, a = pop, push ir.Hash3(a, b, c)
-
-	opLookup // c = pop, b = pop, a = pop, push regs.LookupTable(arg, {a,b,c})
-	opRdReg  // idx = pop, push regs.ReadReg(arg, idx)   (observation point)
-	opWrReg  // idx = pop, v = pop, regs.WriteReg(arg, idx, v)  (observation point)
-
-	opJz  // cond = pop, jump forward arg bytes when cond == 0
-	opJnz // cond = pop, jump forward arg bytes when cond != 0
-
-	opCount // number of defined opcodes (first invalid value)
-)
-
-// opNames renders mnemonics for the disassembler and error messages.
-var opNames = [...]string{
-	opInvalid: "invalid",
-	opLoadC:   "loadc", opLoadF: "loadf", opLoadT: "loadt",
-	opStoreF: "storef", opStoreT: "storet", opDrop: "drop",
-	opAdd: "add", opSub: "sub", opMul: "mul", opDiv: "div", opMod: "mod",
-	opAnd: "and", opOr: "or", opXor: "xor", opShl: "shl", opShr: "shr",
-	opEq: "eq", opNe: "ne", opLt: "lt", opLe: "le", opGt: "gt", opGe: "ge",
-	opLAnd: "land", opLOr: "lor", opMax: "max", opMin: "min",
-	opNot: "not", opNeg: "neg",
-	opSelect: "select", opHash2: "hash2", opHash3: "hash3",
-	opLookup: "lookup", opRdReg: "rdreg", opWrReg: "wrreg",
-	opJz: "jz", opJnz: "jnz",
-}
-
-// hasArg reports whether the opcode carries an inline uint16 operand.
-func hasArg(op byte) bool {
-	switch op {
-	case opLoadC, opLoadF, opLoadT, opStoreF, opStoreT,
-		opLookup, opRdReg, opWrReg, opJz, opJnz:
-		return true
-	}
-	return false
-}
-
-// StageProgram is one compiled pipeline stage: flat code, its constant
-// pool, and the compiler-computed operand-stack high-water mark. The zero
-// value is an empty (no-op) stage.
+// StageProgram is one compiled pipeline stage. The zero value is an empty
+// (no-op) stage.
 type StageProgram struct {
-	// Code is the bytecode stream: opcode bytes with inline little-endian
-	// uint16 operands for the opcodes that take one.
-	Code []byte
 	// Consts is the stage's deduplicated constant pool, in first-use order.
 	Consts []int64
-	// MaxStack is the exact operand-stack high-water mark of Code; Exec
-	// never pushes more than MaxStack values.
-	MaxStack int
 	// Stateful mirrors ir.Stage.Stateful for the compiled form.
 	Stateful bool
-	// micro is the quickened three-address form of Code (see micro.go).
-	// Compile always populates it; the VM executes it when the env carries
-	// a frame of at least frameLen slots and runs the canonical stack loop
-	// otherwise (hand-built envs or code, tests).
+	// micro is the stage's code: one micro-op per non-nop source
+	// instruction, with a fused read-modify-write standing for three.
 	micro []microOp
-	// frameLen is the full frame size the quickened form addresses
-	// (fields, temps, scratch, and every stage's pool region); seedSlot
-	// is the scratch slot guarding the one-time pool copy; pools is the
-	// whole program's concatenated constant pools, shared by all of its
-	// StagePrograms and copied to frame[seedSlot+1:] when seeding.
+	// The frame geometry, shared by every stage of the program: nf and nt
+	// are its field and temp counts, frameLen the full frame the micro-ops
+	// address (fields, temps, scratch, and every stage's pool region), and
+	// pools the whole program's concatenated constant pools, which fit
+	// copies in past the scratch slots.
+	nf, nt   int
 	frameLen int
-	seedSlot int
 	pools    []int64
 }
 
@@ -150,90 +62,19 @@ type Program struct {
 	IR *ir.Program
 	// Stages holds the compiled form of IR.Stages, index-aligned.
 	Stages []StageProgram
-	// MaxStack is the maximum MaxStack over all stages — the operand
-	// stack capacity a VM needs to run any stage of the program.
-	MaxStack int
 }
 
-// Stats summarizes a compiled program for reporting and tests.
-type Stats struct {
-	// CodeBytes is the total canonical stack-bytecode size.
-	CodeBytes int
-	// Consts is the total pool-slot count across stages.
-	Consts int
-	// MicroOps is the quickened instruction count after fusion.
-	MicroOps int
-	// FusedRMW counts read-modify-write superinstructions among MicroOps.
-	FusedRMW int
-}
+// VM executes compiled stages. It holds no state, so one VM serves any
+// number of goroutines at once.
+type VM struct{}
 
-// Stats reports aggregate compilation statistics for p.
-func (p *Program) Stats() Stats {
-	var s Stats
-	for i := range p.Stages {
-		sp := &p.Stages[i]
-		s.CodeBytes += len(sp.Code)
-		s.Consts += len(sp.Consts)
-		s.MicroOps += len(sp.micro)
-		for j := range sp.micro {
-			if ir.Op(sp.micro[j].op) == opFusedRMW {
-				s.FusedRMW++
-			}
-		}
-	}
-	return s
-}
-
-// VM is a reusable operand stack for executing compiled stages. A VM is
-// not safe for concurrent use; every engine goroutine owns its own. (The
-// quickened loop keeps all of its state in the env's frame; the stack
-// only backs the canonical loop.)
-type VM struct {
-	stack []int64
-}
-
-// NewVM returns a VM sized for every stage of p.
-func NewVM(p *Program) *VM {
-	return &VM{stack: make([]int64, p.MaxStack)}
-}
-
-// newVMDepth returns a VM with an exact stack capacity (tests use it to
-// prove the compiler's MaxStack bound is an upper bound).
-func newVMDepth(depth int) *VM {
-	return &VM{stack: make([]int64, depth)}
-}
-
-// errTruncated reports a bytecode stream that ends inside an instruction.
-type errTruncated struct {
-	pc int
-	op byte
-}
-
-func (e errTruncated) Error() string {
-	return fmt.Sprintf("bytecode: truncated %s operand at pc %d", opName(e.op), e.pc)
-}
-
-// errUnknownOp reports an undefined opcode byte.
-type errUnknownOp struct {
-	pc int
-	op byte
-}
-
-func (e errUnknownOp) Error() string {
-	return fmt.Sprintf("bytecode: unknown opcode %d at pc %d", e.op, e.pc)
-}
-
-func opName(op byte) string {
-	if int(op) < len(opNames) && opNames[op] != "" {
-		return opNames[op]
-	}
-	return fmt.Sprintf("op(%d)", op)
-}
+// NewVM returns a VM for p.
+func NewVM(p *Program) *VM { return &VM{} }
 
 // ExecStage executes one compiled stage against env and regs, exactly like
-// ir.ExecStage on the source stage. It returns a non-nil error only for
-// corrupt bytecode (unknown or truncated opcode) — compiled programs never
-// produce one.
+// ir.ExecStage on the source stage. It returns a non-nil error only when
+// the env's Fields or Temps lengths do not match the program's, which fit
+// detects on the env's first stage call.
 func (vm *VM) ExecStage(sp *StageProgram, e *ir.Env, regs ir.RegStore) error {
 	return vm.exec(sp, e, regs, nil)
 }
@@ -246,195 +87,36 @@ func (vm *VM) ExecStageObserved(sp *StageProgram, e *ir.Env, regs ir.RegStore, o
 	return vm.exec(sp, e, regs, obs)
 }
 
-// exec routes to the quickened loop when the stage carries one (every
-// Compile-produced stage does; quickened code is pre-validated and cannot
-// fail) and the env's frame covers the stage's layout — envs from
-// ir.NewEnv after compilation always do. Otherwise it runs the canonical
-// stack loop over Code, which is also the path that detects corrupt
-// bytecode and serves frame-less hand-built envs.
+// exec fits the env on its first stage call and then runs the micro-ops.
+// Only fit creates a frame of frameLen slots (Env.Clone and ResetFor keep
+// it), so a frame that long is already seeded with every stage's pool.
 func (vm *VM) exec(sp *StageProgram, e *ir.Env, regs ir.RegStore, obs ir.AccessObserver) error {
-	if sp.frameLen > 0 && len(e.Frame) >= sp.frameLen {
-		vm.execMicro(sp, e, regs, obs)
-		return nil
-	}
-	return vm.execCode(sp, e, regs, obs)
-}
-
-// execCode is the canonical stack-bytecode dispatch loop. Locals pin the
-// hot state (code, pools, stack pointer, env slices) so the loop runs out
-// of registers.
-func (vm *VM) execCode(sp *StageProgram, e *ir.Env, regs ir.RegStore, obs ir.AccessObserver) error {
-	code := sp.Code
-	consts := sp.Consts
-	stack := vm.stack
-	fields := e.Fields
-	temps := e.Temps
-	top := 0 // operand-stack pointer: next free slot
-	pc := 0
-	for pc < len(code) {
-		op := code[pc]
-		pc++
-		var arg int
-		if hasArg(op) {
-			if pc+2 > len(code) {
-				return errTruncated{pc: pc - 1, op: op}
-			}
-			arg = int(code[pc]) | int(code[pc+1])<<8
-			pc += 2
-		}
-		switch op {
-		case opLoadC:
-			stack[top] = consts[arg]
-			top++
-		case opLoadF:
-			stack[top] = fields[arg]
-			top++
-		case opLoadT:
-			stack[top] = temps[arg]
-			top++
-		case opStoreF:
-			top--
-			fields[arg] = stack[top]
-		case opStoreT:
-			top--
-			temps[arg] = stack[top]
-		case opDrop:
-			top--
-		case opAdd:
-			top--
-			stack[top-1] += stack[top]
-		case opSub:
-			top--
-			stack[top-1] -= stack[top]
-		case opMul:
-			top--
-			stack[top-1] *= stack[top]
-		case opDiv:
-			top--
-			if b := stack[top]; b == 0 {
-				stack[top-1] = 0
-			} else {
-				stack[top-1] /= b
-			}
-		case opMod:
-			top--
-			if b := stack[top]; b == 0 {
-				stack[top-1] = 0
-			} else {
-				stack[top-1] %= b
-			}
-		case opAnd:
-			top--
-			stack[top-1] &= stack[top]
-		case opOr:
-			top--
-			stack[top-1] |= stack[top]
-		case opXor:
-			top--
-			stack[top-1] ^= stack[top]
-		case opShl:
-			top--
-			stack[top-1] <<= clampShift(stack[top])
-		case opShr:
-			top--
-			stack[top-1] >>= clampShift(stack[top])
-		case opEq:
-			top--
-			stack[top-1] = b2i(stack[top-1] == stack[top])
-		case opNe:
-			top--
-			stack[top-1] = b2i(stack[top-1] != stack[top])
-		case opLt:
-			top--
-			stack[top-1] = b2i(stack[top-1] < stack[top])
-		case opLe:
-			top--
-			stack[top-1] = b2i(stack[top-1] <= stack[top])
-		case opGt:
-			top--
-			stack[top-1] = b2i(stack[top-1] > stack[top])
-		case opGe:
-			top--
-			stack[top-1] = b2i(stack[top-1] >= stack[top])
-		case opLAnd:
-			top--
-			stack[top-1] = b2i(stack[top-1] != 0 && stack[top] != 0)
-		case opLOr:
-			top--
-			stack[top-1] = b2i(stack[top-1] != 0 || stack[top] != 0)
-		case opMax:
-			top--
-			if stack[top] > stack[top-1] {
-				stack[top-1] = stack[top]
-			}
-		case opMin:
-			top--
-			if stack[top] < stack[top-1] {
-				stack[top-1] = stack[top]
-			}
-		case opNot:
-			stack[top-1] = b2i(stack[top-1] == 0)
-		case opNeg:
-			stack[top-1] = -stack[top-1]
-		case opSelect:
-			top -= 2
-			if stack[top-1] != 0 {
-				stack[top-1] = stack[top]
-			} else {
-				stack[top-1] = stack[top+1]
-			}
-		case opHash2:
-			top--
-			stack[top-1] = ir.Hash2(stack[top-1], stack[top])
-		case opHash3:
-			top -= 2
-			stack[top-1] = ir.Hash3(stack[top-1], stack[top], stack[top+1])
-		case opLookup:
-			top -= 2
-			stack[top-1] = regs.LookupTable(arg, [3]int64{stack[top-1], stack[top], stack[top+1]})
-		case opRdReg:
-			idx := stack[top-1]
-			if obs != nil {
-				obs(arg, idx, false)
-			}
-			stack[top-1] = regs.ReadReg(arg, int(idx))
-		case opWrReg:
-			top -= 2
-			idx := stack[top+1]
-			if obs != nil {
-				obs(arg, idx, true)
-			}
-			regs.WriteReg(arg, int(idx), stack[top])
-		case opJz:
-			top--
-			if stack[top] == 0 {
-				pc += arg
-			}
-		case opJnz:
-			top--
-			if stack[top] != 0 {
-				pc += arg
-			}
-		default:
-			return errUnknownOp{pc: pc - 1, op: op}
+	if len(e.Frame) < sp.frameLen {
+		if err := sp.fit(e); err != nil {
+			return err
 		}
 	}
+	execMicro(sp, e.Frame, regs, obs)
 	return nil
 }
 
-func b2i(b bool) int64 {
-	if b {
-		return 1
+// fit gives e the frame sp's micro-ops address: it allocates the full
+// frame, copies the env's fields and temps in, re-slices Fields and Temps
+// onto it, and seeds every stage's pool region. A pooled env is fitted
+// once; the full-capacity slice expressions keep appends — which never
+// happen — from aliasing.
+func (sp *StageProgram) fit(e *ir.Env) error {
+	nf, nt := sp.nf, sp.nt
+	if len(e.Fields) != nf || len(e.Temps) != nt {
+		return fmt.Errorf("bytecode: env has %d fields and %d temps, program has %d and %d",
+			len(e.Fields), len(e.Temps), nf, nt)
 	}
-	return 0
-}
-
-func clampShift(b int64) uint {
-	if b < 0 {
-		return 0
-	}
-	if b > 63 {
-		return 63
-	}
-	return uint(b)
+	frame := make([]int64, sp.frameLen)
+	copy(frame, e.Fields)
+	copy(frame[nf:], e.Temps)
+	copy(frame[nf+nt+scratchSlots:], sp.pools)
+	e.Fields = frame[:nf:nf]
+	e.Temps = frame[nf : nf+nt : nf+nt]
+	e.Frame = frame
+	return nil
 }

@@ -7,49 +7,39 @@ import (
 	"mp5/internal/ir"
 )
 
-// Compile translates every stage of p into bytecode. The result shares p's
+// Compile translates every stage of p into micro-ops. The result shares p's
 // metadata (register placement, access sites, tables) — only the stage
-// bodies change representation. Compile is the one-time load-time step;
-// engines keep the returned Program for the lifetime of the run.
+// bodies change representation. Compile reads p and never writes it, so
+// any number of goroutines may compile one program while others run it.
+// Engines compile once at load and keep the returned Program for the run.
 //
-// Compilation fails only on structural limits a Validate-clean program
-// cannot hit (more than 65535 pool constants, fields, temps, or register
-// arrays in one stage, or a predicate body longer than 64 KiB).
+// Compilation fails only on input a Validate-clean program cannot hit: a
+// frame (fields, temps, scratch and constant pools) past uint16
+// addressing, a register or table id above 65535, a field or temp id
+// outside the program, or an unknown opcode.
 func Compile(p *ir.Program) (*Program, error) {
-	out := &Program{IR: p, Stages: make([]StageProgram, len(p.Stages))}
 	nf, nt := len(p.Fields), p.NumTemps
+	out := &Program{IR: p, Stages: make([]StageProgram, len(p.Stages))}
 	poolBase := nf + nt + scratchSlots
 	total := 0
 	for si := range p.Stages {
-		sp, err := compileStage(p, &p.Stages[si], poolBase+total)
+		sp, err := compileStage(&p.Stages[si], nf, nt, poolBase+total)
 		if err != nil {
 			return nil, fmt.Errorf("stage %d: %w", si, err)
 		}
 		out.Stages[si] = sp
-		if sp.MaxStack > out.MaxStack {
-			out.MaxStack = sp.MaxStack
-		}
 		total += len(sp.Consts)
 	}
 	// Lay the per-stage pools out in one shared image and hand every stage
 	// the frame geometry: disjoint pool regions are what lets an env be
-	// seeded once and reused across all stages (see execMicro).
+	// fitted once and reused across all stages (see fit).
 	pools := make([]int64, 0, total)
 	for si := range out.Stages {
 		pools = append(pools, out.Stages[si].Consts...)
 	}
 	for si := range out.Stages {
-		out.Stages[si].frameLen = poolBase + total
-		out.Stages[si].seedSlot = nf + nt + 2
-		out.Stages[si].pools = pools
-	}
-	// Raise (never lower) the program's frame headroom so envs allocated
-	// after this compile can take the quickened loop's absolute-offset
-	// path. Monotonic, so compiling the same program from several engines
-	// is idempotent; envs allocated before any compile simply fall back to
-	// the canonical stack loop.
-	if hint := scratchSlots + total; hint > p.FrameHint {
-		p.FrameHint = hint
+		sp := &out.Stages[si]
+		sp.nf, sp.nt, sp.frameLen, sp.pools = nf, nt, poolBase+total, pools
 	}
 	return out, nil
 }
@@ -64,237 +54,155 @@ func MustCompile(p *ir.Program) *Program {
 	return bp
 }
 
-// asm assembles one stage, tracking the operand-stack depth of every emit
-// so MaxStack is exact, and interning constants into the stage pool.
+// asm assembles one stage: it interns constants into the stage pool and
+// emits one micro-op per source instruction. err keeps the first operand
+// that does not fit its uint16 slot; instr reports it.
 type asm struct {
-	code     []byte
+	nf, nt   int
 	consts   []int64
 	constIdx map[int64]int
-	depth    int
-	maxDepth int
 	micro    []microOp
+	err      error
 }
 
-func (a *asm) op(op byte, delta int) {
-	a.code = append(a.code, op)
-	a.bump(delta)
-}
-
-func (a *asm) opArg(op byte, arg int, delta int) error {
-	if arg < 0 || arg > math.MaxUint16 {
-		return fmt.Errorf("%s operand %d exceeds uint16", opName(op), arg)
-	}
-	a.code = append(a.code, op, byte(arg), byte(arg>>8))
-	a.bump(delta)
-	return nil
-}
-
-func (a *asm) bump(delta int) {
-	a.depth += delta
-	if a.depth > a.maxDepth {
-		a.maxDepth = a.depth
-	}
-}
-
-// intern returns the pool index of v, adding it on first use. Pools are
-// deduplicated by value: every load of the same constant shares one slot.
-func (a *asm) intern(v int64) int {
-	if i, ok := a.constIdx[v]; ok {
-		return i
-	}
-	i := len(a.consts)
-	a.consts = append(a.consts, v)
-	a.constIdx[v] = i
-	return i
-}
-
-// load emits a push of operand o. A None operand loads 0, matching
-// ir.Env.Load.
-func (a *asm) load(o ir.Operand) error {
-	switch o.Kind {
-	case ir.KindConst:
-		return a.opArg(opLoadC, a.intern(o.Val), +1)
-	case ir.KindField:
-		return a.opArg(opLoadF, o.ID, +1)
-	case ir.KindTemp:
-		return a.opArg(opLoadT, o.ID, +1)
-	default:
-		return a.opArg(opLoadC, a.intern(0), +1)
-	}
-}
-
-// store emits a pop into destination o. None and Const destinations drop
-// the value, matching ir.Env.Store's no-op semantics.
-func (a *asm) store(o ir.Operand) error {
-	switch o.Kind {
-	case ir.KindField:
-		return a.opArg(opStoreF, o.ID, -1)
-	case ir.KindTemp:
-		return a.opArg(opStoreT, o.ID, -1)
-	default:
-		a.op(opDrop, -1)
-		return nil
-	}
-}
-
-// binOps maps the two-source ALU opcodes onto their bytecode encoding.
-var binOps = map[ir.Op]byte{
-	ir.OpAdd: opAdd, ir.OpSub: opSub, ir.OpMul: opMul,
-	ir.OpDiv: opDiv, ir.OpMod: opMod,
-	ir.OpAnd: opAnd, ir.OpOr: opOr, ir.OpXor: opXor,
-	ir.OpShl: opShl, ir.OpShr: opShr,
-	ir.OpEq: opEq, ir.OpNe: opNe,
-	ir.OpLt: opLt, ir.OpLe: opLe, ir.OpGt: opGt, ir.OpGe: opGe,
-	ir.OpLAnd: opLAnd, ir.OpLOr: opLOr,
-	ir.OpMax: opMax, ir.OpMin: opMin,
-}
-
-func compileStage(p *ir.Program, s *ir.Stage, constBase int) (StageProgram, error) {
-	a := &asm{constIdx: make(map[int64]int)}
+func compileStage(s *ir.Stage, nf, nt, constBase int) (StageProgram, error) {
+	a := &asm{nf: nf, nt: nt, constIdx: make(map[int64]int)}
 	for i := range s.Instrs {
 		if err := a.instr(&s.Instrs[i]); err != nil {
 			return StageProgram{}, fmt.Errorf("instr %d (%s): %w", i, &s.Instrs[i], err)
 		}
-		if a.depth != 0 {
-			// Every IR instruction compiles to a self-contained sequence;
-			// a non-zero depth here is a compiler bug, caught immediately
-			// rather than as a misbehaving stack at run time.
-			return StageProgram{}, fmt.Errorf("instr %d (%s): stack depth %d after instruction", i, &s.Instrs[i], a.depth)
-		}
 	}
 	a.micro = fuseMicro(a.micro)
-	if a.micro == nil {
-		a.micro = []microOp{} // empty stages still take the quickened path
-	}
-	if err := a.finalize(len(p.Fields), p.NumTemps, constBase); err != nil {
+	if err := a.finalize(constBase); err != nil {
 		return StageProgram{}, err
 	}
-	return StageProgram{
-		Code:     a.code,
-		Consts:   a.consts,
-		MaxStack: a.maxDepth,
-		Stateful: s.Stateful(),
-		micro:    a.micro,
-	}, nil
+	return StageProgram{Consts: a.consts, Stateful: s.Stateful(), micro: a.micro}, nil
 }
 
-// instr compiles one predicated TAC instruction. A predicate becomes a
-// load plus a conditional forward jump over the body, so the body only
-// executes (and a register access is only observed) when the predicate
-// holds — the same gating ir.ExecInstr applies before doing anything.
+// intern returns the pool index of v, adding it on first use. Pools are
+// deduplicated by value: every read of the same constant shares one slot.
+// finalize bounds the pool, so the index always fits a uint16.
+func (a *asm) intern(v int64) uint16 {
+	if i, ok := a.constIdx[v]; ok {
+		return uint16(i)
+	}
+	i := len(a.consts)
+	a.consts = append(a.consts, v)
+	a.constIdx[v] = i
+	return uint16(i)
+}
+
+// src resolves a source operand to its bank and index. None sources read
+// the scratch bank's permanent zero slot, matching ir.Env.Load.
+func (a *asm) src(o ir.Operand) (byte, uint16) {
+	switch o.Kind {
+	case ir.KindConst:
+		return bankC, a.intern(o.Val)
+	case ir.KindField, ir.KindTemp:
+		return a.slot(o)
+	}
+	return bankS, 1
+}
+
+// dst resolves a destination operand; None and Const destinations land in
+// the scratch bank's discard slot, matching ir.Env.Store's no-op.
+func (a *asm) dst(o ir.Operand) (byte, uint16) {
+	if o.Kind == ir.KindField || o.Kind == ir.KindTemp {
+		return a.slot(o)
+	}
+	return bankS, 0
+}
+
+// slot resolves a field or temp operand, range-checking its id against the
+// program's counts before narrowing it (finalize bounds the counts).
+func (a *asm) slot(o ir.Operand) (byte, uint16) {
+	bank, n := bankF, a.nf
+	if o.Kind == ir.KindTemp {
+		bank, n = bankT, a.nt
+	}
+	if o.ID < 0 || o.ID >= n {
+		a.fail(fmt.Errorf("operand %s out of range (%d fields, %d temps)", o, a.nf, a.nt))
+		return bank, 0
+	}
+	return bank, uint16(o.ID)
+}
+
+// reg range-checks a register or table id before narrowing it.
+func (a *asm) reg(id int) uint16 {
+	if id < 0 || id > math.MaxUint16 {
+		a.fail(fmt.Errorf("register or table id %d exceeds uint16", id))
+	}
+	return uint16(id)
+}
+
+func (a *asm) fail(err error) {
+	if a.err == nil {
+		a.err = err
+	}
+}
+
+// instr emits the micro-op for one predicated three-address instruction,
+// resolving exactly the operands its opcode reads, predicate first, so
+// the pool lists constants in first-use order. Unused source slots point
+// at the scratch bank: the dispatch loop's unconditional A and B reads
+// stay in bounds on every op.
 func (a *asm) instr(in *ir.Instr) error {
 	if in.Op == ir.OpNop {
 		return nil // nothing to execute, predicated or not
 	}
-	patch := -1
+	m := microOp{op: byte(in.Op), pk: pkNone, ak: bankS, bk: bankS, ck: bankS}
 	if !in.Pred.IsNone() {
-		if err := a.load(in.Pred); err != nil {
-			return err
-		}
-		// Pred truth must equal !PredNeg to execute: skip the body when
-		// the load's truth matches PredNeg.
-		jump := opJz
+		m.pk, m.pi = a.src(in.Pred)
 		if in.PredNeg {
-			jump = opJnz
+			m.pk |= pkNeg
 		}
-		if err := a.opArg(jump, 0, -1); err != nil {
-			return err
+	}
+	m.dk, m.di = a.dst(in.Dst)
+	switch in.Op {
+	case ir.OpMov, ir.OpNot, ir.OpNeg:
+		m.ak, m.ai = a.src(in.A)
+	case ir.OpSelect, ir.OpHash3:
+		m.ak, m.ai = a.src(in.A)
+		m.bk, m.bi = a.src(in.B)
+		m.ck, m.ci = a.src(in.C)
+	case ir.OpHash2:
+		m.ak, m.ai = a.src(in.A)
+		m.bk, m.bi = a.src(in.B)
+	case ir.OpLookup:
+		m.ak, m.ai = a.src(in.A)
+		m.bk, m.bi = a.src(in.B)
+		m.ck, m.ci = a.src(in.C)
+		m.reg = a.reg(in.Reg)
+	case ir.OpRdReg:
+		// The register index rides in the (otherwise unused) C slot.
+		m.ck, m.ci = a.src(in.Idx)
+		m.reg = a.reg(in.Reg)
+	case ir.OpWrReg:
+		m.ak, m.ai = a.src(in.A)
+		m.ck, m.ci = a.src(in.Idx)
+		m.reg = a.reg(in.Reg)
+	default:
+		if !binary(in.Op) {
+			return fmt.Errorf("unknown opcode %s", in.Op)
 		}
-		patch = len(a.code) - 2 // operand bytes to patch once body length is known
+		m.ak, m.ai = a.src(in.A)
+		m.bk, m.bi = a.src(in.B)
 	}
-	if err := a.body(in); err != nil {
-		return err
+	if a.err != nil {
+		return a.err
 	}
-	if patch >= 0 {
-		off := len(a.code) - (patch + 2)
-		if off > math.MaxUint16 {
-			return fmt.Errorf("predicated body of %d bytes exceeds jump range", off)
-		}
-		a.code[patch] = byte(off)
-		a.code[patch+1] = byte(off >> 8)
-	}
-	// Quicken after the stack emission so any constant the micro-op needs
-	// is already interned; the pool is identical with or without this.
-	a.mkMicro(in)
+	a.micro = append(a.micro, m)
 	return nil
 }
 
-// body compiles the unpredicated core of one instruction.
-func (a *asm) body(in *ir.Instr) error {
-	loadAll := func(ops ...ir.Operand) error {
-		for _, o := range ops {
-			if err := a.load(o); err != nil {
-				return err
-			}
-		}
-		return nil
+// binary reports whether op is a two-source ALU opcode.
+func binary(op ir.Op) bool {
+	switch op {
+	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMod,
+		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
+		ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe,
+		ir.OpLAnd, ir.OpLOr, ir.OpMax, ir.OpMin:
+		return true
 	}
-	switch in.Op {
-	case ir.OpMov:
-		if err := a.load(in.A); err != nil {
-			return err
-		}
-		return a.store(in.Dst)
-	case ir.OpNot, ir.OpNeg:
-		if err := a.load(in.A); err != nil {
-			return err
-		}
-		if in.Op == ir.OpNot {
-			a.op(opNot, 0)
-		} else {
-			a.op(opNeg, 0)
-		}
-		return a.store(in.Dst)
-	case ir.OpSelect:
-		if err := loadAll(in.A, in.B, in.C); err != nil {
-			return err
-		}
-		a.op(opSelect, -2)
-		return a.store(in.Dst)
-	case ir.OpHash2:
-		if err := loadAll(in.A, in.B); err != nil {
-			return err
-		}
-		a.op(opHash2, -1)
-		return a.store(in.Dst)
-	case ir.OpHash3:
-		if err := loadAll(in.A, in.B, in.C); err != nil {
-			return err
-		}
-		a.op(opHash3, -2)
-		return a.store(in.Dst)
-	case ir.OpLookup:
-		if err := loadAll(in.A, in.B, in.C); err != nil {
-			return err
-		}
-		if err := a.opArg(opLookup, in.Reg, -2); err != nil {
-			return err
-		}
-		return a.store(in.Dst)
-	case ir.OpRdReg:
-		if err := a.load(in.Idx); err != nil {
-			return err
-		}
-		if err := a.opArg(opRdReg, in.Reg, 0); err != nil {
-			return err
-		}
-		return a.store(in.Dst)
-	case ir.OpWrReg:
-		// Value first, index on top: the VM observes the raw index before
-		// performing the write, like the interpreter.
-		if err := loadAll(in.A, in.Idx); err != nil {
-			return err
-		}
-		return a.opArg(opWrReg, in.Reg, -2)
-	default:
-		bc, ok := binOps[in.Op]
-		if !ok {
-			return fmt.Errorf("unknown opcode %s", in.Op)
-		}
-		if err := loadAll(in.A, in.B); err != nil {
-			return err
-		}
-		a.op(bc, -1)
-		return a.store(in.Dst)
-	}
+	return false
 }

@@ -21,8 +21,8 @@ var update = flag.Bool("update", false, "rewrite testdata golden files")
 // edgeSource is a hand-written stress program for codegen review: a
 // guarded read-modify-write, a data-dependent register index computed
 // from prior state, and a second guarded RMW keyed off the first — the
-// three shapes most likely to regress in the predicate-to-jump and
-// operand-ordering parts of the compiler.
+// three shapes most likely to regress in the predicate, fusion and
+// operand-resolution parts of the compiler.
 const edgeSource = `
 #define SLOTS 32
 

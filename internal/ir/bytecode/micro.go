@@ -7,34 +7,25 @@ import (
 	"mp5/internal/ir"
 )
 
-// Quickening: the portable stack bytecode in StageProgram.Code is the
-// canonical compiled form (it is what the disassembler renders, what the
-// golden files pin, and what MaxStack describes), but executing it costs
-// several dispatches per source instruction. Compile therefore also emits a
-// quickened micro-op stream — one fixed-width three-address micro-op per
+// Quickening: Compile emits one fixed-width three-address micro-op per
 // PVSM instruction. Assembly resolves every operand to a (bank, index)
 // pair over the constant pool, header fields, and temps; after the fusion
 // peephole, finalize flattens those pairs into absolute offsets over the
 // env's unified frame
 //
-//	[ fields | temps | discard | zero | seeded | stage pools... ]
+//	[ fields | temps | discard | zero | stage0 pool | stage1 pool | ... ]
 //
-// so the hot loop performs exactly one indexed load per operand. The frame
-// is the single buffer ir.NewEnv already allocates, extended by
-// Program.FrameHint slots of headroom. Every stage owns a disjoint pool
-// region, so the pools are copied in once per env — execMicro seeds them
-// on first touch (the seeded slot, written by nothing else, flips from the
-// fresh env's zero) and every later stage call on that env skips straight
-// to the loop. The VM executes the quickened form when the env carries a
-// large-enough frame and falls back to the stack loop otherwise
-// (hand-built envs, hand-built or corrupt code), and the differential
-// tests in vm_test.go run both forms against the tree-walking interpreter
-// so the two encodings cannot drift apart.
+// so the hot loop performs exactly one indexed load per operand. The VM
+// fits an env with that frame on its first stage call (see fit); every
+// stage owns a disjoint pool region, so the pools are copied in once per
+// env and every later stage call goes straight to the loop. The
+// differential tests in vm_test.go run the micro-ops against the
+// tree-walking interpreter, and the golden files pin their listing.
 
 // Operand banks — the assembly-time form, flattened away by finalize.
 // Discarded destinations resolve to the frame's discard slot and None
 // sources to its never-written-by-code zero slot, so the hot loop needs
-// no operand-kind branches and quickening never perturbs the constant pool.
+// no operand-kind branches and None never enters the constant pool.
 const (
 	bankC byte = iota // stage constant pool
 	bankF             // env.Fields
@@ -43,10 +34,9 @@ const (
 )
 
 // scratchSlots sit between the temps and the stage pools, shared by every
-// stage: a discard slot absorbing dropped destinations, a zero slot
-// feeding None sources (never written after allocation), and the seeded
-// flag guarding the one-time pool copy.
-const scratchSlots = 3
+// stage: a discard slot absorbing dropped destinations and a zero slot
+// feeding None sources (never written after allocation).
+const scratchSlots = 2
 
 // pkNone marks an unpredicated micro-op; pkNeg flags an inverted predicate
 // (if-else else-arms); pkPartial marks a fused RMW whose ALU runs
@@ -98,7 +88,8 @@ type microOp struct {
 // once per stage, after fusion (whose pattern matching compares bank-form
 // operands). The only failure is structural: a frame too large for uint16
 // addressing, which no Validate-clean program approaches.
-func (a *asm) finalize(nf, nt, constBase int) error {
+func (a *asm) finalize(constBase int) error {
+	nf, nt := a.nf, a.nt
 	discard := nf + nt
 	zero := discard + 1
 	if top := constBase + len(a.consts); top > math.MaxUint16+1 {
@@ -133,79 +124,6 @@ func (a *asm) finalize(nf, nt, constBase int) error {
 	return nil
 }
 
-// mkBank resolves a source operand to its bank and index. Constants reuse
-// the pool slot the stack-code emission already interned for the same
-// instruction, so quickening adds nothing to the pool; None sources read
-// the scratch bank's permanent zero slot.
-func (a *asm) mkBank(o ir.Operand) (byte, uint16) {
-	switch o.Kind {
-	case ir.KindConst:
-		return bankC, uint16(a.intern(o.Val))
-	case ir.KindField:
-		return bankF, uint16(o.ID)
-	case ir.KindTemp:
-		return bankT, uint16(o.ID)
-	}
-	return bankS, 1
-}
-
-// mkDst resolves a destination operand; None and Const destinations land in
-// the scratch bank's discard slot.
-func mkDst(o ir.Operand) (byte, uint16) {
-	switch o.Kind {
-	case ir.KindField:
-		return bankF, uint16(o.ID)
-	case ir.KindTemp:
-		return bankT, uint16(o.ID)
-	}
-	return bankS, 0
-}
-
-// mkMicro quickens one instruction, resolving exactly the operands its
-// opcode reads (mirroring body's load order so constant interning is
-// byte-for-byte identical to the stack emission). The stack emission has
-// already range-checked every index via opArg, so the uint16 narrowing
-// here cannot truncate. Unused source slots point at the scratch bank: the
-// dispatch loop's unconditional A-read stays in bounds on every op.
-func (a *asm) mkMicro(in *ir.Instr) {
-	m := microOp{op: byte(in.Op), pk: pkNone, ak: bankS, bk: bankS, ck: bankS}
-	if !in.Pred.IsNone() {
-		m.pk, m.pi = a.mkBank(in.Pred)
-		if in.PredNeg {
-			m.pk |= pkNeg
-		}
-	}
-	m.dk, m.di = mkDst(in.Dst)
-	switch in.Op {
-	case ir.OpMov, ir.OpNot, ir.OpNeg:
-		m.ak, m.ai = a.mkBank(in.A)
-	case ir.OpSelect, ir.OpHash3:
-		m.ak, m.ai = a.mkBank(in.A)
-		m.bk, m.bi = a.mkBank(in.B)
-		m.ck, m.ci = a.mkBank(in.C)
-	case ir.OpHash2:
-		m.ak, m.ai = a.mkBank(in.A)
-		m.bk, m.bi = a.mkBank(in.B)
-	case ir.OpLookup:
-		m.ak, m.ai = a.mkBank(in.A)
-		m.bk, m.bi = a.mkBank(in.B)
-		m.ck, m.ci = a.mkBank(in.C)
-		m.reg = uint16(in.Reg)
-	case ir.OpRdReg:
-		// The register index rides in the (otherwise unused) C slot.
-		m.ck, m.ci = a.mkBank(in.Idx)
-		m.reg = uint16(in.Reg)
-	case ir.OpWrReg:
-		m.ak, m.ai = a.mkBank(in.A)
-		m.ck, m.ci = a.mkBank(in.Idx)
-		m.reg = uint16(in.Reg)
-	default: // two-source ALU ops
-		m.ak, m.ai = a.mkBank(in.A)
-		m.bk, m.bi = a.mkBank(in.B)
-	}
-	a.micro = append(a.micro, m)
-}
-
 // canFuseRMW reports whether three consecutive micro-ops form a safely
 // fusable read-modify-write: same predicate and register throughout, the
 // ALU consuming the read's destination, the write storing the ALU's
@@ -214,7 +132,7 @@ func canFuseRMW(rd, alu, wr *microOp) bool {
 	if ir.Op(rd.op) != ir.OpRdReg || ir.Op(wr.op) != ir.OpWrReg {
 		return false
 	}
-	if _, ok := binOps[ir.Op(alu.op)]; !ok {
+	if !binary(ir.Op(alu.op)) {
 		return false
 	}
 	if rd.pk != wr.pk || rd.pi != wr.pi {
@@ -280,20 +198,11 @@ func fuseMicro(ops []microOp) []microOp {
 	return out
 }
 
-// execMicro runs the quickened form: one dispatch per source instruction,
-// one indexed frame load per operand. The caller has already checked that
-// the env's frame covers this stage's layout; compiled programs are fully
-// validated, so this path has no error exits.
-func (vm *VM) execMicro(sp *StageProgram, e *ir.Env, regs ir.RegStore, obs ir.AccessObserver) {
-	frame := e.Frame
-	// Seed the frame headroom with the whole program's stage pools on this
-	// env's first stage call; nothing but this line writes the seeded slot,
-	// so a fresh (zeroed) env seeds exactly once and every later stage
-	// skips the copy with one load-and-compare.
-	if frame[sp.seedSlot] == 0 {
-		copy(frame[sp.seedSlot+1:], sp.pools)
-		frame[sp.seedSlot] = 1
-	}
+// execMicro runs a stage: one dispatch per source instruction, one indexed
+// frame load per operand. The caller has already fitted the frame to the
+// stage's layout; compiled programs are fully validated, so this path has
+// no error exits.
+func execMicro(sp *StageProgram, frame []int64, regs ir.RegStore, obs ir.AccessObserver) {
 	for i := range sp.micro {
 		m := &sp.micro[i]
 		if m.pk != pkNone && m.pk&pkPartial == 0 {
@@ -302,7 +211,7 @@ func (vm *VM) execMicro(sp *StageProgram, e *ir.Env, regs ir.RegStore, obs ir.Ac
 			}
 		}
 		// Both ALU sources load unconditionally (unused slots point at
-		// the zero slot), so the loads issue before the dispatch resolves.
+		// a scratch slot), so the loads issue before the dispatch resolves.
 		a := frame[m.ai]
 		b := frame[m.bi]
 		var v int64
@@ -474,4 +383,21 @@ func (vm *VM) execMicro(sp *StageProgram, e *ir.Env, regs ir.RegStore, obs ir.Ac
 		}
 		frame[m.di] = v
 	}
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func clampShift(b int64) uint {
+	if b < 0 {
+		return 0
+	}
+	if b > 63 {
+		return 63
+	}
+	return uint(b)
 }

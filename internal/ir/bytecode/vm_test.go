@@ -1,7 +1,6 @@
 package bytecode
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -29,8 +28,6 @@ type access struct {
 
 // compileStageT compiles a single stage inside a program context of nf
 // fields and nt temps (the frame layout needs both), failing on error.
-// The returned program has FrameHint set, so ir.NewEnv on it yields
-// frame-backed envs that take the quickened path.
 func compileStageT(t *testing.T, st *ir.Stage, nf, nt int) (*ir.Program, StageProgram) {
 	t.Helper()
 	p := &ir.Program{Fields: make([]string, nf), NumTemps: nt, Stages: []ir.Stage{*st}}
@@ -57,10 +54,8 @@ func sameVals(a, b []int64) bool {
 
 // runBoth executes st through the interpreter and the VM from identical
 // environments and stores, returning both (env, store, observed accesses).
-// The VM leg runs on a frame-backed env (the quickened micro-op loop); a
-// third, frame-less leg runs the canonical stack loop and is asserted
-// against the quickened leg in place, so every differential case pins all
-// three executors to each other.
+// The VM leg starts from an ir.NewEnv env, which the VM fits to the
+// program's frame on the call.
 func runBoth(t *testing.T, st *ir.Stage, fields, temps []int64, seed flatStore) (ie, ve *ir.Env, is, vs flatStore, iobs, vobs []access) {
 	t.Helper()
 	prog, sp := compileStageT(t, st, len(fields), len(temps))
@@ -68,33 +63,18 @@ func runBoth(t *testing.T, st *ir.Stage, fields, temps []int64, seed flatStore) 
 	ve = ir.NewEnv(prog)
 	copy(ve.Fields, fields)
 	copy(ve.Temps, temps)
-	ce := &ir.Env{Fields: append([]int64(nil), fields...), Temps: append([]int64(nil), temps...)}
 	is, vs = flatStore{}, flatStore{}
-	cs := flatStore{}
 	for k, v := range seed {
 		is[k] = v
 		vs[k] = v
-		cs[k] = v
 	}
 	ir.ExecStageObserved(st, ie, is, func(reg int, idx int64, write bool) {
 		iobs = append(iobs, access{reg, idx, write})
 	})
-	vm := newVMDepth(sp.MaxStack)
-	if err := vm.ExecStageObserved(&sp, ve, vs, func(reg int, idx int64, write bool) {
+	if err := new(VM).ExecStageObserved(&sp, ve, vs, func(reg int, idx int64, write bool) {
 		vobs = append(vobs, access{reg, idx, write})
 	}); err != nil {
-		t.Fatalf("VM exec (quickened): %v", err)
-	}
-	var cobs []access
-	if err := vm.ExecStageObserved(&sp, ce, cs, func(reg int, idx int64, write bool) {
-		cobs = append(cobs, access{reg, idx, write})
-	}); err != nil {
-		t.Fatalf("VM exec (canonical): %v", err)
-	}
-	if !sameVals(ve.Fields, ce.Fields) || !sameVals(ve.Temps, ce.Temps) ||
-		!reflect.DeepEqual(vs, cs) || !reflect.DeepEqual(vobs, cobs) {
-		t.Errorf("quickened and canonical paths diverged:\nquick fields=%v temps=%v store=%v obs=%v\ncanon fields=%v temps=%v store=%v obs=%v",
-			ve.Fields, ve.Temps, vs, vobs, ce.Fields, ce.Temps, cs, cobs)
+		t.Fatalf("VM exec: %v", err)
 	}
 	return
 }
@@ -247,56 +227,13 @@ func TestDifferentialQuick(t *testing.T) {
 	}
 }
 
-// TestMaxStackIsExactBound runs randomized stages on a VM whose stack has
-// exactly the compiler-computed capacity: any push past MaxStack would
-// panic with an index out of range, so a passing run proves the bound.
-// The generator biases toward deep expressions (Select/Hash3 chains).
-func TestMaxStackIsExactBound(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 500; trial++ {
-		st := &ir.Stage{}
-		n := 1 + r.Intn(10)
-		for i := 0; i < n; i++ {
-			var in ir.Instr
-			switch r.Intn(5) {
-			case 0:
-				in = ir.Instr{Op: ir.OpSelect, Dst: ir.Temp(0), A: ir.Temp(1), B: ir.Temp(2), C: ir.Const(int64(i)), Reg: -1}
-			case 1:
-				in = ir.Instr{Op: ir.OpHash3, Dst: ir.Temp(1), A: ir.Temp(0), B: ir.Temp(2), C: ir.Temp(3), Reg: -1}
-			case 2:
-				in = ir.Instr{Op: ir.OpWrReg, Reg: 0, Idx: ir.Temp(0), A: ir.Temp(1)}
-			case 3:
-				in = ir.Instr{Op: ir.OpLookup, Dst: ir.Temp(2), A: ir.Temp(0), B: ir.Temp(1), C: ir.Temp(3), Reg: 0}
-			default:
-				in = ir.Instr{Op: ir.OpAdd, Dst: ir.Temp(3), A: ir.Temp(2), B: ir.Const(3), Reg: -1}
-			}
-			if r.Intn(2) == 0 {
-				in.Pred = ir.Temp(r.Intn(4))
-				in.PredNeg = r.Intn(2) == 0
-			}
-			st.Instrs = append(st.Instrs, in)
-		}
-		sp, err := compileStage(&ir.Program{NumTemps: 4}, st, 4+scratchSlots)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		vm := newVMDepth(sp.MaxStack) // exactly MaxStack: overflow panics
-		// Frame-less env: forces the canonical stack loop, whose depth
-		// MaxStack bounds (the quickened loop does not use the stack).
-		env := &ir.Env{Temps: []int64{1, 2, 3, 4}}
-		if err := vm.ExecStage(&sp, env, flatStore{}); err != nil {
-			t.Fatalf("trial %d: exec: %v", trial, err)
-		}
-	}
-}
-
 // TestFusedRMW pins the read-modify-write superinstruction: which triples
 // fuse, which must not, and the differential behaviour of both variants —
 // shared predicate (including negated) and partial (ALU unpredicated
 // between gated accesses, the shape the compiler emits for guarded state
 // updates) — plus the aliasing case where the ALU's B source is t1 itself.
-// checkAgree runs every case through the interpreter, the quickened loop,
-// and the canonical stack loop, observations included.
+// checkAgree runs every case through the interpreter and the VM,
+// observations included.
 func TestFusedRMW(t *testing.T) {
 	rmw := func(pred, aluPred ir.Operand, neg bool, b ir.Operand, rdDst ir.Operand) *ir.Stage {
 		return &ir.Stage{Instrs: []ir.Instr{
@@ -354,7 +291,7 @@ func TestConstPoolDeduplicated(t *testing.T) {
 		{Op: ir.OpAdd, Dst: ir.Temp(0), A: ir.Const(42), B: ir.Const(42), Reg: -1},
 		{Op: ir.OpMov, Dst: ir.Temp(1), A: ir.Const(42), Reg: -1},
 		{Op: ir.OpMov, Dst: ir.Temp(1), A: ir.Const(7), Reg: -1},
-		{Op: ir.OpMov, Dst: ir.Temp(1), A: ir.None(), Reg: -1}, // None loads pooled 0
+		{Op: ir.OpMov, Dst: ir.Temp(1), A: ir.None(), Reg: -1}, // None reads the zero slot, not the pool
 		{Op: ir.OpMov, Dst: ir.Temp(1), A: ir.Const(0), Reg: -1},
 	}}
 	_, sp := compileStageT(t, st, 0, 2)
@@ -371,46 +308,10 @@ func TestConstPoolDeduplicated(t *testing.T) {
 	}
 }
 
-// TestCorruptBytecode: undefined and truncated opcodes return errors
-// instead of panicking, and opInvalid (zeroed memory) is never legal.
-func TestCorruptBytecode(t *testing.T) {
-	env := &ir.Env{Temps: make([]int64, 1)}
-	vm := newVMDepth(4)
-	cases := []struct {
-		name string
-		code []byte
-		want string
-	}{
-		{"unknown opcode", []byte{0xFF}, "unknown opcode 255 at pc 0"},
-		{"invalid zero opcode", []byte{0x00}, "unknown opcode 0 at pc 0"},
-		{"past opCount", []byte{byte(opCount)}, "unknown opcode"},
-		{"truncated operand", []byte{opLoadC, 0x01}, "truncated loadc operand at pc 0"},
-		{"truncated after instr", []byte{opLoadC, 0x00, 0x00, opStoreT}, "truncated storet operand at pc 3"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			sp := &StageProgram{Code: c.code, Consts: []int64{0}, MaxStack: 4}
-			err := vm.ExecStage(sp, env, flatStore{})
-			if err == nil {
-				t.Fatal("corrupt bytecode executed without error")
-			}
-			if got := err.Error(); !strings.Contains(got, c.want) {
-				t.Errorf("error = %q, want substring %q", got, c.want)
-			}
-		})
-	}
-	var trunc errTruncated
-	sp := &StageProgram{Code: []byte{opJz, 0x01}}
-	if err := vm.ExecStage(sp, env, flatStore{}); !errors.As(err, &trunc) {
-		t.Errorf("truncated jump error = %v, want errTruncated", err)
-	}
-}
-
 // TestEmptyStage: the zero StageProgram executes as a no-op.
 func TestEmptyStage(t *testing.T) {
-	vm := newVMDepth(0)
 	env := &ir.Env{Fields: []int64{1}, Temps: []int64{2}}
-	if err := vm.ExecStage(&StageProgram{}, env, flatStore{}); err != nil {
+	if err := new(VM).ExecStage(&StageProgram{}, env, flatStore{}); err != nil {
 		t.Fatal(err)
 	}
 	if env.Fields[0] != 1 || env.Temps[0] != 2 {
@@ -434,5 +335,148 @@ func TestObservationGating(t *testing.T) {
 	}
 	if !reflect.DeepEqual(vobs, want) {
 		t.Errorf("VM observations = %v, want %v", vobs, want)
+	}
+}
+
+// TestFit runs a two-stage program on every env shape the engines hand the
+// VM: fresh ones the first stage call fits (seeding both stages' pools at
+// once) and already-fitted ones it must leave alone. Each must end with
+// the program's frame under its Fields and Temps and agree with the
+// interpreter on fields, temps, store and observations; field values
+// written before the first call survive the fit.
+func TestFit(t *testing.T) {
+	p := &ir.Program{Fields: make([]string, 3), NumTemps: 3, Stages: []ir.Stage{
+		{Instrs: []ir.Instr{
+			{Op: ir.OpAdd, Dst: ir.Temp(0), A: ir.Field(0), B: ir.Const(40), Reg: -1},
+			{Op: ir.OpRdReg, Dst: ir.Temp(1), Reg: 0, Idx: ir.Field(1)},
+			{Op: ir.OpAdd, Dst: ir.Temp(2), A: ir.Temp(1), B: ir.Temp(0), Reg: -1},
+			{Op: ir.OpWrReg, Reg: 0, Idx: ir.Field(1), A: ir.Temp(2)},
+		}},
+		{Instrs: []ir.Instr{
+			{Op: ir.OpMul, Dst: ir.Field(2), A: ir.Temp(2), B: ir.Const(-3), Reg: -1},
+			{Op: ir.OpXor, Dst: ir.Temp(0), A: ir.Field(2), B: ir.Const(99), Reg: -1, Pred: ir.Field(0)},
+		}},
+	}}
+	bp, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := []int64{2, 5, 0}
+	seed := flatStore{[2]int{0, 5}: 7}
+	run := func(e *ir.Env, s flatStore, observe func(reg int, idx int64, write bool)) {
+		for si := range bp.Stages {
+			if err := new(VM).ExecStageObserved(&bp.Stages[si], e, s, observe); err != nil {
+				t.Fatalf("stage %d: %v", si, err)
+			}
+		}
+	}
+	fitted := func() *ir.Env {
+		e := ir.NewEnv(p)
+		run(e, flatStore{}, nil)
+		e.ResetFor(fields)
+		return e
+	}
+	frameLen := bp.Stages[0].frameLen
+	cases := []struct {
+		name   string
+		env    func() *ir.Env
+		fitted bool
+	}{
+		{"NewEnv, no headroom", func() *ir.Env {
+			e := ir.NewEnv(p)
+			copy(e.Fields, fields)
+			return e
+		}, false},
+		{"hand-built, no frame", func() *ir.Env {
+			return &ir.Env{Fields: append([]int64(nil), fields...), Temps: make([]int64, 3)}
+		}, false},
+		{"Clone of a fitted env", func() *ir.Env { return fitted().Clone() }, true},
+		{"fitted env after ResetFor", fitted, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ve := c.env()
+			if got := len(ve.Frame) == frameLen; got != c.fitted {
+				t.Fatalf("frame of %d slots before the first call, want fitted=%v", len(ve.Frame), c.fitted)
+			}
+			ie := &ir.Env{Fields: append([]int64(nil), fields...), Temps: make([]int64, 3)}
+			is, vs := flatStore{}, flatStore{}
+			for k, v := range seed {
+				is[k], vs[k] = v, v
+			}
+			var iobs, vobs []access
+			for si := range p.Stages {
+				ir.ExecStageObserved(&p.Stages[si], ie, is, func(reg int, idx int64, write bool) {
+					iobs = append(iobs, access{reg, idx, write})
+				})
+			}
+			run(ve, vs, func(reg int, idx int64, write bool) {
+				vobs = append(vobs, access{reg, idx, write})
+			})
+			if len(ve.Frame) != frameLen || &ve.Fields[0] != &ve.Frame[0] || &ve.Temps[0] != &ve.Frame[3] {
+				t.Fatalf("env not on a fitted frame: %d slots, want %d", len(ve.Frame), frameLen)
+			}
+			if !sameVals(ie.Fields, ve.Fields) || !sameVals(ie.Temps, ve.Temps) ||
+				!reflect.DeepEqual(is, vs) || !reflect.DeepEqual(iobs, vobs) {
+				t.Errorf("diverged from the interpreter:\ninterp fields=%v temps=%v store=%v obs=%v\nvm     fields=%v temps=%v store=%v obs=%v",
+					ie.Fields, ie.Temps, is, iobs, ve.Fields, ve.Temps, vs, vobs)
+			}
+		})
+	}
+}
+
+// TestFitRejectsMisshapenEnv: an env whose field or temp count does not
+// match the program is an error, not a panic or a silent re-shape.
+func TestFitRejectsMisshapenEnv(t *testing.T) {
+	st := &ir.Stage{Instrs: []ir.Instr{{Op: ir.OpMov, Dst: ir.Temp(0), A: ir.Field(1), Reg: -1}}}
+	_, sp := compileStageT(t, st, 2, 1)
+	for _, e := range []*ir.Env{
+		{Fields: make([]int64, 1), Temps: make([]int64, 1)},
+		{Fields: make([]int64, 2)},
+	} {
+		err := new(VM).ExecStage(&sp, e, flatStore{})
+		if err == nil || !strings.Contains(err.Error(), "env has") {
+			t.Errorf("%d fields, %d temps: err = %v, want a shape mismatch", len(e.Fields), len(e.Temps), err)
+		}
+	}
+}
+
+// TestCompileLimits: micro-op operands are uint16, so an id or frame past
+// that width is a compile error rather than a silently truncated operand.
+func TestCompileLimits(t *testing.T) {
+	big := math.MaxUint16 + 1
+	stage := func(in ir.Instr) []ir.Stage { return []ir.Stage{{Instrs: []ir.Instr{in}}} }
+	cases := []struct {
+		name string
+		prog *ir.Program
+		want string // "" = must compile
+	}{
+		{"register id at limit", &ir.Program{NumTemps: 1, Stages: stage(
+			ir.Instr{Op: ir.OpRdReg, Dst: ir.Temp(0), Reg: big - 1, Idx: ir.Const(0)})}, ""},
+		{"register id past limit", &ir.Program{NumTemps: 1, Stages: stage(
+			ir.Instr{Op: ir.OpRdReg, Dst: ir.Temp(0), Reg: big, Idx: ir.Const(0)})}, "register or table id 65536"},
+		{"write register id past limit", &ir.Program{Stages: stage(
+			ir.Instr{Op: ir.OpWrReg, Reg: big, Idx: ir.Const(0), A: ir.Const(1)})}, "register or table id 65536"},
+		{"table id past limit", &ir.Program{NumTemps: 1, Stages: stage(
+			ir.Instr{Op: ir.OpLookup, Dst: ir.Temp(0), Reg: big, A: ir.Const(1)})}, "register or table id 65536"},
+		{"negative register id", &ir.Program{NumTemps: 1, Stages: stage(
+			ir.Instr{Op: ir.OpRdReg, Dst: ir.Temp(0), Reg: -1, Idx: ir.Const(0)})}, "register or table id -1"},
+		{"field count past limit", &ir.Program{Fields: make([]string, big), Stages: stage(
+			ir.Instr{Op: ir.OpMov, Dst: ir.Field(0), A: ir.Field(big - 1), Reg: -1})}, "exceeds uint16 addressing"},
+		{"field id outside program", &ir.Program{Fields: make([]string, 2), Stages: stage(
+			ir.Instr{Op: ir.OpMov, Dst: ir.Field(0), A: ir.Field(big + 2), Reg: -1})}, "out of range"},
+		{"temp id outside program", &ir.Program{NumTemps: 1, Stages: stage(
+			ir.Instr{Op: ir.OpMov, Dst: ir.Temp(1), A: ir.Const(1), Reg: -1})}, "out of range"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Compile(c.prog)
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("Compile: %v", err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Fatalf("Compile err = %v, want %q", err, c.want)
+			}
+		})
 	}
 }

@@ -19,36 +19,33 @@ type RegStore interface {
 type Env struct {
 	Fields []int64
 	Temps  []int64
-	// Frame, when non-nil, is the single backing buffer behind Fields and
-	// Temps plus the program's FrameHint slots of headroom. The bytecode
-	// VM's quickened loop addresses every operand as an absolute offset
-	// into this buffer, overlaying each stage's constant pool and scratch
-	// slots onto the headroom (see internal/ir/bytecode). Envs built by
-	// hand without a frame still execute through the canonical paths.
+	// Frame is nil until the bytecode VM first runs a stage on the env.
+	// The VM then fits the env once: Frame becomes the single buffer
+	// behind Fields and Temps, followed by the VM's scratch slots and the
+	// program's constant pools, and the VM addresses every operand as an
+	// absolute offset into it (see internal/ir/bytecode).
 	Frame []int64
 }
 
-// NewEnv allocates an execution context sized for program p (fields,
-// temps, and frame headroom share one backing allocation; the
-// full-capacity slice expressions keep appends — which never happen —
-// from aliasing).
+// NewEnv allocates an execution context sized for program p: exactly its
+// fields and temps, in one backing allocation (the full-capacity slice
+// expressions keep appends — which never happen — from aliasing).
 func NewEnv(p *Program) *Env {
 	nf, nt := len(p.Fields), p.NumTemps
-	buf := make([]int64, nf+nt+p.FrameHint)
+	buf := make([]int64, nf+nt)
 	return &Env{
 		Fields: buf[:nf:nf],
 		Temps:  buf[nf : nf+nt : nf+nt],
-		Frame:  buf,
 	}
 }
 
 // ResetFor re-initializes a recycled env for a new packet of the same
 // program: arrival fields are copied in (missing trailing fields zeroed)
-// and temps are cleared. The frame headroom beyond Fields+Temps is
-// deliberately left intact — it holds the bytecode VM's seed-once stage
-// pools and scratch slots, none of which carry packet state (the VM never
-// reads the discard slot and never writes the zero slot; see
-// internal/ir/bytecode) — so a recycled env also skips the pool reseed.
+// and temps are cleared. The rest of a fitted frame is deliberately left
+// intact — it holds the bytecode VM's scratch slots and constant pools,
+// none of which carry packet state (the VM never uses the discard slot's
+// value and never writes the zero slot or a pool) — so a recycled env is
+// never fitted again.
 func (e *Env) ResetFor(fields []int64) {
 	n := copy(e.Fields, fields)
 	for i := n; i < len(e.Fields); i++ {

@@ -294,11 +294,6 @@ type Program struct {
 	// (the paper's "predicates which could not be resolved preemptively";
 	// three of its four applications have them).
 	StatefulPredicates bool
-	// FrameHint is extra headroom NewEnv adds to the env's backing buffer
-	// so compiled stages can overlay per-stage constants and scratch onto
-	// it. bytecode.Compile raises it at load time; it stays zero for
-	// interpreter-only runs and is derived state, never serialized intent.
-	FrameHint int
 }
 
 // FieldIndex returns the index of the named header field, or -1.

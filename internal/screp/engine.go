@@ -28,9 +28,10 @@ type Engine struct {
 	cfg  Config
 	k    int
 	prog *ir.Program
-	// bc is the shared compiled program (nil under Config.Interpret);
-	// every worker owns a private VM over it.
+	// bc is the shared compiled program and vm the VM every worker runs
+	// it on (a VM holds no state); both nil under Config.Interpret.
 	bc *bytecode.Program
+	vm *bytecode.VM
 
 	// stateful[si] marks stages with register accesses; first/lastStateful
 	// bound the serialized span (-1/-1 on stateless programs, which spray
@@ -139,6 +140,7 @@ func New(prog *ir.Program, cfg Config) *Engine {
 	}
 	if !cfg.Interpret {
 		e.bc = bytecode.MustCompile(prog)
+		e.vm = bytecode.NewVM(e.bc)
 	}
 	if cfg.RecordAccessOrder {
 		e.orders = make(map[[2]int][]int64)

@@ -7,7 +7,6 @@ import (
 	"mp5/internal/banzai"
 	"mp5/internal/dataplane"
 	"mp5/internal/ir"
-	"mp5/internal/ir/bytecode"
 	"mp5/internal/stats"
 )
 
@@ -41,17 +40,15 @@ type egRec struct {
 }
 
 // worker is one replica mapped onto one goroutine: a full private
-// register file, a private VM, and a replay frontier. It executes the
-// packets whose sequence number is congruent to its id mod k and replays
-// everyone else's write deltas in sequence order.
+// register file and a replay frontier. It executes the packets whose
+// sequence number is congruent to its id mod k and replays everyone
+// else's write deltas in sequence order.
 type worker struct {
 	id      int
 	e       *Engine
 	mailbox chan xbarMsg
-	// regs is this replica's full private copy of all register state; vm
-	// its private bytecode VM (nil under Config.Interpret).
+	// regs is this replica's full private copy of all register state.
 	regs *banzai.RegFile
-	vm   *bytecode.VM
 	// applied is the replay frontier: every delta below it has been
 	// applied to regs (private; appliedA mirrors it for gauges).
 	applied int64
@@ -91,9 +88,6 @@ func newWorker(e *Engine, id int) *worker {
 		seen:      make(map[[2]int]bool),
 		dirtySeen: make(map[[2]int]bool),
 		lat:       newHistogram(),
-	}
-	if e.bc != nil {
-		w.vm = bytecode.NewVM(e.bc)
 	}
 	if e.cfg.RecordOutputs {
 		w.outs = make(map[int64][]int64) // streaming mode; unused when Run preallocates e.outs
@@ -273,9 +267,9 @@ func (w *worker) observe(reg int, idx int64, write bool) {
 
 // execStage runs stage si through the active executor.
 func (w *worker) execStage(si int, env *ir.Env) {
-	if w.vm != nil {
-		if err := w.vm.ExecStage(&w.e.bc.Stages[si], env, w.regs); err != nil {
-			panic("screp: " + err.Error()) // compiled code is never corrupt
+	if w.e.vm != nil {
+		if err := w.e.vm.ExecStage(&w.e.bc.Stages[si], env, w.regs); err != nil {
+			panic("screp: " + err.Error()) // envs are e.prog-shaped
 		}
 		return
 	}
@@ -284,8 +278,8 @@ func (w *worker) execStage(si int, env *ir.Env) {
 
 // execStageObserved runs stage si with the C1 access observer attached.
 func (w *worker) execStageObserved(si int, env *ir.Env) {
-	if w.vm != nil {
-		if err := w.vm.ExecStageObserved(&w.e.bc.Stages[si], env, w.regs, w.obs); err != nil {
+	if w.e.vm != nil {
+		if err := w.e.vm.ExecStageObserved(&w.e.bc.Stages[si], env, w.regs, w.obs); err != nil {
 			panic("screp: " + err.Error())
 		}
 		return
