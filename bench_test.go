@@ -279,9 +279,9 @@ func BenchmarkStageFIFO(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := int64(i)
-		f.PushPhantom(i%4, id, id, id)
 		p.ID = id
-		f.Insert(p, id)
+		seq, _ := f.PushPhantom(i%4, p, id)
+		f.Insert(i%4, seq, p, id)
 		_, fi, _ := f.Head()
 		f.PopHead(fi)
 	}

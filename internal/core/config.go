@@ -225,7 +225,7 @@ type Result struct {
 // PacketDrops totals the packet-death counters: exactly the packets that
 // were injected but never completed (phantom drops are placeholder losses,
 // not packet deaths — the affected data packet is counted in DroppedInsert
-// when it later misses the directory).
+// when it later finds no placeholder).
 func (r *Result) PacketDrops() int64 {
 	return r.DroppedData + r.DroppedInsert + r.DroppedIngress + r.DroppedStarved
 }

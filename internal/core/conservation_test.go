@@ -14,7 +14,7 @@ import (
 // drop cause.
 
 // conservationConfigs spans the architectures and the pressure knobs that
-// exercise every drop path (phantom overflow, directory miss, data-FIFO
+// exercise every drop path (phantom overflow, insert miss, data-FIFO
 // overflow, ingress overflow, starvation).
 func conservationConfigs() map[string]core.Config {
 	return map[string]core.Config{

@@ -9,7 +9,7 @@ import (
 func TestRingBasic(t *testing.T) {
 	var r ring
 	for i := 0; i < 100; i++ {
-		seq := r.push(fifoEntry{ts: int64(i), pktID: int64(i)})
+		seq := r.push(fifoEntry{ts: int64(i)})
 		if seq != int64(i) {
 			t.Fatalf("push %d returned seq %d", i, seq)
 		}
@@ -59,7 +59,9 @@ func TestRingStableAddressingAcrossPops(t *testing.T) {
 func TestStageFIFOPhantomBlocksPop(t *testing.T) {
 	f := NewStageFIFO(2, 0)
 	// Phantom for packet 1 in fifo 0; data packet 2 in fifo 1.
-	if !f.PushPhantom(0, 1, 1, 0) {
+	p1 := &Packet{ID: 1}
+	seq, ok := f.PushPhantom(0, p1, 0)
+	if !ok {
 		t.Fatal("phantom push failed")
 	}
 	p2 := &Packet{ID: 2}
@@ -68,14 +70,11 @@ func TestStageFIFOPhantomBlocksPop(t *testing.T) {
 	}
 	// Head must be the phantom (smaller ts) — pop is blocked.
 	h, fi, ok := f.Head()
-	if !ok || !h.isPhantom() || fi != 0 {
+	if !ok || !h.isPhantom() || fi != 0 || h.owner != p1 {
 		t.Fatalf("head = %+v fifo %d", h, fi)
 	}
 	// Data for packet 1 arrives: insert replaces the phantom.
-	p1 := &Packet{ID: 1}
-	if !f.Insert(p1, 0) {
-		t.Fatal("insert failed")
-	}
+	f.Insert(0, seq, p1, 0)
 	h, fi, _ = f.Head()
 	if h.isPhantom() || h.data != p1 {
 		t.Fatalf("head after insert = %+v", h)
@@ -94,25 +93,36 @@ func TestStageFIFOPhantomBlocksPop(t *testing.T) {
 	}
 }
 
-func TestStageFIFOInsertMissDrops(t *testing.T) {
-	f := NewStageFIFO(1, 0)
-	if f.Insert(&Packet{ID: 9}, 0) {
-		t.Fatal("insert with no phantom must fail (drop)")
-	}
-}
-
 func TestStageFIFOCapacity(t *testing.T) {
 	f := NewStageFIFO(1, 2)
-	if !f.PushPhantom(0, 1, 1, 0) || !f.PushPhantom(0, 2, 2, 0) {
+	p1 := &Packet{ID: 1}
+	seq, ok1 := f.PushPhantom(0, p1, 0)
+	_, ok2 := f.PushPhantom(0, &Packet{ID: 2}, 0)
+	if !ok1 || !ok2 {
 		t.Fatal("pushes under capacity failed")
 	}
-	if f.PushPhantom(0, 3, 3, 0) {
+	if _, ok := f.PushPhantom(0, &Packet{ID: 3}, 0); ok {
 		t.Fatal("push over capacity succeeded")
 	}
 	// Insert into a full FIFO still works: it replaces in place.
-	if !f.Insert(&Packet{ID: 1}, 0) {
-		t.Fatal("insert into full fifo failed")
+	f.Insert(0, seq, p1, 0)
+	if h, _, _ := f.Head(); h.data != p1 {
+		t.Fatal("insert into full fifo did not replace the phantom")
 	}
+}
+
+// TestStageFIFOInsertWrongPacketPanics: an insert must land on the
+// inserting packet's own phantom — a stale or mismatched position is a
+// simulator bug, not a drop.
+func TestStageFIFOInsertWrongPacketPanics(t *testing.T) {
+	f := NewStageFIFO(1, 0)
+	seq, _ := f.PushPhantom(0, &Packet{ID: 1}, 0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("insert over another packet's phantom did not panic")
+		}
+	}()
+	f.Insert(0, seq, &Packet{ID: 2}, 0)
 }
 
 func TestStageFIFOMinTimestampAcrossFifos(t *testing.T) {
@@ -131,16 +141,6 @@ func TestStageFIFOMinTimestampAcrossFifos(t *testing.T) {
 			t.Fatalf("head ts = %d, want %d", h.ts, w)
 		}
 		f.PopHead(fi)
-	}
-}
-
-func TestStageFIFODirectoryAfterPop(t *testing.T) {
-	f := NewStageFIFO(1, 0)
-	f.PushPhantom(0, 5, 5, 0)
-	_, fi, _ := f.Head()
-	f.PopHead(fi) // popping a phantom clears its directory entry
-	if f.Insert(&Packet{ID: 5}, 0) {
-		t.Fatal("insert found a directory entry for a popped phantom")
 	}
 }
 
@@ -177,11 +177,14 @@ func TestStageFIFOLogicalOrderProperty(t *testing.T) {
 // TestStageFIFODepthTracking checks the high-water mark accounting.
 func TestStageFIFODepthTracking(t *testing.T) {
 	f := NewStageFIFO(2, 0)
-	for i := 0; i < 5; i++ {
-		f.PushPhantom(i%2, int64(i), int64(i), 0)
+	pkts := make([]*Packet, 5)
+	seqs := make([]int64, 5)
+	for i := range pkts {
+		pkts[i] = &Packet{ID: int64(i)}
+		seqs[i], _ = f.PushPhantom(i%2, pkts[i], 0)
 	}
-	for i := 0; i < 5; i++ {
-		f.Insert(&Packet{ID: int64(i)}, 0)
+	for i, p := range pkts {
+		f.Insert(i%2, seqs[i], p, 0)
 	}
 	for f.Len() > 0 {
 		_, fi, _ := f.Head()

@@ -26,13 +26,28 @@ type visitAcc struct {
 	idx int
 }
 
+// phantomState tracks a visit's phantom placeholder (architectures that
+// enforce D4 with phantoms only).
+type phantomState uint8
+
+const (
+	phantomNone     phantomState = iota // no phantom was generated
+	phantomInFlight                     // scheduled on the phantom channel
+	phantomQueued                       // in the stage FIFO at (fifo, seq)
+	phantomGone                         // replaced by its data packet, or dropped
+)
+
 // visit is one stateful stage visit: the stage, the destination pipeline
 // (resolved against the index-to-pipeline map at address-resolution time),
-// and the accesses performed there.
+// the accesses performed there, and where the visit's phantom is.
 type visit struct {
 	stage int
 	pipe  int
 	accs  []visitAcc
+
+	phantom phantomState
+	fifo    int32 // sub-FIFO the phantom was pushed to (phantomQueued)
+	seq     int64 // its sequence number there
 }
 
 // Packet is one in-flight packet inside the simulator.
@@ -54,6 +69,14 @@ type Packet struct {
 	visits    []visit
 	accsBuf   []visitAcc
 	nextVisit int
+
+	// phantomsLeft counts the packet's phantom placeholders not yet
+	// consumed (by a successful insert, a push overflow, or a dead pop);
+	// it is zero by the time the packet egresses and is recycled.
+	phantomsLeft int
+	// dead marks a packet dropped mid-flight: its queued phantoms are
+	// cleared at the FIFO head instead of blocking it.
+	dead bool
 
 	// pipe is the pipeline the packet currently occupies; srcPipe is
 	// where it was before its most recent crossbar steering (the

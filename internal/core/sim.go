@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -21,25 +22,18 @@ type accessKey struct {
 
 // phantomEv is a scheduled phantom-channel delivery (Invariant 1: phantoms
 // are never queued before their destination stage, so delivery time is
-// generation time plus the stage distance).
+// generation time plus the stage distance) of packet pkt's phantom for its
+// visit vi, generated in pipeline srcPipe.
 type phantomEv struct {
-	stage   int
-	pipe    int
+	pkt     *Packet
+	vi      int
 	srcPipe int
-	ts      int64
-	pktID   int64
 }
 
 // crossEv is a data packet in flight across an inter-pipeline link.
 type crossEv struct {
 	stage int
 	pkt   *Packet
-}
-
-// pktStage keys per-(packet, stage) phantom bookkeeping.
-type pktStage struct {
-	id    int64
-	stage int
 }
 
 // stageState is the per-(stage, pipeline) runtime state.
@@ -73,7 +67,11 @@ func (q *pktQueue) pop() *Packet {
 	q.items[q.head] = nil
 	q.head++
 	if q.head > 1024 && q.head*2 > len(q.items) {
-		q.items = append([]*Packet(nil), q.items[q.head:]...)
+		// Compact in place: the backing array keeps its capacity, so
+		// push does not regrow it.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
 		q.head = 0
 	}
 	return p
@@ -112,13 +110,13 @@ type Simulator struct {
 	// it is reused (and its backing array is recycled).
 	phantoms  [][]phantomEv
 	crossings [][]crossEv
-	// phantomPending tracks, per (packet, stage), a phantom still on the
-	// (slower) phantom channel, so early data arrivals can wait for
-	// their placeholder instead of being miscounted as drops.
-	phantomPending map[pktStage]bool
 	// pendingInserts holds data packets that arrived at their visit
-	// stage before their phantom (possible only with CrossLatency > 0).
-	pendingInserts map[pktStage]*Packet
+	// stage while its phantom was still on the (slower) phantom channel
+	// (possible only with CrossLatency > 0); they retry every cycle in id
+	// order. retry is the previous cycle's batch, kept for its backing
+	// array.
+	pendingInserts []*Packet
+	retry          []*Packet
 
 	ingress     pktQueue      // global ingress (sprayed architectures)
 	pipeIngress []pktQueue    // per-pipe ingress (recirculation)
@@ -126,12 +124,6 @@ type Simulator struct {
 	recircWait  []recircEntry // packets between pipeline passes
 
 	pendingOrder map[accessKey][]int64 // ideal-mode eligibility fronts
-	deadIDs      map[int64]bool        // dropped packets with live phantoms
-	// phantomsLeft counts, per packet, phantom placeholders not yet
-	// consumed (by a successful insert, a push overflow, or a dead pop);
-	// when a dead packet's count hits zero its deadIDs entry is pruned,
-	// so neither map grows with run length.
-	phantomsLeft map[int64]int
 
 	// live counts every entity still inside the switch: data packets
 	// from ingress admission to egress or abandonment, plus phantom
@@ -162,8 +154,9 @@ type Simulator struct {
 	fullSweep bool
 
 	// freePkts holds egressed packets for newPacket to reuse. Nothing
-	// refers to a packet once it has left the last stage: events and the
-	// bookkeeping maps carry ids, and recorded outputs are copies.
+	// refers to a packet once it has left the last stage: every phantom
+	// event and FIFO entry that points at it was consumed on the way
+	// (egress asserts phantomsLeft == 0), and recorded outputs are copies.
 	freePkts []*Packet
 
 	accessLog   map[accessKey][]int64
@@ -174,6 +167,9 @@ type Simulator struct {
 	// statefulStage marks stages carrying register accesses; used to skip
 	// the observed (EvAccess-emitting) execution path on stateless stages.
 	statefulStage []bool
+	// guards lists, per stage, the predicates of its stateful
+	// instructions, for counting wasted visits.
+	guards []stageGuards
 	// accessSeen dedupes EvAccess emission per (reg, clamped idx) within
 	// one stage execution; reused across executions to avoid allocation.
 	accessSeen map[accessKey]bool
@@ -194,19 +190,15 @@ func NewSimulator(prog *ir.Program, cfg Config) *Simulator {
 		panic("core: stateful program lacks resolution stages; compile with TargetMP5")
 	}
 	s := &Simulator{
-		cfg:            cfg,
-		prog:           prog,
-		k:              cfg.Pipelines,
-		S:              prog.NumStages(),
-		resStage:       prog.ResolutionStages - 1,
-		shard:          sharding.New(prog, cfg.Pipelines, cfg.ShardPolicy, cfg.Seed),
-		phantoms:       make([][]phantomEv, prog.NumStages()+int(cfg.CrossLatency)+2),
-		crossings:      make([][]crossEv, cfg.CrossLatency+2),
-		phantomPending: make(map[pktStage]bool),
-		pendingInserts: make(map[pktStage]*Packet),
-		pendingOrder:   make(map[accessKey][]int64),
-		deadIDs:        make(map[int64]bool),
-		phantomsLeft:   make(map[int64]int),
+		cfg:          cfg,
+		prog:         prog,
+		k:            cfg.Pipelines,
+		S:            prog.NumStages(),
+		resStage:     prog.ResolutionStages - 1,
+		shard:        sharding.New(prog, cfg.Pipelines, cfg.ShardPolicy, cfg.Seed),
+		phantoms:     make([][]phantomEv, prog.NumStages()+int(cfg.CrossLatency)+2),
+		crossings:    make([][]crossEv, cfg.CrossLatency+2),
+		pendingOrder: make(map[accessKey][]int64),
 	}
 	s.regs = make([]*banzai.RegFile, s.k)
 	for j := 0; j < s.k; j++ {
@@ -222,6 +214,10 @@ func NewSimulator(prog *ir.Program, cfg Config) *Simulator {
 	s.statefulStage = make([]bool, s.S)
 	for _, a := range prog.Accesses {
 		s.statefulStage[a.Stage] = true
+	}
+	s.guards = make([]stageGuards, s.S)
+	for i := range s.guards {
+		s.guards[i] = guardsOf(prog.Stages[i].Instrs)
 	}
 	s.accessSeen = make(map[accessKey]bool)
 	for i := range s.st {
@@ -379,58 +375,43 @@ func (s *Simulator) deliverPhantoms() {
 		s.phantoms[slot] = evs[:0]
 		s.work = true
 		for _, ev := range evs {
-			if s.cfg.CrossLatency > 0 {
-				delete(s.phantomPending, pktStage{ev.pktID, ev.stage})
-			}
-			st := &s.st[ev.stage][ev.pipe]
-			if st.fifo.PushPhantom(ev.srcPipe, ev.ts, ev.pktID, s.now) {
-				s.occ[ev.stage]++
-				s.emit(EvPhantom, ev.pktID, ev.stage, ev.pipe)
+			p := ev.pkt
+			v := &p.visits[ev.vi]
+			st := &s.st[v.stage][v.pipe]
+			if seq, ok := st.fifo.PushPhantom(ev.srcPipe, p, s.now); ok {
+				v.phantom, v.fifo, v.seq = phantomQueued, int32(ev.srcPipe), seq
+				s.occ[v.stage]++
+				s.emit(EvPhantom, p.ID, v.stage, v.pipe)
 			} else {
+				v.phantom = phantomGone
 				s.res.DroppedPhantom++
-				s.emit(EvPhantomDrop, ev.pktID, ev.stage, ev.pipe)
-				s.phantomConsumed(ev.pktID)
+				s.emit(EvPhantomDrop, p.ID, v.stage, v.pipe)
+				s.phantomConsumed(p)
 			}
-			s.noteFIFODepth(ev.stage, st)
+			s.noteFIFODepth(v.stage, st)
 		}
 	}
 	if len(s.pendingInserts) > 0 {
-		// Snapshot first: a retry that is still early re-parks itself.
-		// The snapshot is sorted by (packet id, stage) — ranging over
-		// the map directly made the retry order, and with it the order
-		// of same-cycle insert/drop events, nondeterministic across
-		// runs of the same seed.
-		retry := make([]pktStage, 0, len(s.pendingInserts))
-		for key := range s.pendingInserts {
-			retry = append(retry, key)
+		// Swap batches first: a retry that is still early re-parks
+		// itself. Retries go in packet-id order (a packet parks at one
+		// stage at a time), which fixes the order of same-cycle
+		// insert/drop events.
+		retry := s.pendingInserts
+		s.pendingInserts = s.retry[:0]
+		slices.SortFunc(retry, func(a, b *Packet) int { return cmp.Compare(a.ID, b.ID) })
+		for _, p := range retry {
+			s.arriveAtVisit(p, p.pendingVisit().stage)
 		}
-		sort.Slice(retry, func(a, b int) bool {
-			if retry[a].id != retry[b].id {
-				return retry[a].id < retry[b].id
-			}
-			return retry[a].stage < retry[b].stage
-		})
-		for _, key := range retry {
-			p := s.pendingInserts[key]
-			delete(s.pendingInserts, key)
-			s.arriveAtVisit(p, key.stage)
-		}
+		clear(retry)
+		s.retry = retry[:0]
 	}
 }
 
-// phantomConsumed retires one of a packet's outstanding phantom
-// placeholders (successful insert, push overflow, or dead pop). When the
-// last one goes, the packet's bookkeeping — including a deadIDs entry if
-// it was dropped mid-flight — is pruned.
-func (s *Simulator) phantomConsumed(pktID int64) {
+// phantomConsumed retires one of packet p's outstanding phantom
+// placeholders (successful insert, push overflow, or dead pop).
+func (s *Simulator) phantomConsumed(p *Packet) {
 	s.live--
-	n := s.phantomsLeft[pktID] - 1
-	if n > 0 {
-		s.phantomsLeft[pktID] = n
-		return
-	}
-	delete(s.phantomsLeft, pktID)
-	delete(s.deadIDs, pktID)
+	p.phantomsLeft--
 }
 
 // deliverCrossings lands data packets whose inter-pipeline link traversal
@@ -547,27 +528,28 @@ func (s *Simulator) arriveAtVisit(p *Packet, stage int) {
 			}
 		}
 	default:
-		if st.fifo.Insert(p, s.now) {
+		switch v := p.pendingVisit(); v.phantom {
+		case phantomQueued:
 			// The data packet replaces its placeholder in place:
 			// stage occupancy is unchanged, the phantom is consumed.
+			st.fifo.Insert(int(v.fifo), v.seq, p, s.now)
+			v.phantom = phantomGone
 			s.work = true
-			s.phantomConsumed(p.ID)
+			s.phantomConsumed(p)
 			s.emit(EvEnqueue, p.ID, stage, p.pipe)
-			break
-		}
-		key := pktStage{p.ID, stage}
-		switch {
-		case s.phantomPending[key]:
+		case phantomInFlight:
 			// The phantom is still on the (slower) phantom
-			// channel: wait in the crossbar buffer. Re-parking a
-			// retried packet is not work — nothing can change
-			// until its phantom's scheduled delivery.
+			// channel — only possible with CrossLatency > 0: wait
+			// in the crossbar buffer. Re-parking a retried packet
+			// is not work — nothing can change until its
+			// phantom's scheduled delivery.
 			if !p.parked {
 				p.parked = true
 				s.res.ParkedEarly++
 			}
-			s.pendingInserts[key] = p
+			s.pendingInserts = append(s.pendingInserts, p)
 		default:
+			// The phantom overflowed its sub-FIFO.
 			s.work = true
 			s.res.DroppedInsert++
 			s.abandon(p, CauseInsert)
@@ -747,16 +729,16 @@ func (s *Simulator) processSlot(stage, pipe int) {
 				break
 			}
 			if h.isPhantom() {
-				if len(s.deadIDs) > 0 && s.deadIDs[h.pktID] {
+				if h.owner.dead {
 					// The awaited packet was dropped
 					// upstream: clear the placeholder.
 					// (PopHead zeroes the slot h points at,
-					// so retire the popped copy's id.)
+					// so retire the popped copy's owner.)
 					dead := st.fifo.PopHead(fi)
 					s.occ[stage]--
 					s.work = true
 					s.res.DeadPhantomPops++
-					s.phantomConsumed(dead.pktID)
+					s.phantomConsumed(dead.owner)
 					continue
 				}
 				break // D4: block until the data packet arrives
@@ -774,7 +756,7 @@ func (s *Simulator) processSlot(stage, pipe int) {
 	s.work = true
 	s.emit(EvExec, serve.ID, stage, pipe)
 	if fromQueue {
-		s.accountVisitExecution(serve, stage, pipe)
+		s.accountVisitExecution(serve, stage)
 	}
 	s.execStage(serve, stage, pipe)
 	if fromQueue {
@@ -831,27 +813,47 @@ func (s *Simulator) execStage(p *Packet, stage, pipe int) {
 	clear(seen)
 }
 
+// stageGuards summarizes the predicates of one stage's stateful
+// instructions: always when one of them is unpredicated, else each one's
+// (Pred, PredNeg).
+type stageGuards struct {
+	always bool
+	preds  []stageGuard
+}
+
+type stageGuard struct {
+	pred ir.Operand
+	neg  bool
+}
+
+func guardsOf(instrs []ir.Instr) stageGuards {
+	var g stageGuards
+	for i := range instrs {
+		in := &instrs[i]
+		switch {
+		case !in.Op.IsStateful():
+		case in.Pred.IsNone():
+			return stageGuards{always: true}
+		default:
+			g.preds = append(g.preds, stageGuard{in.Pred, in.PredNeg})
+		}
+	}
+	return g
+}
+
 // accountVisitExecution counts conservative-phantom visits whose stateful
 // work is predicated off (§3.3's wasted cycle).
-func (s *Simulator) accountVisitExecution(p *Packet, stage, pipe int) {
-	any := false
-	for _, in := range s.prog.Stages[stage].Instrs {
-		if !in.Op.IsStateful() {
-			continue
-		}
-		if in.Pred.IsNone() {
-			any = true
-			break
-		}
-		truth := p.Env.Load(in.Pred) != 0
-		if truth != in.PredNeg {
-			any = true
-			break
+func (s *Simulator) accountVisitExecution(p *Packet, stage int) {
+	g := &s.guards[stage]
+	if g.always {
+		return
+	}
+	for _, c := range g.preds {
+		if (p.Env.Load(c.pred) != 0) != c.neg {
+			return
 		}
 	}
-	if !any {
-		s.res.WastedVisits++
-	}
+	s.res.WastedVisits++
 }
 
 // completeVisit finishes the packet's pending visit at this stage:
@@ -974,7 +976,7 @@ func (s *Simulator) resolve(p *Packet, pipe int) {
 		}
 	}
 	if s.usePhantoms() {
-		for _, v := range p.visits {
+		for vi := range p.visits {
 			// With a slow crossbar (CrossLatency > 0) every phantom
 			// takes the worst-case path — the phantom channel is
 			// pipelined to constant depth — so phantoms still land
@@ -982,19 +984,13 @@ func (s *Simulator) resolve(p *Packet, pipe int) {
 			// arriving "late" only parks its (earlier) data packet
 			// briefly; a crossing phantom arriving after another
 			// flow's service would break C1.
+			v := &p.visits[vi]
 			at := s.now + int64(v.stage-s.resStage) + s.cfg.CrossLatency
 			slot := int(at % int64(len(s.phantoms)))
-			s.phantoms[slot] = append(s.phantoms[slot], phantomEv{
-				stage: v.stage, pipe: v.pipe, srcPipe: pipe,
-				ts: p.ID, pktID: p.ID,
-			})
+			s.phantoms[slot] = append(s.phantoms[slot], phantomEv{pkt: p, vi: vi, srcPipe: pipe})
+			v.phantom = phantomInFlight
 			s.live++
-			s.phantomsLeft[p.ID]++
-			if s.cfg.CrossLatency > 0 {
-				// Pending-phantom bookkeeping only matters when
-				// data can outrun its phantom (slow crossbar).
-				s.phantomPending[pktStage{p.ID, v.stage}] = true
-			}
+			p.phantomsLeft++
 		}
 	}
 }
@@ -1022,8 +1018,8 @@ func maxIdx(idx int) int {
 }
 
 // abandon drops packet p mid-flight: releases its in-flight counters,
-// eligibility entries, and marks its id dead so later phantom placeholders
-// get cleared instead of blocking forever.
+// eligibility entries, and marks it dead so its phantom placeholders get
+// cleared instead of blocking forever.
 func (s *Simulator) abandon(p *Packet, cause DropCause) {
 	s.emitDrop(p.ID, -1, p.pipe, cause)
 	for vi := p.nextVisit; vi < len(p.visits); vi++ {
@@ -1035,12 +1031,8 @@ func (s *Simulator) abandon(p *Packet, cause DropCause) {
 		}
 	}
 	p.nextVisit = len(p.visits)
+	p.dead = true
 	s.live--
-	if s.usePhantoms() && s.phantomsLeft[p.ID] > 0 {
-		// Only packets with outstanding placeholders need a dead-id
-		// marker; phantomConsumed prunes it when the last one is popped.
-		s.deadIDs[p.ID] = true
-	}
 }
 
 // processRecircSlot models a legacy pipeline stage: strictly inline, one
@@ -1099,6 +1091,11 @@ func (s *Simulator) egress(p *Packet) {
 	s.latencies = append(s.latencies, s.now-p.ArrivalCycle)
 	if s.outputs != nil {
 		s.outputs[p.ID] = append([]int64(nil), p.Env.Fields...)
+	}
+	if p.phantomsLeft != 0 {
+		// Phantom events and FIFO entries point at their packet, so
+		// reusing one they still reference would corrupt its successor.
+		panic("core: egressing packet still has phantoms outstanding")
 	}
 	s.freePkts = append(s.freePkts, p)
 }
@@ -1249,12 +1246,11 @@ func (s *Simulator) FinalRegs() [][]int64 {
 // Shard exposes the sharding map (tests and diagnostics).
 func (s *Simulator) Shard() *sharding.Map { return s.shard }
 
-// BookkeepingLive reports the sizes of the transient bookkeeping maps and
-// the live-entity counter after a run. All must be zero once the switch has
-// drained — the regression guard for the former deadIDs/phantomDropped
-// leaks.
-func (s *Simulator) BookkeepingLive() (deadIDs, phantomsLeft, phantomPending, pendingInserts int, live int64) {
-	return len(s.deadIDs), len(s.phantomsLeft), len(s.phantomPending), len(s.pendingInserts), s.live
+// BookkeepingLive reports the number of parked early data packets and the
+// live-entity counter after a run. Both must be zero once the switch has
+// drained.
+func (s *Simulator) BookkeepingLive() (pendingInserts int, live int64) {
+	return len(s.pendingInserts), s.live
 }
 
 // SortedAccessKeys lists the access-log keys in deterministic order.

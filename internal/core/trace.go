@@ -22,14 +22,14 @@ const (
 	EvSteer
 	// EvEgress: a packet left the last stage.
 	EvEgress
-	// EvDrop: a packet was dropped (FIFO overflow, directory miss,
+	// EvDrop: a packet was dropped (FIFO overflow, insert miss,
 	// ingress overflow, or starvation-guard policy). The event's Cause
 	// field names the reason; EvDrop fires exactly once per dropped
 	// packet, so EvAdmit-ed ids partition into EvEgress and EvDrop.
 	EvDrop
 	// EvPhantomDrop: a phantom placeholder overflowed its stage FIFO.
-	// The data packet is still in flight (it will later miss the
-	// directory and count an EvDrop with CauseInsert), so this kind is
+	// The data packet is still in flight (it will later find no
+	// placeholder and count an EvDrop with CauseInsert), so this kind is
 	// separate from EvDrop to keep the one-death-per-packet invariant.
 	EvPhantomDrop
 	// EvShardMove: the dynamic-sharding remap migrated one register
@@ -72,8 +72,8 @@ const (
 	// CauseData: a stage sub-FIFO overflowed on a data push
 	// (Result.DroppedData; only the no-D4 baseline pushes data).
 	CauseData
-	// CauseInsert: the phantom directory had no placeholder for the
-	// arriving data packet — its phantom was dropped earlier
+	// CauseInsert: the arriving data packet found no placeholder
+	// at its visit stage — its phantom was dropped earlier
 	// (Result.DroppedInsert).
 	CauseInsert
 	// CauseIngress: a per-pipeline ingress buffer overflowed in the

@@ -260,18 +260,27 @@ func newReference(prog *ir.Program, arrivals []core.Arrival, k int) *reference {
 	}
 }
 
+// sweepCrossLatency is the inter-pipeline link latency of the full-sweep leg,
+// derived from the case's work seed (1..4 cycles) so a replay reproduces it:
+// the leg doubles as the differential check of early-data parking, where a
+// data packet outruns its phantom and waits for it.
+func sweepCrossLatency(seed int64) int64 { return 1 + (seed%4+4)%4 }
+
 // runCore simulates the case on one architecture of the cycle-accurate
 // simulator and compares against the reference; fullSweep forces the legacy
-// every-slot-every-cycle scheduler (always on ArchMP5). nil means the engine
-// matched on every oracle.
+// every-slot-every-cycle scheduler (always on ArchMP5, with a slow crossbar:
+// sweepCrossLatency). nil means the engine matched on every oracle.
 func (r *reference) runCore(arch core.Arch, seed int64, fullSweep bool) *Failure {
 	engine := EngineCore
+	var crossLat int64
 	if fullSweep {
 		engine, arch = EngineSweep, core.ArchMP5
+		crossLat = sweepCrossLatency(seed)
 	}
 	got := map[string][]int64{}
 	sim := core.NewSimulator(r.prog, core.Config{
 		Arch: arch, Pipelines: r.k, Seed: seed,
+		CrossLatency:  crossLat,
 		RecordOutputs: true,
 		Interpret:     r.interp,
 		Trace: func(e core.Event) {
@@ -283,24 +292,35 @@ func (r *reference) runCore(arch core.Arch, seed int64, fullSweep bool) *Failure
 	})
 	sim.SetFullSweep(fullSweep)
 	fail := &Failure{Engine: engine, Arch: arch, Executor: r.execName()}
+	detail := func(s string) string {
+		if crossLat == 0 {
+			return s
+		}
+		if s == "" {
+			return fmt.Sprintf("cross-latency %d", crossLat)
+		}
+		return fmt.Sprintf("cross-latency %d; %s", crossLat, s)
+	}
 	res := sim.Run(r.arrivals)
 	if res.Stalled {
 		fail.Reason = "stall"
-		fail.Detail = fmt.Sprintf("%d of %d completed after %d cycles", res.Completed, res.Injected, res.Cycles)
+		fail.Detail = detail(fmt.Sprintf("%d of %d completed after %d cycles", res.Completed, res.Injected, res.Cycles))
 		return fail
 	}
 	if res.Completed != res.Injected {
 		fail.Reason = "loss"
-		fail.Detail = fmt.Sprintf("%d of %d completed", res.Completed, res.Injected)
+		fail.Detail = detail(fmt.Sprintf("%d of %d completed", res.Completed, res.Injected))
 		return fail
 	}
 	if divs := diffOrders(r.order, got); len(divs) > 0 {
 		fail.Reason = "order"
+		fail.Detail = detail("")
 		fail.Order = divs
 		return fail
 	}
 	if rep := equiv.Check(r.prog, sim, r.arrivals); !rep.Equivalent {
 		fail.Reason = "state"
+		fail.Detail = detail("")
 		fail.Report = rep
 		return fail
 	}
@@ -630,7 +650,7 @@ func diffOrders(want, got map[string][]int64) []OrderDiv {
 // reference on every engine configuration: the direct bytecode-vs-interpreter
 // differential on the serial machine, each architecture in archs on the
 // event-driven simulator, ArchMP5 on the simulator's legacy full-sweep
-// scheduler, the concurrent goroutine dataplane and the state-compute-
+// scheduler behind a slow crossbar, the concurrent goroutine dataplane and the state-compute-
 // replication engine at every DataplaneWorkers count, and one cross-executor
 // ArchMP5 run (the sweep's executor flipped) — so one seed cross-checks every
 // engine and both stage executors. It returns one Failure per diverging
