@@ -9,7 +9,11 @@ GO ?= go
 # cross-goroutine interleavings run again at PROCS, more Ps than any test's
 # Workers+1, so every pipeline gets its own driver (the OS time-slices the
 # extra threads, which only adds interleavings). Plain `go test ./...` stays
-# at the host default.
+# at the host default. One driver runs every packet whole, in admission
+# order, so it never parks: at GOMAXPROCS=2 only the tests that pin a
+# several-driver shape themselves reach D4 park and promote. The park path is
+# covered in full by race-dataplane, race-poison, flake-hunt and fuzz-smoke,
+# all at PROCS.
 PROCS = GOMAXPROCS=8
 
 .PHONY: all build vet fmt-check test race race-dataplane flake-hunt race-server race-tenant allocs-gate race-poison serve-smoke trace-smoke tenant-smoke check bench bench-test fuzz-smoke fuzz clean

@@ -1,9 +1,10 @@
 // Package dataplane executes compiled MP5 programs on a real goroutine
 // topology instead of simulating one: k pipelines (workers) stepped by
 // min(k, GOMAXPROCS-1) drivers, crossbars between them (a channel between
-// drivers, a plain queue within one), and actual shared-nothing register
-// shards. A driver is stepped only by the holder of its baton — its own
-// goroutine, or, when there is a single driver, the serial admitter, which
+// drivers; within one, the packet changes register file in place), and
+// actual shared-nothing register shards. A driver is stepped only by the
+// holder of its baton — its own goroutine, or, when there is a single
+// driver, the serial admitter, which
 // claims it wherever it would wait on the driver (a batch that fills the
 // window, a full window, Drain), steps it instead of waiting, and hands it
 // back when it returns. Where internal/core

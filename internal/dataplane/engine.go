@@ -86,8 +86,8 @@ type Engine struct {
 	// Because every in-flight packet sits in at most one queued message (a
 	// coalesced batch is one message for many packets) and every driver's
 	// mailbox holds Window of them, crossbar sends can never block however
-	// the pipelines are dealt (a driver's local FIFO grows instead) — the
-	// window bound is what makes the topology deadlock-free.
+	// the pipelines are dealt — the window bound is what makes the topology
+	// deadlock-free.
 	winCap   int64
 	winUsed  atomic.Int64
 	winAvail chan struct{}
@@ -119,7 +119,7 @@ type Engine struct {
 	wasted    atomic.Int64
 	parks     atomic.Int64
 	stalled   atomic.Bool
-	// shardMoves and spray are admitter-local (serial).
+	// shardMoves and spray are admitter-only (serial).
 	shardMoves int64
 	spray      int64
 
@@ -143,9 +143,9 @@ type Engine struct {
 
 	// Admitter-only scratch, reused across SubmitBatch chunks and remap
 	// passes so the hot path allocates nothing. chunk holds the packets of
-	// the batch being admitted, xbuf the per-worker dispatch batches under
+	// the batch being admitted, xbuf the per-driver dispatch batches under
 	// assembly (their backing slices come from batchPool and are returned
-	// by the draining worker).
+	// by the draining driver).
 	chunk []*packet
 	xbuf  []*pktBatch
 	// batchPool recycles the []*packet slices that ride xbarMsg batches
@@ -182,7 +182,6 @@ func NewMulti(cfg Config) *Engine {
 		trc:      cfg.Tracer,
 	}
 	e.chunk = make([]*packet, 0, cfg.Window)
-	e.xbuf = make([]*pktBatch, cfg.Workers)
 	e.total.Store(-1)
 	if e.met == nil {
 		e.met = &Metrics{} // all-nil counters: every update is a no-op
@@ -193,8 +192,10 @@ func NewMulti(cfg Config) *Engine {
 	for m := min(e.k, max(1, procs-1)); len(e.drivers) < m; {
 		e.drivers = append(e.drivers, &driver{
 			e: e, mailbox: make(chan xbarMsg, cfg.Window), kick: make(chan struct{}, 1),
+			xout: make([]*pktBatch, e.k),
 		})
 	}
+	e.xbuf = make([]*pktBatch, len(e.drivers))
 	if len(e.drivers) == 1 {
 		e.solo = e.drivers[0]
 	}
@@ -298,8 +299,8 @@ func (e *Engine) Start() {
 
 // Submit admits one packet on the default handle: block until the admission
 // window has room (the live admission-control point), resolve and ticket
-// the packet, and dispatch it to its first worker. Returns false when the
-// engine aborted (watchdog stall) — the stream is dead and the caller
+// the packet, and dispatch it to its first-hop pipeline. Returns false when
+// the engine aborted (watchdog stall) — the stream is dead and the caller
 // should Drain. Admitter-serial: never call Submit concurrently.
 func (e *Engine) Submit(a *core.Arrival) bool { return e.SubmitTo(e.def, a, nil, 0) }
 
@@ -353,7 +354,8 @@ func (e *Engine) SubmitTo(h *Handle, a *core.Arrival, sp *Span, tag uint64) bool
 	if f := e.testAfterTicket; f != nil {
 		f()
 	}
-	if !e.send(xbarMsg{to: e.workers[e.destOf(p)], p: p}) {
+	p.pipe = e.destOf(p)
+	if !e.send(xbarMsg{to: e.workers[p.pipe], p: p}) {
 		e.retire(p) // window and quota tokens returned, packet recycled
 		return false
 	}
@@ -371,7 +373,7 @@ func (e *Engine) SubmitBatch(arrs []core.Arrival, spans []*Span) int {
 
 // SubmitBatchTo admits a run of packets on handle h, amortizing the
 // per-packet costs of SubmitTo across the batch: one window acquisition and
-// one crossbar mailbox send per destination worker per chunk. Ticket order —
+// one crossbar mailbox send per destination driver per chunk. Ticket order —
 // hence C1 — is still exactly arrival order: packets are resolved, and their
 // tickets stamped, serially in slice order.
 //
@@ -471,26 +473,26 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, ta
 }
 
 // dispatchChunk coalesces the admitted chunk into at most one mailbox send
-// per destination pipeline (admission order preserved within each batch) and
-// clears the chunk. Returns false when the engine aborted mid-dispatch;
-// undispatched packets are retired in place.
+// per driver (its packets in admission order, each set to start on its own
+// first-hop pipeline) and clears the chunk. Returns false when the engine
+// aborted mid-dispatch; undispatched packets are retired in place.
 func (e *Engine) dispatchChunk() bool {
 	for _, p := range e.chunk {
-		dest := e.destOf(p)
-		if e.xbuf[dest] == nil {
-			e.xbuf[dest] = e.getBatch()
+		p.pipe = e.destOf(p)
+		di := p.pipe % len(e.drivers) // pipeline i is dealt to driver i mod m
+		if e.xbuf[di] == nil {
+			e.xbuf[di] = e.getBatch()
 		}
-		e.xbuf[dest].items = append(e.xbuf[dest].items, p)
+		e.xbuf[di].items = append(e.xbuf[di].items, p)
 	}
 	e.chunk = e.chunk[:0]
 	ok := true
-	for w := 0; w < e.k; w++ {
-		b := e.xbuf[w]
+	for di, b := range e.xbuf {
 		if b == nil {
 			continue
 		}
-		e.xbuf[w] = nil
-		if ok = ok && e.send(xbarMsg{to: e.workers[w], batch: b}); !ok {
+		e.xbuf[di] = nil
+		if ok = ok && e.send(xbarMsg{to: e.workers[b.items[0].pipe], batch: b}); !ok {
 			for _, p := range b.items {
 				e.retire(p)
 			}
@@ -1118,16 +1120,16 @@ func (e *Engine) WindowInUse() int { return int(e.winUsed.Load()) }
 func (e *Engine) WindowCap() int { return int(e.winCap) }
 
 // WorkerStat is one pipeline's live occupancy/throughput view, in the shape
-// the admin plane serves (/stats) and mp5top renders. Mailbox is the queued
-// crossbar handoffs addressed to this pipeline (in its driver's mailbox, of
-// capacity MailboxCap, or local FIFO), Parked the packets waiting in slot
-// wait rings for their tickets, Processed the process-loop invocations
-// (arrivals + promotions), Egressed the packets completed on this pipeline,
-// and BusyNs cumulative wall time spent handling its messages (by whichever
-// goroutine held the driver's baton) — only accounted while a Tracer is
-// attached, 0 otherwise. Parked, Processed and Egressed are published once
-// per handled message (Egressed also every doneCap egresses), so a live
-// reading trails by at most one message.
+// the admin plane serves (/stats) and mp5top renders. Mailbox is the crossbar
+// messages queued in its driver's mailbox (of capacity MailboxCap) whose
+// first packet starts on this pipeline, Parked the packets waiting in slot
+// wait rings for their tickets, Processed the packet arrivals (dispatches,
+// hops and promotions), Egressed the packets completed on this pipeline, and
+// BusyNs cumulative wall time spent handling the messages counted on it (by
+// whichever goroutine held the driver's baton) — only accounted while a
+// Tracer is attached, 0 otherwise. Parked, Processed and Egressed are
+// published once per handled message (Egressed also every doneCap egresses),
+// so a live reading trails by at most one message.
 type WorkerStat struct {
 	ID         int   `json:"id"`
 	Mailbox    int   `json:"mailbox"`
@@ -1145,7 +1147,7 @@ func (e *Engine) WorkerStats() []WorkerStat {
 	for i, w := range e.workers {
 		out[i] = WorkerStat{
 			ID:         i,
-			Mailbox:    int(w.inbox.Load() + w.localQ.Load()),
+			Mailbox:    int(w.inbox.Load()),
 			MailboxCap: cap(w.d.mailbox),
 			Parked:     w.parkedN.Load(),
 			Processed:  w.processedN.Load(),

@@ -86,9 +86,10 @@ func TestSubmitSteadyStateAllocs(t *testing.T) {
 // same bar: a whole SubmitBatch chunk must not allocate beyond the slack of
 // its sync.Pool-backed batch carriers. GC is disabled during the
 // measurement so a collection cannot drain the batch pool mid-run. The trace
-// is skewed so that packets park and are promoted inside the measured window:
-// once the hot slots' wait rings have grown, D4 must cost no allocation
-// either.
+// is skewed and the engine runs a driver per pipeline (one driver runs every
+// packet whole and never parks), so that packets park and are promoted inside
+// the measured window: once the hot slots' wait rings have grown, D4 must
+// cost no allocation either.
 func TestSubmitBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counting is meaningless under -race (the race runtime allocates)")
@@ -101,39 +102,44 @@ func TestSubmitBatchSteadyStateAllocs(t *testing.T) {
 	arrivals := workload.Synthetic(prog, workload.Spec{
 		Packets: 2048, Pipelines: 2, Seed: 12, Pattern: workload.Skewed,
 	}, 4, 64)
-	e := New(prog, Config{Workers: 2, Window: 64})
-	e.Start()
-	const chunk = 128
-	for off := 0; off+chunk <= len(arrivals); off += chunk {
-		if e.SubmitBatch(arrivals[off:off+chunk], nil) != chunk {
-			t.Fatal("engine aborted during warmup")
+	withProcs(3, func() {
+		e := New(prog, Config{Workers: 2, Window: 64})
+		if len(e.drivers) != 2 {
+			t.Fatalf("%d drivers, want one per pipeline", len(e.drivers))
 		}
-	}
-	quiesce(t, e)
-	// Warm-up parks a worker has tallied but not yet published (at most one
-	// mailbox message's worth) may land in the window's count; the floor
-	// below is far above that.
-	parksBefore := e.parks.Load()
-	avg := testing.AllocsPerRun(100, func() {
-		if e.SubmitBatch(arrivals[:chunk], nil) != chunk {
-			t.Fatal("engine aborted mid-measurement")
+		e.Start()
+		const chunk = 128
+		for off := 0; off+chunk <= len(arrivals); off += chunk {
+			if e.SubmitBatch(arrivals[off:off+chunk], nil) != chunk {
+				t.Fatal("engine aborted during warmup")
+			}
+		}
+		quiesce(t, e)
+		// Warm-up parks a worker has tallied but not yet published (at most
+		// one mailbox message's worth) may land in the window's count; the
+		// floor below is far above that.
+		parksBefore := e.parks.Load()
+		avg := testing.AllocsPerRun(100, func() {
+			if e.SubmitBatch(arrivals[:chunk], nil) != chunk {
+				t.Fatal("engine aborted mid-measurement")
+			}
+		})
+		res := e.Drain()
+		if res.Stalled {
+			t.Fatalf("engine stalled: %d of %d completed", res.Completed, res.Injected)
+		}
+		parks := res.Parks - parksBefore
+		t.Logf("%v allocs per %d-packet batch, %d parks in the measured window", avg, chunk, parks)
+		if parks < 10*chunk {
+			t.Fatalf("only %d parks in the measured window: the gate is not exercising D4", parks)
+		}
+		// One batch call covers `chunk` packets; allow a couple of stray
+		// allocations per call (wait-ring growth on unlucky skew) without
+		// letting a per-packet regression (≥ chunk allocs/call) through.
+		if avg > 2 {
+			t.Fatalf("steady-state SubmitBatch allocates %v per %d-packet batch, want ~0", avg, chunk)
 		}
 	})
-	res := e.Drain()
-	if res.Stalled {
-		t.Fatalf("engine stalled: %d of %d completed", res.Completed, res.Injected)
-	}
-	parks := res.Parks - parksBefore
-	t.Logf("%v allocs per %d-packet batch, %d parks in the measured window", avg, chunk, parks)
-	if parks < 10*chunk {
-		t.Fatalf("only %d parks in the measured window: the gate is not exercising D4", parks)
-	}
-	// One batch call covers `chunk` packets; allow a couple of stray
-	// allocations per call (wait-ring growth on unlucky skew) without
-	// letting a per-packet regression (≥ chunk allocs/call) through.
-	if avg > 2 {
-		t.Fatalf("steady-state SubmitBatch allocates %v per %d-packet batch, want ~0", avg, chunk)
-	}
 }
 
 // TestRecyclingEquivalence forces heavy packet recycling — a window far

@@ -32,7 +32,10 @@ type packet struct {
 	// nextStage is the next stage to execute (resolution stages already
 	// ran on the admitter).
 	nextStage int
-	start     time.Time
+	// pipe is the pipeline the packet is on: its first hop (set at
+	// dispatch), then the owner of each visit it reaches.
+	pipe  int
+	start time.Time
 	// span is the packet's wire-to-wire trace (nil for unsampled packets).
 	// Packet-owned like every other field, so stamps never lock.
 	span *Span
@@ -58,12 +61,12 @@ type slotRef struct {
 	tk  uint64
 }
 
-// xbarMsg is one crossbar transfer to pipeline to: a single packet (Submit's
-// dispatch) or a coalesced batch — an admission chunk's per-pipeline run
-// (SubmitBatch) or a pipeline's accumulated steers for one destination,
-// flushed when its driver runs dry. A batch is one queued message for many
-// packets, so coalescing only strengthens the mailboxes-never-fill
-// invariant.
+// xbarMsg is one crossbar transfer to the driver of pipeline to, the first
+// packet's (each packet starts on its own packet.pipe): a single packet
+// (Submit's dispatch) or a coalesced batch — an admission chunk's run for one
+// driver (SubmitBatch) or a driver's steers to one pipeline of another. A
+// batch is one queued message for many packets, so coalescing only
+// strengthens the mailboxes-never-fill invariant.
 type xbarMsg struct {
 	to    *worker
 	p     *packet
@@ -95,9 +98,9 @@ const doneCap = 64
 // goroutine per pipeline and a host without them is not oversubscribed.
 //
 // Only the holder of the driver's baton steps it, so everything a step
-// touches — the mailbox's read side, local, the pipelines' runnable, xout,
-// done and tallies, the wait rings and register words of the slots they own
-// — passes between holders through the baton's CAS (acquire) and store
+// touches — the mailbox's read side, runnable, xout, the pipelines' done and
+// tallies, the wait rings and register words of the slots they own — passes
+// between holders through the baton's CAS (acquire) and store
 // (release). With several drivers the goroutine is the only holder. With one
 // (Engine.solo), the admitter claims it wherever it would wait on the driver,
 // steps the driver itself instead of sleeping on a full window, and keeps it
@@ -107,9 +110,15 @@ type driver struct {
 	e       *Engine
 	pipes   []*worker
 	mailbox chan xbarMsg
-	// local queues transfers between two pipelines of this driver: no
-	// channel, no atomic RMW, no wake. Filled by a flush, emptied by step.
-	local []xbarMsg
+	// runnable holds packets promoted by a pop, drained before handle returns.
+	runnable []*packet
+	// xout accumulates steers to other drivers per destination pipeline
+	// while the driver has messages to step; xoutPend lists the dirty
+	// destinations in first-touch order. Flushed (one batch per destination)
+	// whenever the driver runs dry, so always before it blocks: a buffered
+	// packet another driver needs is never stranded.
+	xout     []*pktBatch
+	xoutPend []int
 	// baton is held by whoever steps the driver; want is the admitter asking
 	// the goroutine to hand it over; kick wakes the goroutine (one slot, so a
 	// wake sent while it runs is kept, never lost).
@@ -158,26 +167,18 @@ func (d *driver) wake() {
 // step makes progress without blocking, or reports that it could not (baton
 // holder only): handle one mailbox message, letting steers pile into xout
 // (queued messages are bounded by the window, so this cannot starve the
-// flush); or, the mailbox dry, flush every pipeline's steers — their holders
-// may be the only packets able to make progress — and handle the local ones.
-func (d *driver) step() (progressed bool) {
+// flush); or, the mailbox dry, flush the steers — their holders may be the
+// only packets able to make progress.
+func (d *driver) step() bool {
 	select {
 	case m := <-d.mailbox:
 		m.to.inbox.Add(-1)
-		m.to.handle(m)
+		d.handle(m)
 		return true
 	default:
 	}
-	for _, w := range d.pipes {
-		w.flushSteers()
-	}
-	for _, m := range d.local {
-		m.to.localQ.Store(m.to.localQ.Load() - 1)
-		m.to.handle(m)
-	}
-	progressed = len(d.local) > 0
-	d.local = d.local[:0]
-	return progressed
+	d.flushSteers()
+	return false
 }
 
 // worker is one logical pipeline, stepped by its driver d. For every loaded
@@ -193,15 +194,6 @@ type worker struct {
 	id int
 	e  *Engine
 	d  *driver
-	// runnable holds packets promoted by a pop, drained before handle returns.
-	runnable []*packet
-	// xout accumulates outgoing steers per destination pipeline while the
-	// driver has messages to step; xoutPend lists the dirty destinations in
-	// first-touch order. Flushed (one batch per destination) whenever the
-	// driver runs dry — every pipeline's, and always before it blocks, so a
-	// buffered packet another pipeline needs is never stranded.
-	xout     []*pktBatch
-	xoutPend []int
 	// done holds egressed packets until finish completes them as one burst.
 	done []*packet
 	// outs collects streaming-mode egress outputs worker-privately (merged
@@ -231,12 +223,10 @@ type worker struct {
 	// engine and telemetry counters (and processedN, parkedN) once per
 	// handled message.
 	steers, parks, wasted, processed, parkedDelta int64
-	// Live occupancy counters for WorkerStats: transfers queued for this
-	// pipeline in its driver's mailbox (inbox) and local FIFO (localQ, which
-	// only the driver writes: a load and a store), parked packets, process
-	// invocations, egresses, and (tracer-gated) busy wall time.
+	// Live occupancy counters for WorkerStats: messages queued in the
+	// driver's mailbox that start on this pipeline, parked packets,
+	// arrivals, egresses, and (tracer-gated) busy wall time.
 	inbox      atomic.Int64
-	localQ     atomic.Int64
 	parkedN    atomic.Int64
 	processedN atomic.Int64
 	egressedN  atomic.Int64
@@ -245,11 +235,10 @@ type worker struct {
 
 func newWorker(e *Engine, id int, d *driver) *worker {
 	w := &worker{
-		id:   id,
-		e:    e,
-		d:    d,
-		xout: make([]*pktBatch, e.cfg.Workers),
-		lat:  stats.NewHistogram(latLo, latHi, latBuckets),
+		id:  id,
+		e:   e,
+		d:   d,
+		lat: stats.NewHistogram(latLo, latHi, latBuckets),
 	}
 	if e.cfg.RecordOutputs {
 		w.outs = make(map[int64][]int64) // streaming mode; unused when Run preallocates e.outs
@@ -258,64 +247,64 @@ func newWorker(e *Engine, id int, d *driver) *worker {
 	return w
 }
 
-// handle is the pipeline's unit of work: one transfer — a coalesced batch in
+// handle is the driver's unit of work: one transfer — a coalesced batch in
 // order (an admission chunk or a steer flush), or a single packet — then
-// every packet its pops promoted, then the burst's bookkeeping. With a Tracer
-// attached it also accounts busy time: one clock pair per message, whoever
-// holds the baton.
-func (w *worker) handle(m xbarMsg) {
+// every packet its pops promoted, then the bookkeeping of every pipeline of
+// the driver, since a packet can egress, park or be promoted on any of them.
+// With a Tracer attached it also accounts busy time, to the message's
+// pipeline: one clock pair per message, whoever holds the baton.
+func (d *driver) handle(m xbarMsg) {
+	e := d.e
 	var t0 time.Time
-	if w.e.trc != nil {
+	if e.trc != nil {
 		t0 = time.Now()
 	}
 	if m.batch != nil {
 		for _, p := range m.batch.items {
-			w.process(p, StageCrossbar)
+			d.process(p, StageCrossbar)
 		}
-		w.e.putBatch(m.batch)
+		e.putBatch(m.batch)
 	} else {
-		w.process(m.p, StageCrossbar)
+		d.process(m.p, StageCrossbar)
 	}
-	for n := len(w.runnable); n > 0; n = len(w.runnable) {
-		p := w.runnable[n-1]
-		w.runnable = w.runnable[:n-1]
-		w.process(p, StageTicketWait)
+	for n := len(d.runnable); n > 0; n = len(d.runnable) {
+		p := d.runnable[n-1]
+		d.runnable = d.runnable[:n-1]
+		d.process(p, StageTicketWait)
 	}
-	w.publish()
-	if w.e.trc != nil {
-		w.busyNs.Add(time.Since(t0).Nanoseconds())
+	for _, w := range d.pipes {
+		w.publish()
+	}
+	if e.trc != nil {
+		m.to.busyNs.Add(time.Since(t0).Nanoseconds())
 	}
 }
 
-// bufferSteer parks an outgoing steer in the per-destination batch instead
-// of paying a channel send (and a scheduler wakeup) per packet; flushSteers
+// bufferSteer parks a steer to p.pipe in the per-destination batch instead of
+// paying a channel send (and a scheduler wakeup) per packet; flushSteers
 // delivers every dirty destination's batch in one send each.
-func (w *worker) bufferSteer(dest int, p *packet) {
-	b := w.xout[dest]
+func (d *driver) bufferSteer(p *packet) {
+	b := d.xout[p.pipe]
 	if b == nil {
-		b = w.e.getBatch()
-		w.xout[dest] = b
-		w.xoutPend = append(w.xoutPend, dest)
+		b = d.e.getBatch()
+		d.xout[p.pipe] = b
+		d.xoutPend = append(d.xoutPend, p.pipe)
 	}
 	b.items = append(b.items, p)
 }
 
-// flushSteers delivers every buffered steer batch, in first-touch order: to
-// a pipeline of this driver through the local FIFO, to any other over its
-// driver's mailbox. On abort the engine is being torn down — the remaining
-// batches are abandoned like any other in-flight packet.
-func (w *worker) flushSteers() {
-	for _, dst := range w.xoutPend {
-		m := xbarMsg{to: w.e.workers[dst], batch: w.xout[dst]}
-		w.xout[dst] = nil
-		if m.to.d == w.d {
-			w.d.local = append(w.d.local, m)
-			m.to.localQ.Store(m.to.localQ.Load() + 1)
-		} else if !w.e.send(m) {
+// flushSteers delivers every buffered steer batch over its destination
+// driver's mailbox, in first-touch order. On abort the engine is being torn
+// down — the remaining batches are abandoned like any other in-flight packet.
+func (d *driver) flushSteers() {
+	for _, dst := range d.xoutPend {
+		m := xbarMsg{to: d.e.workers[dst], batch: d.xout[dst]}
+		d.xout[dst] = nil
+		if !d.e.send(m) {
 			return
 		}
 	}
-	w.xoutPend = w.xoutPend[:0]
+	d.xoutPend = d.xoutPend[:0]
 }
 
 // publish finishes the egressed burst and adds the event tallies to the
@@ -338,14 +327,16 @@ func publishTally(n *int64, total *atomic.Int64, met *telemetry.Counter) {
 	}
 }
 
-// process advances the packet as far as it can go on this worker: stateless
-// stages execute inline; a visit stage either steers the packet to the
-// owning worker (D3), parks it on the first slot whose ticket is not yet
-// served (D4), or executes. Reaching the last stage egresses the packet.
-// since names the span segment ending here: the crossbar hop (queueing plus
-// transit) for a packet off a transfer, the D4 wait for a promoted one.
-func (w *worker) process(p *packet, since TraceStage) {
-	e := w.e
+// process advances the packet from its pipeline p.pipe as far as this driver
+// can take it: stateless stages execute inline; a visit stage either hops to
+// the owning pipeline (D3: in place on this driver, by steer to another),
+// parks on the first slot whose ticket is not yet served (D4), or executes.
+// Reaching the last stage egresses the packet. since names the span segment
+// ending here: the crossbar hop for a packet off a transfer, the D4 wait for
+// a promoted one.
+func (d *driver) process(p *packet, since TraceStage) {
+	e := d.e
+	w := e.workers[p.pipe]
 	w.processed++
 	if p.span != nil {
 		p.span.Advance(since, w.id)
@@ -374,13 +365,19 @@ func (w *worker) process(p *packet, since TraceStage) {
 		if v.pipe != w.id {
 			w.steers++
 			if p.span != nil {
-				// Close the exec segment before the handoff; the receiving
-				// worker stamps the crossbar hop (which now includes any
-				// time the packet waits in the coalescing buffer).
+				// Close the exec segment at the hop. After a steer the
+				// receiving driver stamps the crossbar hop (which includes
+				// any time the packet waits in the coalescing buffer).
 				p.span.Advance(StageExec, w.id)
 			}
-			w.bufferSteer(v.pipe, p)
-			return
+			p.pipe = v.pipe
+			if w = e.workers[v.pipe]; w.d != d {
+				d.bufferSteer(p)
+				return
+			}
+			w.processed++ // an in-place hop: same driver, other register file
+			regs = h.wregs[w.id]
+			continue
 		}
 		if ref := blocked(v); ref != nil {
 			// Parked on one slot at a time: the promotion re-tests every
@@ -475,7 +472,7 @@ func (w *worker) execVisit(p *packet, v *visit) {
 		}
 		if q := ref.st.pop(ref.tk, touched[i], p.id, record); q != nil {
 			w.parkedDelta--
-			w.runnable = append(w.runnable, q)
+			w.d.runnable = append(w.d.runnable, q)
 		}
 	}
 }
