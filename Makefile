@@ -66,10 +66,12 @@ flake-hunt:
 # The wire gate holds the daemon's I/O shell to the same bar: decoding a
 # stream into a slab allocates nothing, and a whole loopback closed-loop run
 # (client, codec, ingress queue, admit loop, engine, ack path) stays under
-# 0.1 process-wide allocations per packet.
+# 0.1 process-wide allocations per packet. The simulator's remap window
+# (counting, Figure 6, the returned moves) allocates nothing.
 allocs-gate:
 	$(GO) test -count 1 -run 'TestSubmitSteadyStateAllocs|TestSubmitBatchSteadyStateAllocs' ./internal/dataplane
 	$(GO) test -count 1 -run TestWireSteadyStateAllocs ./internal/server
+	$(GO) test -count 1 -run TestRemapSteadyStateAllocs ./internal/sharding
 
 # race-poison runs the dataplane suite with poison-on-free compiled in
 # (-tags mp5debug) under the race detector: every recycled packet is

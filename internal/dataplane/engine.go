@@ -10,6 +10,7 @@ import (
 	"mp5/internal/banzai"
 	"mp5/internal/core"
 	"mp5/internal/ir"
+	"mp5/internal/sharding"
 	"mp5/internal/stats"
 )
 
@@ -21,15 +22,10 @@ type regShard struct {
 	sharded bool
 	size    int
 	// owner[i] is the worker holding the live copy of index i; unsharded
-	// arrays use owner[0] as the whole-array home (stage mod k, so arrays
-	// sharing a stage share a worker, as sharding.New does).
+	// arrays use owner[0] as the whole-array home (sharding.Home).
 	owner []int
-	// count[i] counts resolutions of sharded index i since the last remap
-	// (§3.4), hot lists the indices counted, agg[w] sums the counts of worker
-	// w's indices: a remap reads and resets what the window touched.
-	count []int64
-	hot   []int
-	agg   []int64
+	// win counts a sharded array's resolutions since the last remap (§3.4).
+	win sharding.Window
 	// slots[i] is index i's ticket lock (slots[0] the whole-array one of an
 	// unsharded array), positioned so the per-access resolve path indexes
 	// instead of hashing.
@@ -805,7 +801,7 @@ func (e *Engine) resolve(h *Handle, p *packet) {
 			if sh.sharded {
 				key.idx = banzai.ClampIndex(int(p.env.Load(a.Idx)), sh.size)
 				pos = key.idx
-				sh.touch(pos)
+				sh.win.Touch(pos, sh.owner[pos])
 			}
 			dest := sh.owner[pos]
 			if v == nil {
@@ -851,66 +847,37 @@ func (e *Engine) remap() {
 	}
 }
 
-// remapHandle runs one Figure-6 iteration per sharded array of one handle:
-// find the heaviest (H) and lightest (L) workers by windowed access count,
-// pick the hottest index on H counting less than half the gap (the lowest
-// on a tie), and migrate it to L — but only if every ticket issued on it has
-// been served, so no in-flight access can observe a torn value (and no
-// future one exists until this goroutine issues it). Only the indices the
-// window touched are read and reset.
+// remapHandle runs one Figure-6 iteration (sharding.Window.Pick) per sharded
+// array of one handle, under the paper's in-flight gate: an index is a
+// candidate only if every ticket issued on it has been served, so no
+// in-flight access can observe a torn value (and no future one exists until
+// this goroutine issues it).
 func (e *Engine) remapHandle(h *Handle) {
 	for reg := range h.shard {
 		sh := &h.shard[reg]
 		if !sh.sharded {
 			continue
 		}
-		hi, lo := 0, 0
-		for w := 1; w < e.k; w++ {
-			if sh.agg[w] > sh.agg[hi] {
-				hi = w
-			}
-			if sh.agg[w] < sh.agg[lo] {
-				lo = w
-			}
+		best, hi, lo, ok := sh.win.Pick(sh.owner, func(i int) bool {
+			st := &sh.slots[i]
+			return st.served.Load() == st.issued.Load()
+		})
+		if !ok {
+			continue
 		}
-		c := (sh.agg[hi] - sh.agg[lo]) / 2 // 0 when there is no gap: no candidate
-		best, bestN := -1, int64(0)
-		for _, i := range sh.hot {
-			n := sh.count[i] // never 0 for a listed index
-			sh.count[i] = 0
-			if sh.owner[i] == hi && n < c && (n > bestN || n == bestN && i < best) {
-				best, bestN = i, n
-			}
-		}
-		sh.hot = sh.hot[:0]
-		clear(sh.agg)
-		if best >= 0 {
-			if st := &sh.slots[best]; st.served.Load() == st.issued.Load() {
-				// Every ticket served: the old owner's last touch of
-				// the slot (pop's served store) happened before this
-				// acquire-load, and the next ticket is issued after
-				// owner[] is updated below — the mailbox send of its
-				// packet carries the value, the access log and the
-				// wait ring on to the new owner. placeMu publishes the
-				// new owner to ShardMap snapshots.
-				h.wregs[lo].Array(reg)[best] = h.wregs[hi].Array(reg)[best]
-				e.placeMu.Lock()
-				sh.owner[best] = lo
-				e.placeMu.Unlock()
-				e.shardMoves++
-				e.met.ShardMoves.Inc()
-			}
-		}
+		// Every ticket served: the old owner's last touch of the slot
+		// (pop's served store) happened before Pick's acquire-load, and the
+		// next ticket is issued after owner[] is updated below — the mailbox
+		// send of its packet carries the value, the access log and the wait
+		// ring on to the new owner. placeMu publishes the new owner to
+		// ShardMap snapshots.
+		h.wregs[lo].Array(reg)[best] = h.wregs[hi].Array(reg)[best]
+		e.placeMu.Lock()
+		sh.owner[best] = lo
+		e.placeMu.Unlock()
+		e.shardMoves++
+		e.met.ShardMoves.Inc()
 	}
-}
-
-// touch counts one resolution of sharded index pos in the current window.
-func (sh *regShard) touch(pos int) {
-	if sh.count[pos] == 0 {
-		sh.hot = append(sh.hot, pos)
-	}
-	sh.count[pos]++
-	sh.agg[sh.owner[pos]]++
 }
 
 // watchdog aborts the run when no packet egresses for StallTimeout while

@@ -8,6 +8,7 @@ import (
 	"mp5/internal/banzai"
 	"mp5/internal/ir"
 	"mp5/internal/ir/bytecode"
+	"mp5/internal/sharding"
 )
 
 // Quota is a tenant-level admission token counter layered in front of the
@@ -163,10 +164,9 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 		sh.size = info.Size
 		if sh.sharded {
 			sh.owner = make([]int, info.Size)
-			sh.count = make([]int64, info.Size)
-			sh.agg = make([]int64, e.k)
+			sh.win = sharding.NewWindow(info.Size, e.k)
 			for i := range sh.owner {
-				sh.owner[i] = i % e.k // round-robin, like sharding.PolicyRoundRobin
+				sh.owner[i] = i % e.k
 			}
 			if placeRng != nil {
 				placeRng.Shuffle(len(sh.owner), func(i, j int) {
@@ -175,11 +175,7 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 			}
 			sh.slots = make([]slotState, info.Size)
 		} else {
-			home := 0
-			if info.Stage >= 0 {
-				home = info.Stage % e.k
-			}
-			sh.owner = []int{home}
+			sh.owner = []int{sharding.Home(info, e.k)}
 			sh.slots = make([]slotState, 1)
 		}
 	}

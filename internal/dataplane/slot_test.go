@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -212,84 +211,43 @@ func TestSlotHandoffBetweenOwners(t *testing.T) {
 	t.Logf("parks on the way: %d", res.Parks)
 }
 
-// fullScanPick is Figure 6's choice computed the way remapHandle used to:
-// three passes over the whole array. The reference pick is held to.
-func fullScanPick(owner []int, count []int64, k int) (lo, best int) {
-	hi, agg := 0, make([]int64, k)
-	for i, o := range owner {
-		agg[o] += count[i]
+// TestRemapPassesOverBusyIndex pins the paper's rule for which index a remap
+// moves: the largest count under half the gap among the indices with no
+// packet in flight. The best index on the heavy worker holds a ticket no one
+// has served, so the quiescent runner-up must move, value and all; when the
+// busy index is the only candidate, nothing moves.
+func TestRemapPassesOverBusyIndex(t *testing.T) {
+	prog, err := apps.Synthetic(1, 8, 16)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for w := 1; w < k; w++ {
-		if agg[w] > agg[hi] {
-			hi = w
-		}
-		if agg[w] < agg[lo] {
-			lo = w
-		}
-	}
-	best = -1
-	if hi != lo && agg[hi] != agg[lo] {
-		c := (agg[hi] - agg[lo]) / 2
-		for i, o := range owner {
-			if o != hi || count[i] >= c || count[i] == 0 {
-				continue
-			}
-			if best < 0 || count[i] > count[best] {
-				best = i
+	e := New(prog, Config{Workers: 2}) // never started; round robin: even indices on worker 0
+	sh := &e.def.shard[0]
+	touch := func(counts map[int]int) {
+		for pos, n := range counts {
+			for ; n > 0; n-- {
+				sh.win.Touch(pos, sh.owner[pos])
 			}
 		}
 	}
-	return lo, best
-}
+	sh.slots[2].issue() // index 2 has a packet in flight
+	e.def.wregs[0].Array(0)[4] = 42
 
-// TestRemapMatchesFullScan checks the incremental remap bookkeeping — the
-// per-owner sums and the touched-index list resolve keeps — against the full
-// scan on 1,000 random windows: remapHandle must move exactly the index the
-// full scan picks (ties by lowest index), from its heaviest to its lightest
-// worker, or nothing. Each shard lives through fifty windows, migrating as it
-// goes, so a count or a sum the reset left behind would show in the next one.
-func TestRemapMatchesFullScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	moves := 0
-	for shard := 0; shard < 20; shard++ {
-		k, size := 1+rng.Intn(4), 1+rng.Intn(64)
-		prog, err := apps.Synthetic(1, size, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := New(prog, Config{Workers: k}) // never started: every slot stays fully served
-		sh := &e.def.shard[0]
-		for i := range sh.owner {
-			sh.owner[i] = rng.Intn(k)
-		}
-		for win := 0; win < 50; win++ {
-			// A few hot indices over a uniform background, so that windows
-			// with ties, with no candidate under half the gap and with no
-			// gap at all occur. The full scan reads the test's own tally.
-			count := make([]int64, size)
-			hot := []int{rng.Intn(size), rng.Intn(size), rng.Intn(size)}
-			for n := rng.Intn(256); n > 0; n-- {
-				pos := hot[n%len(hot)]
-				if rng.Intn(3) == 0 {
-					pos = rng.Intn(size)
-				}
-				sh.touch(pos)
-				count[pos]++
-			}
-			lo, best := fullScanPick(sh.owner, count, k)
-			want := append([]int(nil), sh.owner...)
-			if best >= 0 {
-				want[best] = lo
-				moves++
-			}
-			e.remapHandle(e.def)
-			if !reflect.DeepEqual(sh.owner, want) {
-				t.Fatalf("shard %d window %d (k=%d): full scan moves index %d to worker %d\nwant owners %v\ngot         %v",
-					shard, win, k, best, lo, want, sh.owner)
-			}
-		}
+	// Worker 0 carries 18, worker 1 none: C = 9. Index 2 (5) is the best
+	// under C, index 4 (3) the runner-up, index 0 (10) is over C.
+	touch(map[int]int{0: 10, 2: 5, 4: 3})
+	e.remapHandle(e.def)
+	if sh.owner[2] != 0 || sh.owner[4] != 1 || e.shardMoves != 1 {
+		t.Fatalf("owners of 2 and 4 = %d, %d after %d moves; want the runner-up 4 moved to worker 1", sh.owner[2], sh.owner[4], e.shardMoves)
 	}
-	if moves < 300 {
-		t.Fatalf("only %d of 1000 windows chose an index to migrate: the comparison is mostly vacuous", moves)
+	if got := e.def.wregs[1].Array(0)[4]; got != 42 {
+		t.Fatalf("moved index 4 reads %d on its new owner, want 42", got)
+	}
+
+	// Worker 0 carries 15: C = 7, and only the busy index 2 is under it.
+	touch(map[int]int{0: 10, 2: 5})
+	e.remapHandle(e.def)
+	if sh.owner[2] != 0 || e.shardMoves != 1 {
+		t.Fatalf("index 2 on worker %d after %d moves; a busy sole candidate must stay", sh.owner[2], e.shardMoves)
 	}
 }

@@ -51,6 +51,75 @@ type Move struct {
 	To   int
 }
 
+// Window counts one sharded register array's resolutions over one remap
+// window (§3.4) and picks that window's Figure-6 migration. count[i] counts
+// index i, agg[p] sums the counts of pipeline p's indices, and hot lists the
+// indices counted, so a remap reads and resets only what the window touched.
+// The simulator's Map and the dataplane engine's admitter each keep one per
+// sharded array; a Window is not safe for concurrent use.
+type Window struct {
+	count []int64
+	hot   []int
+	agg   []int64
+}
+
+// NewWindow returns an empty window for an array of size indices spread over
+// k pipelines.
+func NewWindow(size, k int) Window {
+	return Window{count: make([]int64, size), agg: make([]int64, k)}
+}
+
+// Touch counts one resolution of index idx, whose live copy is in pipeline
+// owner. The owner must not change before the window's next Pick or Reset.
+func (w *Window) Touch(idx, owner int) {
+	if w.count[idx] == 0 {
+		w.hot = append(w.hot, idx)
+	}
+	w.count[idx]++
+	w.agg[owner]++
+}
+
+// Reset clears the window.
+func (w *Window) Reset() {
+	for _, i := range w.hot {
+		w.count[i] = 0
+	}
+	w.hot = w.hot[:0]
+	clear(w.agg)
+}
+
+// Pick runs Figure 6 over the window and resets it: find the pipelines H and
+// L with the highest and lowest aggregate counts (the lowest pipeline on a
+// tie), let C be half their gap, and choose the index on H with the largest
+// count below C (the lowest index on a tie) among those quiescent accepts —
+// the paper's in-flight gate. It reports the index and the move H→L, or
+// ok == false when no index qualifies. owner[i] is index i's pipeline; Pick
+// does not change it. quiescent is asked only about candidates that would
+// improve on the best so far.
+func (w *Window) Pick(owner []int, quiescent func(int) bool) (idx, from, to int, ok bool) {
+	h, l := 0, 0
+	for p := 1; p < len(w.agg); p++ {
+		if w.agg[p] > w.agg[h] {
+			h = p
+		}
+		if w.agg[p] < w.agg[l] {
+			l = p
+		}
+	}
+	c := (w.agg[h] - w.agg[l]) / 2 // 0 when there is no gap: no candidate
+	best, bestN := -1, int64(0)
+	for _, i := range w.hot {
+		n := w.count[i] // never 0 for a listed index
+		w.count[i] = 0
+		if owner[i] == h && n < c && (n > bestN || n == bestN && i < best) && quiescent(i) {
+			best, bestN = i, n
+		}
+	}
+	w.hot = w.hot[:0]
+	clear(w.agg)
+	return best, h, l, best >= 0
+}
+
 // regShard is the runtime state of one register array.
 type regShard struct {
 	sharded bool
@@ -58,8 +127,8 @@ type regShard struct {
 	// pipeOf[i] is the pipeline whose copy of index i is active.
 	// Unsharded arrays use pipeOf[0] as the whole-array home.
 	pipeOf []int
-	// access[i] counts resolutions since the last remap (§3.4).
-	access []int64
+	// win counts a sharded array's resolutions since the last remap (§3.4).
+	win Window
 	// total[i] counts resolutions over the whole run (never reset) —
 	// the source for hot-index telemetry reports.
 	total []int64
@@ -90,18 +159,30 @@ type Map struct {
 	k     int
 	regs  []regShard
 	moves int64
+	// moveBuf backs the slice Remap and RemapLPT return; New sizes it for
+	// Remap's at most one move per array.
+	moveBuf []Move
 }
 
-// New builds the map for program p over k pipelines. Unsharded arrays are
-// homed so that arrays sharing a stage share a pipeline (they may be
-// accessed by one packet in one stage visit); the home is stage mod k to
-// spread pinned state across pipelines. seed drives PolicyRandom.
+// Home is the pipeline an unsharded array lives in over k pipelines: stage
+// mod k, so arrays sharing a stage share a pipeline (one packet may access
+// them in one stage visit) while pinned state spreads across pipelines; 0
+// for an array with no stage.
+func Home(info *ir.RegInfo, k int) int {
+	if info.Stage < 0 {
+		return 0
+	}
+	return info.Stage % k
+}
+
+// New builds the map for program p over k pipelines. Unsharded arrays live
+// in their Home pipeline. seed drives PolicyRandom.
 func New(p *ir.Program, k int, policy Policy, seed int64) *Map {
 	if k <= 0 {
 		panic("sharding: need at least one pipeline")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	m := &Map{k: k, regs: make([]regShard, len(p.Regs))}
+	m := &Map{k: k, regs: make([]regShard, len(p.Regs)), moveBuf: make([]Move, 0, len(p.Regs))}
 	for i := range p.Regs {
 		info := &p.Regs[i]
 		rs := &m.regs[i]
@@ -112,7 +193,9 @@ func New(p *ir.Program, k int, policy Policy, seed int64) *Map {
 			n = info.Size
 		}
 		rs.pipeOf = make([]int, n)
-		rs.access = make([]int64, n)
+		if rs.sharded {
+			rs.win = NewWindow(n, k)
+		}
 		rs.total = make([]int64, n)
 		rs.ewma = make([]float64, n)
 		rs.inflight = make([]int64, n)
@@ -128,13 +211,7 @@ func New(p *ir.Program, k int, policy Policy, seed int64) *Map {
 				rs.pipeOf[j] = j % k
 			}
 		default:
-			// Unsharded: home by stage so same-stage arrays
-			// co-locate.
-			home := 0
-			if info.Stage >= 0 {
-				home = info.Stage % k
-			}
-			rs.pipeOf[0] = home
+			rs.pipeOf[0] = Home(info, k)
 		}
 	}
 	return m
@@ -154,11 +231,13 @@ func (m *Map) PipeOf(reg, idx int) int {
 }
 
 // NoteResolved records that a packet has been resolved to access reg[idx]:
-// it bumps the access counter and the in-flight counter.
+// it bumps the access counter (of a sharded array) and the in-flight counter.
 func (m *Map) NoteResolved(reg, idx int) {
 	rs := &m.regs[reg]
 	s := rs.slot(idx)
-	rs.access[s]++
+	if rs.sharded {
+		rs.win.Touch(s, rs.pipeOf[s])
+	}
 	rs.total[s]++
 	rs.inflight[s]++
 }
@@ -183,68 +262,26 @@ func (m *Map) Inflight(reg, idx int) int64 {
 // Moves returns the total number of entry migrations applied so far.
 func (m *Map) Moves() int64 { return m.moves }
 
-// Remap runs one iteration of the paper's Figure-6 heuristic for every
-// sharded register array and resets the access counters. It returns the
-// moves to apply; the caller must copy register values accordingly (the
-// map is already updated).
+// Remap runs one iteration of the paper's Figure-6 heuristic (Window.Pick)
+// for every sharded register array, moving only indices with zero in-flight
+// packets, and resets the access counters. It returns the moves to apply;
+// the caller must copy register values accordingly (the map is already
+// updated). The slice is valid until the next Remap or RemapLPT.
 func (m *Map) Remap() []Move {
-	var moves []Move
+	moves := m.moveBuf[:0]
 	for reg := range m.regs {
 		rs := &m.regs[reg]
 		if !rs.sharded {
 			continue
 		}
-		if mv, ok := m.remapOne(reg, rs); ok {
-			moves = append(moves, mv)
-		}
-		for i := range rs.access {
-			rs.access[i] = 0
+		if idx, from, to, ok := rs.win.Pick(rs.pipeOf, func(i int) bool { return rs.inflight[i] == 0 }); ok {
+			rs.pipeOf[idx] = to
+			m.moves++
+			moves = append(moves, Move{Reg: reg, Idx: idx, From: from, To: to})
 		}
 	}
+	m.moveBuf = moves
 	return moves
-}
-
-// remapOne applies Figure 6 to one register array:
-//
-//	find pipelines H and L with the highest (cmax) and lowest (cmin)
-//	aggregate access counts; let C = (cmax-cmin)/2; move the index in H
-//	with the largest count < C (and zero in-flight packets) to L.
-func (m *Map) remapOne(reg int, rs *regShard) (Move, bool) {
-	agg := make([]int64, m.k)
-	for i, pipe := range rs.pipeOf {
-		agg[pipe] += rs.access[i]
-	}
-	h, l := 0, 0
-	for p := 1; p < m.k; p++ {
-		if agg[p] > agg[h] {
-			h = p
-		}
-		if agg[p] < agg[l] {
-			l = p
-		}
-	}
-	if h == l || agg[h] == agg[l] {
-		return Move{}, false
-	}
-	c := (agg[h] - agg[l]) / 2
-	best := -1
-	for i, pipe := range rs.pipeOf {
-		if pipe != h || rs.inflight[i] != 0 {
-			continue
-		}
-		if rs.access[i] >= c || rs.access[i] == 0 {
-			continue
-		}
-		if best < 0 || rs.access[i] > rs.access[best] {
-			best = i
-		}
-	}
-	if best < 0 {
-		return Move{}, false
-	}
-	rs.pipeOf[best] = l
-	m.moves++
-	return Move{Reg: reg, Idx: best, From: h, To: l}, true
 }
 
 // RemapLPT rebalances every sharded array towards the bin-packing optimum,
@@ -255,9 +292,10 @@ func (m *Map) remapOne(reg int, rs *regShard) (Move, bool) {
 // access counts. The incremental form is deliberately sticky: unlike a
 // from-scratch re-pack it never migrates state that is not part of the
 // imbalance, so measurement noise cannot thrash placements. Indexes with
-// in-flight packets stay put. Access counters reset afterwards.
+// in-flight packets stay put. Access counters reset afterwards. The slice
+// is valid until the next Remap or RemapLPT.
 func (m *Map) RemapLPT() []Move {
-	var moves []Move
+	moves := m.moveBuf[:0]
 	for reg := range m.regs {
 		rs := &m.regs[reg]
 		if !rs.sharded {
@@ -265,7 +303,7 @@ func (m *Map) RemapLPT() []Move {
 		}
 		var total float64
 		for i := range rs.ewma {
-			rs.ewma[i] = 0.5*rs.ewma[i] + float64(rs.access[i])
+			rs.ewma[i] = 0.5*rs.ewma[i] + float64(rs.win.count[i])
 			total += rs.ewma[i]
 		}
 		if total > 0 {
@@ -324,10 +362,9 @@ func (m *Map) RemapLPT() []Move {
 				moves = append(moves, Move{Reg: reg, Idx: best, From: h, To: l})
 			}
 		}
-		for i := range rs.access {
-			rs.access[i] = 0
-		}
+		rs.win.Reset()
 	}
+	m.moveBuf = moves
 	return moves
 }
 
@@ -379,15 +416,4 @@ func (m *Map) TopIndices(n int) []HotIndex {
 		all = all[:n]
 	}
 	return all
-}
-
-// AggregateLoad returns the per-pipeline sum of access counters for one
-// register array under the current mapping (for tests and diagnostics).
-func (m *Map) AggregateLoad(reg int) []int64 {
-	rs := &m.regs[reg]
-	agg := make([]int64, m.k)
-	for i, pipe := range rs.pipeOf {
-		agg[pipe] += rs.access[i]
-	}
-	return agg
 }

@@ -128,16 +128,14 @@ func TestRemapLPTConverges(t *testing.T) {
 	if len(moves) == 0 {
 		t.Fatal("LPT made no moves under 4x imbalance")
 	}
-	// After the rebalance the EWMA loads must be near-equal.
-	load := m2.AggregateLoad(0)
-	// Counters were reset; recompute from placements: each hot index
-	// carries equal weight, so they should now be spread across pipes.
+	// Counters were reset; judge from placements: each hot index carries
+	// equal weight, so they should now be spread across pipes.
 	hot := map[int]int{}
 	for _, idx := range []int{0, 4, 8, 12} {
 		hot[m2.PipeOf(0, idx)]++
 	}
 	if len(hot) < 3 {
-		t.Errorf("hot indexes still clustered: %v (loads %v)", hot, load)
+		t.Errorf("hot indexes still clustered: %v", hot)
 	}
 }
 
