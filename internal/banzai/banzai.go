@@ -1,9 +1,9 @@
 // Package banzai models the Banzai machine (Sivaraman et al., SIGCOMM'16)
 // that MP5 builds on: a single feed-forward pipeline of match-action stages
-// with atomic per-stage state operations. It provides the register file and
-// the serial reference executor that defines functional equivalence (§2.2.1
-// of the MP5 paper): the final register state and per-packet header state a
-// logical single-pipelined switch would produce.
+// with atomic per-stage state operations. It provides the serial reference
+// executor that defines functional equivalence (§2.2.1 of the MP5 paper):
+// the final register state and per-packet header state a logical
+// single-pipelined switch would produce. Its register file is ir.RegFile.
 package banzai
 
 import (
@@ -13,92 +13,14 @@ import (
 	"mp5/internal/ir/bytecode"
 )
 
-// RegFile is a flat register store holding every register array of one
-// program, plus its read-only match tables (replicated from the program's
-// control-plane configuration). It implements ir.RegStore. Indices are
-// reduced modulo the array size (non-negative), matching the
-// dataplane-safe semantics of the instruction interpreter.
-type RegFile struct {
-	arrays   [][]int64
-	tables   []map[[3]int64]int64
-	defaults []int64
-}
+// RegFile is the program register file, which lives in internal/ir so the
+// bytecode VM can take it concretely. The alias keeps this package's
+// register-file surface for callers that build one next to a Machine.
+type RegFile = ir.RegFile
 
-// NewRegFile allocates and initializes a register file for program p,
-// replicating p's match-table entries (the control-plane state the paper
-// assumes is installed identically before the run, §2.2.1).
-func NewRegFile(p *ir.Program) *RegFile {
-	rf := &RegFile{arrays: make([][]int64, len(p.Regs))}
-	for i := range p.Regs {
-		r := &p.Regs[i]
-		a := make([]int64, r.Size)
-		for j := range a {
-			a[j] = r.InitialValue(j)
-		}
-		rf.arrays[i] = a
-	}
-	rf.tables = make([]map[[3]int64]int64, len(p.Tables))
-	rf.defaults = make([]int64, len(p.Tables))
-	for i := range p.Tables {
-		rf.tables[i] = make(map[[3]int64]int64)
-		rf.defaults[i] = p.Tables[i].Default
-	}
-	for _, e := range p.TableEntries {
-		rf.tables[e.Table][e.Keys] = e.Value
-	}
-	return rf
-}
-
-// ClampIndex reduces an arbitrary index into [0, size): the dataplane-safe
-// wrap used by every register store in this repository, so the reference
-// executor and the MP5 simulator agree on out-of-range accesses. An index
-// already in range — nearly every one — returns without the integer divide.
-func ClampIndex(idx int, size int) int {
-	if size > 0 && uint(idx) < uint(size) {
-		return idx
-	}
-	if size <= 0 {
-		return 0
-	}
-	m := idx % size
-	if m < 0 {
-		m += size
-	}
-	return m
-}
-
-// ReadReg implements ir.RegStore.
-func (rf *RegFile) ReadReg(reg, idx int) int64 {
-	a := rf.arrays[reg]
-	return a[ClampIndex(idx, len(a))]
-}
-
-// WriteReg implements ir.RegStore.
-func (rf *RegFile) WriteReg(reg, idx int, v int64) {
-	a := rf.arrays[reg]
-	a[ClampIndex(idx, len(a))] = v
-}
-
-// LookupTable implements ir.RegStore: exact match against a read-only
-// match table, with the table's default on a miss.
-func (rf *RegFile) LookupTable(tbl int, keys [3]int64) int64 {
-	if v, ok := rf.tables[tbl][keys]; ok {
-		return v
-	}
-	return rf.defaults[tbl]
-}
-
-// Array returns the backing slice of register array reg (live, not a copy).
-func (rf *RegFile) Array(reg int) []int64 { return rf.arrays[reg] }
-
-// Snapshot deep-copies the register state.
-func (rf *RegFile) Snapshot() [][]int64 {
-	out := make([][]int64, len(rf.arrays))
-	for i, a := range rf.arrays {
-		out[i] = append([]int64(nil), a...)
-	}
-	return out
-}
+// NewRegFile allocates and initializes a register file for program p
+// (ir.NewRegFile).
+func NewRegFile(p *ir.Program) *RegFile { return ir.NewRegFile(p) }
 
 // Machine models a single Banzai pipeline executing a compiled program
 // serially: packets are processed to completion in arrival order, which is
@@ -222,7 +144,7 @@ func (m *Machine) Process(id int64, env *ir.Env) {
 func (m *Machine) processStageIndexed(id int64, env *ir.Env, si int) {
 	var seen map[string]bool
 	m.execStageObserved(si, env, func(reg int, idx int64, write bool) {
-		key := AccessKey(reg, ClampIndex(int(idx), m.prog.Regs[reg].Size))
+		key := AccessKey(reg, ir.ClampIndex(int(idx), m.prog.Regs[reg].Size))
 		if seen[key] {
 			return
 		}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"mp5/internal/banzai"
 	"mp5/internal/ir"
 	"mp5/internal/ir/bytecode"
 	"mp5/internal/sharding"
@@ -96,7 +95,7 @@ type Simulator struct {
 	resStage int
 
 	shard *sharding.Map
-	regs  []*banzai.RegFile
+	regs  []*ir.RegFile
 	st    [][]stageState // [stage][pipe]
 
 	// bc and vm are the bytecode-compiled program and the VM that runs it;
@@ -200,9 +199,9 @@ func NewSimulator(prog *ir.Program, cfg Config) *Simulator {
 		crossings:    make([][]crossEv, cfg.CrossLatency+2),
 		pendingOrder: make(map[accessKey][]int64),
 	}
-	s.regs = make([]*banzai.RegFile, s.k)
+	s.regs = make([]*ir.RegFile, s.k)
 	for j := 0; j < s.k; j++ {
-		s.regs[j] = banzai.NewRegFile(prog)
+		s.regs[j] = ir.NewRegFile(prog)
 	}
 	if !cfg.Interpret {
 		s.bc = bytecode.MustCompile(prog)
@@ -793,7 +792,7 @@ func (s *Simulator) execStage(p *Packet, stage, pipe int) {
 	}
 	seen := s.accessSeen
 	obs := func(reg int, idx int64, write bool) {
-		key := accessKey{reg, banzai.ClampIndex(int(idx), s.prog.Regs[reg].Size)}
+		key := accessKey{reg, ir.ClampIndex(int(idx), s.prog.Regs[reg].Size)}
 		if seen[key] {
 			return
 		}
@@ -954,7 +953,7 @@ func (s *Simulator) resolve(p *Packet, pipe int) {
 		}
 		idx := -1
 		if s.shard.Sharded(a.Reg) {
-			idx = banzai.ClampIndex(int(p.Env.Load(a.Idx)), s.prog.Regs[a.Reg].Size)
+			idx = ir.ClampIndex(int(p.Env.Load(a.Idx)), s.prog.Regs[a.Reg].Size)
 		}
 		dest := s.shard.PipeOf(a.Reg, maxIdx(idx))
 		s.shard.NoteResolved(a.Reg, maxIdx(idx))

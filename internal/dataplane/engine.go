@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mp5/internal/banzai"
 	"mp5/internal/core"
 	"mp5/internal/ir"
 	"mp5/internal/sharding"
@@ -158,6 +157,12 @@ type Engine struct {
 	// abort-retirement tests use to kill the engine at the worst moment.
 	testBeforeExec  func(*packet)
 	testAfterTicket func()
+	// testExecPath, when set, runs on the owning worker before a visit's
+	// stage executes on the bytecode VM, with the check path the stage's
+	// stability chose (true: tickets checked up front); the visit takes the
+	// path it returns. The two-path tests use it to force the observed path
+	// and to count which path ran.
+	testExecPath func(stage int, upFront bool) bool
 }
 
 // NewMulti builds an engine with no programs loaded. Call AddProgram at
@@ -778,61 +783,117 @@ func (e *Engine) putBatch(b *pktBatch) {
 	e.batchPool.Put(b)
 }
 
-// resolve performs preemptive address resolution (§3.3) against the
-// handle's shard placement: evaluate resolvable predicates, clamp indices,
-// look up slot owners, stamp one ticket per slot, and build the visit list.
-// Same-stage accesses form one visit and must co-locate (the code generator
-// guarantees multi-array stages hold only unsharded, same-home arrays).
-// Duplicate same-stage references to one slot collapse to a single ticket.
-func (e *Engine) resolve(h *Handle, p *packet) {
-	for stage, bucket := range h.accByStage {
-		var v *visit
-		for _, ai := range bucket {
-			a := &h.prog.Accesses[ai]
+// resolveStep is one state access site of a handle's resolve plan
+// (resolvePlan): everything resolve needs about the access, flattened at
+// load time so the per-packet walk reads one entry per access.
+type resolveStep struct {
+	sh    *regShard
+	reg   int
+	stage int
+	// first marks the first access of its stage: a new visit starts here.
+	first bool
+	// dup is set when an earlier access of the same stage names the same
+	// register, the only case whose slot may already hold a ticket.
+	dup bool
+	// pred is the resolvable predicate (a field or a temp; KindNone when
+	// the access is unconditional, or its predicate is unresolvable or a
+	// constant that holds), neg its inversion. idx is the index operand,
+	// read only for sharded arrays.
+	pred ir.Operand
+	neg  bool
+	idx  ir.Operand
+}
+
+// resolvePlan flattens prog's access sites, grouped by stage in stage
+// order and in declaration order within a stage, into the step list
+// resolve walks. Constant predicates are folded here: an access whose
+// constant predicate fails never happens and gets no step.
+func resolvePlan(prog *ir.Program, shard []regShard) []resolveStep {
+	var plan []resolveStep
+	for stage := range prog.Stages {
+		first := len(plan)
+		for i := range prog.Accesses {
+			a := &prog.Accesses[i]
+			if a.Stage != stage {
+				continue
+			}
+			s := resolveStep{sh: &shard[a.Reg], reg: a.Reg, stage: stage, first: len(plan) == first, idx: a.Idx}
 			if a.PredResolvable && !a.Pred.IsNone() {
-				truth := p.env.Load(a.Pred) != 0
-				if truth == a.PredNeg {
-					continue // resolved: this access will not happen
-				}
-			}
-			sh := &h.shard[a.Reg]
-			key := slotKey{a.Reg, -1}
-			pos := 0
-			if sh.sharded {
-				key.idx = banzai.ClampIndex(int(p.env.Load(a.Idx)), sh.size)
-				pos = key.idx
-				sh.win.Touch(pos, sh.owner[pos])
-			}
-			dest := sh.owner[pos]
-			if v == nil {
-				// Extend in place when the recycled packet's visit array has
-				// room: reslicing (rather than appending a fresh struct)
-				// keeps each visit's slots capacity from previous lives.
-				if n := len(p.visits); n < cap(p.visits) {
-					p.visits = p.visits[:n+1]
-					v = &p.visits[n]
-					v.stage, v.pipe = stage, dest
-					v.slots = v.slots[:0]
+				if a.Pred.Kind == ir.KindConst {
+					if (a.Pred.Val != 0) == a.PredNeg {
+						continue
+					}
 				} else {
-					p.visits = append(p.visits, visit{stage: stage, pipe: dest})
-					v = &p.visits[n]
-				}
-			} else if v.pipe != dest {
-				panic("dataplane: co-located accesses resolved to different pipelines")
-			}
-			dup := false
-			for _, ref := range v.slots {
-				if ref.key == key {
-					dup = true
-					break
+					s.pred, s.neg = a.Pred, a.PredNeg
 				}
 			}
-			if !dup {
-				st := &sh.slots[pos]
-				v.slots = append(v.slots, slotRef{key: key, st: st, tk: st.issue()})
+			for _, prev := range plan[first:] {
+				s.dup = s.dup || prev.reg == a.Reg
 			}
+			plan = append(plan, s)
 		}
 	}
+	return plan
+}
+
+// resolve performs preemptive address resolution (§3.3) against the
+// handle's shard placement, walking its resolve plan: evaluate resolvable
+// predicates, clamp indices, look up slot owners, stamp one ticket per
+// slot, and build the visit list. Same-stage accesses form one visit and
+// must co-locate (the code generator guarantees multi-array stages hold
+// only unsharded, same-home arrays). Duplicate same-stage references to one
+// slot collapse to a single ticket.
+func (e *Engine) resolve(h *Handle, p *packet) {
+	var v *visit
+	for i := range h.plan {
+		s := &h.plan[i]
+		if s.first {
+			v = nil
+		}
+		if s.pred.Kind != ir.KindNone && (p.env.Load(s.pred) != 0) == s.neg {
+			continue // resolved: this access will not happen
+		}
+		sh := s.sh
+		key := slotKey{s.reg, -1}
+		pos := 0
+		if sh.sharded {
+			key.idx = ir.ClampIndex(int(p.env.Load(s.idx)), sh.size)
+			pos = key.idx
+			sh.win.Touch(pos, sh.owner[pos])
+		}
+		dest := sh.owner[pos]
+		if v == nil {
+			// Extend in place when the recycled packet's visit array has
+			// room: reslicing (rather than appending a fresh struct)
+			// keeps each visit's slots capacity from previous lives.
+			if n := len(p.visits); n < cap(p.visits) {
+				p.visits = p.visits[:n+1]
+				v = &p.visits[n]
+				v.stage, v.pipe = s.stage, dest
+				v.slots = v.slots[:0]
+			} else {
+				p.visits = append(p.visits, visit{stage: s.stage, pipe: dest})
+				v = &p.visits[n]
+			}
+		} else if v.pipe != dest {
+			panic("dataplane: co-located accesses resolved to different pipelines")
+		}
+		if s.dup && v.holds(key) {
+			continue
+		}
+		st := &sh.slots[pos]
+		v.slots = append(v.slots, slotRef{key: key, st: st, tk: st.issue()})
+	}
+}
+
+// holds reports whether the visit already has a ticket on key.
+func (v *visit) holds(key slotKey) bool {
+	for _, ref := range v.slots {
+		if ref.key == key {
+			return true
+		}
+	}
+	return false
 }
 
 // remap runs one Figure-6 iteration over every handle (admitter-only). The

@@ -85,10 +85,11 @@ type Handle struct {
 	version int
 	prog    *ir.Program
 
-	accByStage [][]int
+	// plan is the resolve plan: every access site, flattened for resolve.
+	plan []resolveStep
 	// admRegs backs resolution-stage execution on the admitter (stateless
 	// by construction, so only read-only match tables are consulted).
-	admRegs *banzai.RegFile
+	admRegs *ir.RegFile
 	// bc is this program's compiled form and vm the VM that runs it on the
 	// admitter and every worker (a VM holds no state). Both nil under
 	// Config.Interpret.
@@ -97,7 +98,7 @@ type Handle struct {
 	// wregs[i] is worker i's private register file for this program — the
 	// per-tenant register namespace. Only the indices the shard map assigns
 	// to worker i hold the live copy.
-	wregs []*banzai.RegFile
+	wregs []*ir.RegFile
 
 	// shard holds every register array's placement and ticket locks.
 	shard []regShard
@@ -129,23 +130,22 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 		panic("dataplane: program has state accesses but no resolution stages (compile for TargetMP5)")
 	}
 	h := &Handle{
-		e:          e,
-		name:       name,
-		version:    version,
-		prog:       prog,
-		accByStage: prog.AccessesByStage(),
-		admRegs:    banzai.NewRegFile(prog),
-		quota:      quota,
-		record:     e.cfg.RecordOutputs || e.cfg.RecordAccessOrder,
+		e:       e,
+		name:    name,
+		version: version,
+		prog:    prog,
+		admRegs: ir.NewRegFile(prog),
+		quota:   quota,
+		record:  e.cfg.RecordOutputs || e.cfg.RecordAccessOrder,
 	}
 	h.free = make([]*packet, 0, e.cfg.Window)
 	if !e.cfg.Interpret {
 		h.bc = bytecode.MustCompile(prog)
 		h.vm = bytecode.NewVM(h.bc)
 	}
-	h.wregs = make([]*banzai.RegFile, e.k)
+	h.wregs = make([]*ir.RegFile, e.k)
 	for i := range h.wregs {
-		h.wregs[i] = banzai.NewRegFile(prog)
+		h.wregs[i] = ir.NewRegFile(prog)
 	}
 	// Seed != 0 selects the seeded placement policy: the balanced
 	// round-robin assignment, deterministically shuffled per array. The
@@ -179,6 +179,7 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 			sh.slots = make([]slotState, 1)
 		}
 	}
+	h.plan = resolvePlan(prog, h.shard)
 	return h
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mp5/internal/banzai"
 	"mp5/internal/ir"
 	"mp5/internal/stats"
 	"mp5/internal/telemetry"
@@ -402,13 +401,18 @@ func (d *driver) process(p *packet, since TraceStage) {
 	w.egress(p)
 }
 
-// observe is the access observer execVisit attaches to stage execution
-// (via the once-bound w.obs): it validates that every concrete register
-// access was covered by a ticket and records which indices each slot
-// ticket actually covered. Context arrives through obsP/obsV/obsT.
+// observe is the access observer execVisit attaches to an observed stage
+// execution (via the once-bound w.obs); its context arrives through
+// obsP/obsV/obsT.
 func (w *worker) observe(reg int, idx int64, write bool) {
-	p, v, touched := w.obsP, w.obsV, w.obsT
-	ci := banzai.ClampIndex(int(idx), p.h.prog.Regs[reg].Size)
+	cover(w.obsP, w.obsV, w.obsT, reg, idx)
+}
+
+// cover validates one concrete register access of packet p against its
+// visit's tickets — it panics when no ticket covers it — and records which
+// index the covering slot ticket touched.
+func cover(p *packet, v *visit, touched [][]int, reg int, idx int64) {
+	ci := ir.ClampIndex(int(idx), p.h.prog.Regs[reg].Size)
 	ri := -1
 	for i, ref := range v.slots {
 		if ref.key.reg == reg && (ref.key.idx == ci || ref.key.idx < 0) {
@@ -440,11 +444,15 @@ func blocked(v *visit) *slotRef {
 	return nil
 }
 
-// execVisit executes the visit's stage with the access observer attached,
-// recording which concrete register indices each slot ticket actually
-// covered (predicates evaluate live, so a conservative ticket may cover
-// nothing — a wasted visit). It then retires one ticket per slot and
-// promotes the packet parked on each slot's next ticket, if any.
+// execVisit executes the visit's stage, validating every register access it
+// performs against the visit's tickets and recording which concrete indices
+// each slot ticket actually covered (predicates evaluate live, so a
+// conservative ticket may cover nothing — a wasted visit). A stable stage
+// (bytecode.StageProgram.Stable) has its accesses checked up front, from
+// the frame at stage entry, before any register is touched, and then runs
+// unobserved; any other stage, and every stage under Config.Interpret, runs
+// with the access observer attached. It then retires one ticket per slot
+// and promotes the packet parked on each slot's next ticket, if any.
 func (w *worker) execVisit(p *packet, v *visit) {
 	h := p.h
 	for len(w.touched) < len(v.slots) {
@@ -454,16 +462,38 @@ func (w *worker) execVisit(p *packet, v *visit) {
 	for i := range touched {
 		touched[i] = touched[i][:0]
 	}
-	w.obsP, w.obsV, w.obsT = p, v, touched
 	regs := h.wregs[w.id]
-	if h.bc != nil {
-		if err := h.vm.ExecStageObserved(&h.bc.Stages[v.stage], p.env, regs, w.obs); err != nil {
-			panic("dataplane: " + err.Error())
-		}
-	} else {
+	if h.bc == nil {
+		w.obsP, w.obsV, w.obsT = p, v, touched
 		ir.ExecStageObserved(&h.prog.Stages[v.stage], p.env, regs, w.obs)
+		w.obsP, w.obsV, w.obsT = nil, nil, nil
+	} else {
+		sp := &h.bc.Stages[v.stage]
+		upFront := sp.Stable()
+		if f := w.e.testExecPath; f != nil {
+			upFront = f(v.stage, upFront)
+		}
+		var err error
+		if upFront {
+			if err = sp.Fit(p.env); err == nil {
+				frame := p.env.Frame
+				sites := sp.Sites()
+				for i := range sites {
+					if s := &sites[i]; s.Held(frame) {
+						cover(p, v, touched, s.Reg, frame[s.Idx])
+					}
+				}
+				err = h.vm.ExecStage(sp, p.env, regs)
+			}
+		} else {
+			w.obsP, w.obsV, w.obsT = p, v, touched
+			err = h.vm.ExecStageObserved(sp, p.env, regs, w.obs)
+			w.obsP, w.obsV, w.obsT = nil, nil, nil
+		}
+		if err != nil {
+			panic("dataplane: " + err.Error()) // envs are h.prog-shaped
+		}
 	}
-	w.obsP, w.obsV, w.obsT = nil, nil, nil
 	record := w.e.cfg.RecordAccessOrder
 	for i := range v.slots {
 		ref := &v.slots[i]

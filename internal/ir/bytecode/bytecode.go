@@ -23,9 +23,14 @@
 //     index) immediately before the access happens, in instruction order —
 //     exactly like the interpreter's ir.ExecStageObserved, so the order
 //     oracle needs no changes.
+//   - Compile also records each stage's register-access sites (Sites) and
+//     whether the stage is stable: no micro-op writes a slot a later site
+//     reads as its index or predicate, so the sites' accesses are known
+//     from the frame at stage entry. An engine may then check them all
+//     before running the stage unobserved.
 //   - Compile reads its ir.Program and writes nothing back, and a VM holds
 //     no state: all of a packet's execution state lives in its env's frame
-//     and the RegStore. One Program and one VM serve every goroutine.
+//     and the ir.RegFile. One Program and one VM serve every goroutine.
 package bytecode
 
 import (
@@ -44,6 +49,11 @@ type StageProgram struct {
 	// micro is the stage's code: one micro-op per non-nop source
 	// instruction, with a fused read-modify-write standing for three.
 	micro []microOp
+	// sites lists the stage's register accesses in micro-op order, and
+	// stable reports that each one's index and predicate are unchanged
+	// from stage entry to the access (see sitesOf).
+	sites  []Site
+	stable bool
 	// The frame geometry, shared by every stage of the program: nf and nt
 	// are its field and temp counts, frameLen the full frame the micro-ops
 	// address (fields, temps, scratch, and every stage's pool region), and
@@ -53,6 +63,39 @@ type StageProgram struct {
 	frameLen int
 	pools    []int64
 }
+
+// Site is one register-access site of a compiled stage: a read, a write,
+// or a fused read-modify-write (one site for its read and its write, which
+// share register, index and predicate). Idx and Pred are offsets into the
+// env's fitted frame (ir.Env.Frame).
+type Site struct {
+	// Reg is the register-array id.
+	Reg int
+	// Idx is the frame offset of the raw (pre-clamp) index.
+	Idx int
+	// Pred is the frame offset of the predicate, or -1 when the site is
+	// unpredicated; Neg inverts it (if-else else-arms).
+	Pred int
+	Neg  bool
+}
+
+// Held reports whether the site's access executes on frame: it is
+// unpredicated, or its predicate holds.
+func (s *Site) Held(frame []int64) bool {
+	return s.Pred < 0 || (frame[s.Pred] != 0) != s.Neg
+}
+
+// Sites returns the stage's register-access sites in micro-op order. The
+// slice is shared; callers must not modify it.
+func (sp *StageProgram) Sites() []Site { return sp.sites }
+
+// Stable reports whether no micro-op of the stage writes a frame slot that
+// a later site reads as its index or predicate (a fused read-modify-write
+// counts as writing both its t1 and its t2). On a stable stage, the sites
+// that Held on the frame at stage entry, at the indices the frame holds
+// then, are exactly the accesses ExecStage will perform. A stage without
+// sites is stable.
+func (sp *StageProgram) Stable() bool { return sp.stable }
 
 // Program is a whole compiled program: one StageProgram per ir.Stage,
 // sharing the source program's metadata. This is the handle every engine
@@ -75,7 +118,7 @@ func NewVM(p *Program) *VM { return &VM{} }
 // ir.ExecStage on the source stage. It returns a non-nil error only when
 // the env's Fields or Temps lengths do not match the program's, which fit
 // detects on the env's first stage call.
-func (vm *VM) ExecStage(sp *StageProgram, e *ir.Env, regs ir.RegStore) error {
+func (vm *VM) ExecStage(sp *StageProgram, e *ir.Env, regs *ir.RegFile) error {
 	return vm.exec(sp, e, regs, nil)
 }
 
@@ -83,21 +126,29 @@ func (vm *VM) ExecStage(sp *StageProgram, e *ir.Env, regs ir.RegStore) error {
 // executed register access (predicate already held, raw pre-clamp index)
 // to obs immediately before the access happens — the same observation
 // contract as ir.ExecStageObserved, which the C1 order oracle depends on.
-func (vm *VM) ExecStageObserved(sp *StageProgram, e *ir.Env, regs ir.RegStore, obs ir.AccessObserver) error {
+func (vm *VM) ExecStageObserved(sp *StageProgram, e *ir.Env, regs *ir.RegFile, obs ir.AccessObserver) error {
 	return vm.exec(sp, e, regs, obs)
 }
 
 // exec fits the env on its first stage call and then runs the micro-ops.
-// Only fit creates a frame of frameLen slots (Env.Clone and ResetFor keep
-// it), so a frame that long is already seeded with every stage's pool.
-func (vm *VM) exec(sp *StageProgram, e *ir.Env, regs ir.RegStore, obs ir.AccessObserver) error {
-	if len(e.Frame) < sp.frameLen {
-		if err := sp.fit(e); err != nil {
-			return err
-		}
+func (vm *VM) exec(sp *StageProgram, e *ir.Env, regs *ir.RegFile, obs ir.AccessObserver) error {
+	if err := sp.Fit(e); err != nil {
+		return err
 	}
 	execMicro(sp, e.Frame, regs, obs)
 	return nil
+}
+
+// Fit gives e the frame the program's micro-ops address, unless it already
+// has it, so a caller can read site offsets (Sites) before the env's first
+// stage call. It fails like ExecStage on a misshapen env. Only fit creates
+// a frame of frameLen slots (Env.Clone and ResetFor keep it), so a frame
+// that long is already seeded with every stage's pool.
+func (sp *StageProgram) Fit(e *ir.Env) error {
+	if len(e.Frame) >= sp.frameLen {
+		return nil
+	}
+	return sp.fit(e)
 }
 
 // fit gives e the frame sp's micro-ops address: it allocates the full

@@ -76,7 +76,8 @@ func compileStage(s *ir.Stage, nf, nt, constBase int) (StageProgram, error) {
 	if err := a.finalize(constBase); err != nil {
 		return StageProgram{}, err
 	}
-	return StageProgram{Consts: a.consts, Stateful: s.Stateful(), micro: a.micro}, nil
+	sites, stable := sitesOf(a.micro)
+	return StageProgram{Consts: a.consts, Stateful: s.Stateful(), micro: a.micro, sites: sites, stable: stable}, nil
 }
 
 // intern returns the pool index of v, adding it on first use. Pools are

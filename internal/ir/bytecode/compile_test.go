@@ -45,9 +45,9 @@ func TestCompileLeavesProgramUntouched(t *testing.T) {
 				}
 				env := ir.NewEnv(p)
 				env.Fields[0] = int64(g*100 + i)
-				store := goldenStore{}
+				regs := ir.NewRegFile(bp.IR)
 				for si := range bp.Stages {
-					if err := vm.ExecStage(&bp.Stages[si], env, store); err != nil {
+					if err := vm.ExecStage(&bp.Stages[si], env, regs); err != nil {
 						t.Error(err)
 						return
 					}

@@ -125,21 +125,14 @@ func TestEdgeProgramRuns(t *testing.T) {
 		env := ir.NewEnv(prog)
 		env.Fields[prog.FieldIndex("key")] = 5
 		env.Fields[prog.FieldIndex("delta")] = 3
-		store := goldenStore{}
+		regs := ir.NewRegFile(prog)
 		for si := range bp.Stages {
-			if err := vm.ExecStage(&bp.Stages[si], env, store); err != nil {
+			if err := vm.ExecStage(&bp.Stages[si], env, regs); err != nil {
 				t.Fatalf("stage %d: %v", si, err)
 			}
 		}
-		if got := store[[2]int{0, 5}]; got != 3 {
+		if got := regs.ReadReg(0, 5); got != 3 {
 			t.Errorf("target %v: bucket[5] = %d, want 3", target, got)
 		}
 	}
 }
-
-// goldenStore is a minimal ir.RegStore recording raw (reg, idx) writes.
-type goldenStore map[[2]int]int64
-
-func (s goldenStore) ReadReg(reg, idx int) int64          { return s[[2]int{reg, idx}] }
-func (s goldenStore) WriteReg(reg, idx int, v int64)      { s[[2]int{reg, idx}] = v }
-func (s goldenStore) LookupTable(t int, k [3]int64) int64 { return k[0] + k[1] }

@@ -198,11 +198,45 @@ func fuseMicro(ops []microOp) []microOp {
 	return out
 }
 
+// sitesOf lists a finalized stage's register-access sites in micro-op order
+// and reports whether the stage is stable (StageProgram.Stable): no
+// micro-op writes a slot that a later site reads as its index or
+// predicate. A site's own micro-op reads both before writing anything
+// (canFuseRMW keeps a fused op's t1 and t2 off them), so only earlier
+// writes count. A predicated write counts whether or not it would run.
+func sitesOf(micro []microOp) ([]Site, bool) {
+	var sites []Site
+	written := map[uint16]bool{}
+	stable := true
+	for j := range micro {
+		m := &micro[j]
+		op := ir.Op(m.op)
+		if op == ir.OpRdReg || op == ir.OpWrReg || op == opFusedRMW {
+			s := Site{Reg: int(m.reg), Idx: int(m.ci), Pred: -1}
+			if m.pk != pkNone {
+				s.Pred, s.Neg = int(m.pi), m.pk&pkNeg != 0
+			}
+			if written[m.ci] || (s.Pred >= 0 && written[m.pi]) {
+				stable = false
+			}
+			sites = append(sites, s)
+		}
+		switch op {
+		case ir.OpWrReg: // writes a register, no frame slot
+		case opFusedRMW:
+			written[m.ai], written[m.di] = true, true // t1 and t2
+		default:
+			written[m.di] = true
+		}
+	}
+	return sites, stable
+}
+
 // execMicro runs a stage: one dispatch per source instruction, one indexed
 // frame load per operand. The caller has already fitted the frame to the
 // stage's layout; compiled programs are fully validated, so this path has
 // no error exits.
-func execMicro(sp *StageProgram, frame []int64, regs ir.RegStore, obs ir.AccessObserver) {
+func execMicro(sp *StageProgram, frame []int64, regs *ir.RegFile, obs ir.AccessObserver) {
 	for i := range sp.micro {
 		m := &sp.micro[i]
 		if m.pk != pkNone && m.pk&pkPartial == 0 {

@@ -11,13 +11,39 @@ import (
 	"mp5/internal/ir"
 )
 
-// flatStore mirrors the interpreter tests' minimal RegStore: raw indices
-// are recorded as given (no clamping), table lookups return key0+key1.
-type flatStore map[[2]int]int64
+// testRegs and testTables are the register and table declarations every
+// hand-built test program carries, so both executors run against the
+// ir.RegFile the engines use. The arrays are wide enough that the indices
+// the tests compute rarely collide after clamping; the raw indices each
+// executor passes are compared through the observer stream.
+var (
+	testRegs = []ir.RegInfo{
+		{Name: "r0", ID: 0, Size: 64},
+		{Name: "r1", ID: 1, Size: 64},
+		{Name: "r2", ID: 2, Size: 64},
+	}
+	testTables  = []ir.TableInfo{{Name: "tbl0", ID: 0, Keys: 3, Default: -5}}
+	testEntries = []ir.TableEntry{{Table: 0, Keys: [3]int64{0, 1, 0}, Value: 77}}
+)
 
-func (s flatStore) ReadReg(reg, idx int) int64          { return s[[2]int{reg, idx}] }
-func (s flatStore) WriteReg(reg, idx int, v int64)      { s[[2]int{reg, idx}] = v }
-func (s flatStore) LookupTable(t int, k [3]int64) int64 { return k[0] + k[1] }
+// testProgram declares nf fields, nt temps, testRegs and testTables around
+// the given stages.
+func testProgram(nf, nt int, stages ...ir.Stage) *ir.Program {
+	return &ir.Program{Fields: make([]string, nf), NumTemps: nt, Regs: testRegs,
+		Tables: testTables, TableEntries: testEntries, Stages: stages}
+}
+
+// regSeed presets register words, keyed (reg, idx), before a run.
+type regSeed map[[2]int]int64
+
+// newStore builds p's register file with seed applied.
+func newStore(p *ir.Program, seed regSeed) *ir.RegFile {
+	rf := ir.NewRegFile(p)
+	for k, v := range seed {
+		rf.WriteReg(k[0], k[1], v)
+	}
+	return rf
+}
 
 // access records one observed register access for order comparisons.
 type access struct {
@@ -30,7 +56,7 @@ type access struct {
 // fields and nt temps (the frame layout needs both), failing on error.
 func compileStageT(t *testing.T, st *ir.Stage, nf, nt int) (*ir.Program, StageProgram) {
 	t.Helper()
-	p := &ir.Program{Fields: make([]string, nf), NumTemps: nt, Stages: []ir.Stage{*st}}
+	p := testProgram(nf, nt, *st)
 	bp, err := Compile(p)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
@@ -53,21 +79,17 @@ func sameVals(a, b []int64) bool {
 }
 
 // runBoth executes st through the interpreter and the VM from identical
-// environments and stores, returning both (env, store, observed accesses).
-// The VM leg starts from an ir.NewEnv env, which the VM fits to the
-// program's frame on the call.
-func runBoth(t *testing.T, st *ir.Stage, fields, temps []int64, seed flatStore) (ie, ve *ir.Env, is, vs flatStore, iobs, vobs []access) {
+// environments and register files, returning both (env, registers,
+// observed accesses). The VM leg starts from an ir.NewEnv env, which the
+// VM fits to the program's frame on the call.
+func runBoth(t *testing.T, st *ir.Stage, fields, temps []int64, seed regSeed) (ie, ve *ir.Env, is, vs *ir.RegFile, iobs, vobs []access) {
 	t.Helper()
 	prog, sp := compileStageT(t, st, len(fields), len(temps))
 	ie = &ir.Env{Fields: append([]int64(nil), fields...), Temps: append([]int64(nil), temps...)}
 	ve = ir.NewEnv(prog)
 	copy(ve.Fields, fields)
 	copy(ve.Temps, temps)
-	is, vs = flatStore{}, flatStore{}
-	for k, v := range seed {
-		is[k] = v
-		vs[k] = v
-	}
+	is, vs = newStore(prog, seed), newStore(prog, seed)
 	ir.ExecStageObserved(st, ie, is, func(reg int, idx int64, write bool) {
 		iobs = append(iobs, access{reg, idx, write})
 	})
@@ -79,58 +101,65 @@ func runBoth(t *testing.T, st *ir.Stage, fields, temps []int64, seed flatStore) 
 	return
 }
 
-// checkAgree asserts interpreter and VM ended in identical states.
-func checkAgree(t *testing.T, st *ir.Stage, fields, temps []int64, seed flatStore) {
+// checkAgree asserts interpreter and VM ended in identical states and
+// observed the same accesses in the same order; it returns the VM's
+// observations.
+func checkAgree(t *testing.T, st *ir.Stage, fields, temps []int64, seed regSeed) []access {
 	t.Helper()
 	ie, ve, is, vs, iobs, vobs := runBoth(t, st, fields, temps, seed)
 	if !sameVals(ie.Fields, ve.Fields) || !sameVals(ie.Temps, ve.Temps) {
 		t.Errorf("env diverged:\ninterp fields=%v temps=%v\nvm     fields=%v temps=%v",
 			ie.Fields, ie.Temps, ve.Fields, ve.Temps)
 	}
-	if !reflect.DeepEqual(is, vs) {
-		t.Errorf("store diverged:\ninterp %v\nvm     %v", is, vs)
+	if !reflect.DeepEqual(is.Snapshot(), vs.Snapshot()) {
+		t.Errorf("registers diverged:\ninterp %v\nvm     %v", is.Snapshot(), vs.Snapshot())
 	}
 	if !reflect.DeepEqual(iobs, vobs) {
 		t.Errorf("observed accesses diverged:\ninterp %v\nvm     %v", iobs, vobs)
 	}
+	return vobs
 }
 
 // TestDifferentialEdgeCases holds the two executors to identical behavior
 // on the interpreter's defined-error paths: division and modulo by zero,
 // the wrapping MinInt64 corner, and out-of-range register indices (passed
-// raw to the RegStore by both sides — clamping belongs to the store).
+// raw to the register file by both sides — clamping belongs to the store —
+// which the observer stream shows).
 func TestDifferentialEdgeCases(t *testing.T) {
 	minI := int64(math.MinInt64)
 	cases := []struct {
 		name string
 		st   ir.Stage
+		obs  []access // the VM's observed accesses, raw indices
 	}{
 		{"div by zero", ir.Stage{Instrs: []ir.Instr{
 			{Op: ir.OpDiv, Dst: ir.Temp(0), A: ir.Const(12), B: ir.Const(0), Reg: -1},
 			{Op: ir.OpDiv, Dst: ir.Temp(1), A: ir.Temp(0), B: ir.Temp(0), Reg: -1},
-		}}},
+		}}, nil},
 		{"mod by zero", ir.Stage{Instrs: []ir.Instr{
 			{Op: ir.OpMod, Dst: ir.Temp(0), A: ir.Const(13), B: ir.Const(0), Reg: -1},
-		}}},
+		}}, nil},
 		{"min int64 wrap", ir.Stage{Instrs: []ir.Instr{
 			{Op: ir.OpDiv, Dst: ir.Temp(0), A: ir.Const(minI), B: ir.Const(-1), Reg: -1},
 			{Op: ir.OpMod, Dst: ir.Temp(1), A: ir.Const(minI), B: ir.Const(-1), Reg: -1},
 			{Op: ir.OpNeg, Dst: ir.Temp(2), A: ir.Const(minI), Reg: -1},
-		}}},
+		}}, nil},
 		{"out of range index", ir.Stage{Instrs: []ir.Instr{
 			{Op: ir.OpWrReg, Reg: 1, Idx: ir.Const(-7), A: ir.Const(5)},
 			{Op: ir.OpRdReg, Dst: ir.Temp(0), Reg: 1, Idx: ir.Const(1 << 40)},
 			{Op: ir.OpWrReg, Reg: 1, Idx: ir.Const(1 << 40), A: ir.Temp(0)},
-		}}},
+		}}, []access{{1, -7, true}, {1, 1 << 40, false}, {1, 1 << 40, true}}},
 		{"shift clamps", ir.Stage{Instrs: []ir.Instr{
 			{Op: ir.OpShl, Dst: ir.Temp(0), A: ir.Const(1), B: ir.Const(200), Reg: -1},
 			{Op: ir.OpShr, Dst: ir.Temp(1), A: ir.Const(-8), B: ir.Const(1), Reg: -1},
 			{Op: ir.OpShr, Dst: ir.Temp(2), A: ir.Const(5), B: ir.Const(-1), Reg: -1},
-		}}},
+		}}, nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			checkAgree(t, &c.st, nil, make([]int64, 3), nil)
+			if obs := checkAgree(t, &c.st, nil, make([]int64, 3), nil); !reflect.DeepEqual(obs, c.obs) {
+				t.Errorf("observed %v, want %v", obs, c.obs)
+			}
 		})
 	}
 }
@@ -172,21 +201,35 @@ func TestDifferentialAllOps(t *testing.T) {
 		ir.Instr{Op: ir.OpRdReg, Dst: ir.Temp(1), Reg: 2, Idx: ir.Const(0), Pred: ir.Temp(2), PredNeg: true},
 	)
 	st := &ir.Stage{Instrs: instrs}
-	checkAgree(t, st, []int64{6, 0}, make([]int64, 4), flatStore{[2]int{2, 0}: 11})
+	checkAgree(t, st, []int64{6, 0}, make([]int64, 4), regSeed{{2, 0}: 11})
 	checkAgree(t, st, []int64{-3, 1}, []int64{1, 2, 3, 4}, nil)
 }
 
-// TestDifferentialQuick cross-checks randomized stages (operand kinds,
-// predicates, register ops with data-dependent indices) between the two
-// executors under testing/quick.
+// TestDifferentialQuick cross-checks randomized stages (randStage) between
+// the two executors under testing/quick.
 func TestDifferentialQuick(t *testing.T) {
+	prop := func(progSeed int64, f0, f1, f2 int64) bool {
+		st := randStage(rand.New(rand.NewSource(progSeed)))
+		ie, ve, is, vs, iobs, vobs := runBoth(t, st, []int64{f0, f1, f2}, make([]int64, 4), nil)
+		return sameVals(ie.Fields, ve.Fields) && sameVals(ie.Temps, ve.Temps) &&
+			reflect.DeepEqual(is.Snapshot(), vs.Snapshot()) && reflect.DeepEqual(iobs, vobs)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// randStage draws a stage of 1–12 instructions over 3 fields, 4 temps and
+// registers 0 and 1: random opcodes, operand kinds and predicates, and
+// register ops with data-dependent indices.
+func randStage(r *rand.Rand) *ir.Stage {
 	ops := []ir.Op{
 		ir.OpMov, ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMod,
 		ir.OpXor, ir.OpShl, ir.OpShr, ir.OpLt, ir.OpLAnd, ir.OpNot,
 		ir.OpNeg, ir.OpSelect, ir.OpMax, ir.OpMin, ir.OpHash2,
 		ir.OpHash3, ir.OpRdReg, ir.OpWrReg,
 	}
-	randOperand := func(r *rand.Rand) ir.Operand {
+	randOperand := func() ir.Operand {
 		switch r.Intn(4) {
 		case 0:
 			return ir.Const(int64(r.Intn(41) - 20))
@@ -198,33 +241,75 @@ func TestDifferentialQuick(t *testing.T) {
 			return ir.None()
 		}
 	}
-	prop := func(progSeed int64, f0, f1, f2 int64) bool {
-		r := rand.New(rand.NewSource(progSeed))
-		n := 1 + r.Intn(12)
-		st := &ir.Stage{}
-		for i := 0; i < n; i++ {
-			in := ir.Instr{Op: ops[r.Intn(len(ops))], Reg: -1}
-			in.Dst = ir.Temp(r.Intn(4))
-			in.A = randOperand(r)
-			in.B = randOperand(r)
-			in.C = randOperand(r)
-			if in.Op == ir.OpRdReg || in.Op == ir.OpWrReg {
-				in.Reg = r.Intn(2)
-				in.Idx = randOperand(r)
-			}
-			if r.Intn(3) == 0 {
-				in.Pred = randOperand(r)
-				in.PredNeg = r.Intn(2) == 0
-			}
-			st.Instrs = append(st.Instrs, in)
+	n := 1 + r.Intn(12)
+	st := &ir.Stage{}
+	for i := 0; i < n; i++ {
+		in := ir.Instr{Op: ops[r.Intn(len(ops))], Reg: -1}
+		in.Dst = ir.Temp(r.Intn(4))
+		in.A = randOperand()
+		in.B = randOperand()
+		in.C = randOperand()
+		if in.Op == ir.OpRdReg || in.Op == ir.OpWrReg {
+			in.Reg = r.Intn(2)
+			in.Idx = randOperand()
 		}
-		ie, ve, is, vs, iobs, vobs := runBoth(t, st, []int64{f0, f1, f2}, make([]int64, 4), nil)
-		return sameVals(ie.Fields, ve.Fields) && sameVals(ie.Temps, ve.Temps) &&
-			reflect.DeepEqual(is, vs) && reflect.DeepEqual(iobs, vobs)
+		if r.Intn(3) == 0 {
+			in.Pred = randOperand()
+			in.PredNeg = r.Intn(2) == 0
+		}
+		st.Instrs = append(st.Instrs, in)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+	return st
+}
+
+// TestStableSitesPredictAccesses holds Stable to its contract on random
+// stages: on a stable stage, the sites that hold on the entry frame, read at
+// the raw indices the entry frame holds, name exactly the (register, index)
+// pairs the observed execution then accesses, in first-access order.
+func TestStableSitesPredictAccesses(t *testing.T) {
+	distinct := func(list []access, a access) []access {
+		for _, b := range list {
+			if b == a {
+				return list
+			}
+		}
+		return append(list, a)
+	}
+	exercised := 0
+	prop := func(progSeed int64, f0, f1, f2 int64) bool {
+		st := randStage(rand.New(rand.NewSource(progSeed)))
+		prog, sp := compileStageT(t, st, 3, 4)
+		if !sp.Stable() {
+			return true
+		}
+		e := ir.NewEnv(prog)
+		copy(e.Fields, []int64{f0, f1, f2})
+		if err := sp.Fit(e); err != nil {
+			t.Fatal(err)
+		}
+		var want, got []access
+		for _, s := range sp.Sites() {
+			if s.Held(e.Frame) {
+				want = distinct(want, access{s.Reg, e.Frame[s.Idx], false})
+			}
+		}
+		if err := new(VM).ExecStageObserved(&sp, e, ir.NewRegFile(prog), func(reg int, idx int64, write bool) {
+			got = distinct(got, access{reg, idx, false})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) > 0 {
+			exercised++
+		}
+		return reflect.DeepEqual(want, got)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
+	if exercised < 100 {
+		t.Fatalf("only %d of 1000 random stages were stable with an access", exercised)
+	}
+	t.Logf("%d of 1000 random stages were stable with an access", exercised)
 }
 
 // TestFusedRMW pins the read-modify-write superinstruction: which triples
@@ -279,7 +364,7 @@ func TestFusedRMW(t *testing.T) {
 				t.Fatalf("fused %d RMW triples, want %d", got, c.wantFuse)
 			}
 			for _, f0 := range []int64{0, 1} { // predicate false and true
-				checkAgree(t, c.st, []int64{f0}, []int64{3, -1, -1, 1}, flatStore{[2]int{0, 3}: 10})
+				checkAgree(t, c.st, []int64{f0}, []int64{3, -1, -1, 1}, regSeed{{0, 3}: 10})
 			}
 		})
 	}
@@ -311,7 +396,7 @@ func TestConstPoolDeduplicated(t *testing.T) {
 // TestEmptyStage: the zero StageProgram executes as a no-op.
 func TestEmptyStage(t *testing.T) {
 	env := &ir.Env{Fields: []int64{1}, Temps: []int64{2}}
-	if err := new(VM).ExecStage(&StageProgram{}, env, flatStore{}); err != nil {
+	if err := new(VM).ExecStage(&StageProgram{}, env, ir.NewRegFile(testProgram(1, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if env.Fields[0] != 1 || env.Temps[0] != 2 {
@@ -345,25 +430,25 @@ func TestObservationGating(t *testing.T) {
 // interpreter on fields, temps, store and observations; field values
 // written before the first call survive the fit.
 func TestFit(t *testing.T) {
-	p := &ir.Program{Fields: make([]string, 3), NumTemps: 3, Stages: []ir.Stage{
-		{Instrs: []ir.Instr{
+	p := testProgram(3, 3,
+		ir.Stage{Instrs: []ir.Instr{
 			{Op: ir.OpAdd, Dst: ir.Temp(0), A: ir.Field(0), B: ir.Const(40), Reg: -1},
 			{Op: ir.OpRdReg, Dst: ir.Temp(1), Reg: 0, Idx: ir.Field(1)},
 			{Op: ir.OpAdd, Dst: ir.Temp(2), A: ir.Temp(1), B: ir.Temp(0), Reg: -1},
 			{Op: ir.OpWrReg, Reg: 0, Idx: ir.Field(1), A: ir.Temp(2)},
 		}},
-		{Instrs: []ir.Instr{
+		ir.Stage{Instrs: []ir.Instr{
 			{Op: ir.OpMul, Dst: ir.Field(2), A: ir.Temp(2), B: ir.Const(-3), Reg: -1},
 			{Op: ir.OpXor, Dst: ir.Temp(0), A: ir.Field(2), B: ir.Const(99), Reg: -1, Pred: ir.Field(0)},
 		}},
-	}}
+	)
 	bp, err := Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fields := []int64{2, 5, 0}
-	seed := flatStore{[2]int{0, 5}: 7}
-	run := func(e *ir.Env, s flatStore, observe func(reg int, idx int64, write bool)) {
+	seed := regSeed{{0, 5}: 7}
+	run := func(e *ir.Env, s *ir.RegFile, observe func(reg int, idx int64, write bool)) {
 		for si := range bp.Stages {
 			if err := new(VM).ExecStageObserved(&bp.Stages[si], e, s, observe); err != nil {
 				t.Fatalf("stage %d: %v", si, err)
@@ -372,7 +457,7 @@ func TestFit(t *testing.T) {
 	}
 	fitted := func() *ir.Env {
 		e := ir.NewEnv(p)
-		run(e, flatStore{}, nil)
+		run(e, ir.NewRegFile(p), nil)
 		e.ResetFor(fields)
 		return e
 	}
@@ -400,10 +485,7 @@ func TestFit(t *testing.T) {
 				t.Fatalf("frame of %d slots before the first call, want fitted=%v", len(ve.Frame), c.fitted)
 			}
 			ie := &ir.Env{Fields: append([]int64(nil), fields...), Temps: make([]int64, 3)}
-			is, vs := flatStore{}, flatStore{}
-			for k, v := range seed {
-				is[k], vs[k] = v, v
-			}
+			is, vs := newStore(p, seed), newStore(p, seed)
 			var iobs, vobs []access
 			for si := range p.Stages {
 				ir.ExecStageObserved(&p.Stages[si], ie, is, func(reg int, idx int64, write bool) {
@@ -417,9 +499,9 @@ func TestFit(t *testing.T) {
 				t.Fatalf("env not on a fitted frame: %d slots, want %d", len(ve.Frame), frameLen)
 			}
 			if !sameVals(ie.Fields, ve.Fields) || !sameVals(ie.Temps, ve.Temps) ||
-				!reflect.DeepEqual(is, vs) || !reflect.DeepEqual(iobs, vobs) {
-				t.Errorf("diverged from the interpreter:\ninterp fields=%v temps=%v store=%v obs=%v\nvm     fields=%v temps=%v store=%v obs=%v",
-					ie.Fields, ie.Temps, is, iobs, ve.Fields, ve.Temps, vs, vobs)
+				!reflect.DeepEqual(is.Snapshot(), vs.Snapshot()) || !reflect.DeepEqual(iobs, vobs) {
+				t.Errorf("diverged from the interpreter:\ninterp fields=%v temps=%v regs=%v obs=%v\nvm     fields=%v temps=%v regs=%v obs=%v",
+					ie.Fields, ie.Temps, is.Snapshot(), iobs, ve.Fields, ve.Temps, vs.Snapshot(), vobs)
 			}
 		})
 	}
@@ -429,12 +511,12 @@ func TestFit(t *testing.T) {
 // match the program is an error, not a panic or a silent re-shape.
 func TestFitRejectsMisshapenEnv(t *testing.T) {
 	st := &ir.Stage{Instrs: []ir.Instr{{Op: ir.OpMov, Dst: ir.Temp(0), A: ir.Field(1), Reg: -1}}}
-	_, sp := compileStageT(t, st, 2, 1)
+	p, sp := compileStageT(t, st, 2, 1)
 	for _, e := range []*ir.Env{
 		{Fields: make([]int64, 1), Temps: make([]int64, 1)},
 		{Fields: make([]int64, 2)},
 	} {
-		err := new(VM).ExecStage(&sp, e, flatStore{})
+		err := new(VM).ExecStage(&sp, e, ir.NewRegFile(p))
 		if err == nil || !strings.Contains(err.Error(), "env has") {
 			t.Errorf("%d fields, %d temps: err = %v, want a shape mismatch", len(e.Fields), len(e.Temps), err)
 		}

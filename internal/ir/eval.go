@@ -1,8 +1,8 @@
 package ir
 
-// RegStore abstracts register-array and match-table storage so the
-// single-pipeline reference executor (one flat store) and the MP5
-// simulator (per-pipeline shards) can share the instruction interpreter.
+// RegStore is the tree-walking interpreter's view of register-array and
+// match-table storage. RegFile is its one production implementation; the
+// bytecode VM takes *RegFile directly.
 type RegStore interface {
 	// ReadReg returns the current value of register array reg at index idx.
 	ReadReg(reg int, idx int) int64

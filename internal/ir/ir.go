@@ -319,20 +319,6 @@ func (p *Program) RegIndex(name string) int {
 // NumStages returns the total pipeline depth of the program.
 func (p *Program) NumStages() int { return len(p.Stages) }
 
-// AccessesByStage groups the indices of p.Accesses by the stage they
-// target (Accesses are already stage-sorted, so each bucket preserves
-// declaration order). Execution engines use it to resolve one stage's
-// access sites as a unit: every access of a stage forms one "visit" whose
-// slots must co-locate on a single pipeline.
-func (p *Program) AccessesByStage() [][]int {
-	out := make([][]int, len(p.Stages))
-	for i := range p.Accesses {
-		s := p.Accesses[i].Stage
-		out[s] = append(out[s], i)
-	}
-	return out
-}
-
 // StatefulStages returns the indices of stages that touch registers.
 func (p *Program) StatefulStages() []int {
 	var out []int

@@ -93,7 +93,7 @@ func TestExecDivModEdges(t *testing.T) {
 
 // TestExecRegIndexOutOfRange: the interpreter passes register indices to
 // the RegStore raw — negative, huge, whatever the program computed.
-// Clamping into [0, size) is the store's job (banzai.ClampIndex), so a
+// Clamping into [0, size) is the store's job (ClampIndex), so a
 // store that records raw indices must see them unmodified and in
 // instruction order, reads and writes alike.
 func TestExecRegIndexOutOfRange(t *testing.T) {

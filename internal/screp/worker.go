@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mp5/internal/banzai"
 	"mp5/internal/dataplane"
 	"mp5/internal/ir"
 	"mp5/internal/stats"
@@ -48,7 +47,7 @@ type worker struct {
 	e       *Engine
 	mailbox chan xbarMsg
 	// regs is this replica's full private copy of all register state.
-	regs *banzai.RegFile
+	regs *ir.RegFile
 	// applied is the replay frontier: every delta below it has been
 	// applied to regs (private; appliedA mirrors it for gauges).
 	applied int64
@@ -84,7 +83,7 @@ func newWorker(e *Engine, id int) *worker {
 		id:        id,
 		e:         e,
 		mailbox:   make(chan xbarMsg, e.cfg.Window),
-		regs:      banzai.NewRegFile(e.prog),
+		regs:      ir.NewRegFile(e.prog),
 		seen:      make(map[[2]int]bool),
 		dirtySeen: make(map[[2]int]bool),
 		lat:       newHistogram(),
@@ -252,7 +251,7 @@ func (w *worker) replayTo(seq int64) bool {
 // order log (deduped per slot per stage, matching the reference);
 // writes additionally mark the slot dirty for the packet's delta.
 func (w *worker) observe(reg int, idx int64, write bool) {
-	ci := banzai.ClampIndex(int(idx), w.e.prog.Regs[reg].Size)
+	ci := ir.ClampIndex(int(idx), w.e.prog.Regs[reg].Size)
 	dk := [2]int{reg, ci}
 	if write && !w.dirtySeen[dk] {
 		w.dirtySeen[dk] = true
