@@ -16,7 +16,7 @@ GO ?= go
 # all at PROCS.
 PROCS = GOMAXPROCS=8
 
-.PHONY: all build vet fmt-check test race race-dataplane flake-hunt race-server race-tenant allocs-gate race-poison serve-smoke trace-smoke tenant-smoke check bench bench-test fuzz-smoke fuzz clean
+.PHONY: all build vet fmt-check test race race-dataplane flake-hunt race-server race-tenant allocs-gate race-poison serve-smoke trace-smoke tenant-smoke check bench bench-test fuzz-smoke fuzz loc clean
 
 all: check
 
@@ -152,6 +152,14 @@ fuzz:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ .
+
+# loc prints the non-test Go line count (wc -l: comments and blank lines
+# included) of every package tree under internal/ and cmd/, then the
+# internal/, cmd/ and overall totals — the number a simplicity change quotes.
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }; \
+	for d in internal/* cmd/*; do printf '%7d %s\n' "$$(count $$d)" "$$d"; done; \
+	printf '%7d %s\n' "$$(count internal)" "internal total" "$$(count cmd)" "cmd total" "$$(count internal cmd)" total
 
 clean:
 	$(GO) clean ./...

@@ -98,18 +98,19 @@ type Config struct {
 	Metrics *Metrics
 	// Tracer, when non-nil, receives sampled wire-to-wire spans: the
 	// engine stamps window-wait, admit, crossbar, exec, ticket-wait, and
-	// egress segments on packets submitted with a span (SubmitTraced) and
-	// hands finished spans to the tracer's collector. Nil disables tracing
-	// with nil-check-only overhead on the hot path.
+	// egress segments on packets submitted with a span (SubmitBatchTo's
+	// spans) and hands finished spans to the tracer's collector. Nil
+	// disables tracing with nil-check-only overhead on the hot path.
 	Tracer *Tracer
 	// OnEgress, when non-nil, runs on the egressing worker's goroutine
-	// with the packet id and the tag it was submitted with (SubmitTo /
-	// SubmitBatchTo; 0 from Submit/SubmitBatch), after outputs are
-	// recorded and before the window token is released. Keep it fast: a
-	// callback that blocks stalls that worker and, through the admission
-	// window, eventually the whole stream (the server uses it to queue
-	// per-packet acks in lossless mode, which is exactly the backpressure
-	// it wants).
+	// with the packet id and the tag it was submitted with (SubmitBatchTo;
+	// 0 from Submit/SubmitBatch), after outputs are recorded and before the
+	// window token is released. Packets SubmitBatchTo reports refused —
+	// shed on quota, or retired on abort — are the caller's to settle. Keep
+	// it fast: a callback that blocks stalls that worker and, through the
+	// admission window, eventually the whole stream (the server uses it to
+	// queue per-packet acks in lossless mode, which is exactly the
+	// backpressure it wants).
 	OnEgress func(id int64, tag uint64)
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"mp5/internal/core"
 	"mp5/internal/ir"
@@ -123,12 +124,6 @@ type Engine struct {
 	// owner reads do not need it (remap runs on the admitter goroutine).
 	placeMu sync.Mutex
 
-	// outs[id] is the packet's final header state, written once by the
-	// egressing worker and read after all workers joined. Run preallocates
-	// the slice from the trace length; the streaming mode, which cannot
-	// size it up front, records into per-worker maps merged by Outputs
-	// after the workers join (no egress lock either way).
-	outs [][]int64
 	// egSeq hands out egress sequence numbers; each worker records
 	// (seq, id) pairs privately and Drain merges them into egressOrder
 	// after the workers join — the sharded replacement for a global
@@ -265,11 +260,6 @@ func (e *Engine) Handles() []*Handle {
 // visits, issue tickets in arrival order, dispatch, and periodically remap.
 // Run is the batch shorthand for Start + SubmitBatch + Drain.
 func (e *Engine) Run(arrivals []core.Arrival) *Result {
-	if e.cfg.RecordOutputs {
-		// Sized by the trace so workers can record outputs without a lock;
-		// workers see outs non-nil and skip their streaming maps.
-		e.outs = make([][]int64, len(arrivals))
-	}
 	if len(arrivals) == 0 {
 		return e.result(0, 0)
 	}
@@ -298,72 +288,13 @@ func (e *Engine) Start() {
 	go e.watchdog(e.wdStop, &e.wdWg)
 }
 
-// Submit admits one packet on the default handle: block until the admission
-// window has room (the live admission-control point), resolve and ticket
-// the packet, and dispatch it to its first-hop pipeline. Returns false when
-// the engine aborted (watchdog stall) — the stream is dead and the caller
-// should Drain. Admitter-serial: never call Submit concurrently.
-func (e *Engine) Submit(a *core.Arrival) bool { return e.SubmitTo(e.def, a, nil, 0) }
-
-// SubmitTraced is Submit for a sampled packet: sp (started by the caller
-// at decode — see Tracer.Sample) rides the packet and accrues
-// window-wait, admit, crossbar, exec, ticket-wait, and egress segments
-// until the tracer collects it at egress. A nil sp is a plain Submit.
-func (e *Engine) SubmitTraced(a *core.Arrival, sp *Span) bool {
-	return e.SubmitTo(e.def, a, sp, 0)
-}
-
-// SubmitTo admits one packet on handle h. On top of Submit's contract it
-// enforces h's admission quota: when the tenant's tokens are exhausted the
-// packet is shed — counted on the handle, no id consumed, the admit loop
-// never blocked — and SubmitTo returns false. tag is opaque to the engine: it
-// rides the packet and comes back as OnEgress's second argument, so the
-// caller can carry a completion target instead of keeping an id-keyed table.
-// Admitter-serial.
-func (e *Engine) SubmitTo(h *Handle, a *core.Arrival, sp *Span, tag uint64) bool {
-	defer e.leave()
-	select {
-	case <-e.abort:
-		return false // dead engine: refuse before consuming an id
-	default:
-	}
-	if h.quota != nil && h.quota.tryAcquire(1) == 0 {
-		h.shed.Add(1)
-		e.met.QuotaShed.Inc()
-		return false
-	}
-	if e.acquireWindow(1) == 0 {
-		if h.quota != nil {
-			h.quota.release(1)
-		}
-		return false
-	}
-	id := e.submitted.Load()
-	if sp != nil {
-		sp.Advance(StageWindowWait, -1)
-		sp.ID = id
-	}
-	p := e.prepare(h, id, a, time.Now())
-	p.tag = tag
-	e.submitted.Add(1)
-	h.submitted.Add(1)
-	e.met.Admitted.Inc()
-	if sp != nil {
-		sp.Advance(StageAdmit, -1)
-		p.span = sp
-	}
-	if f := e.testAfterTicket; f != nil {
-		f()
-	}
-	p.pipe = e.destOf(p)
-	if !e.send(xbarMsg{to: e.workers[p.pipe], p: p}) {
-		e.retire(p) // window and quota tokens returned, packet recycled
-		return false
-	}
-	if n := e.submitted.Load(); e.cfg.RemapInterval > 0 && n%int64(e.cfg.RemapInterval) == 0 {
-		e.remap()
-	}
-	return true
+// Submit admits one packet on the default handle: a one-packet SubmitBatch.
+// It reports whether the packet was admitted; false means the engine aborted
+// (watchdog stall) — the stream is dead and the caller should Drain.
+// unsafe.Slice views *a as a one-element slice, so Submit neither copies nor
+// allocates. Admitter-serial: never call Submit concurrently.
+func (e *Engine) Submit(a *core.Arrival) bool {
+	return e.SubmitBatchTo(e.def, unsafe.Slice(a, 1), nil, nil) == 1
 }
 
 // SubmitBatch admits a run of packets on the default handle — see
@@ -372,19 +303,30 @@ func (e *Engine) SubmitBatch(arrs []core.Arrival, spans []*Span) int {
 	return e.SubmitBatchTo(e.def, arrs, spans, nil)
 }
 
-// SubmitBatchTo admits a run of packets on handle h, amortizing the
-// per-packet costs of SubmitTo across the batch: one window acquisition and
-// one crossbar mailbox send per destination driver per chunk. Ticket order —
-// hence C1 — is still exactly arrival order: packets are resolved, and their
-// tickets stamped, serially in slice order.
+// SubmitBatchTo admits a run of packets on handle h — the engine's one
+// admission path: block until the admission window has room, resolve each
+// packet and stamp its tickets, and dispatch it to its first-hop pipeline.
+// The window is taken and the crossbar sent to once per chunk (one mailbox
+// send per destination driver), not per packet. Ticket order — hence C1 — is
+// exactly arrival order: packets are resolved, and their tickets stamped,
+// serially in slice order.
 //
-// spans and tags are each either nil or parallel to arrs (nil span entries
-// for unsampled packets; tags as in SubmitTo, nil meaning all zero).
-// Returns how many packets were admitted; fewer than len(arrs) means either
-// the engine aborted (the run is dead) or h's quota ran out — in the quota
-// case the entire unadmitted tail is shed (counted on the handle) rather
-// than blocking the admit loop, so the admitted count is always a dense
-// prefix of arrs. Admitter-serial, like Submit.
+// spans and tags are each either nil or parallel to arrs. A span (nil for
+// unsampled packets; see Tracer.Sample) rides its packet and accrues
+// window-wait, admit, crossbar, exec, ticket-wait and egress segments until
+// the tracer collects it at egress. A tag is opaque to the engine: it rides
+// the packet and comes back as OnEgress's second argument, so the caller can
+// carry a completion target instead of keeping an id-keyed table (nil means
+// all zero).
+//
+// Returns how many packets were admitted, always a dense prefix of arrs.
+// Fewer than len(arrs) means either h's quota ran out — the entire
+// unadmitted tail is shed (counted on the handle) rather than blocking the
+// admit loop — or the engine aborted (the run is dead). A chunk counts only
+// once it is dispatched: one the abort reaches after its tickets were
+// stamped is retired (window and quota tokens returned, packets recycled)
+// and left out of the count, though its ids stay consumed (Submitted keeps
+// ids dense). Admitter-serial.
 func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, tags []uint64) int {
 	if int64(len(arrs)) >= e.winCap-e.winUsed.Load() {
 		e.take() // the batch fills the window: this call will wait on the driver
@@ -402,7 +344,7 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, ta
 		if iv := int64(e.cfg.RemapInterval); iv > 0 {
 			// Chunks never straddle a remap boundary, so remap keeps its
 			// every-RemapInterval-admissions cadence (and its chance to see
-			// fully served slots) exactly as under per-packet Submit.
+			// fully served slots) whatever the batch size.
 			if until := iv - base%iv; want > until {
 				want = until
 			}
@@ -459,13 +401,13 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, ta
 		e.submitted.Store(base + int64(got))
 		h.submitted.Add(int64(got))
 		e.met.Admitted.Add(int64(got))
-		admitted += got
 		if f := e.testAfterTicket; f != nil {
 			f()
 		}
 		if !e.dispatchChunk() {
 			return admitted
 		}
+		admitted += got
 		if iv := int64(e.cfg.RemapInterval); iv > 0 && (base+int64(got))%iv == 0 {
 			e.remap()
 		}
@@ -689,7 +631,7 @@ func (e *Engine) mergeEgressOrder() {
 // the handle's free list (or build one), reset its env for the new arrival,
 // execute the handle's stateless resolution stages, and resolve every state
 // access to a (stage, worker, tickets) visit list. start is the admit stamp,
-// read once per Submit call or SubmitBatch chunk.
+// read once per admission chunk.
 func (e *Engine) prepare(h *Handle, id int64, a *core.Arrival, start time.Time) *packet {
 	p := h.getPacket()
 	p.id = id
@@ -1013,29 +955,20 @@ func (e *Engine) result(injected int64, elapsed time.Duration) *Result {
 // global packet id — the shape equiv.CheckState consumes on a
 // single-program engine (where global ids coincide with arrival indices).
 // Only valid after Run/Drain, and only when Config.RecordOutputs was set.
-// Streaming-mode outputs live in per-worker maps until this merge (no
-// egress lock). Multi-program engines verify per handle with OutputsFor.
+// Outputs live in per-worker maps until this merge (no egress lock).
+// Multi-program engines verify per handle with OutputsFor.
 func (e *Engine) Outputs() map[int64][]int64 {
-	if e.outs == nil {
-		if !e.cfg.RecordOutputs {
-			return nil
-		}
-		n := 0
-		for _, w := range e.workers {
-			n += len(w.outs)
-		}
-		out := make(map[int64][]int64, n)
-		for _, w := range e.workers {
-			for id, f := range w.outs {
-				out[id] = f
-			}
-		}
-		return out
+	if !e.cfg.RecordOutputs {
+		return nil
 	}
-	out := make(map[int64][]int64, len(e.outs))
-	for id, f := range e.outs {
-		if f != nil {
-			out[int64(id)] = f
+	n := 0
+	for _, w := range e.workers {
+		n += len(w.outs)
+	}
+	out := make(map[int64][]int64, n)
+	for _, w := range e.workers {
+		for id, f := range w.outs {
+			out[id] = f
 		}
 	}
 	return out

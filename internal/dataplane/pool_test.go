@@ -244,10 +244,10 @@ func TestSubmitAbortRetiresTickets(t *testing.T) {
 
 // TestSubmitBatchAbortRetiresTickets is the batched twin: a chunk whose
 // tickets are already stamped when the engine dies must be retired wholesale
-// — no held window tokens, every packet recycled, Drain returns (and, as
-// above, no claim about the dead engine's TicketDepths). The batch fills the
-// window, so on one driver the admitter has claimed the baton when the engine
-// dies.
+// — reported refused while its ids stay consumed, no held window tokens,
+// every packet recycled, Drain returns (and, as above, no claim about the
+// dead engine's TicketDepths). The batch fills the window, so on one driver
+// the admitter has claimed the baton when the engine dies.
 func TestSubmitBatchAbortRetiresTickets(t *testing.T) {
 	prog, err := apps.Synthetic(2, 16, 16)
 	if err != nil {
@@ -263,9 +263,12 @@ func TestSubmitBatchAbortRetiresTickets(t *testing.T) {
 			claimed = claimedBaton(e)
 			e.abortOnce.Do(func() { close(e.abort) })
 		}
-		admitted := e.SubmitBatch(arrivals, nil)
-		if admitted != n {
-			t.Fatalf("SubmitBatch admitted %d of %d (ids must stay dense even on abort)", admitted, n)
+		before := e.Submitted()
+		if admitted := e.SubmitBatch(arrivals, nil); admitted != 0 {
+			t.Fatalf("SubmitBatch reported %d of %d admitted for a chunk retired on abort", admitted, n)
+		}
+		if ids := e.Submitted() - before; ids != n {
+			t.Fatalf("the retired chunk consumed %d ids, want %d (ids must stay dense even on abort)", ids, n)
 		}
 		if one := len(e.drivers) == 1; claimed != one {
 			t.Fatalf("%d drivers: admitter had claimed the baton at abort = %v, want %v", len(e.drivers), claimed, one)

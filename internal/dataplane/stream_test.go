@@ -177,8 +177,8 @@ func TestSeededPlacementEquivalence(t *testing.T) {
 
 // TestOnEgressHook checks the egress callback: every admitted id is
 // reported exactly once, and it carries the tag the packet was submitted
-// with — per-packet through SubmitBatchTo and SubmitTo, zero through the
-// untagged Run/SubmitBatch surface.
+// with — through SubmitBatchTo, in one chunk and one packet at a time, zero
+// through the untagged Run/SubmitBatch surface.
 func TestOnEgressHook(t *testing.T) {
 	prog, err := apps.Synthetic(2, 32, 16)
 	if err != nil {
@@ -209,8 +209,8 @@ func TestOnEgressHook(t *testing.T) {
 				t.Fatalf("SubmitBatchTo admitted %d of %d", got, half)
 			}
 			for i := half; i < len(arrivals); i++ {
-				if !e.SubmitTo(e.Default(), &arrivals[i], nil, tags[i]) {
-					t.Fatalf("SubmitTo refused packet %d", i)
+				if e.SubmitBatchTo(e.Default(), arrivals[i:i+1], nil, tags[i:i+1]) != 1 {
+					t.Fatalf("SubmitBatchTo refused packet %d", i)
 				}
 			}
 			res = e.Drain()

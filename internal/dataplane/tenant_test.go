@@ -48,10 +48,10 @@ func TestMultiTenantInterleaveEquivalence(t *testing.T) {
 		hB := e.AddProgram("beta", progB, nil)
 		e.Start()
 		for i := 0; i < len(arrsA); i++ {
-			if !e.SubmitTo(hA, &arrsA[i], nil, 0) {
+			if e.SubmitBatchTo(hA, arrsA[i:i+1], nil, nil) != 1 {
 				t.Fatalf("workers=%d: alpha submit %d refused", workers, i)
 			}
-			if !e.SubmitTo(hB, &arrsB[i], nil, 0) {
+			if e.SubmitBatchTo(hB, arrsB[i:i+1], nil, nil) != 1 {
 				t.Fatalf("workers=%d: beta submit %d refused", workers, i)
 			}
 		}
@@ -219,10 +219,11 @@ func TestHotAddUnderLoad(t *testing.T) {
 
 // TestMultiTenantAbortRetiresAcrossHandles extends the PR 8 abort-path
 // regression across tenants: a batch whose tickets are stamped when the
-// engine dies must retire cleanly on every handle — no window tokens, no
-// quota tokens, every packet back on its own handle's free list, and Drain
-// returns. (No TicketDepths() == 0 assertion: a dead engine's issued tickets
-// are never served and never consulted; see TestSubmitAbortRetiresTickets.)
+// engine dies must retire cleanly on every handle — reported refused with
+// its ids consumed, no window tokens, no quota tokens, every packet back on
+// its own handle's free list, and Drain returns. (No TicketDepths() == 0
+// assertion: a dead engine's issued tickets are never served and never
+// consulted; see TestSubmitAbortRetiresTickets.)
 func TestMultiTenantAbortRetiresAcrossHandles(t *testing.T) {
 	prog, err := apps.Synthetic(2, 16, 16)
 	if err != nil {
@@ -248,9 +249,12 @@ func TestMultiTenantAbortRetiresAcrossHandles(t *testing.T) {
 	e.testAfterTicket = func() {
 		e.abortOnce.Do(func() { close(e.abort) })
 	}
-	admitted := e.SubmitBatchTo(hA, arrs, nil, nil)
-	if admitted != n {
-		t.Fatalf("aborted batch admitted %d of %d (ids must stay dense)", admitted, n)
+	before := e.Submitted()
+	if admitted := e.SubmitBatchTo(hA, arrs, nil, nil); admitted != 0 {
+		t.Fatalf("SubmitBatchTo reported %d of %d admitted for a chunk retired on abort", admitted, n)
+	}
+	if ids := e.Submitted() - before; ids != n {
+		t.Fatalf("the retired chunk consumed %d ids, want %d (ids must stay dense)", ids, n)
 	}
 	if got := e.WindowInUse(); got != 0 {
 		t.Fatalf("abort leaked %d window tokens", got)

@@ -40,8 +40,7 @@ func collectSpans(t *testing.T, workers, every, packets int) ([]*Span, *Tracer, 
 	e := New(prog, Config{Workers: workers, Window: 64, Tracer: trc})
 	e.Start()
 	for i := range trace {
-		sp := trc.Sample()
-		if !e.SubmitTraced(&trace[i], sp) {
+		if e.SubmitBatch(trace[i:i+1], []*Span{trc.Sample()}) != 1 {
 			t.Fatal("engine aborted mid-stream")
 		}
 	}

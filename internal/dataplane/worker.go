@@ -61,14 +61,13 @@ type slotRef struct {
 }
 
 // xbarMsg is one crossbar transfer to the driver of pipeline to, the first
-// packet's (each packet starts on its own packet.pipe): a single packet
-// (Submit's dispatch) or a coalesced batch — an admission chunk's run for one
-// driver (SubmitBatch) or a driver's steers to one pipeline of another. A
-// batch is one queued message for many packets, so coalescing only
-// strengthens the mailboxes-never-fill invariant.
+// packet's (each packet starts on its own packet.pipe): always a batch —
+// an admission chunk's run for one driver (SubmitBatchTo, one packet long
+// under Submit) or a driver's steers to one pipeline of another. A batch is
+// one queued message for many packets, so coalescing only strengthens the
+// mailboxes-never-fill invariant.
 type xbarMsg struct {
 	to    *worker
-	p     *packet
 	batch *pktBatch
 }
 
@@ -195,10 +194,10 @@ type worker struct {
 	d  *driver
 	// done holds egressed packets until finish completes them as one burst.
 	done []*packet
-	// outs collects streaming-mode egress outputs worker-privately (merged
-	// by Engine.Outputs after the join); egRecs collects (seq, id) egress
-	// records merged into the global order at Drain. Both replace the old
-	// engine-wide egress mutex.
+	// outs collects egress outputs worker-privately (merged by
+	// Engine.Outputs after the join; nil unless Config.RecordOutputs);
+	// egRecs collects (seq, id) egress records merged into the global order
+	// at Drain. Both replace the old engine-wide egress mutex.
 	outs   map[int64][]int64
 	egRecs []egRec
 	// touched is per-visit scratch: the distinct concrete indices touched
@@ -240,16 +239,16 @@ func newWorker(e *Engine, id int, d *driver) *worker {
 		lat: stats.NewHistogram(latLo, latHi, latBuckets),
 	}
 	if e.cfg.RecordOutputs {
-		w.outs = make(map[int64][]int64) // streaming mode; unused when Run preallocates e.outs
+		w.outs = make(map[int64][]int64)
 	}
 	w.obs = w.observe
 	return w
 }
 
 // handle is the driver's unit of work: one transfer — a coalesced batch in
-// order (an admission chunk or a steer flush), or a single packet — then
-// every packet its pops promoted, then the bookkeeping of every pipeline of
-// the driver, since a packet can egress, park or be promoted on any of them.
+// order (an admission chunk or a steer flush) — then every packet its pops
+// promoted, then the bookkeeping of every pipeline of the driver, since a
+// packet can egress, park or be promoted on any of them.
 // With a Tracer attached it also accounts busy time, to the message's
 // pipeline: one clock pair per message, whoever holds the baton.
 func (d *driver) handle(m xbarMsg) {
@@ -258,14 +257,10 @@ func (d *driver) handle(m xbarMsg) {
 	if e.trc != nil {
 		t0 = time.Now()
 	}
-	if m.batch != nil {
-		for _, p := range m.batch.items {
-			d.process(p, StageCrossbar)
-		}
-		e.putBatch(m.batch)
-	} else {
-		d.process(m.p, StageCrossbar)
+	for _, p := range m.batch.items {
+		d.process(p, StageCrossbar)
 	}
+	e.putBatch(m.batch)
 	for n := len(d.runnable); n > 0; n = len(d.runnable) {
 		p := d.runnable[n-1]
 		d.runnable = d.runnable[:n-1]
@@ -519,10 +514,7 @@ func (w *worker) egress(p *packet) {
 		// enqueue on the server path) — is the egress segment.
 		p.span.Advance(StageExec, w.id)
 	}
-	if e.outs != nil {
-		e.outs[p.id] = append([]int64(nil), p.env.Fields...)
-	} else if w.outs != nil {
-		// Streaming mode: worker-private map, merged by Engine.Outputs.
+	if w.outs != nil {
 		w.outs[p.id] = append([]int64(nil), p.env.Fields...)
 	}
 	if e.cfg.RecordEgressOrder {

@@ -60,8 +60,9 @@ const (
 	ExecInterp   = "interp"
 )
 
-// SubmitSingle marks a dataplane failure produced by the per-packet Submit
-// admission path (Failure.Submit); empty means the batched path.
+// SubmitSingle marks an engine failure produced by a per-packet Submit loop
+// — one-packet admission chunks (Failure.Submit); empty means Run's
+// whole-trace chunks.
 const SubmitSingle = "single"
 
 // DataplaneWorkers are the worker counts Run sweeps the concurrent dataplane
@@ -168,9 +169,9 @@ type Failure struct {
 	// written before the field existed. A "bytecode"-engine failure means
 	// the two executors disagreed outright on the serial machine.
 	Executor string `json:"executor,omitempty"`
-	// Submit records the dataplane admission path: SubmitSingle for the
-	// per-packet Submit loop, empty for the default coalesced SubmitBatch
-	// (which Run uses).
+	// Submit records how the engine was fed: SubmitSingle for the
+	// per-packet Submit loop (one-packet chunks), empty for Run's
+	// whole-trace SubmitBatch.
 	Submit string `json:"submit,omitempty"`
 	// Tenant names the diverging tenant of an EngineMultiTenant failure
 	// ("t0" is the case's own program, "t1".. the derived siblings); empty
@@ -360,9 +361,9 @@ func (r *reference) runBytecode() *Failure {
 // runDataplane executes the case on the concurrent goroutine dataplane with
 // the given worker count and holds it to the same oracles as the simulator:
 // liveness (no watchdog stall), loss-freedom, C1 per-slot access order, and
-// final registers plus packet outputs. single selects the per-packet Submit
-// admission path instead of Run's coalesced SubmitBatch, so both hot paths
-// (and the packet recycling both share) stay differentially checked.
+// final registers plus packet outputs. single feeds the engine through a
+// per-packet Submit loop instead of Run's whole-trace SubmitBatch, so
+// one-packet chunks stay differentially checked beside full ones.
 func (r *reference) runDataplane(workers int, single bool) *Failure {
 	fail := &Failure{Engine: EngineDataplane, Arch: core.ArchMP5, Workers: workers, Executor: r.execName()}
 	if single {

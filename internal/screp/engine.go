@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"mp5/internal/banzai"
 	"mp5/internal/core"
@@ -79,14 +80,7 @@ type Engine struct {
 	completed atomic.Int64
 	submitted atomic.Int64
 	stalled   atomic.Bool
-	// frontier is the count of published deltas (highest published seq+1)
-	// — with per-worker applied counters it yields the live replication
-	// lag gauges.
-	frontier atomic.Int64
 
-	// outs[id] is the packet's final header state (Run preallocates;
-	// streaming mode records into per-worker maps merged by Outputs).
-	outs [][]int64
 	// egSeq/egressOrder: sharded egress recording, merged at Drain.
 	egSeq       atomic.Int64
 	egressOrder []int64
@@ -163,9 +157,6 @@ func New(prog *ir.Program, cfg Config) *Engine {
 // the watchdog aborted a stall) — the batch shorthand for
 // Start + SubmitBatch + Drain.
 func (e *Engine) Run(arrivals []core.Arrival) *Result {
-	if e.cfg.RecordOutputs {
-		e.outs = make([][]int64, len(arrivals))
-	}
 	if len(arrivals) == 0 {
 		return e.result(0, 0)
 	}
@@ -193,61 +184,28 @@ func (e *Engine) Start() {
 	go e.watchdog(e.wdStop, &e.wdWg)
 }
 
-// Submit admits one packet: block until the admission window has room,
-// assign the next sequence number, and spray it to worker seq mod k — no
-// resolution stages, no tickets, no steering decision. Returns false when
-// the engine aborted. Admitter-serial.
-func (e *Engine) Submit(a *core.Arrival) bool { return e.SubmitTraced(a, nil) }
-
-// SubmitTraced is Submit for a sampled packet: sp rides the packet and
-// accrues window-wait, admit, crossbar, exec, replay-wait, and egress
-// segments until the tracer collects it at egress. A nil sp is a plain
-// Submit.
-func (e *Engine) SubmitTraced(a *core.Arrival, sp *dataplane.Span) bool {
-	select {
-	case <-e.abort:
-		return false // dead engine: refuse before consuming a sequence number
-	default:
-	}
-	if e.acquireWindow(1) == 0 {
-		return false
-	}
-	id := e.submitted.Load()
-	if sp != nil {
-		sp.Advance(dataplane.StageWindowWait, -1)
-		sp.ID = id
-	}
-	p := e.prepare(id, a)
-	e.submitted.Add(1)
-	if sp != nil {
-		sp.Advance(dataplane.StageAdmit, -1)
-		p.span = sp
-	}
-	// Deterministic abort check between sequencing and dispatch, then the
-	// guarded send — either abort path retires the packet (window token
-	// returned, packet recycled). The sequence chain tolerates the gap:
-	// retirement only happens on a dead engine whose replicas are exiting.
-	select {
-	case <-e.abort:
-		e.retire(p)
-		return false
-	default:
-	}
-	select {
-	case e.workers[id%int64(e.k)].mailbox <- xbarMsg{p: p}:
-	case <-e.abort:
-		e.retire(p)
-		return false
-	}
-	return true
+// Submit admits one packet: a one-packet SubmitBatch (unsafe.Slice views
+// *a as that batch, without a copy or an allocation). It reports whether
+// the packet was admitted; false means the engine aborted. Admitter-serial.
+func (e *Engine) Submit(a *core.Arrival) bool {
+	return e.SubmitBatch(unsafe.Slice(a, 1), nil) == 1
 }
 
-// SubmitBatch admits a run of packets, amortizing the per-packet costs:
-// one window acquisition per chunk and one mailbox send per destination
-// worker per chunk (round-robin spray keeps each worker's members in
-// sequence order inside its batch). spans is either nil or parallel to
-// arrs. Returns how many packets were admitted; fewer than len(arrs)
-// means the engine aborted. Admitter-serial, like Submit.
+// SubmitBatch admits a run of packets — the engine's one admission path:
+// block until the admission window has room, assign each packet the next
+// sequence number, and spray it to worker seq mod k — no resolution stages,
+// no tickets, no steering decision. The window is taken once per chunk and
+// each destination worker gets one mailbox send per chunk (round-robin spray
+// keeps each worker's members in sequence order inside its batch). spans is
+// either nil or parallel to arrs: a span (nil for unsampled packets) rides
+// its packet and accrues window-wait, admit, crossbar, exec, replay-wait and
+// egress segments until the tracer collects it at egress.
+//
+// Returns how many packets were admitted, a dense prefix of arrs; fewer than
+// len(arrs) means the engine aborted. A chunk counts only once it is
+// dispatched: one the abort reaches first is retired (window tokens
+// returned, packets recycled) and left out of the count, though its
+// sequence numbers stay consumed. Admitter-serial.
 func (e *Engine) SubmitBatch(arrs []core.Arrival, spans []*dataplane.Span) int {
 	admitted := 0
 	for admitted < len(arrs) {
@@ -280,10 +238,10 @@ func (e *Engine) SubmitBatch(arrs []core.Arrival, spans []*dataplane.Span) int {
 			e.chunk = append(e.chunk, p)
 		}
 		e.submitted.Store(base + int64(got))
-		admitted += got
 		if !e.dispatchChunk() {
 			return admitted
 		}
+		admitted += got
 	}
 	return admitted
 }
@@ -300,36 +258,33 @@ func (e *Engine) dispatchChunk() bool {
 		e.xbuf[dest].items = append(e.xbuf[dest].items, p)
 	}
 	e.chunk = e.chunk[:0]
-	aborted := false
+	// Abort is checked up front as well as on each send: a select picks
+	// randomly among ready cases, so a dead engine could otherwise dispatch.
+	ok := true
 	select {
 	case <-e.abort:
-		aborted = true
+		ok = false
 	default:
 	}
-	for w := 0; w < e.k; w++ {
-		b := e.xbuf[w]
+	for w, b := range e.xbuf {
 		if b == nil {
 			continue
 		}
 		e.xbuf[w] = nil
-		if aborted {
-			for _, p := range b.items {
-				e.retire(p)
+		if ok {
+			select {
+			case e.workers[w].mailbox <- b:
+				continue
+			case <-e.abort:
+				ok = false
 			}
-			e.putBatch(b)
-			continue
 		}
-		select {
-		case e.workers[w].mailbox <- xbarMsg{batch: b}:
-		case <-e.abort:
-			aborted = true
-			for _, p := range b.items {
-				e.retire(p)
-			}
-			e.putBatch(b)
+		for _, p := range b.items {
+			e.retire(p)
 		}
+		e.putBatch(b)
 	}
-	return !aborted
+	return ok
 }
 
 // retire un-admits a packet on the abort path: return its window token
@@ -352,10 +307,6 @@ func (e *Engine) prepare(id int64, a *core.Arrival) *packet {
 	e.met.Admitted.Inc()
 	return p
 }
-
-// NextID returns the sequence number the next Submit will assign.
-// Admitter-serial, like Submit.
-func (e *Engine) NextID() int64 { return e.submitted.Load() }
 
 // Drain ends admission and blocks until every in-flight packet egressed
 // (or the watchdog aborted), joins the workers, then converges every
@@ -560,28 +511,20 @@ func (e *Engine) result(injected int64, elapsed time.Duration) *Result {
 
 // Outputs returns each completed packet's final header fields, keyed by
 // packet id — the shape equiv.CheckState consumes. Only valid after
-// Run/Drain with Config.RecordOutputs set.
+// Run/Drain with Config.RecordOutputs set. Outputs live in per-worker maps
+// until this merge (no egress lock).
 func (e *Engine) Outputs() map[int64][]int64 {
-	if e.outs == nil {
-		if !e.cfg.RecordOutputs {
-			return nil
-		}
-		n := 0
-		for _, w := range e.workers {
-			n += len(w.outs)
-		}
-		out := make(map[int64][]int64, n)
-		for _, w := range e.workers {
-			for id, f := range w.outs {
-				out[id] = f
-			}
-		}
-		return out
+	if !e.cfg.RecordOutputs {
+		return nil
 	}
-	out := make(map[int64][]int64, len(e.outs))
-	for id, f := range e.outs {
-		if f != nil {
-			out[int64(id)] = f
+	n := 0
+	for _, w := range e.workers {
+		n += len(w.outs)
+	}
+	out := make(map[int64][]int64, n)
+	for _, w := range e.workers {
+		for id, f := range w.outs {
+			out[id] = f
 		}
 	}
 	return out
@@ -636,27 +579,3 @@ func (e *Engine) WindowInUse() int { return int(e.winUsed.Load()) }
 
 // WindowCap returns the admission-window size.
 func (e *Engine) WindowCap() int { return int(e.winCap) }
-
-// ReplicaStats snapshots every replica's live replication gauges: how far
-// each has executed and applied, how many published deltas it still has
-// to replay (Lag — the pending replay depth), and its cumulative replay
-// wait. Safe from any goroutine while the engine runs.
-func (e *Engine) ReplicaStats() []ReplicaStat {
-	front := e.frontier.Load()
-	out := make([]ReplicaStat, e.k)
-	for i, w := range e.workers {
-		ap := w.appliedA.Load()
-		lag := front - ap
-		if lag < 0 {
-			lag = 0
-		}
-		out[i] = ReplicaStat{
-			ID:           i,
-			Executed:     w.executedN.Load(),
-			Applied:      ap,
-			Lag:          lag,
-			ReplayWaitNs: w.replayWaitNs.Load(),
-		}
-	}
-	return out
-}

@@ -77,10 +77,8 @@ const (
 )
 
 // waitFor blocks until seq's delta is published, returning its entry, or
-// nil when the engine aborted while waiting. waitedNs accrues the wall
-// time actually spent spinning (zero-cost when the delta was already
-// there).
-func (l *deltaLog) waitFor(seq int64, abort <-chan struct{}, waitedNs *int64) *deltaEntry {
+// nil when the engine aborted while waiting.
+func (l *deltaLog) waitFor(seq int64, abort <-chan struct{}) *deltaEntry {
 	en := &l.entries[seq&l.mask]
 	want := seq + 1
 	if st := en.stamp.Load(); st == want {
@@ -88,8 +86,6 @@ func (l *deltaLog) waitFor(seq int64, abort <-chan struct{}, waitedNs *int64) *d
 	} else if st > want {
 		panic("screp: delta log overrun (ring capacity invariant broken)")
 	}
-	t0 := time.Now()
-	defer func() { *waitedNs += time.Since(t0).Nanoseconds() }()
 	for spins := 1; ; spins++ {
 		st := en.stamp.Load()
 		if st == want {

@@ -94,10 +94,6 @@ type Config struct {
 	// window_wait/admit/crossbar/exec/egress segments plus its own
 	// replay_wait stage, so one span pipeline serves both strategies.
 	Tracer *dataplane.Tracer
-	// OnEgress, when non-nil, runs on the egressing worker's goroutine
-	// after outputs are recorded and before the window token is released
-	// (same contract as dataplane.Config.OnEgress).
-	OnEgress func(id int64)
 }
 
 func (c Config) withDefaults() Config {
@@ -161,20 +157,6 @@ type Result struct {
 	// Latency is the merged per-worker admission-to-egress latency
 	// histogram in microseconds (same shape as the sharded engine's).
 	Latency *stats.Histogram
-}
-
-// ReplicaStat is one worker's live replication view, in the shape the
-// admin plane serves (/stats) and mp5top renders: Executed counts packets
-// this replica ran itself, Applied is its replay frontier (sequence
-// numbers whose deltas it has applied), Lag is the published-but-unapplied
-// delta count (pending replay depth), and ReplayWaitNs is cumulative wall
-// time spent spinning for unpublished deltas.
-type ReplicaStat struct {
-	ID           int   `json:"id"`
-	Executed     int64 `json:"executed"`
-	Applied      int64 `json:"applied"`
-	Lag          int64 `json:"lag"`
-	ReplayWaitNs int64 `json:"replay_wait_ns"`
 }
 
 func newHistogram() *stats.Histogram {

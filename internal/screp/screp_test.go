@@ -124,8 +124,9 @@ func TestStatelessSpray(t *testing.T) {
 	}
 }
 
-// TestSingleSubmitStream drives the per-packet Submit path (the daemon's
-// streaming shape) instead of Run's coalesced SubmitBatch.
+// TestSingleSubmitStream drives the stream one packet at a time through
+// Submit (one-packet SubmitBatch chunks) instead of Run's whole-trace
+// SubmitBatch.
 func TestSingleSubmitStream(t *testing.T) {
 	prog, err := apps.Synthetic(2, 32, 12)
 	if err != nil {
@@ -166,31 +167,6 @@ func TestReplicaConvergence(t *testing.T) {
 		if got := e.ReplicaRegs(i); !reflect.DeepEqual(ref, got) {
 			t.Fatalf("replica %d diverged from replica 0 after converge:\nr0: %v\nr%d: %v", i, ref, i, got)
 		}
-	}
-}
-
-// TestReplicaStats checks the live gauges after a drained run: every
-// replica's frontier reached the final sequence number, the executed
-// counts partition the trace round-robin, and lag is zero at rest.
-func TestReplicaStats(t *testing.T) {
-	prog, err := apps.Synthetic(2, 32, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrivals := workload.Synthetic(prog, workload.Spec{Packets: 1000, Pipelines: 4, Seed: 29}, 2, 32)
-	e, res := runChecked(t, prog, arrivals, Config{Workers: 4})
-	var executed int64
-	for _, st := range e.ReplicaStats() {
-		executed += st.Executed
-		if st.Applied != res.Injected {
-			t.Fatalf("replica %d applied %d of %d after converge", st.ID, st.Applied, res.Injected)
-		}
-		if st.Lag != 0 {
-			t.Fatalf("replica %d reports lag %d at rest", st.ID, st.Lag)
-		}
-	}
-	if executed != res.Injected {
-		t.Fatalf("executed counts sum to %d, want %d", executed, res.Injected)
 	}
 }
 
@@ -292,11 +268,13 @@ func TestTracedRun(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	trc := dataplane.NewTracer(dataplane.TracerConfig{SampleEvery: 1, Registry: reg})
 	e := New(prog, Config{Workers: 4, RecordOutputs: true, Tracer: trc})
+	spans := make([]*dataplane.Span, len(arrivals))
+	for i := range spans {
+		spans[i] = trc.Sample()
+	}
 	e.Start()
-	for i := range arrivals {
-		if !e.SubmitTraced(&arrivals[i], trc.Sample()) {
-			t.Fatalf("SubmitTraced refused packet %d", i)
-		}
+	if got := e.SubmitBatch(arrivals, spans); got != len(arrivals) {
+		t.Fatalf("SubmitBatch admitted %d of %d", got, len(arrivals))
 	}
 	res := e.Drain()
 	trc.Close()

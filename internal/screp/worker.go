@@ -1,7 +1,6 @@
 package screp
 
 import (
-	"sync/atomic"
 	"time"
 
 	"mp5/internal/dataplane"
@@ -19,14 +18,8 @@ type packet struct {
 	span  *dataplane.Span // nil for unsampled packets
 }
 
-// xbarMsg is one mailbox transfer: a single packet (Submit) or a
-// coalesced batch (SubmitBatch's per-worker chunk run, in sequence order).
-type xbarMsg struct {
-	p     *packet
-	batch *pktBatch
-}
-
-// pktBatch is the recycled carrier behind coalesced dispatch sends.
+// pktBatch is one mailbox transfer, SubmitBatch's per-worker chunk run in
+// sequence order; recycled through the engine's batch pool.
 type pktBatch struct {
 	items []*packet
 }
@@ -45,11 +38,11 @@ type egRec struct {
 type worker struct {
 	id      int
 	e       *Engine
-	mailbox chan xbarMsg
+	mailbox chan *pktBatch
 	// regs is this replica's full private copy of all register state.
 	regs *ir.RegFile
 	// applied is the replay frontier: every delta below it has been
-	// applied to regs (private; appliedA mirrors it for gauges).
+	// applied to regs.
 	applied int64
 	// seen dedups the order log per (reg, clamped idx) per stage — the
 	// same granularity the banzai reference and the sharded engine use.
@@ -62,34 +55,30 @@ type worker struct {
 	writeBuf  []regWrite
 	obsID     int64
 	obs       func(reg int, idx int64, write bool)
-	// outs collects streaming-mode egress outputs worker-privately;
-	// egRecs the (seq, id) egress records; lat the private latency
-	// histogram — all merged engine-side after the join.
+	// outs collects egress outputs worker-privately (nil unless
+	// Config.RecordOutputs); egRecs the (seq, id) egress records; lat the
+	// private latency histogram — all merged engine-side after the join.
 	outs   map[int64][]int64
 	egRecs []egRec
 	lat    *stats.Histogram
-	// deltasN/replayedN/waitNs are worker-local run counters (summed at
-	// result time); the atomics mirror the live values for ReplicaStats.
-	deltasN      int64
-	replayedN    int64
-	waitNs       int64
-	executedN    atomic.Int64
-	appliedA     atomic.Int64
-	replayWaitNs atomic.Int64
+	// deltasN/replayedN are worker-local run counters, summed at result
+	// time.
+	deltasN   int64
+	replayedN int64
 }
 
 func newWorker(e *Engine, id int) *worker {
 	w := &worker{
 		id:        id,
 		e:         e,
-		mailbox:   make(chan xbarMsg, e.cfg.Window),
+		mailbox:   make(chan *pktBatch, e.cfg.Window),
 		regs:      ir.NewRegFile(e.prog),
 		seen:      make(map[[2]int]bool),
 		dirtySeen: make(map[[2]int]bool),
 		lat:       newHistogram(),
 	}
 	if e.cfg.RecordOutputs {
-		w.outs = make(map[int64][]int64) // streaming mode; unused when Run preallocates e.outs
+		w.outs = make(map[int64][]int64)
 	}
 	w.obs = w.observe
 	return w
@@ -104,16 +93,16 @@ func (w *worker) run() {
 	defer w.e.wg.Done()
 	for {
 		select {
-		case m := <-w.mailbox:
-			if !w.handle(m) {
+		case b := <-w.mailbox:
+			if !w.handle(b) {
 				return
 			}
 			continue
 		default:
 		}
 		select {
-		case m := <-w.mailbox:
-			if !w.handle(m) {
+		case b := <-w.mailbox:
+			if !w.handle(b) {
 				return
 			}
 		case <-w.e.quit:
@@ -126,23 +115,17 @@ func (w *worker) run() {
 
 // handle processes one mailbox transfer; false means the engine aborted
 // mid-packet (a replay wait observed the abort) and the loop should exit.
-func (w *worker) handle(m xbarMsg) bool {
-	if m.batch != nil {
-		for _, p := range m.batch.items {
-			if p.span != nil {
-				p.span.Advance(dataplane.StageCrossbar, w.id)
-			}
-			if !w.process(p) {
-				return false // dying engine: remaining packets are abandoned
-			}
+func (w *worker) handle(b *pktBatch) bool {
+	for _, p := range b.items {
+		if p.span != nil {
+			p.span.Advance(dataplane.StageCrossbar, w.id)
 		}
-		w.e.putBatch(m.batch)
-		return true
+		if !w.process(p) {
+			return false // dying engine: remaining packets are abandoned
+		}
 	}
-	if m.p.span != nil {
-		m.p.span.Advance(dataplane.StageCrossbar, w.id)
-	}
-	return w.process(m.p)
+	w.e.putBatch(b)
+	return true
 }
 
 // process runs one packet through the full stage program on this replica:
@@ -153,7 +136,6 @@ func (w *worker) handle(m xbarMsg) bool {
 // aborted during the replay wait.
 func (w *worker) process(p *packet) bool {
 	e := w.e
-	w.executedN.Add(1)
 	first, last := e.firstStateful, e.lastStateful
 	if last < 0 {
 		// Stateless program: a pure round-robin spray — no replay, no
@@ -203,9 +185,7 @@ func (w *worker) process(p *packet) bool {
 		w.writeBuf = append(w.writeBuf, regWrite{reg: dk[0], idx: dk[1], val: w.regs.Array(dk[0])[dk[1]]})
 	}
 	e.ring.publish(p.id, w.writeBuf)
-	e.frontier.Store(p.id + 1)
 	w.applied = p.id + 1 // own writes are already in the replica
-	w.appliedA.Store(w.applied)
 	w.deltasN++
 	e.met.Deltas.Inc()
 	for si := last + 1; si < len(e.prog.Stages); si++ {
@@ -225,9 +205,8 @@ func (w *worker) replayTo(seq int64) bool {
 	}
 	var replayed int64
 	for t := applied; t < seq; t++ {
-		en := w.e.ring.waitFor(t, w.e.abort, &w.waitNs)
+		en := w.e.ring.waitFor(t, w.e.abort)
 		if en == nil {
-			w.replayWaitNs.Store(w.waitNs)
 			return false
 		}
 		for _, wr := range en.writes {
@@ -236,8 +215,6 @@ func (w *worker) replayTo(seq int64) bool {
 		replayed += int64(len(en.writes))
 	}
 	w.applied = seq
-	w.appliedA.Store(seq)
-	w.replayWaitNs.Store(w.waitNs)
 	if replayed > 0 {
 		w.replayedN += replayed
 		w.e.met.ReplayedWrites.Add(replayed)
@@ -287,17 +264,15 @@ func (w *worker) execStageObserved(si int, env *ir.Env) {
 }
 
 // egress completes the packet: record outputs and egress order into
-// worker-private shards, notify the OnEgress hook, recycle the packet,
-// release the window token, and close the engine's done gate on the last
-// packet.
+// worker-private shards, hand a sampled span to the tracer, recycle the
+// packet, release the window token, and close the engine's done gate on
+// the last packet.
 func (w *worker) egress(p *packet) {
 	e := w.e
 	if p.span != nil {
 		p.span.Advance(dataplane.StageExec, w.id)
 	}
-	if e.outs != nil {
-		e.outs[p.id] = append([]int64(nil), p.env.Fields...)
-	} else if w.outs != nil {
+	if w.outs != nil {
 		w.outs[p.id] = append([]int64(nil), p.env.Fields...)
 	}
 	if e.cfg.RecordEgressOrder {
@@ -305,9 +280,6 @@ func (w *worker) egress(p *packet) {
 	}
 	w.lat.Add(float64(time.Since(p.start).Microseconds()))
 	e.met.Egressed.Inc()
-	if f := e.cfg.OnEgress; f != nil {
-		f(p.id)
-	}
 	if p.span != nil {
 		p.span.Advance(dataplane.StageEgress, w.id)
 		e.trc.Finish(p.span)
