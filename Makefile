@@ -136,8 +136,8 @@ check: vet race race-dataplane race-server race-tenant race-poison allocs-gate f
 # differential fuzzing harness: MP5_FUZZ_CASES fixed cases (program +
 # workload) checked against the single-pipeline reference on every
 # order-preserving architecture, plus a run of the committed seed corpus
-# (engines run the bytecode VM by default, differenced against references
-# that run the interpreter) — then the same smoke on the replicated engine,
+# (engines run the bytecode VM, differenced against references that run the
+# interpreter) — then the same smoke on the replicated engine,
 # and the wire codec's seed corpus (FuzzDecodeStream: the slab stream
 # decoder and decodeDatagram against the one-frame reference).
 fuzz-smoke:

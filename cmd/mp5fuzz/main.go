@@ -1,9 +1,9 @@
 // Command mp5fuzz runs long offline differential-fuzzing sweeps: random
 // Domino programs under random workloads, each checked against the
 // single-pipeline reference on every order-preserving architecture, on the
-// simulator's full-sweep scheduler, and on the concurrent goroutine
-// dataplane (final state, packet outputs, and C1 access order). Failures
-// are minimized and written as JSONL artifacts that -repro replays.
+// simulator behind a slow crossbar (event-driven and full-sweep), and on the
+// concurrent engines (final state, packet outputs, and C1 access order).
+// Failures are minimized and written as JSONL artifacts that -repro replays.
 //
 // Examples:
 //
@@ -37,13 +37,9 @@ var archNames = map[string]core.Arch{
 // artifact is one JSONL failure record: everything needed to reproduce the
 // failing run (the case pins the minimized program source verbatim).
 type artifact struct {
-	Type   string `json:"type"`
-	Engine string `json:"engine,omitempty"`
-	Arch   string `json:"arch"`
-	// Executor records which stage executor diverged (bytecode or interp;
-	// also carried inside Failure) so artifact triage can split compiler
-	// bugs from engine bugs at a glance.
-	Executor  string        `json:"executor,omitempty"`
+	Type      string        `json:"type"`
+	Engine    string        `json:"engine,omitempty"`
+	Arch      string        `json:"arch"`
 	Case      *fuzz.Case    `json:"case"`
 	Failure   *fuzz.Failure `json:"failure"`
 	Minimized bool          `json:"minimized"`
@@ -60,16 +56,10 @@ func main() {
 	out := flag.String("out", "", "write JSONL failure artifacts to this file")
 	shrinkBudget := flag.Int("shrink", 80, "shrink budget in candidate runs per failure (0 disables)")
 	repro := flag.String("repro", "", "replay failure artifacts from this JSONL file instead of sweeping")
-	executor := flag.String("executor", "", "force the engine sweep's stage executor: bytecode or interp (empty: bytecode, plus the built-in cross-executor runs)")
 	engine := flag.String("engine", "", "restrict the sweep (or -repro replay) to one engine family: core, core-sweep, bytecode, dataplane, dataplane-mt, or screp (empty: all)")
 	verbose := flag.Bool("v", false, "log every Nth case")
 	flag.Parse()
 
-	switch *executor {
-	case "", fuzz.ExecBytecode, fuzz.ExecInterp:
-	default:
-		fatal(fmt.Errorf("unknown executor %q (want %q or %q)", *executor, fuzz.ExecBytecode, fuzz.ExecInterp))
-	}
 	switch *engine {
 	case "", fuzz.EngineCore, fuzz.EngineSweep, fuzz.EngineBytecode,
 		fuzz.EngineDataplane, fuzz.EngineMultiTenant, fuzz.EngineScrep:
@@ -109,7 +99,6 @@ func main() {
 			WorkSeed:  int64(ir.Mix64(uint64(s) ^ 0x9e37)),
 			Packets:   *packets,
 			Pipelines: pick(*k, []int{2, 4, 8}[s%3]),
-			Executor:  *executor,
 		}
 		fails := fuzz.RunEngines(c, archs, *engine)
 		if *verbose && i%100 == 0 {
@@ -117,7 +106,7 @@ func main() {
 		}
 		for _, f := range fails {
 			failures++
-			rec := artifact{Type: "failure", Engine: f.Engine, Arch: f.Arch.String(), Executor: f.Executor, Case: c, Failure: f}
+			rec := artifact{Type: "failure", Engine: f.Engine, Arch: f.Arch.String(), Case: c, Failure: f}
 			if f.Reason != "compile" && *shrinkBudget > 0 {
 				if min, mf := fuzz.ShrinkFailure(c, f, *shrinkBudget); mf != nil {
 					rec.Case, rec.Failure, rec.Minimized = min, mf, true

@@ -178,7 +178,7 @@ func main() {
 		hooks = append(hooks, sampler.Hook(), spans.Hook())
 	}
 	if len(hooks) > 0 {
-		cfg.Trace = viz.Tee(hooks...)
+		cfg.Trace = telemetry.Tee(hooks...)
 	}
 	sim := core.NewSimulator(prog, cfg)
 	sim.SetFullSweep(*fullSweep)

@@ -80,13 +80,6 @@ type Config struct {
 	RemapInterval int64
 	// Seed drives the initial random sharding assignment.
 	Seed int64
-	// ShardPolicy overrides the initial index placement; when zero the
-	// architecture picks its natural default (round-robin for MP5,
-	// random for the static and recirculation baselines, single-pipe
-	// for naive).
-	ShardPolicy sharding.Policy
-	// shardPolicySet records an explicit policy choice.
-	ShardPolicySet bool
 	// RecircDelay is the extra latency (cycles) of re-entering a
 	// pipeline input beyond draining the current pipeline.
 	RecircDelay int64
@@ -117,13 +110,6 @@ type Config struct {
 	// RecordOutputs retains each packet's final header fields for
 	// functional-equivalence checking.
 	RecordOutputs bool
-	// Interpret forces stage execution through the tree-walking ir
-	// interpreter instead of the compiled bytecode VM. The interpreter is
-	// the semantic oracle; the differential fuzz harness runs it against
-	// the default compiled path.
-	Interpret bool
-	// MaxCycles aborts a stuck run; 0 derives a generous bound.
-	MaxCycles int64
 	// Trace, when non-nil, receives every simulator event (admissions,
 	// stage executions, steering, queueing, egress, drops) in
 	// deterministic order — the hook behind mp5sim -trace and the
@@ -150,17 +136,20 @@ func (c Config) withDefaults() Config {
 	case c.RecircIngressCap < 0:
 		c.RecircIngressCap = 0 // unbounded
 	}
-	if !c.ShardPolicySet {
-		switch c.Arch {
-		case ArchNaive:
-			c.ShardPolicy = sharding.PolicySinglePipe
-		case ArchStaticShard, ArchRecirc:
-			c.ShardPolicy = sharding.PolicyRandom
-		default:
-			c.ShardPolicy = sharding.PolicyRoundRobin
-		}
-	}
 	return c
+}
+
+// shardPolicy is the architecture's initial index placement: single-pipe
+// for naive, random for the static and recirculation baselines,
+// round-robin for MP5 and ideal.
+func (c Config) shardPolicy() sharding.Policy {
+	switch c.Arch {
+	case ArchNaive:
+		return sharding.PolicySinglePipe
+	case ArchStaticShard, ArchRecirc:
+		return sharding.PolicyRandom
+	}
+	return sharding.PolicyRoundRobin
 }
 
 // dynamicSharding reports whether the architecture re-runs the remap

@@ -98,8 +98,7 @@ type Simulator struct {
 	regs  []*ir.RegFile
 	st    [][]stageState // [stage][pipe]
 
-	// bc and vm are the bytecode-compiled program and the VM that runs it;
-	// nil when cfg.Interpret pins the tree-walking interpreter.
+	// bc and vm are the bytecode-compiled program and the VM that runs it.
 	bc *bytecode.Program
 	vm *bytecode.VM
 
@@ -194,18 +193,16 @@ func NewSimulator(prog *ir.Program, cfg Config) *Simulator {
 		k:            cfg.Pipelines,
 		S:            prog.NumStages(),
 		resStage:     prog.ResolutionStages - 1,
-		shard:        sharding.New(prog, cfg.Pipelines, cfg.ShardPolicy, cfg.Seed),
+		shard:        sharding.New(prog, cfg.Pipelines, cfg.shardPolicy(), cfg.Seed),
 		phantoms:     make([][]phantomEv, prog.NumStages()+int(cfg.CrossLatency)+2),
 		crossings:    make([][]crossEv, cfg.CrossLatency+2),
 		pendingOrder: make(map[accessKey][]int64),
+		bc:           bytecode.MustCompile(prog),
 	}
+	s.vm = bytecode.NewVM(s.bc)
 	s.regs = make([]*ir.RegFile, s.k)
 	for j := 0; j < s.k; j++ {
 		s.regs[j] = ir.NewRegFile(prog)
-	}
-	if !cfg.Interpret {
-		s.bc = bytecode.MustCompile(prog)
-		s.vm = bytecode.NewVM(s.bc)
 	}
 	s.st = make([][]stageState, s.S)
 	s.occ = make([]int, s.S)
@@ -269,10 +266,8 @@ func (s *Simulator) Run(arrivals []Arrival) *Result {
 		s.res.LastArrival = arrivals[len(arrivals)-1].Cycle
 		s.now = arrivals[0].Cycle
 	}
-	maxCycles := s.cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = s.res.LastArrival + 100000 + s.res.Injected*int64(4*s.S+8)
-	}
+	// A run past this generous bound is stuck; it ends Stalled.
+	maxCycles := s.res.LastArrival + 100000 + s.res.Injected*int64(4*s.S+8)
 
 	ai := 0
 	for {
@@ -768,26 +763,20 @@ func (s *Simulator) processSlot(stage, pipe int) {
 	s.outCnt[stage]++
 }
 
-// execStage runs one stage's instructions for packet p on pipeline pipe
-// through the active executor (bytecode VM by default, tree-walking
-// interpreter under Config.Interpret). When a trace hook is attached and
-// the stage is stateful, execution goes through the observed path so every
-// effective register access (predicate held, index resolved to its
-// concrete clamped value) emits one EvAccess event per distinct
-// (register, index) the packet touches. The event stream therefore
+// execStage runs one stage's instructions for packet p on pipeline pipe on
+// the bytecode VM. When a trace hook is attached and the stage is stateful,
+// execution goes through the observed path so every effective register
+// access (predicate held, index resolved to its concrete clamped value)
+// emits one EvAccess event per distinct (register, index) the packet
+// touches. The event stream therefore
 // reconstructs the exact per-state access order — the ground truth for
-// checking C1 against the single-pipeline reference. Both executors honor
-// the same observation contract, so the trace is executor-independent.
+// checking C1 against the single-pipeline reference.
 func (s *Simulator) execStage(p *Packet, stage, pipe int) {
-	st := &s.prog.Stages[stage]
+	bst := &s.bc.Stages[stage]
 	if s.cfg.Trace == nil || !s.statefulStage[stage] {
-		if s.bc != nil {
-			if err := s.vm.ExecStage(&s.bc.Stages[stage], p.Env, s.regs[pipe]); err != nil {
-				panic("core: " + err.Error()) // envs are s.prog-shaped
-			}
-			return
+		if err := s.vm.ExecStage(bst, p.Env, s.regs[pipe]); err != nil {
+			panic("core: " + err.Error()) // envs are s.prog-shaped
 		}
-		ir.ExecStage(st, p.Env, s.regs[pipe])
 		return
 	}
 	seen := s.accessSeen
@@ -802,12 +791,8 @@ func (s *Simulator) execStage(p *Packet, stage, pipe int) {
 			Stage: stage, Pipe: pipe, Reg: key.reg, Idx: key.idx,
 		})
 	}
-	if s.bc != nil {
-		if err := s.vm.ExecStageObserved(&s.bc.Stages[stage], p.Env, s.regs[pipe], obs); err != nil {
-			panic("core: " + err.Error())
-		}
-	} else {
-		ir.ExecStageObserved(st, p.Env, s.regs[pipe], obs)
+	if err := s.vm.ExecStageObserved(bst, p.Env, s.regs[pipe], obs); err != nil {
+		panic("core: " + err.Error())
 	}
 	clear(seen)
 }

@@ -73,12 +73,6 @@ type Config struct {
 	// functional correctness (C1 ticketing is placement-independent), only
 	// steering and remap trajectories.
 	Seed int64
-	// Interpret forces stage execution (admitter resolution stages and
-	// worker stages alike) through the tree-walking ir interpreter
-	// instead of the compiled bytecode VM. The interpreter is the
-	// semantic oracle; the differential fuzz harness runs it against the
-	// default compiled path.
-	Interpret bool
 	// RecordOutputs retains each packet's final header fields (required
 	// for equivalence checking via equiv.CheckState).
 	RecordOutputs bool

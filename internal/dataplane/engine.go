@@ -642,13 +642,9 @@ func (e *Engine) prepare(h *Handle, id int64, a *core.Arrival, start time.Time) 
 	p.tag = 0
 	p.start = start
 	for si := 0; si < h.prog.ResolutionStages; si++ {
-		if h.bc != nil {
-			if err := h.vm.ExecStage(&h.bc.Stages[si], p.env, h.admRegs); err != nil {
-				panic("dataplane: " + err.Error()) // envs are h.prog-shaped
-			}
-			continue
+		if err := h.vm.ExecStage(&h.bc.Stages[si], p.env, h.admRegs); err != nil {
+			panic("dataplane: " + err.Error()) // envs are h.prog-shaped
 		}
-		ir.ExecStage(&h.prog.Stages[si], p.env, h.admRegs)
 	}
 	p.nextStage = h.prog.ResolutionStages
 	e.resolve(h, p)

@@ -91,8 +91,7 @@ type Handle struct {
 	// by construction, so only read-only match tables are consulted).
 	admRegs *ir.RegFile
 	// bc is this program's compiled form and vm the VM that runs it on the
-	// admitter and every worker (a VM holds no state). Both nil under
-	// Config.Interpret.
+	// admitter and every worker (a VM holds no state).
 	bc *bytecode.Program
 	vm *bytecode.VM
 	// wregs[i] is worker i's private register file for this program — the
@@ -137,12 +136,10 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 		admRegs: ir.NewRegFile(prog),
 		quota:   quota,
 		record:  e.cfg.RecordOutputs || e.cfg.RecordAccessOrder,
+		bc:      bytecode.MustCompile(prog),
 	}
+	h.vm = bytecode.NewVM(h.bc)
 	h.free = make([]*packet, 0, e.cfg.Window)
-	if !e.cfg.Interpret {
-		h.bc = bytecode.MustCompile(prog)
-		h.vm = bytecode.NewVM(h.bc)
-	}
 	h.wregs = make([]*ir.RegFile, e.k)
 	for i := range h.wregs {
 		h.wregs[i] = ir.NewRegFile(prog)

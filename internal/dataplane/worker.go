@@ -346,12 +346,8 @@ func (d *driver) process(p *packet, since TraceStage) {
 			// No ticket here: any stateful instruction in this stage has a
 			// (resolution-time) false predicate, so executing the stage
 			// touches only the packet environment and read-only tables.
-			if h.bc != nil {
-				if err := h.vm.ExecStage(&h.bc.Stages[p.nextStage], p.env, regs); err != nil {
-					panic("dataplane: " + err.Error()) // envs are h.prog-shaped
-				}
-			} else {
-				ir.ExecStage(&h.prog.Stages[p.nextStage], p.env, regs)
+			if err := h.vm.ExecStage(&h.bc.Stages[p.nextStage], p.env, regs); err != nil {
+				panic("dataplane: " + err.Error()) // envs are h.prog-shaped
 			}
 			p.nextStage++
 			continue
@@ -445,9 +441,9 @@ func blocked(v *visit) *slotRef {
 // conservative ticket may cover nothing — a wasted visit). A stable stage
 // (bytecode.StageProgram.Stable) has its accesses checked up front, from
 // the frame at stage entry, before any register is touched, and then runs
-// unobserved; any other stage, and every stage under Config.Interpret, runs
-// with the access observer attached. It then retires one ticket per slot
-// and promotes the packet parked on each slot's next ticket, if any.
+// unobserved; any other stage runs with the access observer attached. It
+// then retires one ticket per slot and promotes the packet parked on each
+// slot's next ticket, if any.
 func (w *worker) execVisit(p *packet, v *visit) {
 	h := p.h
 	for len(w.touched) < len(v.slots) {
@@ -458,36 +454,30 @@ func (w *worker) execVisit(p *packet, v *visit) {
 		touched[i] = touched[i][:0]
 	}
 	regs := h.wregs[w.id]
-	if h.bc == nil {
-		w.obsP, w.obsV, w.obsT = p, v, touched
-		ir.ExecStageObserved(&h.prog.Stages[v.stage], p.env, regs, w.obs)
-		w.obsP, w.obsV, w.obsT = nil, nil, nil
-	} else {
-		sp := &h.bc.Stages[v.stage]
-		upFront := sp.Stable()
-		if f := w.e.testExecPath; f != nil {
-			upFront = f(v.stage, upFront)
-		}
-		var err error
-		if upFront {
-			if err = sp.Fit(p.env); err == nil {
-				frame := p.env.Frame
-				sites := sp.Sites()
-				for i := range sites {
-					if s := &sites[i]; s.Held(frame) {
-						cover(p, v, touched, s.Reg, frame[s.Idx])
-					}
+	sp := &h.bc.Stages[v.stage]
+	upFront := sp.Stable()
+	if f := w.e.testExecPath; f != nil {
+		upFront = f(v.stage, upFront)
+	}
+	var err error
+	if upFront {
+		if err = sp.Fit(p.env); err == nil {
+			frame := p.env.Frame
+			sites := sp.Sites()
+			for i := range sites {
+				if s := &sites[i]; s.Held(frame) {
+					cover(p, v, touched, s.Reg, frame[s.Idx])
 				}
-				err = h.vm.ExecStage(sp, p.env, regs)
 			}
-		} else {
-			w.obsP, w.obsV, w.obsT = p, v, touched
-			err = h.vm.ExecStageObserved(sp, p.env, regs, w.obs)
-			w.obsP, w.obsV, w.obsT = nil, nil, nil
+			err = h.vm.ExecStage(sp, p.env, regs)
 		}
-		if err != nil {
-			panic("dataplane: " + err.Error()) // envs are h.prog-shaped
-		}
+	} else {
+		w.obsP, w.obsV, w.obsT = p, v, touched
+		err = h.vm.ExecStageObserved(sp, p.env, regs, w.obs)
+		w.obsP, w.obsV, w.obsT = nil, nil, nil
+	}
+	if err != nil {
+		panic("dataplane: " + err.Error()) // envs are h.prog-shaped
 	}
 	record := w.e.cfg.RecordAccessOrder
 	for i := range v.slots {

@@ -52,14 +52,6 @@ const MultiTenantPrograms = 3
 // K-program run stays smoke-grade.
 const mtPacketCap = 400
 
-// Executor names select (Case.Executor) and record (Failure.Executor) which
-// stage executor an engine ran: the compiled bytecode VM (the default) or
-// the tree-walking ir interpreter that serves as the semantic oracle.
-const (
-	ExecBytecode = "bytecode"
-	ExecInterp   = "interp"
-)
-
 // SubmitSingle marks an engine failure produced by a per-packet Submit loop
 // — one-packet admission chunks (Failure.Submit); empty means Run's
 // whole-trace chunks.
@@ -83,11 +75,6 @@ type Case struct {
 	WorkSeed  int64 `json:"work_seed"`
 	Packets   int   `json:"packets"`
 	Pipelines int   `json:"pipelines"`
-	// Executor forces the stage executor for the engine sweep: ExecInterp
-	// pins the tree-walking interpreter, ExecBytecode (or empty) the
-	// compiled bytecode VM. Run always adds one cross-executor engine run
-	// and the direct bytecode-vs-interpreter differential on top.
-	Executor string `json:"executor,omitempty"`
 }
 
 // SourceText returns the case's program source, generating it from
@@ -156,19 +143,21 @@ func (d OrderDiv) String() string {
 // Failure is one engine configuration's divergence from the reference on one
 // case.
 type Failure struct {
-	// Engine identifies the execution engine (EngineCore, EngineSweep or
-	// EngineDataplane); empty means EngineCore for artifacts written before
-	// the field existed. Arch is the simulated architecture for the core
-	// engines (always ArchMP5 for sweep and dataplane); Workers is the
-	// dataplane worker count (0 otherwise).
+	// Engine identifies the execution engine (EngineCore, EngineSweep,
+	// EngineBytecode, EngineDataplane, EngineMultiTenant or EngineScrep);
+	// empty means EngineCore for artifacts written before the field
+	// existed. A bytecode-engine failure means the VM and the interpreter
+	// disagreed outright on the serial machine. Arch is the simulated
+	// architecture for the core engines (always ArchMP5 for the others);
+	// Workers is the engine worker count (0 for the core engines).
 	Engine  string    `json:"engine,omitempty"`
 	Arch    core.Arch `json:"arch"`
 	Workers int       `json:"workers,omitempty"`
-	// Executor records which stage executor the diverging engine ran
-	// (ExecBytecode or ExecInterp); empty means ExecBytecode for artifacts
-	// written before the field existed. A "bytecode"-engine failure means
-	// the two executors disagreed outright on the serial machine.
-	Executor string `json:"executor,omitempty"`
+	// CrossLatency is the simulator's inter-pipeline link latency in
+	// cycles (core.Config.CrossLatency) for the full-sweep leg and the
+	// event-driven cross-latency leg; 0 for a single-die run and for the
+	// other engines.
+	CrossLatency int64 `json:"cross_latency,omitempty"`
 	// Submit records how the engine was fed: SubmitSingle for the
 	// per-packet Submit loop (one-packet chunks), empty for Run's
 	// whole-trace SubmitBatch.
@@ -207,14 +196,15 @@ func (f *Failure) String() string {
 		}
 		fmt.Fprintf(&b, "screp(workers=%d%s): %s", f.Workers, mode, f.Reason)
 	case EngineSweep:
-		fmt.Fprintf(&b, "%v (full-sweep): %s", f.Arch, f.Reason)
+		fmt.Fprintf(&b, "%v (full-sweep, cross-latency %d): %s", f.Arch, f.CrossLatency, f.Reason)
 	case EngineBytecode:
 		fmt.Fprintf(&b, "bytecode-vs-interpreter: %s", f.Reason)
 	default:
-		fmt.Fprintf(&b, "%v: %s", f.Arch, f.Reason)
-	}
-	if f.Executor == ExecInterp {
-		b.WriteString(" [interp]")
+		if f.CrossLatency > 0 {
+			fmt.Fprintf(&b, "%v (cross-latency %d): %s", f.Arch, f.CrossLatency, f.Reason)
+		} else {
+			fmt.Fprintf(&b, "%v: %s", f.Arch, f.Reason)
+		}
 	}
 	if f.Detail != "" {
 		fmt.Fprintf(&b, " (%s)", f.Detail)
@@ -238,18 +228,6 @@ type reference struct {
 	arrivals []core.Arrival
 	order    map[string][]int64
 	k        int
-	// interp pins the engines under test to the tree-walking interpreter
-	// (the reference itself always runs the interpreter, so an interp-pinned
-	// sweep checks the engine logic alone, with the executor cancelled out).
-	interp bool
-}
-
-// execName names the executor this reference's engine runs carry.
-func (r *reference) execName() string {
-	if r.interp {
-		return ExecInterp
-	}
-	return ExecBytecode
 }
 
 func newReference(prog *ir.Program, arrivals []core.Arrival, k int) *reference {
@@ -261,67 +239,59 @@ func newReference(prog *ir.Program, arrivals []core.Arrival, k int) *reference {
 	}
 }
 
-// sweepCrossLatency is the inter-pipeline link latency of the full-sweep leg,
-// derived from the case's work seed (1..4 cycles) so a replay reproduces it:
-// the leg doubles as the differential check of early-data parking, where a
-// data packet outruns its phantom and waits for it.
+// sweepCrossLatency is the inter-pipeline link latency of the full-sweep and
+// cross-latency legs, derived from the case's work seed (1..4 cycles) so a
+// replay reproduces it: both legs are differential checks of early-data
+// parking, where a data packet outruns its phantom and waits for it.
 func sweepCrossLatency(seed int64) int64 { return 1 + (seed%4+4)%4 }
 
+// coreConfig is the simulator configuration of a core leg: arch on the
+// case's k pipelines, seeded by the work seed, with crossLat cycles on every
+// inter-pipeline crossing.
+func (r *reference) coreConfig(arch core.Arch, seed, crossLat int64) core.Config {
+	return core.Config{Arch: arch, Pipelines: r.k, Seed: seed, CrossLatency: crossLat}
+}
+
 // runCore simulates the case on one architecture of the cycle-accurate
-// simulator and compares against the reference; fullSweep forces the legacy
-// every-slot-every-cycle scheduler (always on ArchMP5, with a slow crossbar:
-// sweepCrossLatency). nil means the engine matched on every oracle.
-func (r *reference) runCore(arch core.Arch, seed int64, fullSweep bool) *Failure {
+// simulator, with crossLat cycles on every inter-pipeline crossing, and
+// compares against the reference; fullSweep forces the legacy
+// every-slot-every-cycle scheduler. nil means the engine matched on every
+// oracle.
+func (r *reference) runCore(arch core.Arch, seed, crossLat int64, fullSweep bool) *Failure {
 	engine := EngineCore
-	var crossLat int64
 	if fullSweep {
-		engine, arch = EngineSweep, core.ArchMP5
-		crossLat = sweepCrossLatency(seed)
+		engine = EngineSweep
 	}
 	got := map[string][]int64{}
-	sim := core.NewSimulator(r.prog, core.Config{
-		Arch: arch, Pipelines: r.k, Seed: seed,
-		CrossLatency:  crossLat,
-		RecordOutputs: true,
-		Interpret:     r.interp,
-		Trace: func(e core.Event) {
-			if e.Kind == core.EvAccess {
-				key := banzai.AccessKey(e.Reg, e.Idx)
-				got[key] = append(got[key], e.PktID)
-			}
-		},
-	})
-	sim.SetFullSweep(fullSweep)
-	fail := &Failure{Engine: engine, Arch: arch, Executor: r.execName()}
-	detail := func(s string) string {
-		if crossLat == 0 {
-			return s
+	cfg := r.coreConfig(arch, seed, crossLat)
+	cfg.RecordOutputs = true
+	cfg.Trace = func(e core.Event) {
+		if e.Kind == core.EvAccess {
+			key := banzai.AccessKey(e.Reg, e.Idx)
+			got[key] = append(got[key], e.PktID)
 		}
-		if s == "" {
-			return fmt.Sprintf("cross-latency %d", crossLat)
-		}
-		return fmt.Sprintf("cross-latency %d; %s", crossLat, s)
 	}
+	sim := core.NewSimulator(r.prog, cfg)
+	sim.SetFullSweep(fullSweep)
+	fail := &Failure{Engine: engine, Arch: arch, CrossLatency: crossLat}
 	res := sim.Run(r.arrivals)
 	if res.Stalled {
 		fail.Reason = "stall"
-		fail.Detail = detail(fmt.Sprintf("%d of %d completed after %d cycles", res.Completed, res.Injected, res.Cycles))
+		fail.Detail = fmt.Sprintf("%d of %d completed after %d cycles", res.Completed, res.Injected, res.Cycles)
 		return fail
 	}
 	if res.Completed != res.Injected {
 		fail.Reason = "loss"
-		fail.Detail = detail(fmt.Sprintf("%d of %d completed", res.Completed, res.Injected))
+		fail.Detail = fmt.Sprintf("%d of %d completed", res.Completed, res.Injected)
 		return fail
 	}
 	if divs := diffOrders(r.order, got); len(divs) > 0 {
 		fail.Reason = "order"
-		fail.Detail = detail("")
 		fail.Order = divs
 		return fail
 	}
 	if rep := equiv.Check(r.prog, sim, r.arrivals); !rep.Equivalent {
 		fail.Reason = "state"
-		fail.Detail = detail("")
 		fail.Report = rep
 		return fail
 	}
@@ -335,7 +305,7 @@ func (r *reference) runCore(arch core.Arch, seed int64, fullSweep bool) *Failure
 // C1 access order (the compiled observation hooks must fire identically)
 // and final registers plus per-packet outputs.
 func (r *reference) runBytecode() *Failure {
-	fail := &Failure{Engine: EngineBytecode, Arch: core.ArchMP5, Executor: ExecBytecode}
+	fail := &Failure{Engine: EngineBytecode, Arch: core.ArchMP5}
 	m := banzai.NewMachine(r.prog) // bytecode VM is the machine default
 	m.RecordIndexedAccesses()
 	outputs := make(map[int64][]int64, len(r.arrivals))
@@ -365,7 +335,7 @@ func (r *reference) runBytecode() *Failure {
 // per-packet Submit loop instead of Run's whole-trace SubmitBatch, so
 // one-packet chunks stay differentially checked beside full ones.
 func (r *reference) runDataplane(workers int, single bool) *Failure {
-	fail := &Failure{Engine: EngineDataplane, Arch: core.ArchMP5, Workers: workers, Executor: r.execName()}
+	fail := &Failure{Engine: EngineDataplane, Arch: core.ArchMP5, Workers: workers}
 	if single {
 		fail.Submit = SubmitSingle
 	}
@@ -373,7 +343,6 @@ func (r *reference) runDataplane(workers int, single bool) *Failure {
 		Workers:           workers,
 		RecordOutputs:     true,
 		RecordAccessOrder: true,
-		Interpret:         r.interp,
 	})
 	var res *dataplane.Result
 	if single {
@@ -417,7 +386,7 @@ func (r *reference) runDataplane(workers int, single bool) *Failure {
 // an order or state divergence here means the delta replay chain broke —
 // the exact failure mode replication trades the shard map away for.
 func (r *reference) runScrep(workers int, single bool) *Failure {
-	fail := &Failure{Engine: EngineScrep, Arch: core.ArchMP5, Workers: workers, Executor: r.execName()}
+	fail := &Failure{Engine: EngineScrep, Arch: core.ArchMP5, Workers: workers}
 	if single {
 		fail.Submit = SubmitSingle
 	}
@@ -425,7 +394,6 @@ func (r *reference) runScrep(workers int, single bool) *Failure {
 		Workers:           workers,
 		RecordOutputs:     true,
 		RecordAccessOrder: true,
-		Interpret:         r.interp,
 	})
 	var res *screp.Result
 	if single {
@@ -520,16 +488,10 @@ func runMultiTenant(c *Case, workers int) []*Failure {
 		cfail.Workers = workers
 		return []*Failure{cfail}
 	}
-	interp := c.Executor == ExecInterp
-	exec := ExecBytecode
-	if interp {
-		exec = ExecInterp
-	}
 	eng := dataplane.NewMulti(dataplane.Config{
 		Workers:           workers,
 		RecordOutputs:     true,
 		RecordAccessOrder: true,
-		Interpret:         interp,
 	})
 	handles := make([]*dataplane.Handle, len(tenants))
 	for i, tn := range tenants {
@@ -565,7 +527,7 @@ func runMultiTenant(c *Case, workers int) []*Failure {
 	res := eng.Drain()
 	fail := func(tenant string) *Failure {
 		return &Failure{Engine: EngineMultiTenant, Arch: core.ArchMP5,
-			Workers: workers, Executor: exec, Tenant: tenant}
+			Workers: workers, Tenant: tenant}
 	}
 	if res.Stalled {
 		f := fail("")
@@ -650,11 +612,12 @@ func diffOrders(want, got map[string][]int64) []OrderDiv {
 // Run compiles the case once and checks it against the single-pipeline
 // reference on every engine configuration: the direct bytecode-vs-interpreter
 // differential on the serial machine, each architecture in archs on the
-// event-driven simulator, ArchMP5 on the simulator's legacy full-sweep
-// scheduler behind a slow crossbar, the concurrent goroutine dataplane and the state-compute-
-// replication engine at every DataplaneWorkers count, and one cross-executor
-// ArchMP5 run (the sweep's executor flipped) — so one seed cross-checks every
-// engine and both stage executors. It returns one Failure per diverging
+// event-driven simulator, ArchMP5 on the event-driven and on the legacy
+// full-sweep scheduler behind a slow crossbar (sweepCrossLatency), the
+// concurrent goroutine dataplane and the state-compute-replication engine at
+// every DataplaneWorkers count, and the multi-tenant dataplane — so one seed
+// cross-checks every engine. Every engine runs the bytecode VM; the
+// references run the interpreter. It returns one Failure per diverging
 // configuration. A compile error returns a single "compile" failure (the
 // generator aims for 100% compilable output, so this is itself a finding).
 func Run(c *Case, archs []core.Arch) []*Failure {
@@ -662,8 +625,8 @@ func Run(c *Case, archs []core.Arch) []*Failure {
 }
 
 // RunEngines is Run with an engine filter: only restricts the sweep to one
-// engine family (an Engine* constant; EngineCore also keeps the per-arch
-// sweep and the cross-executor run). Empty means everything. The filter is
+// engine family (an Engine* constant; EngineCore keeps the per-arch sweep
+// and the cross-latency run). Empty means everything. The filter is
 // what -engine on mp5fuzz and MP5_FUZZ_ENGINE in the test harness plug
 // into — a replication-only soak costs a fraction of the full sweep.
 func RunEngines(c *Case, archs []core.Arch, only string) []*Failure {
@@ -680,7 +643,6 @@ func RunEngines(c *Case, archs []core.Arch, only string) []*Failure {
 		return nil
 	}
 	ref := newReference(prog, arrivals, c.Pipelines)
-	ref.interp = c.Executor == ExecInterp
 	var fails []*Failure
 	if want(EngineBytecode) {
 		if f := ref.runBytecode(); f != nil {
@@ -689,13 +651,13 @@ func RunEngines(c *Case, archs []core.Arch, only string) []*Failure {
 	}
 	if want(EngineCore) {
 		for _, a := range archs {
-			if f := ref.runCore(a, c.WorkSeed, false); f != nil {
+			if f := ref.runCore(a, c.WorkSeed, 0, false); f != nil {
 				fails = append(fails, f)
 			}
 		}
 	}
 	if want(EngineSweep) {
-		if f := ref.runCore(core.ArchMP5, c.WorkSeed, true); f != nil {
+		if f := ref.runCore(core.ArchMP5, c.WorkSeed, sweepCrossLatency(c.WorkSeed), true); f != nil {
 			fails = append(fails, f)
 		}
 	}
@@ -732,12 +694,11 @@ func RunEngines(c *Case, archs []core.Arch, only string) []*Failure {
 		fails = append(fails, runMultiTenant(c, 4)...)
 	}
 	if want(EngineCore) {
-		// Cross-executor run: whatever executor the sweep above used, run the
-		// flagship architecture once with the other one, so both the compiled
-		// path and the interpreter path stay exercised on every case.
-		cross := *ref
-		cross.interp = !ref.interp
-		if f := cross.runCore(core.ArchMP5, c.WorkSeed, false); f != nil {
+		// Cross-latency run: the flagship architecture on the event-driven
+		// scheduler behind the full-sweep leg's slow crossbar, so early-data
+		// parking is checked on the scheduler production runs, not only on
+		// the legacy one.
+		if f := ref.runCore(core.ArchMP5, c.WorkSeed, sweepCrossLatency(c.WorkSeed), false); f != nil {
 			fails = append(fails, f)
 		}
 	}
@@ -748,8 +709,8 @@ func RunEngines(c *Case, archs []core.Arch, only string) []*Failure {
 // its failure if the case still diverges (or a "compile" failure). This is
 // the shrink loop's reproduction predicate: matching on the originating
 // engine keeps a minimization from being hijacked by an unrelated divergence
-// on another engine, and skips the cost of the full three-engine sweep on
-// every candidate.
+// on another engine, and skips the cost of the full sweep over every engine
+// on every candidate.
 func runLike(c *Case, like *Failure) *Failure {
 	if c.Pipelines <= 0 {
 		c.Pipelines = core.DefaultPipelines
@@ -763,12 +724,9 @@ func runLike(c *Case, like *Failure) *Failure {
 		return nil
 	}
 	ref := newReference(prog, arrivals, c.Pipelines)
-	ref.interp = like.Executor == ExecInterp
 	switch like.Engine {
 	case EngineBytecode:
 		return ref.runBytecode()
-	case EngineSweep:
-		return ref.runCore(core.ArchMP5, c.WorkSeed, true)
 	case EngineDataplane:
 		return ref.runDataplane(like.Workers, like.Submit == SubmitSingle)
 	case EngineScrep:
@@ -789,6 +747,6 @@ func runLike(c *Case, like *Failure) *Failure {
 		}
 		return nil
 	default:
-		return ref.runCore(like.Arch, c.WorkSeed, false)
+		return ref.runCore(like.Arch, c.WorkSeed, like.CrossLatency, like.Engine == EngineSweep)
 	}
 }

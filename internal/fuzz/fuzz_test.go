@@ -47,10 +47,8 @@ func TestGeneratorDeterministic(t *testing.T) {
 }
 
 // smokeCases returns the deterministic case list for the smoke run; the
-// count is env-overridable so `make fuzz-smoke` can run a longer sweep
-// without code changes, and MP5_FUZZ_EXECUTOR ("interp" or "bytecode")
-// forces the engine sweep's stage executor so check.sh can pin the
-// compiled path explicitly.
+// count is env-overridable (MP5_FUZZ_CASES) so `make fuzz-smoke` can run a
+// longer sweep without code changes.
 func smokeCases(t testing.TB) []*Case {
 	n := 25
 	if v := os.Getenv("MP5_FUZZ_CASES"); v != "" {
@@ -60,12 +58,6 @@ func smokeCases(t testing.TB) []*Case {
 		}
 		n = p
 	}
-	executor := os.Getenv("MP5_FUZZ_EXECUTOR")
-	switch executor {
-	case "", ExecInterp, ExecBytecode:
-	default:
-		t.Fatalf("bad MP5_FUZZ_EXECUTOR=%q (want %q or %q)", executor, ExecInterp, ExecBytecode)
-	}
 	cases := make([]*Case, n)
 	for i := range cases {
 		s := int64(i)
@@ -73,7 +65,6 @@ func smokeCases(t testing.TB) []*Case {
 			ProgSeed: s*7919 + 1, Size: i%8 + 1,
 			WorkSeed: s*104729 + 3, Packets: 300 + i%5*100,
 			Pipelines: []int{2, 4, 8}[i%3],
-			Executor:  executor,
 		}
 	}
 	return cases
@@ -183,10 +174,10 @@ func TestShrinkNonFailure(t *testing.T) {
 func TestShrinkFailureNonCore(t *testing.T) {
 	c := &Case{ProgSeed: 1, Size: 2, WorkSeed: 1, Packets: 200, Pipelines: 4}
 	for _, like := range []*Failure{
-		{Engine: EngineSweep, Arch: core.ArchMP5},
+		{Engine: EngineSweep, Arch: core.ArchMP5, CrossLatency: sweepCrossLatency(c.WorkSeed)},
 		{Engine: EngineDataplane, Arch: core.ArchMP5, Workers: 2},
 		{Engine: EngineBytecode, Arch: core.ArchMP5},
-		{Engine: EngineCore, Arch: core.ArchMP5, Executor: ExecInterp},
+		{Engine: EngineCore, Arch: core.ArchMP5, CrossLatency: sweepCrossLatency(c.WorkSeed)},
 		{Engine: EngineMultiTenant, Arch: core.ArchMP5, Workers: 4, Tenant: "t1"},
 		{Engine: EngineScrep, Arch: core.ArchMP5, Workers: 2},
 		{Engine: EngineScrep, Arch: core.ArchMP5, Workers: 2, Submit: SubmitSingle},
@@ -232,26 +223,30 @@ func TestMultiTenantLeg(t *testing.T) {
 	}
 }
 
-// TestExecutorSweeps: the forced-executor smoke paths both pass — the whole
-// engine sweep pinned to the interpreter, and pinned to the bytecode VM.
-// Together with Run's built-in cross-executor run and the serial
-// bytecode-vs-interpreter differential, this holds the two executors to
-// identical behaviour on every oracle from both directions.
-func TestExecutorSweeps(t *testing.T) {
-	for _, exec := range []string{ExecInterp, ExecBytecode} {
-		c := &Case{ProgSeed: 11, Size: 5, WorkSeed: 13, Packets: 400,
-			Pipelines: 4, Executor: exec}
-		for _, f := range Run(c, []core.Arch{core.ArchMP5}) {
-			t.Errorf("executor %s: %v", exec, f)
+// TestCrossLatencyLegParks: the event-driven cross-latency leg reaches
+// early-data parking (a data packet beating its phantom) on smoke-grade
+// cases, so its differential coverage of that path is real.
+func TestCrossLatencyLegParks(t *testing.T) {
+	for _, c := range smokeCases(t) {
+		prog, err := compiler.Compile(c.SourceText(), compiler.Options{Target: compiler.TargetMP5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrivals := c.Arrivals(prog)
+		ref := &reference{prog: prog, arrivals: arrivals, k: c.Pipelines}
+		cfg := ref.coreConfig(core.ArchMP5, c.WorkSeed, sweepCrossLatency(c.WorkSeed))
+		if core.NewSimulator(prog, cfg).Run(arrivals).ParkedEarly > 0 {
+			return
 		}
 	}
+	t.Fatal("no smoke case parked a data packet early on the cross-latency leg")
 }
 
 // FuzzDifferential is the native fuzz target: the fuzzer explores the
 // (program seed, workload seed, size, packets) space, and every input is
 // checked against the single-pipeline reference on all order-preserving
-// architectures, the full-sweep scheduler, and the concurrent dataplane
-// (via Run's three-engine sweep). Run long with:
+// architectures, the full-sweep scheduler, the cross-latency leg, and the
+// concurrent engines (via Run's sweep over every engine). Run long with:
 //
 //	go test -run FuzzDifferential -fuzz=FuzzDifferential ./internal/fuzz
 func FuzzDifferential(f *testing.F) {

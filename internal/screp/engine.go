@@ -30,7 +30,7 @@ type Engine struct {
 	k    int
 	prog *ir.Program
 	// bc is the shared compiled program and vm the VM every worker runs
-	// it on (a VM holds no state); both nil under Config.Interpret.
+	// it on (a VM holds no state).
 	bc *bytecode.Program
 	vm *bytecode.VM
 
@@ -112,6 +112,7 @@ func New(prog *ir.Program, cfg Config) *Engine {
 		cfg:           cfg,
 		k:             cfg.Workers,
 		prog:          prog,
+		bc:            bytecode.MustCompile(prog),
 		firstStateful: -1,
 		lastStateful:  -1,
 		winCap:        int64(cfg.Window),
@@ -132,10 +133,7 @@ func New(prog *ir.Program, cfg Config) *Engine {
 			e.lastStateful = i
 		}
 	}
-	if !cfg.Interpret {
-		e.bc = bytecode.MustCompile(prog)
-		e.vm = bytecode.NewVM(e.bc)
-	}
+	e.vm = bytecode.NewVM(e.bc)
 	if cfg.RecordAccessOrder {
 		e.orders = make(map[[2]int][]int64)
 	}

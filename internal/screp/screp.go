@@ -67,10 +67,6 @@ type Config struct {
 	// egressed); 0 defaults to 256. As in the sharded engine, mailboxes
 	// are sized to the window so crossbar sends never block.
 	Window int
-	// Interpret forces stage execution through the tree-walking ir
-	// interpreter instead of the compiled bytecode VM (the differential
-	// oracle switch, identical to dataplane.Config.Interpret).
-	Interpret bool
 	// RecordOutputs retains each packet's final header fields (required
 	// for equivalence checking via equiv.CheckState).
 	RecordOutputs bool

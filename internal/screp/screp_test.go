@@ -96,17 +96,6 @@ func TestAppEquivalence(t *testing.T) {
 	}
 }
 
-// TestInterpretEquivalence pins the tree-walking interpreter path — the
-// executor the differential fuzz harness flips — on a multi-replica run.
-func TestInterpretEquivalence(t *testing.T) {
-	prog, err := apps.Synthetic(3, 32, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrivals := workload.Synthetic(prog, workload.Spec{Packets: 1500, Pipelines: 4, Seed: 17}, 3, 32)
-	runChecked(t, prog, arrivals, Config{Workers: 4, Interpret: true})
-}
-
 // TestStatelessSpray runs a register-free program: a pure round-robin
 // spray with no deltas published and no writes replayed.
 func TestStatelessSpray(t *testing.T) {

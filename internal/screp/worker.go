@@ -241,26 +241,18 @@ func (w *worker) observe(reg int, idx int64, write bool) {
 	w.e.orders[dk] = append(w.e.orders[dk], w.obsID)
 }
 
-// execStage runs stage si through the active executor.
+// execStage runs stage si on the VM.
 func (w *worker) execStage(si int, env *ir.Env) {
-	if w.e.vm != nil {
-		if err := w.e.vm.ExecStage(&w.e.bc.Stages[si], env, w.regs); err != nil {
-			panic("screp: " + err.Error()) // envs are e.prog-shaped
-		}
-		return
+	if err := w.e.vm.ExecStage(&w.e.bc.Stages[si], env, w.regs); err != nil {
+		panic("screp: " + err.Error()) // envs are e.prog-shaped
 	}
-	ir.ExecStage(&w.e.prog.Stages[si], env, w.regs)
 }
 
 // execStageObserved runs stage si with the C1 access observer attached.
 func (w *worker) execStageObserved(si int, env *ir.Env) {
-	if w.e.vm != nil {
-		if err := w.e.vm.ExecStageObserved(&w.e.bc.Stages[si], env, w.regs, w.obs); err != nil {
-			panic("screp: " + err.Error())
-		}
-		return
+	if err := w.e.vm.ExecStageObserved(&w.e.bc.Stages[si], env, w.regs, w.obs); err != nil {
+		panic("screp: " + err.Error())
 	}
-	ir.ExecStageObserved(&w.e.prog.Stages[si], env, w.regs, w.obs)
 }
 
 // egress completes the packet: record outputs and egress order into

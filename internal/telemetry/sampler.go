@@ -55,11 +55,11 @@ type stagePipe struct {
 
 // Sampler folds the event stream into per-interval Samples delivered to a
 // sink callback. It is a pure trace consumer: attach its Hook via
-// core.Config.Trace (combine with other consumers through viz.Tee or
-// telemetry.Tee) and call Close after the run to flush the final partial
-// interval. Events from concurrent emitters serialize on an internal mutex
-// (the interval folding itself still assumes nondecreasing cycle order, so
-// concurrent emitters should share a clock or use cycle 0 throughout).
+// core.Config.Trace (combine with other consumers through Tee) and call
+// Close after the run to flush the final partial interval. Events from
+// concurrent emitters serialize on an internal mutex (the interval folding
+// itself still assumes nondecreasing cycle order, so concurrent emitters
+// should share a clock or use cycle 0 throughout).
 type Sampler struct {
 	mu       sync.Mutex
 	interval int64
@@ -253,8 +253,7 @@ func (s *Sampler) Close() {
 	}
 }
 
-// Tee fans one trace hook out to several consumers (mirror of viz.Tee, so
-// telemetry users need not import the rendering package).
+// Tee fans one trace hook out to several consumers; nil hooks are skipped.
 func Tee(hooks ...func(core.Event)) func(core.Event) {
 	return func(e core.Event) {
 		for _, h := range hooks {

@@ -103,14 +103,3 @@ func (t *Timeline) Render() string {
 	}
 	return b.String()
 }
-
-// Tee fans one trace hook out to several consumers.
-func Tee(hooks ...func(core.Event)) func(core.Event) {
-	return func(e core.Event) {
-		for _, h := range hooks {
-			if h != nil {
-				h(e)
-			}
-		}
-	}
-}

@@ -6,6 +6,7 @@ import (
 
 	"mp5/internal/apps"
 	"mp5/internal/core"
+	"mp5/internal/telemetry"
 	"mp5/internal/viz"
 	"mp5/internal/workload"
 )
@@ -67,7 +68,7 @@ func TestTimelineOnRealRun(t *testing.T) {
 	var events int
 	sim := core.NewSimulator(prog, core.Config{
 		Arch: core.ArchMP5, Pipelines: 2, Seed: 1,
-		Trace: viz.Tee(tl.Hook(), func(core.Event) { events++ }),
+		Trace: telemetry.Tee(tl.Hook(), func(core.Event) { events++ }),
 	})
 	res := sim.Run(trace)
 	if res.Completed != res.Injected {
