@@ -67,11 +67,14 @@ flake-hunt:
 # stream into a slab allocates nothing, and a whole loopback closed-loop run
 # (client, codec, ingress queue, admit loop, engine, ack path) stays under
 # 0.1 process-wide allocations per packet. The simulator's remap window
-# (counting, Figure 6, the returned moves) allocates nothing.
+# (counting, Figure 6, the returned moves) allocates nothing. The C1
+# reference order (one interpreter pass with a dense per-slot log) stays
+# under one allocation per packet.
 allocs-gate:
 	$(GO) test -count 1 -run 'TestSubmitSteadyStateAllocs|TestSubmitBatchSteadyStateAllocs' ./internal/dataplane
 	$(GO) test -count 1 -run TestWireSteadyStateAllocs ./internal/server
 	$(GO) test -count 1 -run TestRemapSteadyStateAllocs ./internal/sharding
+	$(GO) test -count 1 -run TestReferenceOrderAllocs ./internal/equiv
 
 # race-poison runs the dataplane suite with poison-on-free compiled in
 # (-tags mp5debug) under the race detector: every recycled packet is

@@ -199,7 +199,7 @@ func main() {
 		switch {
 		case !rep.Equivalent:
 			fmt.Printf("equivalence        FAILED: %d mismatches, e.g. %v\n",
-				len(rep.Mismatches), rep.Mismatches[0])
+				rep.Total, rep.Mismatches[0])
 			os.Exit(1)
 		case !orderOK:
 			fmt.Println("equivalence        FAILED: C1 access order diverges from the reference")

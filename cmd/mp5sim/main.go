@@ -278,7 +278,7 @@ func main() {
 			fmt.Printf("equivalence        OK (%d packets, all registers)\n", rep.PacketsCompared)
 		} else {
 			fmt.Printf("equivalence        FAILED: %d mismatches, e.g. %v\n",
-				len(rep.Mismatches), rep.Mismatches[0])
+				rep.Total, rep.Mismatches[0])
 			os.Exit(1)
 		}
 	}
@@ -340,13 +340,14 @@ func runDataplane(prog *ir.Program, trace []core.Arrival, workers int, verify bo
 			fmt.Println("equivalence        skipped (packet loss)")
 			return 0
 		}
-		rep := equiv.CheckState(prog, eng.FinalRegs(), eng.Outputs(), trace)
+		ref := equiv.Run(prog, trace)
+		rep := ref.Check(eng.FinalRegs(), eng.Outputs())
 		if !rep.Equivalent {
 			fmt.Printf("equivalence        FAILED: %d mismatches, e.g. %v\n",
-				len(rep.Mismatches), rep.Mismatches[0])
+				rep.Total, rep.Mismatches[0])
 			return 1
 		}
-		if !reflect.DeepEqual(equiv.ReferenceOrder(prog, trace), eng.AccessOrders()) {
+		if !reflect.DeepEqual(ref.Order, eng.AccessOrders()) {
 			fmt.Println("equivalence        FAILED: C1 access order diverges from the reference")
 			return 1
 		}
@@ -411,13 +412,14 @@ func runScrep(prog *ir.Program, trace []core.Arrival, workers int, verify bool, 
 			fmt.Println("equivalence        skipped (packet loss)")
 			return 0
 		}
-		rep := equiv.CheckState(prog, eng.FinalRegs(), eng.Outputs(), trace)
+		ref := equiv.Run(prog, trace)
+		rep := ref.Check(eng.FinalRegs(), eng.Outputs())
 		if !rep.Equivalent {
 			fmt.Printf("equivalence        FAILED: %d mismatches, e.g. %v\n",
-				len(rep.Mismatches), rep.Mismatches[0])
+				rep.Total, rep.Mismatches[0])
 			return 1
 		}
-		if !reflect.DeepEqual(equiv.ReferenceOrder(prog, trace), eng.AccessOrders()) {
+		if !reflect.DeepEqual(ref.Order, eng.AccessOrders()) {
 			fmt.Println("equivalence        FAILED: C1 access order diverges from the reference")
 			return 1
 		}

@@ -8,6 +8,7 @@ package banzai
 
 import (
 	"fmt"
+	"strconv"
 
 	"mp5/internal/ir"
 	"mp5/internal/ir/bytecode"
@@ -37,16 +38,17 @@ type Machine struct {
 	// pins).
 	bc *bytecode.Program
 	vm *bytecode.VM
-	// AccessLog, when enabled with RecordAccesses, appends the packet id
-	// of every stateful-stage visit per register array, defining the
-	// reference access order for C1 checking.
-	accessLog map[int][]int64
-	recording bool
-	// indexedLog, when enabled with RecordIndexedAccesses, refines the
-	// log to individual register slots — keys "r<reg>[<idx>]" with the
-	// clamped index — matching the granularity of the simulator's
-	// EvAccess trace events (see internal/fuzz's order oracle).
-	indexedLog map[string][]int64
+	// slots, when enabled with RecordIndexedAccesses, logs every effective
+	// access per register slot: slots[reg][clamped idx] lists the packet
+	// ids in processing order. A register's row is allocated the first
+	// time the register is touched.
+	slots [][][]int64
+	// obs is the access observer, bound once at construction; obsID is the
+	// packet it logs and seen the (reg, idx) slots the packet has already
+	// touched in the current stage.
+	obs   ir.AccessObserver
+	obsID int64
+	seen  [][2]int
 }
 
 // NewMachine builds a reference machine for program p with freshly
@@ -54,7 +56,9 @@ type Machine struct {
 // call Interpret to force the tree-walking interpreter instead.
 func NewMachine(p *ir.Program) *Machine {
 	bc := bytecode.MustCompile(p)
-	return &Machine{prog: p, regs: NewRegFile(p), bc: bc, vm: bytecode.NewVM(bc)}
+	m := &Machine{prog: p, regs: NewRegFile(p), bc: bc, vm: bytecode.NewVM(bc)}
+	m.obs = m.observe
+	return m
 }
 
 // Interpret switches the machine to the tree-walking ir interpreter.
@@ -64,23 +68,12 @@ func (m *Machine) Interpret() {
 	m.bc, m.vm = nil, nil
 }
 
-// execStage runs stage si through the active executor.
-func (m *Machine) execStage(si int, env *ir.Env) {
-	if m.bc != nil {
-		if err := m.vm.ExecStage(&m.bc.Stages[si], env, m.regs); err != nil {
-			panic("banzai: " + err.Error()) // callers pass m.prog-shaped envs
-		}
-		return
-	}
-	ir.ExecStage(&m.prog.Stages[si], env, m.regs)
-}
-
-// execStageObserved runs stage si through the active executor with C1
-// access observation.
-func (m *Machine) execStageObserved(si int, env *ir.Env, obs ir.AccessObserver) {
+// execStage runs stage si through the active executor, reporting its
+// register accesses to obs when obs is non-nil.
+func (m *Machine) execStage(si int, env *ir.Env, obs ir.AccessObserver) {
 	if m.bc != nil {
 		if err := m.vm.ExecStageObserved(&m.bc.Stages[si], env, m.regs, obs); err != nil {
-			panic("banzai: " + err.Error())
+			panic("banzai: " + err.Error()) // callers pass m.prog-shaped envs
 		}
 		return
 	}
@@ -93,32 +86,42 @@ func (m *Machine) Program() *ir.Program { return m.prog }
 // Regs exposes the machine's register file.
 func (m *Machine) Regs() *RegFile { return m.regs }
 
-// RecordAccesses turns on per-register access-order logging.
-func (m *Machine) RecordAccesses() {
-	m.recording = true
-	m.accessLog = map[int][]int64{}
-}
-
-// AccessLog returns the recorded access order per register array id:
-// the packet ids that visited the array's stage, in processing order.
-func (m *Machine) AccessLog() map[int][]int64 { return m.accessLog }
-
 // RecordIndexedAccesses turns on per-slot access-order logging: the exact
 // sequence of packet ids touching each individual register index, which on
 // a single pipeline is by construction the arrival order. This is the C1
 // reference order the differential fuzzing oracle compares against.
 func (m *Machine) RecordIndexedAccesses() {
-	m.indexedLog = map[string][]int64{}
+	m.slots = make([][][]int64, len(m.prog.Regs))
 }
 
 // IndexedAccessLog returns the per-slot access order, keyed "r<reg>[<idx>]"
-// with indices clamped the same way the register file clamps them.
-func (m *Machine) IndexedAccessLog() map[string][]int64 { return m.indexedLog }
+// with indices clamped the same way the register file clamps them — the
+// granularity of the simulator's EvAccess trace events. Each call renders
+// the keys afresh; the sequences alias the machine's log.
+func (m *Machine) IndexedAccessLog() map[string][]int64 {
+	if m.slots == nil {
+		return nil
+	}
+	out := map[string][]int64{}
+	for reg, row := range m.slots {
+		for idx, seq := range row {
+			if len(seq) > 0 {
+				out[AccessKey(reg, idx)] = seq
+			}
+		}
+	}
+	return out
+}
 
-// AccessKey renders the canonical per-slot state name shared by the
-// reference log and the simulator's EvAccess events.
+// AccessKey renders the canonical per-slot state name "r<reg>[<idx>]"
+// shared by the reference log and the simulator's EvAccess events.
 func AccessKey(reg, idx int) string {
-	return fmt.Sprintf("r%d[%d]", reg, idx)
+	var buf [48]byte
+	b := append(buf[:0], 'r')
+	b = strconv.AppendInt(b, int64(reg), 10)
+	b = append(b, '[')
+	b = strconv.AppendInt(b, int64(idx), 10)
+	return string(append(b, ']'))
 }
 
 // Process runs one packet through all pipeline stages and returns its
@@ -126,54 +129,31 @@ func AccessKey(reg, idx int) string {
 // for access logging). The caller owns env; fields are updated in place.
 func (m *Machine) Process(id int64, env *ir.Env) {
 	for si := range m.prog.Stages {
-		st := &m.prog.Stages[si]
-		if m.recording && st.Stateful() {
-			m.logStageVisit(id, env, si)
+		var obs ir.AccessObserver
+		if m.slots != nil && m.prog.Stages[si].Stateful() {
+			obs, m.obsID, m.seen = m.obs, id, m.seen[:0]
 		}
-		if m.indexedLog != nil && st.Stateful() {
-			m.processStageIndexed(id, env, si)
-			continue
-		}
-		m.execStage(si, env)
+		m.execStage(si, env, obs)
 	}
 }
 
-// processStageIndexed executes one stage through the observed execution
-// path, appending id to each distinct register slot the packet effectively
-// accesses (predicate held; index clamped).
-func (m *Machine) processStageIndexed(id int64, env *ir.Env, si int) {
-	var seen map[string]bool
-	m.execStageObserved(si, env, func(reg int, idx int64, write bool) {
-		key := AccessKey(reg, ir.ClampIndex(int(idx), m.prog.Regs[reg].Size))
-		if seen[key] {
+// observe appends the current packet to each distinct register slot it
+// effectively accesses in a stage (predicate held; index clamped).
+func (m *Machine) observe(reg int, idx int64, _ bool) {
+	size := m.prog.Regs[reg].Size
+	slot := [2]int{reg, ir.ClampIndex(int(idx), size)}
+	for _, s := range m.seen {
+		if s == slot {
 			return
 		}
-		if seen == nil {
-			seen = map[string]bool{}
-		}
-		seen[key] = true
-		m.indexedLog[key] = append(m.indexedLog[key], id)
-	})
-}
-
-// logStageVisit records which register arrays the packet actually touches
-// in stage si, honouring instruction predicates, so the reference log is
-// comparable with MP5's runtime log.
-func (m *Machine) logStageVisit(id int64, env *ir.Env, si int) {
-	seen := map[int]bool{}
-	for _, in := range m.prog.Stages[si].Instrs {
-		if !in.Op.IsStateful() || seen[in.Reg] {
-			continue
-		}
-		if !in.Pred.IsNone() {
-			truth := env.Load(in.Pred) != 0
-			if truth == in.PredNeg {
-				continue
-			}
-		}
-		seen[in.Reg] = true
-		m.accessLog[in.Reg] = append(m.accessLog[in.Reg], id)
 	}
+	m.seen = append(m.seen, slot)
+	row := m.slots[reg]
+	if row == nil {
+		row = make([][]int64, max(size, 1))
+		m.slots[reg] = row
+	}
+	row[slot[1]] = append(row[slot[1]], m.obsID)
 }
 
 // Run processes a batch of packet environments in order (index = arrival

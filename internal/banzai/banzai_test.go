@@ -1,6 +1,8 @@
 package banzai
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"mp5/internal/compiler"
@@ -53,7 +55,7 @@ func TestMachineSerialSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewMachine(prog)
-	m.RecordAccesses()
+	m.RecordIndexedAccesses()
 	seqField := prog.FieldIndex("seq")
 	for i := 0; i < 10; i++ {
 		env := ir.NewEnv(prog)
@@ -65,7 +67,7 @@ func TestMachineSerialSemantics(t *testing.T) {
 	if got := m.Regs().Array(0)[0]; got != 10 {
 		t.Fatalf("count = %d, want 10", got)
 	}
-	log := m.AccessLog()[0]
+	log := m.IndexedAccessLog()[AccessKey(0, 0)]
 	if len(log) != 10 {
 		t.Fatalf("access log has %d entries", len(log))
 	}
@@ -93,21 +95,22 @@ void f (struct Packet p) {
 		t.Fatal(err)
 	}
 	m := NewMachine(prog)
-	m.RecordAccesses()
+	m.RecordIndexedAccesses()
 	for i, x := range []int64{5, 20, 7, 30} {
 		env := ir.NewEnv(prog)
 		env.Fields[0] = x
 		m.Process(int64(i), env)
 	}
-	log := m.AccessLog()[0]
-	if len(log) != 2 || log[0] != 1 || log[1] != 3 {
-		t.Fatalf("access log = %v, want [1 3] (only predicate-true packets)", log)
+	// Only packets 1 (x=20, slot 0) and 3 (x=30, slot 2) pass the predicate.
+	want := map[string][]int64{AccessKey(0, 0): {1}, AccessKey(0, 2): {3}}
+	if log := m.IndexedAccessLog(); !reflect.DeepEqual(log, want) {
+		t.Fatalf("access log = %v, want %v (only predicate-true packets)", log, want)
 	}
 }
 
-// TestIndexedAccessLog: the per-slot log refines the per-array log — keys
-// carry the clamped index, predicated-off ops are skipped, and every slot's
-// sequence is strictly ascending (serial machine = arrival order).
+// TestIndexedAccessLog: keys carry the clamped index, predicated-off ops
+// are skipped, and every slot's sequence is strictly ascending (serial
+// machine = arrival order).
 func TestIndexedAccessLog(t *testing.T) {
 	src := `
 struct Packet { int x; };
@@ -171,5 +174,26 @@ func TestRunBatch(t *testing.T) {
 	m.Run(envs)
 	if m.Regs().Array(0)[0] != 5 {
 		t.Fatalf("count = %d", m.Regs().Array(0)[0])
+	}
+}
+
+// TestAccessKeyFormat pins the "r<reg>[<idx>]" state name every per-slot
+// order map and the JSONL event stream share.
+func TestAccessKeyFormat(t *testing.T) {
+	for _, c := range []struct {
+		reg, idx int
+		want     string
+	}{
+		{0, 0, "r0[0]"},
+		{3, 17, "r3[17]"},
+		{12, 511, "r12[511]"},
+		{1, -1, "r1[-1]"},
+		{-2, -40, "r-2[-40]"},
+		{7, 1 << 40, "r7[1099511627776]"},
+		{math.MaxInt64, math.MinInt64, "r9223372036854775807[-9223372036854775808]"},
+	} {
+		if got := AccessKey(c.reg, c.idx); got != c.want {
+			t.Errorf("AccessKey(%d, %d) = %q, want %q", c.reg, c.idx, got, c.want)
+		}
 	}
 }

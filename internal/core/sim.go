@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"mp5/internal/ir"
 	"mp5/internal/ir/bytecode"
@@ -1186,13 +1185,9 @@ func markViolators(seq []int64, set map[int64]bool) {
 	}
 }
 
-// AccessLog exposes the recorded per-state access order (RecordAccessOrder).
-func (s *Simulator) AccessLog() map[accessKey][]int64 { return s.accessLog }
-
-// AccessOrderByReg flattens the access log to register granularity,
-// comparable with the reference machine's log: per register, the packet ids
-// in access order, merged across indices by position in time is NOT
-// meaningful — so this returns per-(reg,idx) sequences keyed canonically.
+// AccessOrders returns the recorded per-slot access order
+// (RecordAccessOrder), keyed "r<reg>[<idx>]" like the reference machine's
+// indexed log.
 func (s *Simulator) AccessOrders() map[string][]int64 {
 	out := make(map[string][]int64, len(s.accessLog))
 	for k, v := range s.accessLog {
@@ -1235,14 +1230,4 @@ func (s *Simulator) Shard() *sharding.Map { return s.shard }
 // drained.
 func (s *Simulator) BookkeepingLive() (pendingInserts int, live int64) {
 	return len(s.pendingInserts), s.live
-}
-
-// SortedAccessKeys lists the access-log keys in deterministic order.
-func (s *Simulator) SortedAccessKeys() []string {
-	keys := make([]string, 0, len(s.accessLog))
-	for k := range s.accessLog {
-		keys = append(keys, fmt.Sprintf("r%d[%d]", k.reg, k.idx))
-	}
-	sort.Strings(keys)
-	return keys
 }

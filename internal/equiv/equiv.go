@@ -74,24 +74,70 @@ func (r *Report) String() string {
 // Limit caps the number of recorded mismatches.
 const Limit = 32
 
-// Reference runs the single-pipeline reference executor over the arrival
-// trace (in arrival order — the definition of the logical single-pipeline
-// switch) and returns the final register snapshot and per-packet outputs.
-// The reference machine is pinned to the tree-walking ir interpreter: with
+// Ref is one run of the single-pipeline reference over an arrival trace:
+// the final register snapshot, every packet's final header fields, and the
+// per-slot access order. One Ref serves any number of checks, so a caller
+// that needs both the state and the C1 verdict pays for one pass.
+type Ref struct {
+	Regs    [][]int64
+	Outputs map[int64][]int64
+	// Order lists, for every individual register index, the packet ids that
+	// effectively accessed it (predicate held), keyed "r<reg>[<idx>]". On a
+	// single pipeline packets execute to completion in arrival order, so
+	// each sequence is strictly ascending; this is the order correctness
+	// condition C1 requires every implementation to reproduce.
+	Order map[string][]int64
+}
+
+// Run executes the single-pipeline reference over the arrival trace (in
+// arrival order — the definition of the logical single-pipeline switch) and
+// returns its registers, outputs and per-slot order.
+func Run(prog *ir.Program, arrivals []core.Arrival) *Ref {
+	return run(prog, arrivals, true, true)
+}
+
+// run is the one reference pass; keepOutputs and keepOrder select what it
+// records. The machine is pinned to the tree-walking ir interpreter: with
 // every engine defaulting to the bytecode VM, the interpreter stays the
 // independent semantic ground truth the compiled path is differenced
 // against (a miscompile cannot cancel out of the comparison).
-func Reference(prog *ir.Program, arrivals []core.Arrival) (regs [][]int64, outputs map[int64][]int64) {
+func run(prog *ir.Program, arrivals []core.Arrival, keepOutputs, keepOrder bool) *Ref {
 	m := banzai.NewMachine(prog)
 	m.Interpret()
-	outputs = make(map[int64][]int64, len(arrivals))
-	for i := range arrivals {
-		env := ir.NewEnv(prog)
-		copy(env.Fields, arrivals[i].Fields)
-		m.Process(int64(i), env)
-		outputs[int64(i)] = append([]int64(nil), env.Fields...)
+	if keepOrder {
+		m.RecordIndexedAccesses()
 	}
-	return m.Regs().Snapshot(), outputs
+	ref := &Ref{}
+	// Outputs share one backing slab, one capped row per packet (a nil
+	// slab, for a program without fields, gives nil rows).
+	nf := len(prog.Fields)
+	var slab []int64
+	if keepOutputs {
+		ref.Outputs = make(map[int64][]int64, len(arrivals))
+		if nf > 0 {
+			slab = make([]int64, nf*len(arrivals))
+		}
+	}
+	env := ir.NewEnv(prog)
+	for i := range arrivals {
+		env.ResetFor(arrivals[i].Fields)
+		m.Process(int64(i), env)
+		if keepOutputs {
+			out := slab[i*nf : (i+1)*nf : (i+1)*nf]
+			copy(out, env.Fields)
+			ref.Outputs[int64(i)] = out
+		}
+	}
+	ref.Regs = m.Regs().Snapshot()
+	ref.Order = m.IndexedAccessLog()
+	return ref
+}
+
+// Reference returns the final register snapshot and per-packet outputs of
+// the single-pipeline reference (Run without the order).
+func Reference(prog *ir.Program, arrivals []core.Arrival) (regs [][]int64, outputs map[int64][]int64) {
+	ref := run(prog, arrivals, true, false)
+	return ref.Regs, ref.Outputs
 }
 
 // Check compares a completed simulation against the reference execution of
@@ -109,7 +155,12 @@ func Check(prog *ir.Program, sim *core.Simulator, arrivals []core.Arrival) *Repo
 // reference execution of the same program and trace. outputs must be
 // non-nil (the engine must have recorded per-packet final fields).
 func CheckState(prog *ir.Program, simRegs [][]int64, simOut map[int64][]int64, arrivals []core.Arrival) *Report {
-	refRegs, refOut := Reference(prog, arrivals)
+	return run(prog, arrivals, true, false).Check(simRegs, simOut)
+}
+
+// Check compares a final register snapshot and a per-packet output map
+// against the reference (see CheckState). simOut must be non-nil.
+func (ref *Ref) Check(simRegs [][]int64, simOut map[int64][]int64) *Report {
 	rep := &Report{Equivalent: true}
 	// Every mismatch counts toward Total; only the first Limit are kept,
 	// so one systematic divergence cannot hide the scale of the damage.
@@ -120,11 +171,11 @@ func CheckState(prog *ir.Program, simRegs [][]int64, simOut map[int64][]int64, a
 			rep.Mismatches = append(rep.Mismatches, m)
 		}
 	}
-	for r := range refRegs {
-		for i := range refRegs[r] {
-			if refRegs[r][i] != simRegs[r][i] {
+	for r := range ref.Regs {
+		for i := range ref.Regs[r] {
+			if ref.Regs[r][i] != simRegs[r][i] {
 				add(Mismatch{Kind: "register", Reg: r, Idx: i,
-					Want: refRegs[r][i], Got: simRegs[r][i]})
+					Want: ref.Regs[r][i], Got: simRegs[r][i]})
 			}
 		}
 	}
@@ -140,7 +191,7 @@ func CheckState(prog *ir.Program, simRegs [][]int64, simOut map[int64][]int64, a
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		got := simOut[id]
-		want := refOut[id]
+		want := ref.Outputs[id]
 		rep.PacketsCompared++
 		for f := range want {
 			if want[f] != got[f] {
@@ -152,25 +203,10 @@ func CheckState(prog *ir.Program, simRegs [][]int64, simOut map[int64][]int64, a
 	return rep
 }
 
-// ReferenceOrder runs the single-pipeline reference over the arrival trace
-// and returns the per-slot access order — for every individual register
-// index, the sequence of packet ids that effectively accessed it (predicate
-// held), keyed "r<reg>[<idx>]". On a single pipeline packets execute to
-// completion in arrival order, so each sequence is strictly ascending; this
-// is the order correctness condition C1 requires every implementation to
-// reproduce.
+// ReferenceOrder returns the per-slot access order of the single-pipeline
+// reference over the arrival trace (Run's Order, without the outputs).
 func ReferenceOrder(prog *ir.Program, arrivals []core.Arrival) map[string][]int64 {
-	// Pinned to the interpreter for the same oracle-independence reason as
-	// Reference.
-	m := banzai.NewMachine(prog)
-	m.Interpret()
-	m.RecordIndexedAccesses()
-	for i := range arrivals {
-		env := ir.NewEnv(prog)
-		copy(env.Fields, arrivals[i].Fields)
-		m.Process(int64(i), env)
-	}
-	return m.IndexedAccessLog()
+	return run(prog, arrivals, false, true).Order
 }
 
 // ViolationStats summarizes C1 bookkeeping for a run: the number of state

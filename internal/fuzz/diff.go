@@ -221,12 +221,13 @@ func (f *Failure) String() string {
 // maxOrderDivs caps the reported per-state divergences.
 const maxOrderDivs = 8
 
-// reference bundles the single-pipeline ground truth for one case so it is
-// computed once and shared across all architecture runs.
+// reference bundles the single-pipeline ground truth for one case — final
+// registers, packet outputs and per-slot order from one interpreter pass — so
+// it is computed once and shared across all engine runs.
 type reference struct {
 	prog     *ir.Program
 	arrivals []core.Arrival
-	order    map[string][]int64
+	ref      *equiv.Ref
 	k        int
 }
 
@@ -234,7 +235,7 @@ func newReference(prog *ir.Program, arrivals []core.Arrival, k int) *reference {
 	return &reference{
 		prog:     prog,
 		arrivals: arrivals,
-		order:    equiv.ReferenceOrder(prog, arrivals),
+		ref:      equiv.Run(prog, arrivals),
 		k:        k,
 	}
 }
@@ -262,13 +263,13 @@ func (r *reference) runCore(arch core.Arch, seed, crossLat int64, fullSweep bool
 	if fullSweep {
 		engine = EngineSweep
 	}
-	got := map[string][]int64{}
+	slots := map[[2]int][]int64{}
 	cfg := r.coreConfig(arch, seed, crossLat)
 	cfg.RecordOutputs = true
 	cfg.Trace = func(e core.Event) {
 		if e.Kind == core.EvAccess {
-			key := banzai.AccessKey(e.Reg, e.Idx)
-			got[key] = append(got[key], e.PktID)
+			slot := [2]int{e.Reg, e.Idx}
+			slots[slot] = append(slots[slot], e.PktID)
 		}
 	}
 	sim := core.NewSimulator(r.prog, cfg)
@@ -285,12 +286,16 @@ func (r *reference) runCore(arch core.Arch, seed, crossLat int64, fullSweep bool
 		fail.Detail = fmt.Sprintf("%d of %d completed", res.Completed, res.Injected)
 		return fail
 	}
-	if divs := diffOrders(r.order, got); len(divs) > 0 {
+	got := make(map[string][]int64, len(slots))
+	for slot, seq := range slots {
+		got[banzai.AccessKey(slot[0], slot[1])] = seq
+	}
+	if divs := diffOrders(r.ref.Order, got); len(divs) > 0 {
 		fail.Reason = "order"
 		fail.Order = divs
 		return fail
 	}
-	if rep := equiv.Check(r.prog, sim, r.arrivals); !rep.Equivalent {
+	if rep := r.ref.Check(sim.FinalRegs(), sim.Outputs()); !rep.Equivalent {
 		fail.Reason = "state"
 		fail.Report = rep
 		return fail
@@ -309,18 +314,18 @@ func (r *reference) runBytecode() *Failure {
 	m := banzai.NewMachine(r.prog) // bytecode VM is the machine default
 	m.RecordIndexedAccesses()
 	outputs := make(map[int64][]int64, len(r.arrivals))
+	env := ir.NewEnv(r.prog)
 	for i := range r.arrivals {
-		env := ir.NewEnv(r.prog)
-		copy(env.Fields, r.arrivals[i].Fields)
+		env.ResetFor(r.arrivals[i].Fields)
 		m.Process(int64(i), env)
 		outputs[int64(i)] = append([]int64(nil), env.Fields...)
 	}
-	if divs := diffOrders(r.order, m.IndexedAccessLog()); len(divs) > 0 {
+	if divs := diffOrders(r.ref.Order, m.IndexedAccessLog()); len(divs) > 0 {
 		fail.Reason = "order"
 		fail.Order = divs
 		return fail
 	}
-	if rep := equiv.CheckState(r.prog, m.Regs().Snapshot(), outputs, r.arrivals); !rep.Equivalent {
+	if rep := r.ref.Check(m.Regs().Snapshot(), outputs); !rep.Equivalent {
 		fail.Reason = "state"
 		fail.Report = rep
 		return fail
@@ -366,12 +371,12 @@ func (r *reference) runDataplane(workers int, single bool) *Failure {
 		fail.Detail = fmt.Sprintf("%d of %d completed", res.Completed, res.Injected)
 		return fail
 	}
-	if divs := diffOrders(r.order, eng.AccessOrders()); len(divs) > 0 {
+	if divs := diffOrders(r.ref.Order, eng.AccessOrders()); len(divs) > 0 {
 		fail.Reason = "order"
 		fail.Order = divs
 		return fail
 	}
-	if rep := equiv.CheckState(r.prog, eng.FinalRegs(), eng.Outputs(), r.arrivals); !rep.Equivalent {
+	if rep := r.ref.Check(eng.FinalRegs(), eng.Outputs()); !rep.Equivalent {
 		fail.Reason = "state"
 		fail.Report = rep
 		return fail
@@ -417,12 +422,12 @@ func (r *reference) runScrep(workers int, single bool) *Failure {
 		fail.Detail = fmt.Sprintf("%d of %d completed", res.Completed, res.Injected)
 		return fail
 	}
-	if divs := diffOrders(r.order, eng.AccessOrders()); len(divs) > 0 {
+	if divs := diffOrders(r.ref.Order, eng.AccessOrders()); len(divs) > 0 {
 		fail.Reason = "order"
 		fail.Order = divs
 		return fail
 	}
-	if rep := equiv.CheckState(r.prog, eng.FinalRegs(), eng.Outputs(), r.arrivals); !rep.Equivalent {
+	if rep := r.ref.Check(eng.FinalRegs(), eng.Outputs()); !rep.Equivalent {
 		fail.Reason = "state"
 		fail.Report = rep
 		return fail
@@ -431,12 +436,12 @@ func (r *reference) runScrep(workers int, single bool) *Failure {
 }
 
 // mtTenant is one tenant of the multi-tenant differential leg: its own
-// program, its own deterministic trace, and its own reference order.
+// program, its own deterministic trace, and its own reference.
 type mtTenant struct {
-	name  string
-	prog  *ir.Program
-	arrs  []core.Arrival
-	order map[string][]int64
+	name string
+	prog *ir.Program
+	arrs []core.Arrival
+	ref  *equiv.Ref
 }
 
 // multiTenantSetup expands the case into the K tenants the multi-tenant leg
@@ -467,10 +472,10 @@ func multiTenantSetup(c *Case) ([]mtTenant, *Failure) {
 			continue
 		}
 		tenants = append(tenants, mtTenant{
-			name:  name,
-			prog:  prog,
-			arrs:  arrs,
-			order: equiv.ReferenceOrder(prog, arrs),
+			name: name,
+			prog: prog,
+			arrs: arrs,
+			ref:  equiv.Run(prog, arrs),
 		})
 	}
 	return tenants, nil
@@ -543,14 +548,14 @@ func runMultiTenant(c *Case, workers int) []*Failure {
 	}
 	var fails []*Failure
 	for i, tn := range tenants {
-		if divs := diffOrders(tn.order, eng.AccessOrdersFor(handles[i])); len(divs) > 0 {
+		if divs := diffOrders(tn.ref.Order, eng.AccessOrdersFor(handles[i])); len(divs) > 0 {
 			f := fail(tn.name)
 			f.Reason = "order"
 			f.Order = divs
 			fails = append(fails, f)
 			continue
 		}
-		if rep := equiv.CheckState(tn.prog, eng.FinalRegsFor(handles[i]), eng.OutputsFor(handles[i]), tn.arrs); !rep.Equivalent {
+		if rep := tn.ref.Check(eng.FinalRegsFor(handles[i]), eng.OutputsFor(handles[i])); !rep.Equivalent {
 			f := fail(tn.name)
 			f.Reason = "state"
 			f.Report = rep

@@ -751,14 +751,14 @@ func (s *Server) VerifyTenants() ([]TenantVerify, error) {
 		if name == "" {
 			name = v.Handle.Name()
 		}
-		tv := TenantVerify{
+		ref := equiv.Run(v.Prog, trace)
+		out = append(out, TenantVerify{
 			Tenant:  name,
 			Version: v.Seq,
 			Packets: len(trace),
-			Report:  equiv.CheckState(v.Prog, s.eng.FinalRegsFor(v.Handle), s.eng.OutputsFor(v.Handle), trace),
-		}
-		tv.OrderOK = reflect.DeepEqual(equiv.ReferenceOrder(v.Prog, trace), s.eng.AccessOrdersFor(v.Handle))
-		out = append(out, tv)
+			Report:  ref.Check(s.eng.FinalRegsFor(v.Handle), s.eng.OutputsFor(v.Handle)),
+			OrderOK: reflect.DeepEqual(ref.Order, s.eng.AccessOrdersFor(v.Handle)),
+		})
 	}
 	return out, nil
 }
