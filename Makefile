@@ -16,7 +16,7 @@ GO ?= go
 # all at PROCS.
 PROCS = GOMAXPROCS=8
 
-.PHONY: all build vet fmt-check test race race-dataplane flake-hunt race-server race-tenant allocs-gate race-poison serve-smoke trace-smoke tenant-smoke check bench bench-test fuzz-smoke fuzz loc clean
+.PHONY: all build vet fmt-check test race race-dataplane flake-hunt race-server race-tenant allocs-gate race-poison serve-smoke trace-smoke tenant-smoke doc-refs check bench bench-test fuzz-smoke fuzz loc clean
 
 all: check
 
@@ -69,12 +69,14 @@ flake-hunt:
 # 0.1 process-wide allocations per packet. The simulator's remap window
 # (counting, Figure 6, the returned moves) allocates nothing. The C1
 # reference order (one interpreter pass with a dense per-slot log) stays
-# under one allocation per packet.
+# under one allocation per packet; recording outputs and access order adds
+# at most half of one to a simulator run.
 allocs-gate:
 	$(GO) test -count 1 -run 'TestSubmitSteadyStateAllocs|TestSubmitBatchSteadyStateAllocs' ./internal/dataplane
 	$(GO) test -count 1 -run TestWireSteadyStateAllocs ./internal/server
 	$(GO) test -count 1 -run TestRemapSteadyStateAllocs ./internal/sharding
 	$(GO) test -count 1 -run TestReferenceOrderAllocs ./internal/equiv
+	$(GO) test -count 1 -run TestRecordedRunAllocs ./internal/core
 
 # race-poison runs the dataplane suite with poison-on-free compiled in
 # (-tags mp5debug) under the race detector: every recycled packet is
@@ -126,14 +128,22 @@ trace-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# doc-refs fails on a stale reference in DESIGN.md or README.md: a
+# backticked test, benchmark, fuzz target or example that `go test -list`
+# does not find (root module or bench/), or a backticked repo path that does
+# not exist (scripts/doc_refs.sh).
+doc-refs:
+	bash scripts/doc_refs.sh
+
 # check is the gate, and its only definition (scripts/check.sh execs it):
 # build, gofmt, vet; the whole suite under -race at GOMAXPROCS=2;
 # the three interleaving-sensitive packages again under -race at $(PROCS),
 # and the dataplane once more with poison-on-free; the allocation gate; the
 # differential-fuzzing smoke; the three daemon soaks; the benchmark harness's
-# own tests. Each (package, GOMAXPROCS, build tags) combination runs once.
-# Numbers are not the gate's job: bench/run.sh measures (bench/README.md).
-check: vet race race-dataplane race-server race-tenant race-poison allocs-gate fuzz-smoke serve-smoke trace-smoke tenant-smoke bench-test
+# own tests; the docs' references. Each (package, GOMAXPROCS, build tags)
+# combination runs once. Numbers are not the gate's job: bench/run.sh
+# measures (bench/README.md).
+check: vet race race-dataplane race-server race-tenant race-poison allocs-gate fuzz-smoke serve-smoke trace-smoke tenant-smoke bench-test doc-refs
 
 # fuzz-smoke is the deterministic, seeded, time-bounded slice of the
 # differential fuzzing harness: MP5_FUZZ_CASES fixed cases (program +

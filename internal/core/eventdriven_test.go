@@ -212,3 +212,29 @@ func TestRunRecyclesPackets(t *testing.T) {
 		t.Fatalf("%.3f allocations per packet, want < 0.85", perPkt)
 	}
 }
+
+// TestRecordedRunAllocs bounds what recording costs in allocations, on the
+// 65,536-packet sim-skewed shape (4 x 512, k = 4): outputs go into one
+// arena and the access order into dense per-register rows, so a recorded
+// run allocates at most half an object per packet more than a plain one
+// (the rows' append growth; 1.27 when every output was a fresh slice in a
+// map and the order a map of slices).
+func TestRecordedRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counting is meaningless under -race (the race runtime allocates)")
+	}
+	const n = 65536
+	prog, trace := synthSetup(t, 4, 512, 4, n, workload.Skewed, 1)
+	perPkt := func(record bool) float64 {
+		cfg := core.Config{Arch: core.ArchMP5, Pipelines: 4, Seed: 1, RecordOutputs: record, RecordAccessOrder: record}
+		return testing.AllocsPerRun(1, func() {
+			if res := core.NewSimulator(prog, cfg).Run(trace); res.Completed != n {
+				t.Fatalf("completed %d of %d", res.Completed, n)
+			}
+		}) / n
+	}
+	plain, recorded := perPkt(false), perPkt(true)
+	if extra := recorded - plain; extra > 0.5 {
+		t.Fatalf("recording costs %.3f allocations per packet (%.3f recorded, %.3f plain), want <= 0.5", extra, recorded, plain)
+	}
+}

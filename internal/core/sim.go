@@ -156,8 +156,15 @@ type Simulator struct {
 	// (egress asserts phantomsLeft == 0), and recorded outputs are copies.
 	freePkts []*Packet
 
-	accessLog   map[accessKey][]int64
-	outputs     map[int64][]int64
+	// order is the recorded per-slot access order (RecordAccessOrder):
+	// order[reg][idx] lists the packets that accessed the slot, in order; an
+	// unsharded array's whole-array slot (idx -1) is order[reg][0].
+	order [][][]int64
+	// outIDs and outs record every egressed packet's final header fields
+	// (RecordOutputs): packet outIDs[i]'s fields are the i-th run of
+	// len(prog.Fields) words in outs.
+	outIDs      []int64
+	outs        []int64
 	egressOrder []int64
 	latencies   []int64
 
@@ -228,10 +235,14 @@ func NewSimulator(prog *ir.Program, cfg Config) *Simulator {
 		s.pipeRecirc = make([]pktQueue, s.k)
 	}
 	if cfg.RecordAccessOrder {
-		s.accessLog = make(map[accessKey][]int64)
-	}
-	if cfg.RecordOutputs {
-		s.outputs = make(map[int64][]int64)
+		s.order = make([][][]int64, len(prog.Regs))
+		for r := range s.order {
+			n := 1
+			if s.shard.Sharded(r) {
+				n = prog.Regs[r].Size
+			}
+			s.order[r] = make([][]int64, n)
+		}
 	}
 	s.res.Arch = cfg.Arch
 	s.res.Pipelines = s.k
@@ -260,6 +271,10 @@ func (s *Simulator) Run(arrivals []Arrival) *Result {
 	s.res.Injected = int64(len(arrivals))
 	s.egressOrder = slices.Grow(s.egressOrder, len(arrivals))
 	s.latencies = slices.Grow(s.latencies, len(arrivals))
+	if s.cfg.RecordOutputs {
+		s.outIDs = slices.Grow(s.outIDs, len(arrivals))
+		s.outs = slices.Grow(s.outs, len(arrivals)*len(s.prog.Fields))
+	}
 	if len(arrivals) > 0 {
 		s.res.FirstArrival = arrivals[0].Cycle
 		s.res.LastArrival = arrivals[len(arrivals)-1].Cycle
@@ -848,12 +863,12 @@ func (s *Simulator) completeVisit(p *Packet, stage int) {
 	}
 	for _, a := range v.accs {
 		s.shard.NoteDone(a.reg, a.idx)
-		key := accessKey{a.reg, a.idx}
-		if s.accessLog != nil {
-			s.accessLog[key] = append(s.accessLog[key], p.ID)
+		if s.order != nil {
+			seq := &s.order[a.reg][maxIdx(a.idx)]
+			*seq = append(*seq, p.ID)
 		}
 		if s.cfg.Arch == ArchIdeal {
-			s.popPendingOrder(key, p.ID)
+			s.popPendingOrder(accessKey{a.reg, a.idx}, p.ID)
 		}
 	}
 	p.nextVisit++
@@ -1072,8 +1087,9 @@ func (s *Simulator) egress(p *Packet) {
 	s.res.LastDone = s.now
 	s.egressOrder = append(s.egressOrder, p.ID)
 	s.latencies = append(s.latencies, s.now-p.ArrivalCycle)
-	if s.outputs != nil {
-		s.outputs[p.ID] = append([]int64(nil), p.Env.Fields...)
+	if s.cfg.RecordOutputs {
+		s.outIDs = append(s.outIDs, p.ID)
+		s.outs = append(s.outs, p.Env.Fields...)
 	}
 	if p.phantomsLeft != 0 {
 		// Phantom events and FIFO entries point at their packet, so
@@ -1140,10 +1156,12 @@ func (s *Simulator) finalize() {
 		s.res.P99Latency = p99
 	}
 	s.res.Reordered = CountOvertakers(s.egressOrder)
-	if s.accessLog != nil {
+	if s.order != nil {
 		violators := map[int64]bool{}
-		for _, seq := range s.accessLog {
-			markViolators(seq, violators)
+		for _, row := range s.order {
+			for _, seq := range row {
+				markViolators(seq, violators)
+			}
 		}
 		s.res.C1Violating = int64(len(violators))
 		if s.res.Completed > 0 {
@@ -1189,16 +1207,34 @@ func markViolators(seq []int64, set map[int64]bool) {
 // (RecordAccessOrder), keyed "r<reg>[<idx>]" like the reference machine's
 // indexed log.
 func (s *Simulator) AccessOrders() map[string][]int64 {
-	out := make(map[string][]int64, len(s.accessLog))
-	for k, v := range s.accessLog {
-		out[fmt.Sprintf("r%d[%d]", k.reg, k.idx)] = append([]int64(nil), v...)
+	out := make(map[string][]int64)
+	for reg, row := range s.order {
+		for i, seq := range row {
+			if len(seq) == 0 {
+				continue
+			}
+			if !s.shard.Sharded(reg) {
+				i = -1
+			}
+			out[fmt.Sprintf("r%d[%d]", reg, i)] = append([]int64(nil), seq...)
+		}
 	}
 	return out
 }
 
 // Outputs returns the recorded per-packet final header fields
-// (RecordOutputs).
-func (s *Simulator) Outputs() map[int64][]int64 { return s.outputs }
+// (RecordOutputs; nil otherwise). The slices share the simulator's record.
+func (s *Simulator) Outputs() map[int64][]int64 {
+	if !s.cfg.RecordOutputs {
+		return nil
+	}
+	nf := len(s.prog.Fields)
+	out := make(map[int64][]int64, len(s.outIDs))
+	for i, id := range s.outIDs {
+		out[id] = s.outs[i*nf : (i+1)*nf : (i+1)*nf]
+	}
+	return out
+}
 
 // EgressOrder returns packet ids in egress order.
 func (s *Simulator) EgressOrder() []int64 { return s.egressOrder }

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"runtime"
 	"testing"
 
 	"mp5/internal/apps"
@@ -20,15 +21,29 @@ import (
 //
 //	go test -run '^$' -bench SubmitBatchScatter -benchtime 1s -count 1 ./internal/dataplane
 func BenchmarkSubmitBatchScatter(b *testing.B) {
+	benchSubmitBatch(b, 2, workload.Skewed, 256)
+}
+
+// BenchmarkVisit prices one visit: the same 8 x 8 program on a uniform
+// trace (few collisions, so little parking) with one pipeline per driver
+// the host gives the engine (GOMAXPROCS-1, at least one), reporting ns/pkt
+// and ns/visit (every packet visits all eight stateful stages).
+func BenchmarkVisit(b *testing.B) {
+	benchSubmitBatch(b, max(1, runtime.GOMAXPROCS(0)-1), workload.Uniform, 0)
+}
+
+// benchSubmitBatch runs the 8 x 8 synthetic program closed loop through
+// 256-packet SubmitBatch calls against a 256-packet window.
+func benchSubmitBatch(b *testing.B, workers int, pattern workload.Pattern, churn int64) {
 	const stages, regSize, chunk = 8, 8, 256
 	prog, err := apps.Synthetic(stages, regSize, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
 	arrivals := workload.Synthetic(prog, workload.Spec{
-		Packets: 1 << 16, Pipelines: 4, Seed: 1, Pattern: workload.Skewed, ChurnInterval: 256,
+		Packets: 1 << 16, Pipelines: 4, Seed: 1, Pattern: pattern, ChurnInterval: churn,
 	}, stages, regSize)
-	e := New(prog, Config{Workers: 2, Window: chunk})
+	e := New(prog, Config{Workers: workers, Window: chunk})
 	e.Start()
 	for off := 0; off < len(arrivals); off += chunk {
 		if e.SubmitBatch(arrivals[off:off+chunk], nil) != chunk {
@@ -52,5 +67,7 @@ func BenchmarkSubmitBatchScatter(b *testing.B) {
 	if res.Stalled || res.Completed != base+int64(b.N) {
 		b.Fatalf("%d of %d packets completed (stalled=%v)", res.Completed, base+int64(b.N), res.Stalled)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/pkt")
+	perPkt := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(perPkt, "ns/pkt")
+	b.ReportMetric(perPkt/stages, "ns/visit")
 }

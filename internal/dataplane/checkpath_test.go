@@ -53,9 +53,9 @@ type pathCase struct {
 }
 
 // checkPathPrograms are the programs the two-path tests run: the 8x8
-// skewed synthetic (every stage stable) and the four applications, whose
+// skewed synthetic (every stage stable), the four applications, whose
 // CONGA and WFQ state stages compute a predicate inside the stage and so
-// are unstable.
+// are unstable, and arrayPathProgram.
 func checkPathPrograms(t *testing.T) []pathCase {
 	t.Helper()
 	synth, err := apps.Synthetic(8, 8, 16)
@@ -69,7 +69,59 @@ func checkPathPrograms(t *testing.T) []pathCase {
 		prog := app.MP5()
 		out = append(out, pathCase{app.Name, prog, workload.RandomFields(prog, workload.Spec{Packets: 2000, Pipelines: 4, Seed: 11})})
 	}
-	return out
+	prog := arrayPathProgram(t)
+	arrivals := workload.RandomFields(prog, workload.Spec{Packets: 2000, Pipelines: 4, Seed: 13})
+	for i := range arrivals {
+		arrivals[i].Fields[2] %= 3 // c: the predicate is off a third of the time
+	}
+	return append(out, pathCase{"array-two-indices", prog, arrivals})
+}
+
+// arrayPathProgram is a hand-built program with the shapes the compiled
+// ones lack: stage 1 reads an unsharded array at two indices (a and b,
+// distinct for most packets) and writes one back, plus a write predicated
+// on c; stage 2's only access is predicated on c and unresolvable, so its
+// ticket is issued regardless and is a wasted visit when c is 0.
+func arrayPathProgram(t *testing.T) *ir.Program {
+	t.Helper()
+	a, b, c := ir.Field(0), ir.Field(1), ir.Field(2)
+	t0, t1 := ir.Temp(0), ir.Temp(1)
+	prog := &ir.Program{
+		Name:     "array-two-indices",
+		Fields:   []string{"a", "b", "c"},
+		NumTemps: 2,
+		Regs: []ir.RegInfo{
+			{Name: "r0", ID: 0, Size: 4, Stage: 1},
+			{Name: "r1", ID: 1, Size: 4, Stage: 2},
+		},
+		Stages: []ir.Stage{
+			{},
+			{Instrs: []ir.Instr{
+				{Op: ir.OpRdReg, Dst: t0, Reg: 0, Idx: a},
+				{Op: ir.OpRdReg, Dst: t1, Reg: 0, Idx: b},
+				{Op: ir.OpAdd, Dst: t0, A: t0, B: t1},
+				{Op: ir.OpAdd, Dst: t0, A: t0, B: ir.Const(1)},
+				{Op: ir.OpWrReg, Reg: 0, Idx: a, A: t0},
+				{Op: ir.OpWrReg, Reg: 0, Idx: c, A: b, Pred: c},
+				{Op: ir.OpMov, Dst: b, A: t0},
+			}},
+			{Instrs: []ir.Instr{
+				{Op: ir.OpWrReg, Reg: 1, Idx: a, A: b, Pred: c},
+			}},
+		},
+		Accesses: []ir.Access{
+			{Reg: 0, Stage: 1},
+			{Reg: 0, Stage: 1},
+			{Reg: 0, Stage: 1},
+			{Reg: 0, Stage: 1, Pred: c, PredResolvable: true},
+			{Reg: 1, Stage: 2, Pred: c},
+		},
+		ResolutionStages: 1,
+	}
+	if err := prog.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return prog
 }
 
 // TestCheckPathsAgree pins the two ticket-check paths to one outcome: every

@@ -30,6 +30,9 @@ type regShard struct {
 	// unsharded array), positioned so the per-access resolve path indexes
 	// instead of hashing.
 	slots []slotState
+	// log[i] is index i's effective access order (RecordAccessOrder only),
+	// appended to by the owner of the slot holding index i.
+	log [][]int64
 }
 
 // Engine runs compiled MP5 programs on a real goroutine topology (see the
@@ -792,11 +795,9 @@ func (e *Engine) resolve(h *Handle, p *packet) {
 			continue // resolved: this access will not happen
 		}
 		sh := s.sh
-		key := slotKey{s.reg, -1}
 		pos := 0
 		if sh.sharded {
-			key.idx = ir.ClampIndex(int(p.env.Load(s.idx)), sh.size)
-			pos = key.idx
+			pos = ir.ClampIndex(int(p.env.Load(s.idx)), sh.size)
 			sh.win.Touch(pos, sh.owner[pos])
 		}
 		dest := sh.owner[pos]
@@ -816,18 +817,18 @@ func (e *Engine) resolve(h *Handle, p *packet) {
 		} else if v.pipe != dest {
 			panic("dataplane: co-located accesses resolved to different pipelines")
 		}
-		if s.dup && v.holds(key) {
+		st := &sh.slots[pos]
+		if s.dup && v.holds(st) {
 			continue
 		}
-		st := &sh.slots[pos]
-		v.slots = append(v.slots, slotRef{key: key, st: st, tk: st.issue()})
+		v.slots = append(v.slots, slotRef{st: st, tk: st.issue()})
 	}
 }
 
-// holds reports whether the visit already has a ticket on key.
-func (v *visit) holds(key slotKey) bool {
+// holds reports whether the visit already has a ticket on slot st.
+func (v *visit) holds(st *slotState) bool {
 	for _, ref := range v.slots {
-		if ref.key == key {
+		if ref.st == st {
 			return true
 		}
 	}

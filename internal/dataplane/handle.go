@@ -175,6 +175,9 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 			sh.owner = []int{sharding.Home(info, e.k)}
 			sh.slots = make([]slotState, 1)
 		}
+		if e.cfg.RecordAccessOrder {
+			sh.log = make([][]int64, info.Size)
+		}
 	}
 	h.plan = resolvePlan(prog, h.shard)
 	return h
@@ -184,8 +187,8 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 // handle, keyed like banzai's indexed log. Only valid after Drain.
 func (h *Handle) eachLog(f func(key string, seq []int64)) {
 	for reg := range h.shard {
-		for i := range h.shard[reg].slots {
-			for ci, seq := range h.shard[reg].slots[i].log {
+		for ci, seq := range h.shard[reg].log {
+			if len(seq) > 0 {
 				f(banzai.AccessKey(reg, ci), seq)
 			}
 		}

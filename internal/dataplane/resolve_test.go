@@ -85,7 +85,11 @@ func TestResolvePlan(t *testing.T) {
 		}
 		var got []int
 		for _, ref := range p.visits[0].slots {
-			got = append(got, ref.key.idx)
+			for i := range h.shard[0].slots {
+				if ref.st == &h.shard[0].slots[i] {
+					got = append(got, i)
+				}
+			}
 		}
 		if !reflect.DeepEqual(got, c.slots) {
 			t.Errorf("a=%d b=%d: stage-1 tickets on %v, want %v", c.a, c.b, got, c.slots)

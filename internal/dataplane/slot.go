@@ -2,23 +2,17 @@ package dataplane
 
 import "sync/atomic"
 
-// slotKey names one unit of state placement: a single index of a sharded
-// register array, or a whole unsharded array (idx == -1), mirroring the
-// array-level placement the sharding map uses for unsharded state.
-type slotKey struct {
-	reg int
-	idx int
-}
-
-// slotState is the ticket lock of one slot — the execution-engine form of
-// the paper's phantom placeholders (D4). The admitter is serial, so a
-// position in the slot's order is just a number: issue stamps consecutive
-// tickets in admission order, and the owning worker serves them in that
-// order, one access each. Nothing here is locked; every field has exactly
-// one writer:
+// slotState is the ticket lock of one slot, the unit of state placement: a
+// single index of a sharded register array, or a whole unsharded array
+// (the sharding map's array-level placement). It is the execution-engine
+// form of the paper's phantom placeholders (D4). The admitter is serial,
+// so a position in the slot's order is just a number: issue stamps
+// consecutive tickets in admission order, and the owning worker serves
+// them in that order, one access each. Nothing here is locked; every field
+// has exactly one writer:
 //
-//	issued            the admitter
-//	served, wait, log the slot's owning worker
+//	issued        the admitter
+//	served, wait  the slot's owning worker (and its log row, regShard.log)
 //
 // The two halves sit on separate cache lines, so the admitter's issue and
 // the owner's pop never contend for one: the struct is 128 bytes, handles
@@ -45,12 +39,7 @@ type slotState struct {
 	// in-flight packet (a register array lives in one stage), hence bounded
 	// by Window.
 	wait []*packet
-	// log records the effective access order per concrete register index
-	// (clamped), lazily allocated when the engine records access order.
-	// For sharded slots it has a single key; an unsharded array-level slot
-	// accumulates every index of the array here.
-	log map[int][]int64
-	_   [24]byte
+	_    [32]byte
 }
 
 // issue stamps the next ticket (admitter only). The counter is atomic only
@@ -86,21 +75,12 @@ func (s *slotState) park(tk uint64, p *packet) {
 	s.wait[tk&uint64(len(s.wait)-1)] = p
 }
 
-// pop retires ticket tk after packet id's access executed, logging the
-// concrete indices it touched (when record is set), and returns the packet
-// parked on ticket tk+1, or nil when its holder has not arrived yet. Owner
-// only; the caller must hold the ticket being served.
-func (s *slotState) pop(tk uint64, touched []int, id int64, record bool) *packet {
+// pop retires ticket tk and returns the packet parked on ticket tk+1, or nil
+// when its holder has not arrived yet. Owner only; the caller must hold the
+// ticket being served.
+func (s *slotState) pop(tk uint64) *packet {
 	if s.served.Load() != tk {
 		panic("dataplane: pop of a ticket that is not being served")
-	}
-	if record && len(touched) > 0 {
-		if s.log == nil {
-			s.log = make(map[int][]int64)
-		}
-		for _, ci := range touched {
-			s.log[ci] = append(s.log[ci], id)
-		}
 	}
 	var next *packet
 	if n := uint64(len(s.wait)); n > 0 {

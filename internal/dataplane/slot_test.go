@@ -12,7 +12,7 @@ import (
 
 // TestSlotLayout pins the two halves of a slot to separate cache lines, on
 // the arrays a handle really allocates: no line the admitter writes (issued)
-// may hold a byte the owning worker writes (served, wait, log), of the same
+// may hold a byte the owning worker writes (served, wait), of the same
 // slot or of a neighbour.
 func TestSlotLayout(t *testing.T) {
 	const line = 64
@@ -30,7 +30,7 @@ func TestSlotLayout(t *testing.T) {
 			}
 			for i := range slots {
 				lo := uintptr(unsafe.Pointer(&slots[i].served))
-				hi := uintptr(unsafe.Pointer(&slots[i].log)) + unsafe.Sizeof(slots[i].log)
+				hi := uintptr(unsafe.Pointer(&slots[i].wait)) + unsafe.Sizeof(slots[i].wait)
 				for a := lo; a < hi; a += 8 {
 					if admitter[a/line] {
 						t.Fatalf("size %d: slot %d of r%d has an owner-written word at %#x on an admitter-written line", size, i, r, a)
@@ -80,7 +80,7 @@ func TestSlotTicketRing(t *testing.T) {
 					maxRing = len(s.wait)
 				}
 			case issued > served:
-				got := s.pop(served, nil, int64(served), false)
+				got := s.pop(served)
 				delete(holder, served)
 				served++
 				want := (*packet)(nil)
@@ -105,7 +105,7 @@ func TestSlotTicketRing(t *testing.T) {
 		// Serve the rest: a fully served slot must leave an empty ring, or a
 		// handoff would carry a stale packet to the next owner.
 		for ; served < issued; served++ {
-			s.pop(served, nil, int64(served), false)
+			s.pop(served)
 		}
 		for i, p := range s.wait {
 			if p != nil {
@@ -119,7 +119,7 @@ func TestSlotTicketRing(t *testing.T) {
 						t.Fatalf("seed %d: pop(%d) with ticket %d being served did not panic", seed, tk, served)
 					}
 				}()
-				s.pop(tk, nil, 0, false)
+				s.pop(tk)
 			}()
 		}
 	}

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -51,13 +52,12 @@ type visit struct {
 	slots []slotRef
 }
 
-// slotRef is one ticket: the slot's identity, its ticket lock (so workers
-// never consult the admitter-owned placement tables), and the position tk
-// the admitter stamped at resolve time.
+// slotRef is one ticket: the slot's ticket lock (so workers never consult
+// the admitter-owned placement tables) and the position tk the admitter
+// stamped at resolve time.
 type slotRef struct {
-	key slotKey
-	st  *slotState
-	tk  uint64
+	st *slotState
+	tk uint64
 }
 
 // xbarMsg is one crossbar transfer to the driver of pipeline to, the first
@@ -200,18 +200,19 @@ type worker struct {
 	// at Drain. Both replace the old engine-wide egress mutex.
 	outs   map[int64][]int64
 	egRecs []egRec
-	// touched is per-visit scratch: the distinct concrete indices touched
-	// per visit slot within one stage execution. It grows on demand to the
-	// widest visit seen — bounded by the largest per-stage slot count across
-	// loaded programs, so it stops allocating after warmup.
-	touched [][]int
+	// hit is the current visit's coverage: bit i is set once an access
+	// the stage performs is covered by ticket i. touched lists the log rows
+	// of the distinct indices the visit touched, kept only when the engine
+	// records access order. Both grow to the widest visit seen, then stop
+	// allocating.
+	hit     []uint64
+	touched []*[]int64
 	// obs is the access observer bound once at construction (a fresh
 	// closure per visit would put one heap allocation back on the hot
-	// path); obsP/obsV/obsT carry the current visit's context to it.
+	// path); obsP/obsV carry the current visit's context to it.
 	obs  func(reg int, idx int64, write bool)
 	obsP *packet
 	obsV *visit
-	obsT [][]int
 	// lat is the worker-private latency histogram, merged by the engine
 	// after the goroutine joins (the share-nothing stats.Histogram
 	// pattern).
@@ -394,33 +395,35 @@ func (d *driver) process(p *packet, since TraceStage) {
 
 // observe is the access observer execVisit attaches to an observed stage
 // execution (via the once-bound w.obs); its context arrives through
-// obsP/obsV/obsT.
+// obsP/obsV.
 func (w *worker) observe(reg int, idx int64, write bool) {
-	cover(w.obsP, w.obsV, w.obsT, reg, idx)
+	w.cover(w.obsP, w.obsV, reg, idx)
 }
 
-// cover validates one concrete register access of packet p against its
-// visit's tickets — it panics when no ticket covers it — and records which
-// index the covering slot ticket touched.
-func cover(p *packet, v *visit, touched [][]int, reg int, idx int64) {
-	ci := ir.ClampIndex(int(idx), p.h.prog.Regs[reg].Size)
-	ri := -1
-	for i, ref := range v.slots {
-		if ref.key.reg == reg && (ref.key.idx == ci || ref.key.idx < 0) {
-			ri = i
-			break
+// cover checks one concrete register access of packet p against its
+// visit's tickets — it panics when no ticket covers it — and sets the
+// covering ticket's bit in w.hit. A ticket covers exactly the accesses to
+// its slot, so the check compares slot pointers. When the engine records
+// access order it also notes the index's log row in w.touched, once.
+func (w *worker) cover(p *packet, v *visit, reg int, idx int64) {
+	sh := &p.h.shard[reg]
+	ci := ir.ClampIndex(int(idx), sh.size)
+	st := &sh.slots[0]
+	if sh.sharded {
+		st = &sh.slots[ci]
+	}
+	for i := range v.slots {
+		if v.slots[i].st != st {
+			continue
 		}
-	}
-	if ri < 0 {
-		panic(fmt.Sprintf("dataplane: packet %d accessed r%d[%d] in stage %d without a ticket",
-			p.id, reg, ci, v.stage))
-	}
-	for _, seen := range touched[ri] {
-		if seen == ci {
-			return
+		w.hit[i>>6] |= 1 << (i & 63)
+		if sh.log != nil && !slices.Contains(w.touched, &sh.log[ci]) {
+			w.touched = append(w.touched, &sh.log[ci])
 		}
+		return
 	}
-	touched[ri] = append(touched[ri], ci)
+	panic(fmt.Sprintf("dataplane: packet %d accessed r%d[%d] in stage %d without a ticket",
+		p.id, reg, ci, v.stage))
 }
 
 // blocked returns the first ticket of the visit that is not being served
@@ -435,57 +438,57 @@ func blocked(v *visit) *slotRef {
 	return nil
 }
 
-// execVisit executes the visit's stage, validating every register access it
-// performs against the visit's tickets and recording which concrete indices
-// each slot ticket actually covered (predicates evaluate live, so a
-// conservative ticket may cover nothing — a wasted visit). A stable stage
-// (bytecode.StageProgram.Stable) has its accesses checked up front, from
-// the frame at stage entry, before any register is touched, and then runs
-// unobserved; any other stage runs with the access observer attached. It
-// then retires one ticket per slot and promotes the packet parked on each
-// slot's next ticket, if any.
+// execVisit runs the visit's stage in one pass over its tickets. First the
+// coverage check: every register access the stage performs must be covered
+// by one of the visit's tickets, and sets that ticket's bit (predicates
+// evaluate live, so a conservative ticket may cover nothing — a wasted
+// visit). A stable stage (bytecode.StageProgram.Stable) is checked up front,
+// from the frame at stage entry, before any register is touched, and then
+// runs unobserved; any other stage runs with the access observer attached.
+// Then one loop counts every ticket whose bit is unset as a wasted visit,
+// retires each ticket, and promotes the packet parked on the slot's next
+// one, if any. Access order, when recorded, is logged before the pops (the
+// last-touch rule).
 func (w *worker) execVisit(p *packet, v *visit) {
 	h := p.h
-	for len(w.touched) < len(v.slots) {
-		w.touched = append(w.touched, nil)
-	}
-	touched := w.touched[:len(v.slots)]
-	for i := range touched {
-		touched[i] = touched[i][:0]
-	}
-	regs := h.wregs[w.id]
 	sp := &h.bc.Stages[v.stage]
+	if err := sp.Fit(p.env); err != nil {
+		panic("dataplane: " + err.Error()) // envs are h.prog-shaped
+	}
+	words := (len(v.slots) + 63) >> 6
+	if len(w.hit) < words {
+		w.hit = make([]uint64, words)
+	}
+	for i := 0; i < words; i++ { // not clear(), a call, for what is nearly always one word
+		w.hit[i] = 0
+	}
+	w.touched = w.touched[:0]
+	frame := p.env.Frame
 	upFront := sp.Stable()
 	if f := w.e.testExecPath; f != nil {
 		upFront = f(v.stage, upFront)
 	}
-	var err error
+	var obs ir.AccessObserver
 	if upFront {
-		if err = sp.Fit(p.env); err == nil {
-			frame := p.env.Frame
-			sites := sp.Sites()
-			for i := range sites {
-				if s := &sites[i]; s.Held(frame) {
-					cover(p, v, touched, s.Reg, frame[s.Idx])
-				}
+		sites := sp.Sites()
+		for i := range sites {
+			if s := &sites[i]; s.Held(frame) {
+				w.cover(p, v, s.Reg, frame[s.Idx])
 			}
-			err = h.vm.ExecStage(sp, p.env, regs)
 		}
 	} else {
-		w.obsP, w.obsV, w.obsT = p, v, touched
-		err = h.vm.ExecStageObserved(sp, p.env, regs, w.obs)
-		w.obsP, w.obsV, w.obsT = nil, nil, nil
+		w.obsP, w.obsV, obs = p, v, w.obs
 	}
-	if err != nil {
-		panic("dataplane: " + err.Error()) // envs are h.prog-shaped
+	h.vm.Run(sp, frame, h.wregs[w.id], obs)
+	for _, row := range w.touched {
+		*row = append(*row, p.id)
 	}
-	record := w.e.cfg.RecordAccessOrder
 	for i := range v.slots {
-		ref := &v.slots[i]
-		if len(touched[i]) == 0 {
+		if w.hit[i>>6]&(1<<(i&63)) == 0 {
 			w.wasted++
 		}
-		if q := ref.st.pop(ref.tk, touched[i], p.id, record); q != nil {
+		ref := &v.slots[i]
+		if q := ref.st.pop(ref.tk); q != nil {
 			w.parkedDelta--
 			w.d.runnable = append(w.d.runnable, q)
 		}

@@ -135,8 +135,16 @@ func (vm *VM) exec(sp *StageProgram, e *ir.Env, regs *ir.RegFile, obs ir.AccessO
 	if err := sp.Fit(e); err != nil {
 		return err
 	}
-	execMicro(sp, e.Frame, regs, obs)
+	vm.Run(sp, e.Frame, regs, obs)
 	return nil
+}
+
+// Run executes the stage on frame, the Frame of an env Fit has already
+// fitted, reporting accesses to obs like ExecStageObserved when obs is
+// non-nil. A caller that fitted the env to read its Sites pays for no
+// second fit.
+func (vm *VM) Run(sp *StageProgram, frame []int64, regs *ir.RegFile, obs ir.AccessObserver) {
+	execMicro(sp, frame, regs, obs)
 }
 
 // Fit gives e the frame the program's micro-ops address, unless it already
