@@ -39,20 +39,18 @@ race:
 
 # race-dataplane focuses the race detector on the concurrent execution
 # engine — the one package whose correctness claims are about goroutine
-# interleavings (lock-free ticket counters, slot-local wait rings, remap's
-# ownership handoff) — at the k-driver shape `race` does not reach on a
-# small host.
+# interleavings (lock-free ticket counters, slot-local wait rings, the
+# baton) — at the k-driver shape `race` does not reach on a small host.
 race-dataplane:
 	$(PROCS) $(GO) test -race -count 1 ./internal/dataplane
 
-# flake-hunt repeats the tests whose outcome once depended on timing — remap
-# migration under load and at quiescence, the slot handoff between owners,
-# and the baton handoffs between admitter and driver goroutine (leave with
-# work, reclaim, abort and stall under the baton) — 50 times each plain,
-# under -race, and under -race with poison-on-free. A pre-merge tool for
-# changes to the ticket, park, remap or driver path (a few minutes),
-# deliberately not part of `check`; the bar is 0 failures.
-FLAKY = TestRemapMigratesState|TestRemapMigratesAtQuiescence|TestSlotHandoffBetweenOwners|TestAdmitterLeavesWorkToDriver|TestAdmitterReclaimsBaton|TestWatchdogDetectsStall|TestSubmitAbortRetiresTickets|TestSubmitBatchAbortRetiresTickets
+# flake-hunt repeats the tests whose outcome once depended on timing — the
+# baton handoffs between admitter and driver goroutine (leave with work,
+# reclaim, abort and stall under the baton) — 50 times each plain, under
+# -race, and under -race with poison-on-free. A pre-merge tool for changes
+# to the ticket, park or driver path (a few minutes), deliberately not part
+# of `check`; the bar is 0 failures.
+FLAKY = TestAdmitterLeavesWorkToDriver|TestAdmitterReclaimsBaton|TestWatchdogDetectsStall|TestSubmitAbortRetiresTickets|TestSubmitBatchAbortRetiresTickets
 flake-hunt:
 	$(PROCS) $(GO) test -count 50 -run '$(FLAKY)' ./internal/dataplane
 	$(PROCS) $(GO) test -race -count 50 -run '$(FLAKY)' ./internal/dataplane

@@ -151,7 +151,6 @@ func main() {
 		res.Injected, res.Completed, s.Dropped())
 	fmt.Printf("throughput         %.0f packets/sec (%.2f ms serving)\n",
 		res.PktsPerSec, float64(res.Elapsed.Microseconds())/1000)
-	fmt.Printf("shard moves        %d\n", res.ShardMoves)
 	if trc != nil {
 		trc.Close()
 		fmt.Printf("trace              %d spans sampled (1/%d), %d dropped at the collector\n",

@@ -312,7 +312,6 @@ func runDataplane(prog *ir.Program, trace []core.Arrival, workers int, verify bo
 		res.PktsPerSec, float64(res.Elapsed.Microseconds())/1000)
 	fmt.Printf("crossbar           %d steers, %d parks, %d wasted visits\n",
 		res.Steers, res.Parks, res.Wasted)
-	fmt.Printf("shard moves        %d\n", res.ShardMoves)
 	fmt.Printf("reordered egress   %d packets\n", res.Reordered)
 	if res.Latency != nil && res.Latency.Total() > 0 {
 		fmt.Printf("latency            p50 %.0f µs, p99 %.0f µs\n",

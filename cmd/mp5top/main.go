@@ -102,8 +102,8 @@ func render(st, prev *server.StatsSnapshot) string {
 		st.RxPPS, st.AckPPS, st.EgressPPS)
 	fmt.Fprintf(&b, "totals  rx tcp %d  udp %d   acks %d   drops %d   decode errs %d   aborts %d\n",
 		st.RxTCP, st.RxUDP, st.Acks, st.IngressDropped, st.DecodeErrors, st.SubmitAborts)
-	fmt.Fprintf(&b, "engine  submitted %d   completed %d   in-flight %d   steers %d   parks %d   moves %d\n\n",
-		st.Submitted, st.Completed, st.InFlight, st.Steers, st.Parks, st.ShardMoves)
+	fmt.Fprintf(&b, "engine  submitted %d   completed %d   in-flight %d   steers %d   parks %d\n\n",
+		st.Submitted, st.Completed, st.InFlight, st.Steers, st.Parks)
 
 	fmt.Fprintf(&b, "queues  ingress %s   window %s   tickets pending %d (deepest slot %d)\n\n",
 		bar(st.Ingress.Depth, st.Ingress.Cap), bar(st.Window.Depth, st.Window.Cap),

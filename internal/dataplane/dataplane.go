@@ -13,10 +13,11 @@
 //
 //   - D1 (processing homogeneity): every worker runs the full program;
 //     stateless packets are sprayed round-robin across workers.
-//   - D2 (dynamically sharded state): each register index is owned by
-//     exactly one worker, which holds the only live copy in its private
-//     register file; a Figure-6-style remap migrates hot indices between
-//     workers while none of their tickets is outstanding.
+//   - D2 (sharded state): each register index is owned by exactly one
+//     worker, which holds the only live copy in its private register file.
+//     Placement is static — fixed when a program is loaded — so ticket
+//     state can be laid out by writer (see slotState). The simulator
+//     (internal/core) keeps the paper's dynamic D2, the Figure-6 remap.
 //   - D3 (crossbar steering): a packet whose next stateful stage resolved
 //     to another pipeline is forwarded over that pipeline's crossbar.
 //   - D4 (phantom order enforcement): at admission, a serial admitter
@@ -61,17 +62,15 @@ type Config struct {
 	// egressed). It is the admission-control semaphore that keeps every
 	// mailbox overflow-free by construction; 0 defaults to 256.
 	Window int
-	// RemapInterval is the number of admissions between dynamic-sharding
-	// remap passes (D2); 0 defaults to 256, negative disables remapping.
-	RemapInterval int
 	// Seed selects the initial index→worker placement: 0 keeps the plain
 	// round-robin assignment (the simulator's MP5 default); any other
 	// value deterministically shuffles the balanced round-robin owner set
 	// of every sharded array, so distinct daemons can start from distinct
 	// placements without biasing load toward low-numbered workers.
+	// Arrays of equal size share one shuffle, so they stay co-sharded.
 	// Unsharded arrays always home at stage mod k. Placement never affects
 	// functional correctness (C1 ticketing is placement-independent), only
-	// steering and remap trajectories.
+	// steering.
 	Seed int64
 	// RecordOutputs retains each packet's final header fields (required
 	// for equivalence checking via equiv.CheckState).
@@ -115,9 +114,6 @@ func (c Config) withDefaults(procs int) Config {
 	if c.Window <= 0 {
 		c.Window = 256
 	}
-	if c.RemapInterval == 0 {
-		c.RemapInterval = 256
-	}
 	if c.StallTimeout <= 0 {
 		c.StallTimeout = 10 * time.Second
 	}
@@ -128,28 +124,26 @@ func (c Config) withDefaults(procs int) Config {
 // updated concurrently by the admitter and all workers (telemetry.Counter
 // is atomic, so a shared Metrics is safe across engines and goroutines).
 type Metrics struct {
-	Admitted   *telemetry.Counter
-	Egressed   *telemetry.Counter
-	Steers     *telemetry.Counter
-	Parks      *telemetry.Counter
-	Wasted     *telemetry.Counter
-	ShardMoves *telemetry.Counter
-	Stalls     *telemetry.Counter
-	QuotaShed  *telemetry.Counter
+	Admitted  *telemetry.Counter
+	Egressed  *telemetry.Counter
+	Steers    *telemetry.Counter
+	Parks     *telemetry.Counter
+	Wasted    *telemetry.Counter
+	Stalls    *telemetry.Counter
+	QuotaShed *telemetry.Counter
 }
 
 // NewMetrics registers the engine's counters on r (nil r yields all-nil
 // counters, the disabled state).
 func NewMetrics(r *telemetry.Registry) *Metrics {
 	return &Metrics{
-		Admitted:   r.NewCounter("dataplane_admitted_total", "packets admitted into the dataplane"),
-		Egressed:   r.NewCounter("dataplane_egressed_total", "packets that completed all stages"),
-		Steers:     r.NewCounter("dataplane_steers_total", "inter-worker crossbar forwards"),
-		Parks:      r.NewCounter("dataplane_parks_total", "packets parked waiting for a head ticket"),
-		Wasted:     r.NewCounter("dataplane_wasted_visits_total", "conservative tickets whose predicate was false at execution"),
-		ShardMoves: r.NewCounter("dataplane_shard_moves_total", "register indices migrated between workers"),
-		Stalls:     r.NewCounter("dataplane_stalls_total", "runs aborted by the liveness watchdog"),
-		QuotaShed:  r.NewCounter("dataplane_quota_shed_total", "packets shed because the tenant admission quota was exhausted"),
+		Admitted:  r.NewCounter("dataplane_admitted_total", "packets admitted into the dataplane"),
+		Egressed:  r.NewCounter("dataplane_egressed_total", "packets that completed all stages"),
+		Steers:    r.NewCounter("dataplane_steers_total", "inter-worker crossbar forwards"),
+		Parks:     r.NewCounter("dataplane_parks_total", "packets parked waiting for a head ticket"),
+		Wasted:    r.NewCounter("dataplane_wasted_visits_total", "conservative tickets whose predicate was false at execution"),
+		Stalls:    r.NewCounter("dataplane_stalls_total", "runs aborted by the liveness watchdog"),
+		QuotaShed: r.NewCounter("dataplane_quota_shed_total", "packets shed because the tenant admission quota was exhausted"),
 	}
 }
 
@@ -159,11 +153,13 @@ type Result struct {
 	Injected  int64
 	Completed int64
 	// Steers counts crossbar forwards; Parks counts ticket waits; Wasted
-	// counts conservative tickets whose access predicate evaluated false;
-	// ShardMoves counts D2 migrations.
-	Steers     int64
-	Parks      int64
-	Wasted     int64
+	// counts conservative tickets whose access predicate evaluated false.
+	Steers int64
+	Parks  int64
+	Wasted int64
+	// ShardMoves always reads 0: placement is static. It stays only because
+	// the benchmark (bench/engine.go) still reads it; the benchmark's next
+	// change deletes the field and its shard_moves_per_kpkt row.
 	ShardMoves int64
 	// Reordered counts packets that egressed after a later-arriving packet
 	// (wall-clock reordering the concurrent engine introduces; only

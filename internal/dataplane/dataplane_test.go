@@ -122,103 +122,24 @@ func TestStatelessSpray(t *testing.T) {
 	}
 }
 
-// TestRemapMigratesState forces frequent remaps under load on a churning
-// skewed trace and checks that equivalence survives whatever migrations the
-// timing allowed. How many there are depends on which slots happen to be
-// fully served at each boundary, so that migrations do happen is asserted
-// where it is deterministic: TestRemapMigratesAtQuiescence.
-func TestRemapMigratesState(t *testing.T) {
-	prog, err := apps.Synthetic(2, 64, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrivals := workload.Synthetic(prog, workload.Spec{
-		Packets: 4000, Pipelines: 4, Seed: 5,
-		Pattern: workload.Skewed, ChurnInterval: 64,
-	}, 2, 64)
-	res := runChecked(t, prog, arrivals, Config{Workers: 4, RemapInterval: 32})
-	t.Logf("%d shard moves under load", res.ShardMoves)
-}
-
-// TestRemapMigratesAtQuiescence runs the same trace with every remap at a
-// quiescent boundary: RemapInterval-1 packets, wait for all of them to
-// egress, then a boundary packet that is stateless (it holds no ticket), so
-// remap finds issued == served on every slot and what it migrates is a
-// function of the trace alone. Every migrated index must arrive with its
-// value live in the new owner's register file, and the run must pass the
-// three oracles.
-func TestRemapMigratesAtQuiescence(t *testing.T) {
-	const interval = 32
-	prog, err := apps.Synthetic(2, 64, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrivals := workload.Synthetic(prog, workload.Spec{
-		Packets: 4000, Pipelines: 4, Seed: 5,
-		Pattern: workload.Skewed, ChurnInterval: 64,
-	}, 2, 64)
-	stateless := prog.FieldIndex("stateless")
-	hdr := []int{prog.FieldIndex("h0"), prog.FieldIndex("h1")}
-	for i := interval - 1; i < len(arrivals); i += interval {
-		arrivals[i].Fields[stateless] = 1
-	}
-	e := New(prog, Config{
-		Workers: 4, RemapInterval: interval,
-		RecordOutputs: true, RecordAccessOrder: true, RecordEgressOrder: true,
-	})
-	e.Start()
-	// want[r][i] is the value the synthetic program leaves in reg r, index
-	// i: one increment per stateful access so far.
-	want := [][]int64{make([]int64, 64), make([]int64, 64)}
-	for off := 0; off+interval <= len(arrivals); off += interval {
-		if e.SubmitBatch(arrivals[off:off+interval-1], nil) != interval-1 {
-			t.Fatalf("window at %d refused", off)
-		}
-		for _, a := range arrivals[off : off+interval-1] {
-			for r, f := range hdr {
-				want[r][a.Fields[f]%64]++
-			}
-		}
-		quiesce(t, e)
-		before := e.ShardMap()
-		if !e.Submit(&arrivals[off+interval-1]) { // remap runs inside
-			t.Fatalf("boundary packet %d refused", off+interval-1)
-		}
-		for r, ent := range e.ShardMap() {
-			for i, owner := range ent.Owners {
-				if owner == before[r].Owners[i] {
-					continue
-				}
-				if got := e.def.wregs[owner].Array(r)[i]; got != want[r][i] {
-					t.Fatalf("packet %d: r%d[%d] moved %d -> %d but the new owner holds %d, want %d",
-						off+interval-1, r, i, before[r].Owners[i], owner, got, want[r][i])
-				}
-			}
-		}
-	}
-	res := e.Drain()
-	if res.Stalled || res.Completed != int64(len(arrivals)) {
-		t.Fatalf("%d of %d completed (stalled=%v)", res.Completed, len(arrivals), res.Stalled)
-	}
-	if res.ShardMoves == 0 {
-		t.Fatal("no shard migrations on a churning skewed trace with every remap at quiescence")
-	}
-	checkEquivalence(t, prog, e, arrivals, 4)
-}
-
-// TestRemapDisabled makes sure a negative interval really pins the initial
-// placement.
+// TestRemapDisabled pins the engine's static placement: a skewed run that
+// the simulator's D2 would remap leaves every index on the pipeline it
+// started on, and reports no moves.
 func TestRemapDisabled(t *testing.T) {
 	prog, err := apps.Synthetic(2, 64, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	arrivals := workload.Synthetic(prog, workload.Spec{
-		Packets: 2000, Pipelines: 4, Seed: 5, Pattern: workload.Skewed,
+		Packets: 2000, Pipelines: 4, Seed: 5, Pattern: workload.Skewed, ChurnInterval: 64,
 	}, 2, 64)
-	res := runChecked(t, prog, arrivals, Config{Workers: 4, RemapInterval: -1})
-	if res.ShardMoves != 0 {
-		t.Fatalf("remap disabled but %d migrations happened", res.ShardMoves)
+	cfg := Config{Workers: 4, RecordOutputs: true, RecordAccessOrder: true, RecordEgressOrder: true}
+	e := New(prog, cfg)
+	before := e.ShardMap()
+	res := e.Run(arrivals)
+	checkEquivalence(t, prog, e, arrivals, 4)
+	if !reflect.DeepEqual(e.ShardMap(), before) || res.ShardMoves != 0 {
+		t.Fatalf("placement moved (%d moves reported)", res.ShardMoves)
 	}
 }
 
@@ -287,7 +208,6 @@ func TestMetrics(t *testing.T) {
 		{"steers", m.Steers.Value(), res.Steers},
 		{"parks", m.Parks.Value(), res.Parks},
 		{"wasted", m.Wasted.Value(), res.Wasted},
-		{"shard moves", m.ShardMoves.Value(), res.ShardMoves},
 	} {
 		if c.got != c.want {
 			t.Fatalf("%s: telemetry counter %d != result %d", c.name, c.got, c.want)

@@ -116,7 +116,7 @@ func TestInPlaceHopNeverStrands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Round-robin placement, never remapped: index i lives on pipeline i%3.
+	// Round-robin placement: index i lives on pipeline i%3.
 	path := [stages]int64{0, 1, 2, 0}
 	arrivals := make([]core.Arrival, packets)
 	for i := range arrivals {
@@ -128,7 +128,7 @@ func TestInPlaceHopNeverStrands(t *testing.T) {
 	}
 	withProcs(3, func() {
 		e := New(prog, Config{
-			Workers: 3, Window: 4, RemapInterval: -1,
+			Workers: 3, Window: 4,
 			RecordOutputs: true, RecordAccessOrder: true,
 		})
 		if len(e.drivers) != 2 || e.workers[0].d != e.workers[2].d || e.workers[0].d == e.workers[1].d {
@@ -146,6 +146,30 @@ func TestInPlaceHopNeverStrands(t *testing.T) {
 			t.Fatalf("%d steers, want three per packet (%d)", res.Steers, 3*packets)
 		}
 		checkEquivalence(t, prog, e, arrivals, 3)
+	})
+}
+
+// TestFlowletNeverSteersAtTwoDrivers runs flowlet, whose two equal-size
+// arrays are indexed by the same flow id, on two pipelines with a driver
+// each. Equal-size arrays are co-sharded under any seed and placement never
+// moves, so every packet finds both of its visits on one pipeline: no steer
+// at any seed or window, and the run still matches the reference.
+func TestFlowletNeverSteersAtTwoDrivers(t *testing.T) {
+	app := apps.Flowlet()
+	prog := app.MP5()
+	arrivals := workload.Flows(prog, workload.FlowSpec{Packets: 20000, Pipelines: 2, Seed: 1}, app.Bind)
+	withProcs(4, func() {
+		for _, seed := range []int64{0, 7} {
+			for _, window := range []int{256, 64} {
+				e, res := runCheckedEngine(t, prog, arrivals, Config{Workers: 2, Window: window, Seed: seed})
+				if len(e.drivers) != 2 {
+					t.Fatalf("%d drivers at GOMAXPROCS 4, want 2", len(e.drivers))
+				}
+				if res.Steers != 0 {
+					t.Fatalf("seed %d window %d: %d steers on %d packets, want 0", seed, window, res.Steers, len(arrivals))
+				}
+			}
+		}
 	})
 }
 

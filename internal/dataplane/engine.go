@@ -10,26 +10,25 @@ import (
 
 	"mp5/internal/core"
 	"mp5/internal/ir"
-	"mp5/internal/sharding"
 	"mp5/internal/stats"
 )
 
-// regShard is the admitter's view of one register array's placement: which
-// worker owns each index (the live copy) and how often each index was
-// resolved in the current remap window. Owned exclusively by the admitter
-// goroutine; workers learn placements only through resolved visits.
+// regShard is one register array's placement and ticket state. Placement is
+// static: owner and slots are set when the handle is built and never change,
+// so any goroutine may read them; issued is the admitter's (see slotState).
 type regShard struct {
 	sharded bool
 	size    int
-	// owner[i] is the worker holding the live copy of index i; unsharded
+	// owner[i] is the pipeline holding the live copy of index i; unsharded
 	// arrays use owner[0] as the whole-array home (sharding.Home).
 	owner []int
-	// win counts a sharded array's resolutions since the last remap (§3.4).
-	win sharding.Window
-	// slots[i] is index i's ticket lock (slots[0] the whole-array one of an
-	// unsharded array), positioned so the per-access resolve path indexes
-	// instead of hashing.
-	slots []slotState
+	// issued[i] is index i's ticket counter (issued[0] the whole-array one
+	// of an unsharded array): one dense row, written only by the admitter.
+	issued []atomic.Uint64
+	// slots is the position table: slots[i] is the owner half of index i's
+	// ticket lock, in its owner's block, so the per-access resolve and cover
+	// paths index instead of hashing.
+	slots []*slotState
 	// log[i] is index i's effective access order (RecordAccessOrder only),
 	// appended to by the owner of the slot holding index i.
 	log [][]int64
@@ -65,13 +64,11 @@ type Engine struct {
 	held    bool
 
 	// hMu guards the handle list: AddProgram publishes (possibly mid-run,
-	// from any goroutine — the hot-swap path), the admitter snapshots it
-	// for remap, samplers for TicketDepths. def is the first handle added;
-	// immutable once set.
-	hMu      sync.Mutex
-	handles  []*Handle
-	hScratch []*Handle // admitter-only remap snapshot buffer
-	def      *Handle
+	// from any goroutine — the hot-swap path), samplers snapshot it for
+	// TicketDepths. def is the first handle added; immutable once set.
+	hMu     sync.Mutex
+	handles []*Handle
+	def     *Handle
 
 	// winCap/winUsed/winAvail form the admission-control semaphore: one
 	// token per in-flight packet, shared by every handle (per-tenant limits
@@ -118,14 +115,8 @@ type Engine struct {
 	wasted    atomic.Int64
 	parks     atomic.Int64
 	stalled   atomic.Bool
-	// shardMoves and spray are admitter-only (serial).
-	shardMoves int64
-	spray      int64
-
-	// placeMu guards cross-goroutine snapshots of the owner arrays
-	// (ShardMap): remap's rare owner writes take it; the admitter's hot
-	// owner reads do not need it (remap runs on the admitter goroutine).
-	placeMu sync.Mutex
+	// spray is admitter-only (serial).
+	spray int64
 
 	// egSeq hands out egress sequence numbers; each worker records
 	// (seq, id) pairs privately and Drain merges them into egressOrder
@@ -134,11 +125,11 @@ type Engine struct {
 	egSeq       atomic.Int64
 	egressOrder []int64
 
-	// Admitter-only scratch, reused across SubmitBatch chunks and remap
-	// passes so the hot path allocates nothing. chunk holds the packets of
-	// the batch being admitted, xbuf the per-driver dispatch batches under
-	// assembly (their backing slices come from batchPool and are returned
-	// by the draining driver).
+	// Admitter-only scratch, reused across SubmitBatch chunks so the hot
+	// path allocates nothing. chunk holds the packets of the batch being
+	// admitted, xbuf the per-driver dispatch batches under assembly (their
+	// backing slices come from batchPool and are returned by the draining
+	// driver).
 	chunk []*packet
 	xbuf  []*pktBatch
 	// batchPool recycles the []*packet slices that ride xbarMsg batches
@@ -260,7 +251,7 @@ func (e *Engine) Handles() []*Handle {
 // Run drives the whole trace through the default handle and blocks until
 // every packet egressed (or the watchdog aborted a stall). The admitter
 // runs on the calling goroutine: execute the resolution stages, resolve
-// visits, issue tickets in arrival order, dispatch, and periodically remap.
+// visits, issue tickets in arrival order, dispatch.
 // Run is the batch shorthand for Start + SubmitBatch + Drain.
 func (e *Engine) Run(arrivals []core.Arrival) *Result {
 	if len(arrivals) == 0 {
@@ -344,14 +335,6 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, ta
 		}
 		base := e.submitted.Load()
 		want := int64(len(arrs) - admitted)
-		if iv := int64(e.cfg.RemapInterval); iv > 0 {
-			// Chunks never straddle a remap boundary, so remap keeps its
-			// every-RemapInterval-admissions cadence (and its chance to see
-			// fully served slots) whatever the batch size.
-			if until := iv - base%iv; want > until {
-				want = until
-			}
-		}
 		if h.quota != nil {
 			q := h.quota.tryAcquire(want)
 			if q == 0 {
@@ -377,6 +360,7 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, ta
 			h.quota.release(want - int64(got))
 		}
 		now := time.Now() // before the chunk's first prepare: over-reports, never flatters
+		h.getPackets(got)
 		for i := 0; i < got; i++ {
 			a := &arrs[admitted+i]
 			id := base + int64(i)
@@ -411,9 +395,6 @@ func (e *Engine) SubmitBatchTo(h *Handle, arrs []core.Arrival, spans []*Span, ta
 			return admitted
 		}
 		admitted += got
-		if iv := int64(e.cfg.RemapInterval); iv > 0 && (base+int64(got))%iv == 0 {
-			e.remap()
-		}
 	}
 	return admitted
 }
@@ -630,11 +611,11 @@ func (e *Engine) mergeEgressOrder() {
 	}
 }
 
-// prepare readies one packet on the admitter: take a recycled packet from
-// the handle's free list (or build one), reset its env for the new arrival,
-// execute the handle's stateless resolution stages, and resolve every state
-// access to a (stage, worker, tickets) visit list. start is the admit stamp,
-// read once per admission chunk.
+// prepare readies one packet on the admitter: take one the handle readied
+// (getPacket), reset its env for the new arrival, execute the handle's
+// stateless resolution stages, and resolve every state access to a (stage,
+// worker, tickets) visit list. start is the admit stamp, read once per
+// admission chunk.
 func (e *Engine) prepare(h *Handle, id int64, a *core.Arrival, start time.Time) *packet {
 	p := h.getPacket()
 	p.id = id
@@ -778,9 +759,9 @@ func resolvePlan(prog *ir.Program, shard []regShard) []resolveStep {
 }
 
 // resolve performs preemptive address resolution (§3.3) against the
-// handle's shard placement, walking its resolve plan: evaluate resolvable
-// predicates, clamp indices, look up slot owners, stamp one ticket per
-// slot, and build the visit list. Same-stage accesses form one visit and
+// handle's static placement, walking its resolve plan: evaluate resolvable
+// predicates, clamp indices, look up slot owners and slots, stamp one ticket
+// per slot, and build the visit list. Same-stage accesses form one visit and
 // must co-locate (the code generator guarantees multi-array stages hold
 // only unsharded, same-home arrays). Duplicate same-stage references to one
 // slot collapse to a single ticket.
@@ -798,7 +779,6 @@ func (e *Engine) resolve(h *Handle, p *packet) {
 		pos := 0
 		if sh.sharded {
 			pos = ir.ClampIndex(int(p.env.Load(s.idx)), sh.size)
-			sh.win.Touch(pos, sh.owner[pos])
 		}
 		dest := sh.owner[pos]
 		if v == nil {
@@ -817,11 +797,11 @@ func (e *Engine) resolve(h *Handle, p *packet) {
 		} else if v.pipe != dest {
 			panic("dataplane: co-located accesses resolved to different pipelines")
 		}
-		st := &sh.slots[pos]
+		st := sh.slots[pos]
 		if s.dup && v.holds(st) {
 			continue
 		}
-		v.slots = append(v.slots, slotRef{st: st, tk: st.issue()})
+		v.slots = append(v.slots, slotRef{st: st, tk: sh.issue(pos)})
 	}
 }
 
@@ -833,51 +813,6 @@ func (v *visit) holds(st *slotState) bool {
 		}
 	}
 	return false
-}
-
-// remap runs one Figure-6 iteration over every handle (admitter-only). The
-// handle list is snapshotted under hMu so a concurrent AddProgram (hot
-// swap) neither blocks admission nor tears the iteration.
-func (e *Engine) remap() {
-	e.hMu.Lock()
-	e.hScratch = append(e.hScratch[:0], e.handles...)
-	e.hMu.Unlock()
-	for _, h := range e.hScratch {
-		e.remapHandle(h)
-	}
-}
-
-// remapHandle runs one Figure-6 iteration (sharding.Window.Pick) per sharded
-// array of one handle, under the paper's in-flight gate: an index is a
-// candidate only if every ticket issued on it has been served, so no
-// in-flight access can observe a torn value (and no future one exists until
-// this goroutine issues it).
-func (e *Engine) remapHandle(h *Handle) {
-	for reg := range h.shard {
-		sh := &h.shard[reg]
-		if !sh.sharded {
-			continue
-		}
-		best, hi, lo, ok := sh.win.Pick(sh.owner, func(i int) bool {
-			st := &sh.slots[i]
-			return st.served.Load() == st.issued.Load()
-		})
-		if !ok {
-			continue
-		}
-		// Every ticket served: the old owner's last touch of the slot
-		// (pop's served store) happened before Pick's acquire-load, and the
-		// next ticket is issued after owner[] is updated below — the mailbox
-		// send of its packet carries the value, the access log and the wait
-		// ring on to the new owner. placeMu publishes the new owner to
-		// ShardMap snapshots.
-		h.wregs[lo].Array(reg)[best] = h.wregs[hi].Array(reg)[best]
-		e.placeMu.Lock()
-		sh.owner[best] = lo
-		e.placeMu.Unlock()
-		e.shardMoves++
-		e.met.ShardMoves.Inc()
-	}
 }
 
 // watchdog aborts the run when no packet egresses for StallTimeout while
@@ -928,16 +863,15 @@ func (e *Engine) result(injected int64, elapsed time.Duration) *Result {
 		lat.Merge(w.lat)
 	}
 	res := &Result{
-		Workers:    e.k,
-		Injected:   injected,
-		Completed:  e.completed.Load(),
-		Steers:     e.steers.Load(),
-		Parks:      e.parks.Load(),
-		Wasted:     e.wasted.Load(),
-		ShardMoves: e.shardMoves,
-		Stalled:    e.stalled.Load(),
-		Elapsed:    elapsed,
-		Latency:    lat,
+		Workers:   e.k,
+		Injected:  injected,
+		Completed: e.completed.Load(),
+		Steers:    e.steers.Load(),
+		Parks:     e.parks.Load(),
+		Wasted:    e.wasted.Load(),
+		Stalled:   e.stalled.Load(),
+		Elapsed:   elapsed,
+		Latency:   lat,
 	}
 	if e.cfg.RecordEgressOrder {
 		res.Reordered = core.CountOvertakers(e.egressOrder)
@@ -1124,8 +1058,9 @@ func (e *Engine) WorkerStats() []WorkerStat {
 func (e *Engine) TicketDepths() (pending, maxDepth int64) {
 	for _, h := range e.Handles() {
 		for reg := range h.shard {
-			for i := range h.shard[reg].slots {
-				d := h.shard[reg].slots[i].depth()
+			sh := &h.shard[reg]
+			for i := range sh.slots {
+				d := sh.depth(i)
 				pending += d
 				if d > maxDepth {
 					maxDepth = d
@@ -1136,8 +1071,8 @@ func (e *Engine) TicketDepths() (pending, maxDepth int64) {
 	return pending, maxDepth
 }
 
-// ShardEntry is one register array's live D2 placement, in the shape the
-// admin plane serves as JSON.
+// ShardEntry is one register array's placement, in the shape the admin
+// plane serves as JSON.
 type ShardEntry struct {
 	Reg     int    `json:"reg"`
 	Name    string `json:"name"`
@@ -1147,17 +1082,15 @@ type ShardEntry struct {
 	Owners []int `json:"owners"`
 }
 
-// ShardMap snapshots the default handle's live index→worker ownership —
-// see ShardMapFor.
+// ShardMap copies the default handle's index→worker ownership — see
+// ShardMapFor.
 func (e *Engine) ShardMap() []ShardEntry { return e.ShardMapFor(e.def) }
 
-// ShardMapFor snapshots the live index→worker ownership of every register
-// array of handle h. Safe from any goroutine while the engine runs: remap
-// publishes owner changes under the same lock the snapshot takes.
+// ShardMapFor copies the index→worker ownership of every register array of
+// handle h. Placement is fixed when the handle is built, so it is safe from
+// any goroutine at any time, with no lock.
 func (e *Engine) ShardMapFor(h *Handle) []ShardEntry {
 	out := make([]ShardEntry, len(h.shard))
-	e.placeMu.Lock()
-	defer e.placeMu.Unlock()
 	for r := range h.shard {
 		out[r] = ShardEntry{
 			Reg:     r,

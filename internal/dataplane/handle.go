@@ -75,10 +75,9 @@ func (q *Quota) InUse() int64 { return q.used.Load() }
 //
 // A Handle is immutable after AddProgram publishes it except for the
 // structures its own packets flow through, each with its existing ownership
-// rule: slots (admitter issues / owning worker serves; see slotState),
-// shard counters and owner arrays (admitter-only, snapshots under placeMu),
-// wregs (owning worker, plus remap's migrate of a fully served slot), the
-// free list (its own mutex), and the atomics.
+// rule: ticket state (the admitter issues, the owning pipeline serves; see
+// slotState), wregs (the owning pipeline), the free list (its own mutex), and
+// the atomics. Placement — the owner and slot tables — is fixed here.
 type Handle struct {
 	e       *Engine
 	name    string
@@ -105,9 +104,12 @@ type Handle struct {
 	quota *Quota
 
 	// free is this program's packet free list (same bounded mutex-stack
-	// discipline as the old engine-global list; see Engine docs).
+	// discipline as the old engine-global list; see Engine docs). ready
+	// holds the packets getPackets took off it for the chunk being
+	// admitted (admitter-only).
 	freeMu sync.Mutex
 	free   []*packet
+	ready  []*packet
 
 	// record mirrors RecordOutputs||RecordAccessOrder: when set, idSeq
 	// accumulates the global packet ids admitted through this handle, in
@@ -140,28 +142,33 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 	}
 	h.vm = bytecode.NewVM(h.bc)
 	h.free = make([]*packet, 0, e.cfg.Window)
+	h.ready = make([]*packet, 0, e.cfg.Window)
 	h.wregs = make([]*ir.RegFile, e.k)
 	for i := range h.wregs {
 		h.wregs[i] = ir.NewRegFile(prog)
 	}
 	// Seed != 0 selects the seeded placement policy: the balanced
-	// round-robin assignment, deterministically shuffled per array. The
-	// version offset keeps every handle's placement deterministic while
-	// still distinct across program versions; the first handle (version 0)
-	// reproduces the single-program engine's placement exactly.
+	// round-robin assignment, deterministically shuffled once per distinct
+	// array size, so arrays of equal size — typically indexed by the same
+	// key — stay co-sharded and a packet visiting both never steers between
+	// them. The version offset keeps every handle's placement deterministic
+	// while still distinct across program versions; the first handle
+	// (version 0) reproduces the single-program engine's placement exactly.
 	var placeRng *rand.Rand
 	if e.cfg.Seed != 0 {
 		placeRng = rand.New(rand.NewSource(e.cfg.Seed + int64(version)))
 	}
+	bySize := map[int][]int{} // owner tables are immutable, so equal sizes share one
 	h.shard = make([]regShard, len(prog.Regs))
 	for r := range prog.Regs {
 		info := &prog.Regs[r]
 		sh := &h.shard[r]
 		sh.sharded = info.Sharded
 		sh.size = info.Size
-		if sh.sharded {
+		if !sh.sharded {
+			sh.owner = []int{sharding.Home(info, e.k)}
+		} else if sh.owner = bySize[info.Size]; sh.owner == nil {
 			sh.owner = make([]int, info.Size)
-			sh.win = sharding.NewWindow(info.Size, e.k)
 			for i := range sh.owner {
 				sh.owner[i] = i % e.k
 			}
@@ -170,15 +177,13 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 					sh.owner[i], sh.owner[j] = sh.owner[j], sh.owner[i]
 				})
 			}
-			sh.slots = make([]slotState, info.Size)
-		} else {
-			sh.owner = []int{sharding.Home(info, e.k)}
-			sh.slots = make([]slotState, 1)
+			bySize[info.Size] = sh.owner
 		}
 		if e.cfg.RecordAccessOrder {
 			sh.log = make([][]int64, info.Size)
 		}
 	}
+	newPlacement(h.shard, e.k)
 	h.plan = resolvePlan(prog, h.shard)
 	return h
 }
@@ -235,20 +240,37 @@ func (h *Handle) Stats() HandleStats {
 	return st
 }
 
-// getPacket pops a recycled packet off this handle's free list, or builds a
-// fresh one shaped for this handle's program. Admitter-only.
-func (h *Handle) getPacket() *packet {
+// getPackets readies n packets for getPacket: recycled ones off this
+// handle's free list under one lock — one per admission chunk, not one per
+// packet — and fresh ones shaped for this handle's program for the rest.
+// Admitter-only.
+func (h *Handle) getPackets(n int) {
 	h.freeMu.Lock()
-	if n := len(h.free); n > 0 {
-		p := h.free[n-1]
-		h.free[n-1] = nil
-		h.free = h.free[:n-1]
-		h.freeMu.Unlock()
-		p.h = h // poison-on-free may have clobbered it
-		return p
-	}
+	m := min(n, len(h.free))
+	tail := h.free[len(h.free)-m:]
+	h.ready = append(h.ready, tail...)
+	clear(tail)
+	h.free = h.free[:len(h.free)-m]
 	h.freeMu.Unlock()
-	return &packet{h: h, env: ir.NewEnv(h.prog)}
+	for _, p := range h.ready[len(h.ready)-m:] {
+		p.h = h // poison-on-free may have clobbered it
+	}
+	for ; m < n; m++ {
+		h.ready = append(h.ready, &packet{h: h, env: ir.NewEnv(h.prog)})
+	}
+}
+
+// getPacket hands out a packet getPackets readied, readying one when none
+// is left. Admitter-only.
+func (h *Handle) getPacket() *packet {
+	if len(h.ready) == 0 {
+		h.getPackets(1)
+	}
+	n := len(h.ready) - 1
+	p := h.ready[n]
+	h.ready[n] = nil
+	h.ready = h.ready[:n]
+	return p
 }
 
 // putPackets recycles packets after their last observer is done with them (a

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -44,6 +45,17 @@ func drainReturns(t *testing.T, e *Engine) *Result {
 	}
 }
 
+// quiesce blocks the admitter until every admitted packet egressed.
+func quiesce(t *testing.T, e *Engine) {
+	t.Helper()
+	for e.InFlight() != 0 {
+		if e.Stalled() {
+			t.Fatal("engine stalled while quiescing")
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestSubmitSteadyStateAllocs is the zero-alloc acceptance criterion: once
 // the free list and every scratch buffer warmed up, a Submit must perform
 // zero heap allocations — on the admitter *and* on the workers, since
@@ -60,7 +72,7 @@ func TestSubmitSteadyStateAllocs(t *testing.T) {
 	e := New(prog, Config{Workers: 2, Window: 64})
 	e.Start()
 	// Warmup: populate the free list, grow every visit/slot/queue buffer to
-	// its steady capacity, and cross a few remap boundaries.
+	// its steady capacity.
 	for i := range arrivals {
 		if !e.Submit(&arrivals[i]) {
 			t.Fatal("engine aborted during warmup")

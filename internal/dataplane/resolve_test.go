@@ -86,7 +86,7 @@ func TestResolvePlan(t *testing.T) {
 		var got []int
 		for _, ref := range p.visits[0].slots {
 			for i := range h.shard[0].slots {
-				if ref.st == &h.shard[0].slots[i] {
+				if ref.st == h.shard[0].slots[i] {
 					got = append(got, i)
 				}
 			}

@@ -128,10 +128,19 @@ func seededOwners(t *testing.T, seed int64, k int) [][]int {
 
 // TestSeededPlacementDeterminism wires Config.Seed: the same seed must
 // reproduce the same initial placement, different seeds must produce
-// different ones (size 64 >= k*4), seed 0 must keep plain round-robin, and
-// every seeded placement must stay perfectly balanced.
+// different ones (size 64 >= k*4), seed 0 must keep plain round-robin,
+// every seeded placement must stay perfectly balanced, and arrays of equal
+// size must get identical owners under any seed.
 func TestSeededPlacementDeterminism(t *testing.T) {
 	const k = 4
+	for _, seed := range []int64{0, 7, 42, 43} {
+		owners := seededOwners(t, seed, k)
+		for _, o := range owners[1:] {
+			if !reflect.DeepEqual(o, owners[0]) {
+				t.Fatalf("seed %d: equal-size arrays placed differently:\n%v\n%v", seed, owners[0], o)
+			}
+		}
+	}
 	a1 := seededOwners(t, 42, k)
 	a2 := seededOwners(t, 42, k)
 	if !reflect.DeepEqual(a1, a2) {
@@ -231,9 +240,9 @@ func TestOnEgressHook(t *testing.T) {
 	}
 }
 
-// TestShardMapSnapshot exercises the live placement snapshot while the
-// engine is running under churn-heavy remapping (the race detector guards
-// the locking discipline) and validates its shape afterwards.
+// TestShardMapSnapshot reads the placement snapshot concurrently with a
+// churn-heavy run (the race detector guards that it reads nothing a run
+// writes) and validates its shape afterwards.
 func TestShardMapSnapshot(t *testing.T) {
 	prog, err := apps.Synthetic(2, 64, 16)
 	if err != nil {
@@ -242,7 +251,7 @@ func TestShardMapSnapshot(t *testing.T) {
 	arrivals := workload.Synthetic(prog, workload.Spec{
 		Packets: 4000, Pipelines: 4, Seed: 5, Pattern: workload.Skewed, ChurnInterval: 64,
 	}, 2, 64)
-	e := New(prog, Config{Workers: 4, RemapInterval: 32})
+	e := New(prog, Config{Workers: 4})
 	stop := make(chan struct{})
 	go func() {
 		for {

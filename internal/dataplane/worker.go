@@ -52,9 +52,9 @@ type visit struct {
 	slots []slotRef
 }
 
-// slotRef is one ticket: the slot's ticket lock (so workers never consult
-// the admitter-owned placement tables) and the position tk the admitter
-// stamped at resolve time.
+// slotRef is one ticket: the owner half of the slot's ticket lock (all a
+// worker tests, parks on and pops) and the position tk the admitter stamped
+// at resolve time.
 type slotRef struct {
 	st *slotState
 	tk uint64
@@ -408,9 +408,9 @@ func (w *worker) observe(reg int, idx int64, write bool) {
 func (w *worker) cover(p *packet, v *visit, reg int, idx int64) {
 	sh := &p.h.shard[reg]
 	ci := ir.ClampIndex(int(idx), sh.size)
-	st := &sh.slots[0]
+	st := sh.slots[0]
 	if sh.sharded {
-		st = &sh.slots[ci]
+		st = sh.slots[ci]
 	}
 	for i := range v.slots {
 		if v.slots[i].st != st {
@@ -447,8 +447,7 @@ func blocked(v *visit) *slotRef {
 // runs unobserved; any other stage runs with the access observer attached.
 // Then one loop counts every ticket whose bit is unset as a wasted visit,
 // retires each ticket, and promotes the packet parked on the slot's next
-// one, if any. Access order, when recorded, is logged before the pops (the
-// last-touch rule).
+// one, if any. Access order, when recorded, is logged before the pops.
 func (w *worker) execVisit(p *packet, v *visit) {
 	h := p.h
 	sp := &h.bc.Stages[v.stage]

@@ -59,7 +59,7 @@ const SubmitSingle = "single"
 
 // DataplaneWorkers are the worker counts Run sweeps the concurrent dataplane
 // across: serial, minimal concurrency, and enough workers to exercise
-// steering, parking and remapping on programs with several stateful stages.
+// steering and parking on programs with several stateful stages.
 var DataplaneWorkers = []int{1, 2, 4}
 
 // Case is one differential-fuzzing input: a generated program plus the

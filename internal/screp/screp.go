@@ -56,8 +56,7 @@ const (
 )
 
 // Config parameterizes an Engine. It is deliberately a subset of
-// dataplane.Config — replication has no shard placement to seed and no
-// remap cadence to tune.
+// dataplane.Config — replication has no shard placement to seed.
 type Config struct {
 	// Workers is the number of replica workers k (one goroutine each, each
 	// holding a full private register file); 0 defaults to

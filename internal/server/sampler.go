@@ -177,10 +177,9 @@ type StatsSnapshot struct {
 	SubmitAborts   int64 `json:"submit_aborts"`
 	Conns          int64 `json:"conns"`
 
-	Steers     int64 `json:"steers"`
-	Parks      int64 `json:"parks"`
-	Wasted     int64 `json:"wasted_visits"`
-	ShardMoves int64 `json:"shard_moves"`
+	Steers int64 `json:"steers"`
+	Parks  int64 `json:"parks"`
+	Wasted int64 `json:"wasted_visits"`
 
 	RxPPS     float64 `json:"rx_pps"`
 	AckPPS    float64 `json:"ack_pps"`
@@ -222,10 +221,9 @@ func (s *Server) statsSnapshot() StatsSnapshot {
 		SubmitAborts:   s.met.submitFail.Value(),
 		Conns:          s.met.conns.Value(),
 
-		Steers:     s.engMet.Steers.Value(),
-		Parks:      s.engMet.Parks.Value(),
-		Wasted:     s.engMet.Wasted.Value(),
-		ShardMoves: s.engMet.ShardMoves.Value(),
+		Steers: s.engMet.Steers.Value(),
+		Parks:  s.engMet.Parks.Value(),
+		Wasted: s.engMet.Wasted.Value(),
 
 		RxPPS:     s.rxPPS.Value(),
 		AckPPS:    s.ackPPS.Value(),

@@ -1,8 +1,7 @@
 // Package server wraps the concurrent dataplane (internal/dataplane) in an
 // always-on network daemon — the runtime half of the paper's system: a
 // compiled MP5 program plus an engine that admits an unbounded packet
-// stream, with the D2 remap heuristic running against live access counters
-// while operators observe it.
+// stream while operators observe it.
 //
 // Topology:
 //
@@ -84,8 +83,8 @@ func ParsePolicy(s string) (Policy, error) {
 
 // Config parameterizes a Server.
 type Config struct {
-	// Engine configures the wrapped dataplane (workers, window, remap
-	// interval, placement seed). OnEgress is owned by the server.
+	// Engine configures the wrapped dataplane (workers, window, placement
+	// seed). OnEgress is owned by the server.
 	Engine dataplane.Config
 	// TCPAddr/UDPAddr are the data-plane listen addresses; "" disables
 	// that listener (at least one must be set).

@@ -55,8 +55,8 @@ type Move struct {
 // window (§3.4) and picks that window's Figure-6 migration. count[i] counts
 // index i, agg[p] sums the counts of pipeline p's indices, and hot lists the
 // indices counted, so a remap reads and resets only what the window touched.
-// The simulator's Map and the dataplane engine's admitter each keep one per
-// sharded array; a Window is not safe for concurrent use.
+// The simulator's Map keeps one per sharded array (the dataplane engine's
+// placement is static); a Window is not safe for concurrent use.
 type Window struct {
 	count []int64
 	hot   []int

@@ -33,7 +33,7 @@ for doc in "${docs[@]}"; do
 		[[ -e $path ]] && continue
 		dir=${path%.*} sym=${path##*.}
 		if [[ $dir != "$path" && -d $dir && $sym =~ ^[A-Z][A-Za-z0-9_]*$ ]]; then
-			cat "$dir"/*.go | grep -Eq "^(func (\([^)]*\) )?|type |var |const |	)$sym\b" ||
+			grep -Eq "^(func (\([^)]*\) )?|type |var |const |	)$sym\b" "$dir"/*.go ||
 				stale "$doc:$line" "$ref" "$dir declares no $sym"
 			continue
 		fi
