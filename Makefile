@@ -46,15 +46,20 @@ race-dataplane:
 
 # flake-hunt repeats the tests whose outcome once depended on timing — the
 # baton handoffs between admitter and driver goroutine (leave with work,
-# reclaim, abort and stall under the baton) — 50 times each plain, under
-# -race, and under -race with poison-on-free. A pre-merge tool for changes
-# to the ticket, park or driver path (a few minutes), deliberately not part
-# of `check`; the bar is 0 failures.
+# reclaim, abort and stall under the baton), and the daemon's overload
+# shedding, drain during a hot swap and traced soak — 50 times each plain,
+# under -race, and under -race with poison-on-free. A pre-merge tool for
+# changes to the ticket, park, driver or server path (several minutes),
+# deliberately not part of `check`; the bar is 0 failures.
 FLAKY = TestAdmitterLeavesWorkToDriver|TestAdmitterReclaimsBaton|TestWatchdogDetectsStall|TestSubmitAbortRetiresTickets|TestSubmitBatchAbortRetiresTickets
+FLAKY_SERVER = TestUDPOverloadShedsAtIngress|TestShutdownMidHotSwap|TestTracedSoakTCP
 flake-hunt:
 	$(PROCS) $(GO) test -count 50 -run '$(FLAKY)' ./internal/dataplane
 	$(PROCS) $(GO) test -race -count 50 -run '$(FLAKY)' ./internal/dataplane
 	$(PROCS) $(GO) test -tags mp5debug -race -count 50 -run '$(FLAKY)' ./internal/dataplane
+	$(PROCS) $(GO) test -count 50 -run '$(FLAKY_SERVER)' ./internal/server
+	$(PROCS) $(GO) test -race -count 50 -run '$(FLAKY_SERVER)' ./internal/server
+	$(PROCS) $(GO) test -tags mp5debug -race -count 50 -run '$(FLAKY_SERVER)' ./internal/server
 
 # allocs-gate is the hot-path allocation regression gate: steady-state
 # Submit must perform exactly zero heap allocations per packet and

@@ -1,8 +1,8 @@
 // Command mp5fuzz runs long offline differential-fuzzing sweeps: random
 // Domino programs under random workloads, each checked against the
 // single-pipeline reference on every order-preserving architecture, on the
-// simulator behind a slow crossbar (event-driven and full-sweep), and on the
-// concurrent engines (final state, packet outputs, and C1 access order).
+// simulator behind a slow crossbar, and on the concurrent engines (final
+// state, packet outputs, and C1 access order).
 // Failures are minimized and written as JSONL artifacts that -repro replays.
 //
 // Examples:
@@ -56,12 +56,12 @@ func main() {
 	out := flag.String("out", "", "write JSONL failure artifacts to this file")
 	shrinkBudget := flag.Int("shrink", 80, "shrink budget in candidate runs per failure (0 disables)")
 	repro := flag.String("repro", "", "replay failure artifacts from this JSONL file instead of sweeping")
-	engine := flag.String("engine", "", "restrict the sweep (or -repro replay) to one engine family: core, core-sweep, bytecode, dataplane, dataplane-mt, or screp (empty: all)")
+	engine := flag.String("engine", "", "restrict the sweep (or -repro replay) to one engine family: core, bytecode, dataplane, dataplane-mt, or screp (empty: all)")
 	verbose := flag.Bool("v", false, "log every Nth case")
 	flag.Parse()
 
 	switch *engine {
-	case "", fuzz.EngineCore, fuzz.EngineSweep, fuzz.EngineBytecode,
+	case "", fuzz.EngineCore, fuzz.EngineBytecode,
 		fuzz.EngineDataplane, fuzz.EngineMultiTenant, fuzz.EngineScrep:
 	default:
 		fatal(fmt.Errorf("unknown engine %q", *engine))

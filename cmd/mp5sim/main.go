@@ -14,8 +14,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
+	"time"
 
 	"mp5/internal/apps"
 	"mp5/internal/compiler"
@@ -24,6 +24,7 @@ import (
 	"mp5/internal/equiv"
 	"mp5/internal/ir"
 	"mp5/internal/screp"
+	"mp5/internal/stats"
 	"mp5/internal/telemetry"
 	"mp5/internal/viz"
 	"mp5/internal/workload"
@@ -58,7 +59,6 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write a Prometheus-text metrics snapshot to this file at the end of the run")
 	sampleInterval := flag.Int64("sample-interval", 0, "time-series sampling interval in cycles (0 disables; defaults to 1000 when -trace-jsonl or -metrics-out is set)")
 	topIndices := flag.Int("top-indices", 0, "print the N hottest register indices (by resolution count) after the run")
-	fullSweep := flag.Bool("full-sweep", false, "use the legacy per-cycle scheduler instead of the event-driven one (debugging aid; observable behaviour is identical, sparse traces run slower)")
 	engineName := flag.String("engine", "sim", "execution engine: sim (cycle-accurate simulator), dataplane (concurrent sharded engine), or screp (state-compute replication; both concurrent engines ignore -arch and the event-stream flags)")
 	workers := flag.Int("workers", 0, "worker count for -engine=dataplane or -engine=screp (0 = GOMAXPROCS)")
 	flag.Parse()
@@ -112,11 +112,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *engineName == "dataplane" {
-		os.Exit(runDataplane(prog, trace, *workers, *verify, *metricsOut))
-	}
-	if *engineName == "screp" {
-		os.Exit(runScrep(prog, trace, *workers, *verify, *metricsOut))
+	if *engineName != "sim" {
+		os.Exit(runEngine(*engineName, prog, trace, *workers, *verify, *metricsOut))
 	}
 
 	cfg := core.Config{
@@ -181,7 +178,6 @@ func main() {
 		cfg.Trace = telemetry.Tee(hooks...)
 	}
 	sim := core.NewSimulator(prog, cfg)
-	sim.SetFullSweep(*fullSweep)
 	res := sim.Run(trace)
 	if timeline != nil {
 		fmt.Print(timeline.Render())
@@ -268,54 +264,103 @@ func main() {
 		os.Exit(3)
 	}
 
-	if *verify {
-		if res.Completed != res.Injected {
-			fmt.Println("equivalence        skipped (packet loss; see Sec 3.5.1)")
-			return
-		}
-		rep := equiv.Check(prog, sim, trace)
-		if rep.Equivalent {
-			fmt.Printf("equivalence        OK (%d packets, all registers)\n", rep.PacketsCompared)
-		} else {
-			fmt.Printf("equivalence        FAILED: %d mismatches, e.g. %v\n",
-				rep.Total, rep.Mismatches[0])
-			os.Exit(1)
-		}
+	// The simulator's own access log records resolved accesses, not
+	// effective ones, so its C1 standing is the violation count above and
+	// the verdict compares state alone.
+	if !*verify {
+		return
+	}
+	if res.Completed != res.Injected {
+		fmt.Println("equivalence        skipped (packet loss; see Sec 3.5.1)")
+		return
+	}
+	os.Exit(printVerdict(equiv.Check(prog, sim, trace), "all registers"))
+}
+
+// printVerdict prints the equivalence line of a verdict — covered names what
+// an OK compared beyond the packets — and returns the exit code.
+func printVerdict(rep *equiv.Report, covered string) int {
+	if !rep.Equivalent {
+		fmt.Printf("equivalence        FAILED: %s\n", rep)
+		return 1
+	}
+	fmt.Printf("equivalence        OK (%d packets, %s)\n", rep.PacketsCompared, covered)
+	return 0
+}
+
+// engineRun is a finished concurrent-engine run as mp5sim reports it,
+// whichever engine produced it.
+type engineRun struct {
+	injected, completed int64
+	reordered           int64
+	stalled             bool
+	elapsed             time.Duration
+	pps                 float64
+	latency             *stats.Histogram
+	// title names the engine on the engine line; detail is the one
+	// engine-specific summary line.
+	title, detail string
+	// eng reads back what the verdict compares.
+	eng interface {
+		FinalRegs() [][]int64
+		Outputs() map[int64][]int64
+		AccessOrders() map[string][]int64
 	}
 }
 
-// runDataplane executes the trace on the concurrent goroutine engine instead
-// of the cycle-accurate simulator and prints the analogous summary. Verify
-// checks both state/output equivalence and the per-slot C1 access order
+// runEngine executes the trace on a concurrent engine — the sharded
+// dataplane or screp (state-compute replication) — instead of the
+// cycle-accurate simulator and prints the analogous summary. Verify holds
+// the run to the C1 verdict: state, outputs and per-slot access order
 // against the single-pipeline reference. Returns the process exit code.
-func runDataplane(prog *ir.Program, trace []core.Arrival, workers int, verify bool, metricsOut string) int {
-	cfg := dataplane.Config{
-		Workers:           workers,
-		RecordOutputs:     verify,
-		RecordAccessOrder: verify,
-		RecordEgressOrder: true,
-	}
+func runEngine(name string, prog *ir.Program, trace []core.Arrival, workers int, verify bool, metricsOut string) int {
 	var reg *telemetry.Registry
 	if metricsOut != "" {
 		reg = telemetry.NewRegistry()
-		cfg.Metrics = dataplane.NewMetrics(reg)
 	}
-	eng := dataplane.New(prog, cfg)
-	res := eng.Run(trace)
+	var r engineRun
+	if name == "screp" {
+		cfg := screp.Config{Workers: workers, RecordOutputs: verify, RecordAccessOrder: verify, RecordEgressOrder: true}
+		if reg != nil {
+			cfg.Metrics = screp.NewMetrics(reg)
+		}
+		eng := screp.New(prog, cfg)
+		res := eng.Run(trace)
+		r = engineRun{
+			injected: res.Injected, completed: res.Completed, reordered: res.Reordered, stalled: res.Stalled,
+			elapsed: res.Elapsed, pps: res.PktsPerSec, latency: res.Latency,
+			title: fmt.Sprintf("screp (state-compute replication), %d replicas", res.Workers),
+			detail: fmt.Sprintf("replication        %d deltas published, %d writes replayed (%.2f per packet)",
+				res.DeltasPublished, res.WritesReplayed, float64(res.WritesReplayed)/float64(max64(res.Injected, 1))),
+			eng: eng,
+		}
+	} else {
+		cfg := dataplane.Config{Workers: workers, RecordOutputs: verify, RecordAccessOrder: verify, RecordEgressOrder: true}
+		if reg != nil {
+			cfg.Metrics = dataplane.NewMetrics(reg)
+		}
+		eng := dataplane.New(prog, cfg)
+		res := eng.Run(trace)
+		r = engineRun{
+			injected: res.Injected, completed: res.Completed, reordered: res.Reordered, stalled: res.Stalled,
+			elapsed: res.Elapsed, pps: res.PktsPerSec, latency: res.Latency,
+			title:  fmt.Sprintf("dataplane, %d workers", res.Workers),
+			detail: fmt.Sprintf("crossbar           %d steers, %d parks, %d wasted visits", res.Steers, res.Parks, res.Wasted),
+			eng:    eng,
+		}
+	}
 
 	fmt.Printf("program            %s (%d stages, %d resolution, %d registers)\n",
 		prog.Name, prog.NumStages(), prog.ResolutionStages, len(prog.Regs))
-	fmt.Printf("engine             dataplane, %d workers (GOMAXPROCS %d)\n",
-		res.Workers, runtime.GOMAXPROCS(0))
-	fmt.Printf("packets            %d injected, %d completed\n", res.Injected, res.Completed)
+	fmt.Printf("engine             %s (GOMAXPROCS %d)\n", r.title, runtime.GOMAXPROCS(0))
+	fmt.Printf("packets            %d injected, %d completed\n", r.injected, r.completed)
 	fmt.Printf("throughput         %.0f packets/sec (%.2f ms elapsed)\n",
-		res.PktsPerSec, float64(res.Elapsed.Microseconds())/1000)
-	fmt.Printf("crossbar           %d steers, %d parks, %d wasted visits\n",
-		res.Steers, res.Parks, res.Wasted)
-	fmt.Printf("reordered egress   %d packets\n", res.Reordered)
-	if res.Latency != nil && res.Latency.Total() > 0 {
+		r.pps, float64(r.elapsed.Microseconds())/1000)
+	fmt.Println(r.detail)
+	fmt.Printf("reordered egress   %d packets\n", r.reordered)
+	if r.latency != nil && r.latency.Total() > 0 {
 		fmt.Printf("latency            p50 %.0f µs, p99 %.0f µs\n",
-			res.Latency.Quantile(0.5), res.Latency.Quantile(0.99))
+			r.latency.Quantile(0.5), r.latency.Quantile(0.99))
 	}
 	if metricsOut != "" {
 		f, err := os.Create(metricsOut)
@@ -329,102 +374,22 @@ func runDataplane(prog *ir.Program, trace []core.Arrival, workers int, verify bo
 			fatal(err)
 		}
 	}
-	if res.Stalled {
-		fmt.Fprintf(os.Stderr, "mp5sim: dataplane stalled (%d of %d packets completed)\n",
-			res.Completed, res.Injected)
+	switch equiv.Liveness(r.stalled, r.completed, r.injected) {
+	case "stall":
+		fmt.Fprintf(os.Stderr, "mp5sim: %s stalled (%d of %d packets completed)\n",
+			name, r.completed, r.injected)
 		return 3
-	}
-	if verify {
-		if res.Completed != res.Injected {
+	case "loss":
+		if verify {
 			fmt.Println("equivalence        skipped (packet loss)")
-			return 0
 		}
-		ref := equiv.Run(prog, trace)
-		rep := ref.Check(eng.FinalRegs(), eng.Outputs())
-		if !rep.Equivalent {
-			fmt.Printf("equivalence        FAILED: %d mismatches, e.g. %v\n",
-				rep.Total, rep.Mismatches[0])
-			return 1
-		}
-		if !reflect.DeepEqual(ref.Order, eng.AccessOrders()) {
-			fmt.Println("equivalence        FAILED: C1 access order diverges from the reference")
-			return 1
-		}
-		fmt.Printf("equivalence        OK (%d packets, all registers, C1 order)\n", rep.PacketsCompared)
+		return 0
 	}
-	return 0
-}
-
-// runScrep executes the trace on the state-compute-replication engine and
-// prints the analogous summary; in place of the sharded engine's crossbar
-// columns it reports the replication overhead (published deltas, replayed
-// writes). Verify holds it to the same state/output and C1-order oracles.
-func runScrep(prog *ir.Program, trace []core.Arrival, workers int, verify bool, metricsOut string) int {
-	cfg := screp.Config{
-		Workers:           workers,
-		RecordOutputs:     verify,
-		RecordAccessOrder: verify,
-		RecordEgressOrder: true,
+	if !verify {
+		return 0
 	}
-	var reg *telemetry.Registry
-	if metricsOut != "" {
-		reg = telemetry.NewRegistry()
-		cfg.Metrics = screp.NewMetrics(reg)
-	}
-	eng := screp.New(prog, cfg)
-	res := eng.Run(trace)
-
-	fmt.Printf("program            %s (%d stages, %d resolution, %d registers)\n",
-		prog.Name, prog.NumStages(), prog.ResolutionStages, len(prog.Regs))
-	fmt.Printf("engine             screp (state-compute replication), %d replicas (GOMAXPROCS %d)\n",
-		res.Workers, runtime.GOMAXPROCS(0))
-	fmt.Printf("packets            %d injected, %d completed\n", res.Injected, res.Completed)
-	fmt.Printf("throughput         %.0f packets/sec (%.2f ms elapsed)\n",
-		res.PktsPerSec, float64(res.Elapsed.Microseconds())/1000)
-	fmt.Printf("replication        %d deltas published, %d writes replayed (%.2f per packet)\n",
-		res.DeltasPublished, res.WritesReplayed,
-		float64(res.WritesReplayed)/float64(max64(res.Injected, 1)))
-	fmt.Printf("reordered egress   %d packets\n", res.Reordered)
-	if res.Latency != nil && res.Latency.Total() > 0 {
-		fmt.Printf("latency            p50 %.0f µs, p99 %.0f µs\n",
-			res.Latency.Quantile(0.5), res.Latency.Quantile(0.99))
-	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := reg.WriteProm(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-	}
-	if res.Stalled {
-		fmt.Fprintf(os.Stderr, "mp5sim: screp stalled (%d of %d packets completed)\n",
-			res.Completed, res.Injected)
-		return 3
-	}
-	if verify {
-		if res.Completed != res.Injected {
-			fmt.Println("equivalence        skipped (packet loss)")
-			return 0
-		}
-		ref := equiv.Run(prog, trace)
-		rep := ref.Check(eng.FinalRegs(), eng.Outputs())
-		if !rep.Equivalent {
-			fmt.Printf("equivalence        FAILED: %d mismatches, e.g. %v\n",
-				rep.Total, rep.Mismatches[0])
-			return 1
-		}
-		if !reflect.DeepEqual(ref.Order, eng.AccessOrders()) {
-			fmt.Println("equivalence        FAILED: C1 access order diverges from the reference")
-			return 1
-		}
-		fmt.Printf("equivalence        OK (%d packets, all registers, C1 order)\n", rep.PacketsCompared)
-	}
-	return 0
+	rep := equiv.Run(prog, trace).Verify(r.eng.FinalRegs(), r.eng.Outputs(), r.eng.AccessOrders())
+	return printVerdict(rep, "all registers, C1 order")
 }
 
 // randomFieldTrace drives an arbitrary user program with uniformly random

@@ -25,10 +25,10 @@ void f (struct Packet p) {
 }
 `
 
-// accessOrderRun simulates accessOrderSrc on arch and returns the per-slot
-// access order reconstructed from EvAccess events, the reference order, and
-// the run result.
-func accessOrderRun(t *testing.T, arch core.Arch) (got, want map[string][]int64, res *core.Result) {
+// accessOrderRun simulates accessOrderSrc on arch, fails the test on loss,
+// and returns the C1 verdict on the run, with the observed per-slot access
+// order reconstructed from EvAccess events.
+func accessOrderRun(t *testing.T, arch core.Arch) *equiv.Report {
 	t.Helper()
 	prog := compileMP5(t, accessOrderSrc)
 	tr := lineRateTrace(prog, 6000, 4, 11)
@@ -38,9 +38,9 @@ func accessOrderRun(t *testing.T, arch core.Arch) (got, want map[string][]int64,
 		tr[i].Fields[a] = int64(rng.Intn(1024))
 		tr[i].Fields[b] = int64(rng.Intn(1024))
 	}
-	got = map[string][]int64{}
+	got := map[string][]int64{}
 	sim := core.NewSimulator(prog, core.Config{
-		Arch: arch, Pipelines: 4, Seed: 1,
+		Arch: arch, Pipelines: 4, Seed: 1, RecordOutputs: true,
 		Trace: func(e core.Event) {
 			if e.Kind == core.EvAccess {
 				key := banzai.AccessKey(e.Reg, e.Idx)
@@ -48,7 +48,11 @@ func accessOrderRun(t *testing.T, arch core.Arch) (got, want map[string][]int64,
 			}
 		},
 	})
-	return got, equiv.ReferenceOrder(prog, tr), sim.Run(tr)
+	res := sim.Run(tr)
+	if res.Completed != res.Injected {
+		t.Fatalf("%v: loss (%d of %d)", arch, res.Completed, res.Injected)
+	}
+	return equiv.Run(prog, tr).Verify(sim.FinalRegs(), sim.Outputs(), got)
 }
 
 // TestAccessEventsMatchReference: on MP5 (D4 on) the access order
@@ -57,24 +61,8 @@ func accessOrderRun(t *testing.T, arch core.Arch) (got, want map[string][]int64,
 // witness.
 func TestAccessEventsMatchReference(t *testing.T) {
 	for _, arch := range []core.Arch{core.ArchMP5, core.ArchIdeal, core.ArchNaive} {
-		got, want, res := accessOrderRun(t, arch)
-		if res.Completed != res.Injected {
-			t.Fatalf("%v: loss (%d of %d)", arch, res.Completed, res.Injected)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: %d slots accessed, reference has %d", arch, len(got), len(want))
-		}
-		for key, ref := range want {
-			seq := got[key]
-			if len(seq) != len(ref) {
-				t.Fatalf("%v: %s saw %d accesses, reference %d", arch, key, len(seq), len(ref))
-			}
-			for i := range ref {
-				if seq[i] != ref[i] {
-					t.Fatalf("%v: %s position %d: packet %d, reference %d",
-						arch, key, i, seq[i], ref[i])
-				}
-			}
+		if rep := accessOrderRun(t, arch); !rep.Equivalent {
+			t.Fatalf("%v: %s", arch, rep)
 		}
 	}
 }
@@ -83,25 +71,7 @@ func TestAccessEventsMatchReference(t *testing.T) {
 // order divergence in the EvAccess stream — otherwise the oracle could
 // never falsify anything.
 func TestAccessEventsExposeNoD4(t *testing.T) {
-	got, want, res := accessOrderRun(t, core.ArchMP5NoD4)
-	if res.Completed != res.Injected {
-		t.Fatalf("loss (%d of %d)", res.Completed, res.Injected)
-	}
-	diverged := false
-	for key, ref := range want {
-		seq := got[key]
-		if len(seq) != len(ref) {
-			diverged = true
-			break
-		}
-		for i := range ref {
-			if seq[i] != ref[i] {
-				diverged = true
-				break
-			}
-		}
-	}
-	if !diverged {
+	if rep := accessOrderRun(t, core.ArchMP5NoD4); len(rep.Order) == 0 {
 		t.Fatal("no-D4 run reproduced the reference order; oracle is blind")
 	}
 }

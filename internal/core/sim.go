@@ -319,8 +319,8 @@ func (s *Simulator) Run(arrivals []Arrival) *Result {
 // SetFullSweep forces the legacy scheduler: visit every (stage, pipeline)
 // slot every cycle and never fast-forward across workless cycles. The
 // observable behaviour (events, results, outputs, state) is identical to
-// the event-driven scheduler by construction; tests compare the two, and
-// mp5sim -full-sweep exposes it for debugging. Must be called before Run.
+// the event-driven scheduler by construction; tests compare the two and the
+// benchmark prices it. Must be called before Run.
 func (s *Simulator) SetFullSweep(on bool) { s.fullSweep = on }
 
 // nextEventCycle returns the earliest future cycle at which anything can

@@ -73,7 +73,7 @@ type Config struct {
 	// steering.
 	Seed int64
 	// RecordOutputs retains each packet's final header fields (required
-	// for equivalence checking via equiv.CheckState).
+	// for equivalence checking via equiv.Ref.Verify).
 	RecordOutputs bool
 	// RecordAccessOrder logs the per-slot effective access order, keyed
 	// like the simulator's EvAccess stream (required for C1 checking).

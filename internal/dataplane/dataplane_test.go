@@ -38,30 +38,10 @@ func runCheckedEngine(t *testing.T, prog *ir.Program, arrivals []core.Arrival, c
 		f(e)
 	}
 	res := e.Run(arrivals)
-	if res.Stalled {
-		t.Fatalf("workers=%d: engine stalled (%d of %d completed)", cfg.Workers, res.Completed, res.Injected)
+	if why := equiv.Liveness(res.Stalled, res.Completed, int64(len(arrivals))); why != "" {
+		t.Fatalf("workers=%d: %s: %d of %d completed (trace %d)", cfg.Workers, why, res.Completed, res.Injected, len(arrivals))
 	}
-	if res.Completed != res.Injected || res.Injected != int64(len(arrivals)) {
-		t.Fatalf("workers=%d: %d of %d completed (trace %d)", cfg.Workers, res.Completed, res.Injected, len(arrivals))
-	}
-	if rep := equiv.CheckState(prog, e.FinalRegs(), e.Outputs(), arrivals); !rep.Equivalent {
-		t.Fatalf("workers=%d: not equivalent to reference:\n%s", cfg.Workers, rep)
-	}
-	want := equiv.ReferenceOrder(prog, arrivals)
-	got := e.AccessOrders()
-	if !reflect.DeepEqual(want, got) {
-		for k, w := range want {
-			if !reflect.DeepEqual(w, got[k]) {
-				t.Fatalf("workers=%d: access order of %s diverged:\nwant %v\ngot  %v", cfg.Workers, k, w, got[k])
-			}
-		}
-		for k := range got {
-			if _, ok := want[k]; !ok {
-				t.Fatalf("workers=%d: spurious access sequence for %s: %v", cfg.Workers, k, got[k])
-			}
-		}
-		t.Fatalf("workers=%d: access orders diverged", cfg.Workers)
-	}
+	checkEquivalence(t, prog, e, arrivals, cfg.Workers)
 	return e, res
 }
 

@@ -883,7 +883,7 @@ func (e *Engine) result(injected int64, elapsed time.Duration) *Result {
 }
 
 // Outputs returns each completed packet's final header fields, keyed by
-// global packet id — the shape equiv.CheckState consumes on a
+// global packet id — the shape equiv.Ref.Verify consumes on a
 // single-program engine (where global ids coincide with arrival indices).
 // Only valid after Run/Drain, and only when Config.RecordOutputs was set.
 // Outputs live in per-worker maps until this merge (no egress lock).

@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"fmt"
-	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -15,17 +14,13 @@ import (
 	"mp5/internal/workload"
 )
 
-// checkEquivalence holds an already-drained engine to the state and C1
-// oracles (the post-run half of runChecked, for tests that drive admission
-// themselves).
+// checkEquivalence holds an already-drained engine to the C1 verdict —
+// state, outputs and per-slot access order (the post-run half of
+// runChecked, for tests that drive admission themselves).
 func checkEquivalence(t *testing.T, prog *ir.Program, e *Engine, arrivals []core.Arrival, workers int) {
 	t.Helper()
-	if rep := equiv.CheckState(prog, e.FinalRegs(), e.Outputs(), arrivals); !rep.Equivalent {
+	if rep := equiv.Run(prog, arrivals).Verify(e.FinalRegs(), e.Outputs(), e.AccessOrders()); !rep.Equivalent {
 		t.Fatalf("workers=%d: not equivalent to reference:\n%s", workers, rep)
-	}
-	want := equiv.ReferenceOrder(prog, arrivals)
-	if got := e.AccessOrders(); !reflect.DeepEqual(want, got) {
-		t.Fatalf("workers=%d: access orders diverged from reference", workers)
 	}
 }
 

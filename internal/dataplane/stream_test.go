@@ -41,12 +41,7 @@ func TestStreamingEquivalence(t *testing.T) {
 			if res.Stalled || res.Completed != int64(len(arrivals)) {
 				t.Fatalf("stream: %d of %d completed (stalled=%v)", res.Completed, len(arrivals), res.Stalled)
 			}
-			if rep := equiv.CheckState(prog, e.FinalRegs(), e.Outputs(), arrivals); !rep.Equivalent {
-				t.Fatalf("stream not equivalent to reference:\n%s", rep)
-			}
-			if !reflect.DeepEqual(equiv.ReferenceOrder(prog, arrivals), e.AccessOrders()) {
-				t.Fatal("stream C1 access order diverges from the reference")
-			}
+			checkEquivalence(t, prog, e, arrivals, k)
 		})
 	}
 }

@@ -2,11 +2,13 @@
 // multi-pipeline switch and the logical single-pipeline reference: starting
 // from the same initial state and the same input packet stream, the final
 // register state and every packet's final header contents must be
-// identical.
+// identical, and every register slot must see its accesses in the same
+// order (C1). Ref.Verify is the one verdict every differential caller uses.
 package equiv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,8 +39,25 @@ func (m Mismatch) String() string {
 	return fmt.Sprintf("packet %d field %d: reference=%d simulated=%d", m.PktID, m.Field, m.Want, m.Got)
 }
 
+// OrderDiv names one point where a state's observed access order diverged
+// from the single-pipeline reference. Want/Got are packet ids; -1 marks a
+// missing entry (sequences of different length, or a missing or spurious
+// state).
+type OrderDiv struct {
+	State string `json:"state"`
+	Pos   int    `json:"pos"`
+	Want  int64  `json:"want"`
+	Got   int64  `json:"got"`
+}
+
+func (d OrderDiv) String() string {
+	return fmt.Sprintf("%s position %d: reference packet %d, observed %d",
+		d.State, d.Pos, d.Want, d.Got)
+}
+
 // Report is the outcome of an equivalence check.
 type Report struct {
+	// Equivalent means state and order both match the reference.
 	Equivalent bool
 	// Mismatches lists up to Limit differences (register state first,
 	// then packet state in ascending packet-id order — the listing is
@@ -49,6 +68,9 @@ type Report struct {
 	Total int
 	// PacketsCompared counts packets whose outputs were checked.
 	PacketsCompared int
+	// Order lists the first access-order divergence per state, in state-name
+	// order, up to OrderLimit states.
+	Order []OrderDiv
 }
 
 // String renders the report in a stable, diff-friendly form: a verdict
@@ -60,7 +82,11 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "equivalent (%d packets compared)", r.PacketsCompared)
 		return b.String()
 	}
-	fmt.Fprintf(&b, "NOT equivalent: %d mismatches (%d packets compared)", r.Total, r.PacketsCompared)
+	fmt.Fprintf(&b, "NOT equivalent: %d mismatches", r.Total)
+	if len(r.Order) > 0 {
+		fmt.Fprintf(&b, ", %d states out of order", len(r.Order))
+	}
+	fmt.Fprintf(&b, " (%d packets compared)", r.PacketsCompared)
 	for _, m := range r.Mismatches {
 		b.WriteString("\n  ")
 		b.WriteString(m.String())
@@ -68,16 +94,23 @@ func (r *Report) String() string {
 	if r.Total > len(r.Mismatches) {
 		fmt.Fprintf(&b, "\n  ... and %d more", r.Total-len(r.Mismatches))
 	}
+	for _, d := range r.Order {
+		b.WriteString("\n  order: ")
+		b.WriteString(d.String())
+	}
 	return b.String()
 }
 
 // Limit caps the number of recorded mismatches.
 const Limit = 32
 
+// OrderLimit caps the number of states whose order divergence is recorded.
+const OrderLimit = 8
+
 // Ref is one run of the single-pipeline reference over an arrival trace:
 // the final register snapshot, every packet's final header fields, and the
-// per-slot access order. One Ref serves any number of checks, so a caller
-// that needs both the state and the C1 verdict pays for one pass.
+// per-slot access order. One Ref serves any number of verdicts, and one pass
+// gives both the state and the order a verdict compares.
 type Ref struct {
 	Regs    [][]int64
 	Outputs map[int64][]int64
@@ -149,23 +182,27 @@ func Check(prog *ir.Program, sim *core.Simulator, arrivals []core.Arrival) *Repo
 	return CheckState(prog, sim.FinalRegs(), sim.Outputs(), arrivals)
 }
 
-// CheckState is the engine-agnostic core of Check: it compares a final
-// register snapshot and a per-packet output map — however they were produced
-// (cycle simulator, concurrent dataplane, …) — against the single-pipeline
-// reference execution of the same program and trace. outputs must be
-// non-nil (the engine must have recorded per-packet final fields).
+// CheckState is the engine-agnostic state half of Verify: it compares a
+// final register snapshot and a per-packet output map — however they were
+// produced (cycle simulator, concurrent dataplane, …) — against the
+// single-pipeline reference execution of the same program and trace, without
+// the order. outputs must be non-nil (the engine must have recorded
+// per-packet final fields).
 func CheckState(prog *ir.Program, simRegs [][]int64, simOut map[int64][]int64, arrivals []core.Arrival) *Report {
-	return run(prog, arrivals, true, false).Check(simRegs, simOut)
+	return run(prog, arrivals, true, false).Verify(simRegs, simOut, nil)
 }
 
-// Check compares a final register snapshot and a per-packet output map
-// against the reference (see CheckState). simOut must be non-nil.
-func (ref *Ref) Check(simRegs [][]int64, simOut map[int64][]int64) *Report {
-	rep := &Report{Equivalent: true}
+// Verify is the C1 verdict: it compares a run's final register snapshot,
+// per-packet output map and per-slot access order against the reference.
+// simOut must be non-nil. A nil order against a Ref run without order (as
+// CheckState's) compares no order; against a Ref with order it reports every
+// reference state as missing. Only loss-free runs have a state to compare
+// (see Liveness).
+func (ref *Ref) Verify(simRegs [][]int64, simOut map[int64][]int64, order map[string][]int64) *Report {
+	rep := &Report{}
 	// Every mismatch counts toward Total; only the first Limit are kept,
 	// so one systematic divergence cannot hide the scale of the damage.
 	add := func(m Mismatch) {
-		rep.Equivalent = false
 		rep.Total++
 		if len(rep.Mismatches) < Limit {
 			rep.Mismatches = append(rep.Mismatches, m)
@@ -200,7 +237,71 @@ func (ref *Ref) Check(simRegs [][]int64, simOut map[int64][]int64) *Report {
 			}
 		}
 	}
+	rep.Order = diffOrders(ref.Order, order)
+	rep.Equivalent = rep.Total == 0 && len(rep.Order) == 0
 	return rep
+}
+
+// diffOrders returns the first divergence of every state whose observed
+// access sequence differs from the reference, in state-name order and
+// capped at OrderLimit; a state missing from got, or present only there,
+// diverges at position 0. The pass path walks the keys once, and only
+// divergences are sorted.
+func diffOrders(want, got map[string][]int64) []OrderDiv {
+	var divs []OrderDiv
+	shared := 0
+	for k, w := range want {
+		g, ok := got[k]
+		if ok {
+			shared++
+		}
+		if d, diverged := firstDiv(k, w, g); diverged {
+			divs = append(divs, d)
+		}
+	}
+	if shared < len(got) { // got holds states the reference never touched
+		for k, g := range got {
+			if _, ok := want[k]; !ok {
+				d, _ := firstDiv(k, nil, g)
+				divs = append(divs, d)
+			}
+		}
+	}
+	slices.SortFunc(divs, func(a, b OrderDiv) int { return strings.Compare(a.State, b.State) })
+	return divs[:min(len(divs), OrderLimit)]
+}
+
+// firstDiv finds the first position where two access sequences of state
+// differ; a position past the end of one reads -1.
+func firstDiv(state string, w, g []int64) (OrderDiv, bool) {
+	for i := 0; i < max(len(w), len(g)); i++ {
+		wv, gv := int64(-1), int64(-1)
+		if i < len(w) {
+			wv = w[i]
+		}
+		if i < len(g) {
+			gv = g[i]
+		}
+		if wv != gv {
+			return OrderDiv{State: state, Pos: i, Want: wv, Got: gv}, true
+		}
+	}
+	return OrderDiv{}, false
+}
+
+// Liveness names why a finished run has no final state to compare: "stall"
+// when it ended with packets still in flight, "loss" when fewer packets
+// completed than were injected, and "" when every packet completed. Register
+// equivalence is only meaningful for loss-free runs (§3.5.1), so every
+// differential caller asks before it calls Verify.
+func Liveness(stalled bool, completed, injected int64) string {
+	switch {
+	case stalled:
+		return "stall"
+	case completed != injected:
+		return "loss"
+	}
+	return ""
 }
 
 // ReferenceOrder returns the per-slot access order of the single-pipeline

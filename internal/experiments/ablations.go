@@ -258,15 +258,3 @@ func Atoms() *Table {
 	}
 	return t
 }
-
-// Ablations bundles all extension tables.
-func Ablations(sc Scale) []*Table {
-	return []*Table{
-		AblationRemapInterval(sc),
-		AblationFIFOCapacity(sc),
-		AblationSkew(sc),
-		AblationMitigations(sc),
-		AblationChiplet(sc),
-		Atoms(),
-	}
-}

@@ -2,7 +2,6 @@ package fuzz
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"mp5/internal/banzai"
@@ -25,13 +24,11 @@ var OrderPreserving = []core.Arch{
 
 // Engine names distinguish which execution engine produced a Failure: the
 // event-driven simulator ("core", the default — old artifacts with no engine
-// field decode to it), the simulator's legacy full-sweep scheduler
-// ("core-sweep"), the concurrent goroutine dataplane ("dataplane"), or the
-// direct bytecode-vs-interpreter differential on the serial single-pipeline
-// machine ("bytecode").
+// field decode to it), the concurrent goroutine dataplane ("dataplane"), or
+// the direct bytecode-vs-interpreter differential on the serial
+// single-pipeline machine ("bytecode").
 const (
 	EngineCore      = "core"
-	EngineSweep     = "core-sweep"
 	EngineDataplane = "dataplane"
 	EngineBytecode  = "bytecode"
 	// EngineMultiTenant is the multi-tenant dataplane differential: K
@@ -125,26 +122,11 @@ func (c *Case) Arrivals(prog *ir.Program) []core.Arrival {
 	return workload.FuzzTrace(prog, c.workSpec())
 }
 
-// OrderDiv names one point where a state's observed access order diverged
-// from the single-pipeline reference. Want/Got are packet ids; -1 marks a
-// missing entry (sequences of different length).
-type OrderDiv struct {
-	State string `json:"state"`
-	Pos   int    `json:"pos"`
-	Want  int64  `json:"want"`
-	Got   int64  `json:"got"`
-}
-
-func (d OrderDiv) String() string {
-	return fmt.Sprintf("%s position %d: reference packet %d, observed %d",
-		d.State, d.Pos, d.Want, d.Got)
-}
-
 // Failure is one engine configuration's divergence from the reference on one
 // case.
 type Failure struct {
-	// Engine identifies the execution engine (EngineCore, EngineSweep,
-	// EngineBytecode, EngineDataplane, EngineMultiTenant or EngineScrep);
+	// Engine identifies the execution engine (EngineCore, EngineBytecode,
+	// EngineDataplane, EngineMultiTenant or EngineScrep);
 	// empty means EngineCore for artifacts written before the field
 	// existed. A bytecode-engine failure means the VM and the interpreter
 	// disagreed outright on the serial machine. Arch is the simulated
@@ -154,9 +136,8 @@ type Failure struct {
 	Arch    core.Arch `json:"arch"`
 	Workers int       `json:"workers,omitempty"`
 	// CrossLatency is the simulator's inter-pipeline link latency in
-	// cycles (core.Config.CrossLatency) for the full-sweep leg and the
-	// event-driven cross-latency leg; 0 for a single-die run and for the
-	// other engines.
+	// cycles (core.Config.CrossLatency) for the cross-latency leg; 0 for a
+	// single-die run and for the other engines.
 	CrossLatency int64 `json:"cross_latency,omitempty"`
 	// Submit records how the engine was fed: SubmitSingle for the
 	// per-packet Submit loop (one-packet chunks), empty for Run's
@@ -166,37 +147,29 @@ type Failure struct {
 	// ("t0" is the case's own program, "t1".. the derived siblings); empty
 	// for single-program engines and for whole-engine failures (stall/loss).
 	Tenant string `json:"tenant,omitempty"`
-	// Reason is "compile", "stall", "loss", "state" (equiv mismatch in
-	// registers or packet outputs), or "order" (C1 violation).
+	// Reason is "compile", "stall", "loss", "order" (C1 violation, in
+	// Report.Order), or "state" (a mismatch in registers or packet outputs
+	// with the order intact).
 	Reason string        `json:"reason"`
 	Detail string        `json:"detail,omitempty"`
 	Report *equiv.Report `json:"report,omitempty"`
-	Order  []OrderDiv    `json:"order,omitempty"`
 }
 
 func (f *Failure) String() string {
 	var b strings.Builder
 	switch f.Engine {
-	case EngineDataplane:
+	case EngineDataplane, EngineScrep:
 		mode := ""
 		if f.Submit == SubmitSingle {
 			mode = ", submit=single"
 		}
-		fmt.Fprintf(&b, "dataplane(workers=%d%s): %s", f.Workers, mode, f.Reason)
+		fmt.Fprintf(&b, "%s(workers=%d%s): %s", f.Engine, f.Workers, mode, f.Reason)
 	case EngineMultiTenant:
 		who := "engine"
 		if f.Tenant != "" {
 			who = "tenant " + f.Tenant
 		}
 		fmt.Fprintf(&b, "dataplane-mt(workers=%d, %s): %s", f.Workers, who, f.Reason)
-	case EngineScrep:
-		mode := ""
-		if f.Submit == SubmitSingle {
-			mode = ", submit=single"
-		}
-		fmt.Fprintf(&b, "screp(workers=%d%s): %s", f.Workers, mode, f.Reason)
-	case EngineSweep:
-		fmt.Fprintf(&b, "%v (full-sweep, cross-latency %d): %s", f.Arch, f.CrossLatency, f.Reason)
 	case EngineBytecode:
 		fmt.Fprintf(&b, "bytecode-vs-interpreter: %s", f.Reason)
 	default:
@@ -209,17 +182,36 @@ func (f *Failure) String() string {
 	if f.Detail != "" {
 		fmt.Fprintf(&b, " (%s)", f.Detail)
 	}
-	for _, d := range f.Order {
-		b.WriteString("\n  order: " + d.String())
-	}
 	if f.Report != nil && !f.Report.Equivalent {
 		b.WriteString("\n  " + f.Report.String())
 	}
 	return b.String()
 }
 
-// maxOrderDivs caps the reported per-state divergences.
-const maxOrderDivs = 8
+// lost fills f as a "stall" or "loss" failure when a finished run did not
+// complete all want packets; nil when it did.
+func (f *Failure) lost(stalled bool, completed, want int64) *Failure {
+	if f.Reason = equiv.Liveness(stalled, completed, want); f.Reason == "" {
+		return nil
+	}
+	f.Detail = fmt.Sprintf("%d of %d completed", completed, want)
+	return f
+}
+
+// judge fills f from a verdict — "order" when the access order diverged,
+// "state" when only registers or outputs did; nil when the run matched.
+func (f *Failure) judge(rep *equiv.Report) *Failure {
+	switch {
+	case rep.Equivalent:
+		return nil
+	case len(rep.Order) > 0:
+		f.Reason = "order"
+	default:
+		f.Reason = "state"
+	}
+	f.Report = rep
+	return f
+}
 
 // reference bundles the single-pipeline ground truth for one case — final
 // registers, packet outputs and per-slot order from one interpreter pass — so
@@ -240,10 +232,10 @@ func newReference(prog *ir.Program, arrivals []core.Arrival, k int) *reference {
 	}
 }
 
-// sweepCrossLatency is the inter-pipeline link latency of the full-sweep and
-// cross-latency legs, derived from the case's work seed (1..4 cycles) so a
-// replay reproduces it: both legs are differential checks of early-data
-// parking, where a data packet outruns its phantom and waits for it.
+// sweepCrossLatency is the inter-pipeline link latency of the cross-latency
+// leg, derived from the case's work seed (1..4 cycles) so a replay
+// reproduces it: the leg is a differential check of early-data parking,
+// where a data packet outruns its phantom and waits for it.
 func sweepCrossLatency(seed int64) int64 { return 1 + (seed%4+4)%4 }
 
 // coreConfig is the simulator configuration of a core leg: arch on the
@@ -255,14 +247,10 @@ func (r *reference) coreConfig(arch core.Arch, seed, crossLat int64) core.Config
 
 // runCore simulates the case on one architecture of the cycle-accurate
 // simulator, with crossLat cycles on every inter-pipeline crossing, and
-// compares against the reference; fullSweep forces the legacy
-// every-slot-every-cycle scheduler. nil means the engine matched on every
-// oracle.
-func (r *reference) runCore(arch core.Arch, seed, crossLat int64, fullSweep bool) *Failure {
-	engine := EngineCore
-	if fullSweep {
-		engine = EngineSweep
-	}
+// compares against the reference. The observed order is built from the
+// EvAccess stream, which logs effective accesses (predicate held) as the
+// reference does. nil means the engine matched on every oracle.
+func (r *reference) runCore(arch core.Arch, seed, crossLat int64) *Failure {
 	slots := map[[2]int][]int64{}
 	cfg := r.coreConfig(arch, seed, crossLat)
 	cfg.RecordOutputs = true
@@ -273,34 +261,16 @@ func (r *reference) runCore(arch core.Arch, seed, crossLat int64, fullSweep bool
 		}
 	}
 	sim := core.NewSimulator(r.prog, cfg)
-	sim.SetFullSweep(fullSweep)
-	fail := &Failure{Engine: engine, Arch: arch, CrossLatency: crossLat}
+	fail := &Failure{Engine: EngineCore, Arch: arch, CrossLatency: crossLat}
 	res := sim.Run(r.arrivals)
-	if res.Stalled {
-		fail.Reason = "stall"
-		fail.Detail = fmt.Sprintf("%d of %d completed after %d cycles", res.Completed, res.Injected, res.Cycles)
-		return fail
-	}
-	if res.Completed != res.Injected {
-		fail.Reason = "loss"
-		fail.Detail = fmt.Sprintf("%d of %d completed", res.Completed, res.Injected)
-		return fail
+	if f := fail.lost(res.Stalled, res.Completed, int64(len(r.arrivals))); f != nil {
+		return f
 	}
 	got := make(map[string][]int64, len(slots))
 	for slot, seq := range slots {
 		got[banzai.AccessKey(slot[0], slot[1])] = seq
 	}
-	if divs := diffOrders(r.ref.Order, got); len(divs) > 0 {
-		fail.Reason = "order"
-		fail.Order = divs
-		return fail
-	}
-	if rep := r.ref.Check(sim.FinalRegs(), sim.Outputs()); !rep.Equivalent {
-		fail.Reason = "state"
-		fail.Report = rep
-		return fail
-	}
-	return nil
+	return fail.judge(r.ref.Verify(sim.FinalRegs(), sim.Outputs(), got))
 }
 
 // runBytecode differences the bytecode VM against the tree-walking
@@ -320,119 +290,59 @@ func (r *reference) runBytecode() *Failure {
 		m.Process(int64(i), env)
 		outputs[int64(i)] = append([]int64(nil), env.Fields...)
 	}
-	if divs := diffOrders(r.ref.Order, m.IndexedAccessLog()); len(divs) > 0 {
-		fail.Reason = "order"
-		fail.Order = divs
-		return fail
-	}
-	if rep := r.ref.Check(m.Regs().Snapshot(), outputs); !rep.Equivalent {
-		fail.Reason = "state"
-		fail.Report = rep
-		return fail
-	}
-	return nil
+	return fail.judge(r.ref.Verify(m.Regs().Snapshot(), outputs, m.IndexedAccessLog()))
 }
 
-// runDataplane executes the case on the concurrent goroutine dataplane with
-// the given worker count and holds it to the same oracles as the simulator:
-// liveness (no watchdog stall), loss-freedom, C1 per-slot access order, and
-// final registers plus packet outputs. single feeds the engine through a
-// per-packet Submit loop instead of Run's whole-trace SubmitBatch, so
-// one-packet chunks stay differentially checked beside full ones.
-func (r *reference) runDataplane(workers int, single bool) *Failure {
-	fail := &Failure{Engine: EngineDataplane, Arch: core.ArchMP5, Workers: workers}
+// concurrent is what a leg drives and reads back on either concurrent
+// engine.
+type concurrent interface {
+	Start()
+	Submit(*core.Arrival) bool
+	SubmitBatch([]core.Arrival, []*dataplane.Span) int
+	FinalRegs() [][]int64
+	Outputs() map[int64][]int64
+	AccessOrders() map[string][]int64
+}
+
+// runConcurrent executes the case on a concurrent engine — the goroutine
+// dataplane (EngineDataplane) or state-compute replication (EngineScrep) —
+// with the given worker count and holds it to the same oracles as the
+// simulator: liveness (no watchdog stall), loss-freedom, and the C1 verdict.
+// single feeds the engine through a per-packet Submit loop instead of one
+// whole-trace SubmitBatch, so one-packet chunks stay differentially checked
+// beside full ones. Since every screp replica holds the full state, an order
+// or state divergence there means the delta replay chain broke.
+func (r *reference) runConcurrent(engine string, workers int, single bool) *Failure {
+	fail := &Failure{Engine: engine, Arch: core.ArchMP5, Workers: workers}
 	if single {
 		fail.Submit = SubmitSingle
 	}
-	eng := dataplane.New(r.prog, dataplane.Config{
-		Workers:           workers,
-		RecordOutputs:     true,
-		RecordAccessOrder: true,
-	})
-	var res *dataplane.Result
+	var (
+		eng   concurrent
+		drain func() (stalled bool, completed int64)
+	)
+	if engine == EngineScrep {
+		e := screp.New(r.prog, screp.Config{Workers: workers, RecordOutputs: true, RecordAccessOrder: true})
+		eng, drain = e, func() (bool, int64) { res := e.Drain(); return res.Stalled, res.Completed }
+	} else {
+		e := dataplane.New(r.prog, dataplane.Config{Workers: workers, RecordOutputs: true, RecordAccessOrder: true})
+		eng, drain = e, func() (bool, int64) { res := e.Drain(); return res.Stalled, res.Completed }
+	}
+	eng.Start()
 	if single {
-		eng.Start()
 		for i := range r.arrivals {
 			if !eng.Submit(&r.arrivals[i]) {
 				break
 			}
 		}
-		res = eng.Drain()
 	} else {
-		res = eng.Run(r.arrivals)
+		eng.SubmitBatch(r.arrivals, nil)
 	}
-	if res.Stalled {
-		fail.Reason = "stall"
-		fail.Detail = fmt.Sprintf("%d of %d completed before the watchdog fired", res.Completed, res.Injected)
-		return fail
+	stalled, completed := drain()
+	if f := fail.lost(stalled, completed, int64(len(r.arrivals))); f != nil {
+		return f
 	}
-	if res.Completed != res.Injected {
-		fail.Reason = "loss"
-		fail.Detail = fmt.Sprintf("%d of %d completed", res.Completed, res.Injected)
-		return fail
-	}
-	if divs := diffOrders(r.ref.Order, eng.AccessOrders()); len(divs) > 0 {
-		fail.Reason = "order"
-		fail.Order = divs
-		return fail
-	}
-	if rep := r.ref.Check(eng.FinalRegs(), eng.Outputs()); !rep.Equivalent {
-		fail.Reason = "state"
-		fail.Report = rep
-		return fail
-	}
-	return nil
-}
-
-// runScrep executes the case on the state-compute-replication engine with
-// the given replica count and holds it to the same oracles as the sharded
-// dataplane: liveness, loss-freedom, C1 per-slot access order, and final
-// registers plus packet outputs. Since every replica holds the full state,
-// an order or state divergence here means the delta replay chain broke —
-// the exact failure mode replication trades the shard map away for.
-func (r *reference) runScrep(workers int, single bool) *Failure {
-	fail := &Failure{Engine: EngineScrep, Arch: core.ArchMP5, Workers: workers}
-	if single {
-		fail.Submit = SubmitSingle
-	}
-	eng := screp.New(r.prog, screp.Config{
-		Workers:           workers,
-		RecordOutputs:     true,
-		RecordAccessOrder: true,
-	})
-	var res *screp.Result
-	if single {
-		eng.Start()
-		for i := range r.arrivals {
-			if !eng.Submit(&r.arrivals[i]) {
-				break
-			}
-		}
-		res = eng.Drain()
-	} else {
-		res = eng.Run(r.arrivals)
-	}
-	if res.Stalled {
-		fail.Reason = "stall"
-		fail.Detail = fmt.Sprintf("%d of %d completed before the watchdog fired", res.Completed, res.Injected)
-		return fail
-	}
-	if res.Completed != res.Injected {
-		fail.Reason = "loss"
-		fail.Detail = fmt.Sprintf("%d of %d completed", res.Completed, res.Injected)
-		return fail
-	}
-	if divs := diffOrders(r.ref.Order, eng.AccessOrders()); len(divs) > 0 {
-		fail.Reason = "order"
-		fail.Order = divs
-		return fail
-	}
-	if rep := r.ref.Check(eng.FinalRegs(), eng.Outputs()); !rep.Equivalent {
-		fail.Reason = "state"
-		fail.Report = rep
-		return fail
-	}
-	return nil
+	return fail.judge(r.ref.Verify(eng.FinalRegs(), eng.Outputs(), eng.AccessOrders()))
 }
 
 // mtTenant is one tenant of the multi-tenant differential leg: its own
@@ -503,7 +413,10 @@ func runMultiTenant(c *Case, workers int) []*Failure {
 		handles[i] = eng.AddProgram(tn.name, tn.prog, nil)
 	}
 	eng.Start()
-	total := 0
+	want := 0
+	for _, tn := range tenants {
+		want += len(tn.arrs)
+	}
 	offs := make([]int, len(tenants))
 	const chunk = 61
 	for {
@@ -519,7 +432,6 @@ func runMultiTenant(c *Case, workers int) []*Failure {
 			}
 			got := eng.SubmitBatchTo(handles[i], tenants[i].arrs[offs[i]:end], nil, nil)
 			offs[i] += got
-			total += got
 			if got == 0 { // unlimited tenants: a refusal means the engine died
 				idle = true
 				break
@@ -534,91 +446,23 @@ func runMultiTenant(c *Case, workers int) []*Failure {
 		return &Failure{Engine: EngineMultiTenant, Arch: core.ArchMP5,
 			Workers: workers, Tenant: tenant}
 	}
-	if res.Stalled {
-		f := fail("")
-		f.Reason = "stall"
-		f.Detail = fmt.Sprintf("%d of %d completed before the watchdog fired", res.Completed, res.Injected)
-		return []*Failure{f}
-	}
-	if res.Completed != int64(total) || total != totalArrivals(tenants) {
-		f := fail("")
-		f.Reason = "loss"
-		f.Detail = fmt.Sprintf("%d of %d completed (%d admitted)", res.Completed, totalArrivals(tenants), total)
+	if f := fail("").lost(res.Stalled, res.Completed, int64(want)); f != nil {
 		return []*Failure{f}
 	}
 	var fails []*Failure
 	for i, tn := range tenants {
-		if divs := diffOrders(tn.ref.Order, eng.AccessOrdersFor(handles[i])); len(divs) > 0 {
-			f := fail(tn.name)
-			f.Reason = "order"
-			f.Order = divs
-			fails = append(fails, f)
-			continue
-		}
-		if rep := tn.ref.Check(eng.FinalRegsFor(handles[i]), eng.OutputsFor(handles[i])); !rep.Equivalent {
-			f := fail(tn.name)
-			f.Reason = "state"
-			f.Report = rep
+		h := handles[i]
+		if f := fail(tn.name).judge(tn.ref.Verify(eng.FinalRegsFor(h), eng.OutputsFor(h), eng.AccessOrdersFor(h))); f != nil {
 			fails = append(fails, f)
 		}
 	}
 	return fails
 }
 
-func totalArrivals(tenants []mtTenant) int {
-	n := 0
-	for _, tn := range tenants {
-		n += len(tn.arrs)
-	}
-	return n
-}
-
-// diffOrders compares every state's observed access sequence against the
-// reference, returning the first divergence per state (capped). Keys are
-// compared in both directions so spurious and missing states both surface.
-func diffOrders(want, got map[string][]int64) []OrderDiv {
-	keys := make([]string, 0, len(want))
-	for k := range want {
-		keys = append(keys, k)
-	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	var divs []OrderDiv
-	for _, k := range keys {
-		if len(divs) >= maxOrderDivs {
-			break
-		}
-		w, g := want[k], got[k]
-		n := len(w)
-		if len(g) > n {
-			n = len(g)
-		}
-		for i := 0; i < n; i++ {
-			wv, gv := int64(-1), int64(-1)
-			if i < len(w) {
-				wv = w[i]
-			}
-			if i < len(g) {
-				gv = g[i]
-			}
-			if wv != gv {
-				divs = append(divs, OrderDiv{State: k, Pos: i, Want: wv, Got: gv})
-				break // first divergence per state
-			}
-		}
-	}
-	return divs
-}
-
 // Run compiles the case once and checks it against the single-pipeline
 // reference on every engine configuration: the direct bytecode-vs-interpreter
 // differential on the serial machine, each architecture in archs on the
-// event-driven simulator, ArchMP5 on the event-driven and on the legacy
-// full-sweep scheduler behind a slow crossbar (sweepCrossLatency), the
+// simulator, ArchMP5 behind a slow crossbar (sweepCrossLatency), the
 // concurrent goroutine dataplane and the state-compute-replication engine at
 // every DataplaneWorkers count, and the multi-tenant dataplane — so one seed
 // cross-checks every engine. Every engine runs the bytecode VM; the
@@ -656,40 +500,25 @@ func RunEngines(c *Case, archs []core.Arch, only string) []*Failure {
 	}
 	if want(EngineCore) {
 		for _, a := range archs {
-			if f := ref.runCore(a, c.WorkSeed, 0, false); f != nil {
+			if f := ref.runCore(a, c.WorkSeed, 0); f != nil {
 				fails = append(fails, f)
 			}
 		}
 	}
-	if want(EngineSweep) {
-		if f := ref.runCore(core.ArchMP5, c.WorkSeed, sweepCrossLatency(c.WorkSeed), true); f != nil {
-			fails = append(fails, f)
+	for _, engine := range []string{EngineDataplane, EngineScrep} {
+		if !want(engine) {
+			continue
 		}
-	}
-	if want(EngineDataplane) {
+		// The sharded and the replicated engine answer to the identical
+		// contract: every worker count on the batched admission path, plus
+		// one per-packet-Submit run that keeps the single-packet path (and
+		// its distinct ticket/dispatch interleaving) under the same oracles.
 		for _, w := range DataplaneWorkers {
-			if f := ref.runDataplane(w, false); f != nil {
+			if f := ref.runConcurrent(engine, w, false); f != nil {
 				fails = append(fails, f)
 			}
 		}
-		// One per-packet-Submit dataplane run: the sweep above exercises the
-		// batched admission path, so this leg keeps the single-packet path
-		// (and its distinct ticket/dispatch interleaving) under the same
-		// three oracles.
-		if f := ref.runDataplane(2, true); f != nil {
-			fails = append(fails, f)
-		}
-	}
-	if want(EngineScrep) {
-		// Replication leg: same worker sweep and same oracles as the sharded
-		// engine, plus one per-packet-Submit run — so both strategies answer
-		// to the identical differential contract on every case.
-		for _, w := range DataplaneWorkers {
-			if f := ref.runScrep(w, false); f != nil {
-				fails = append(fails, f)
-			}
-		}
-		if f := ref.runScrep(2, true); f != nil {
+		if f := ref.runConcurrent(engine, 2, true); f != nil {
 			fails = append(fails, f)
 		}
 	}
@@ -699,11 +528,9 @@ func RunEngines(c *Case, archs []core.Arch, only string) []*Failure {
 		fails = append(fails, runMultiTenant(c, 4)...)
 	}
 	if want(EngineCore) {
-		// Cross-latency run: the flagship architecture on the event-driven
-		// scheduler behind the full-sweep leg's slow crossbar, so early-data
-		// parking is checked on the scheduler production runs, not only on
-		// the legacy one.
-		if f := ref.runCore(core.ArchMP5, c.WorkSeed, sweepCrossLatency(c.WorkSeed), false); f != nil {
+		// Cross-latency run: the flagship architecture behind a slow
+		// crossbar, so early-data parking is differentially checked.
+		if f := ref.runCore(core.ArchMP5, c.WorkSeed, sweepCrossLatency(c.WorkSeed)); f != nil {
 			fails = append(fails, f)
 		}
 	}
@@ -732,10 +559,8 @@ func runLike(c *Case, like *Failure) *Failure {
 	switch like.Engine {
 	case EngineBytecode:
 		return ref.runBytecode()
-	case EngineDataplane:
-		return ref.runDataplane(like.Workers, like.Submit == SubmitSingle)
-	case EngineScrep:
-		return ref.runScrep(like.Workers, like.Submit == SubmitSingle)
+	case EngineDataplane, EngineScrep:
+		return ref.runConcurrent(like.Engine, like.Workers, like.Submit == SubmitSingle)
 	case EngineMultiTenant:
 		workers := like.Workers
 		if workers <= 0 {
@@ -752,6 +577,6 @@ func runLike(c *Case, like *Failure) *Failure {
 		}
 		return nil
 	default:
-		return ref.runCore(like.Arch, c.WorkSeed, like.CrossLatency, like.Engine == EngineSweep)
+		return ref.runCore(like.Arch, c.WorkSeed, like.CrossLatency)
 	}
 }

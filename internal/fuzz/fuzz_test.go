@@ -76,7 +76,7 @@ func smokeCases(t testing.TB) []*Case {
 func smokeEngine(t testing.TB) string {
 	engine := os.Getenv("MP5_FUZZ_ENGINE")
 	switch engine {
-	case "", EngineCore, EngineSweep, EngineBytecode,
+	case "", EngineCore, EngineBytecode,
 		EngineDataplane, EngineMultiTenant, EngineScrep:
 	default:
 		t.Fatalf("bad MP5_FUZZ_ENGINE=%q", engine)
@@ -86,8 +86,8 @@ func smokeEngine(t testing.TB) string {
 
 // TestDifferentialSmoke is the bounded deterministic gate wired into
 // scripts/check.sh: every smoke case must match the single-pipeline
-// reference on all order-preserving architectures, the full-sweep
-// scheduler, and the concurrent dataplane and replication engines at every
+// reference on all order-preserving architectures, the cross-latency leg,
+// and the concurrent dataplane and replication engines at every
 // DataplaneWorkers count — on state, packet outputs, and C1 access order.
 func TestDifferentialSmoke(t *testing.T) {
 	engine := smokeEngine(t)
@@ -141,10 +141,10 @@ func TestHarnessDetectsNoD4(t *testing.T) {
 		t.Errorf("minimized failure reason %q", f.Reason)
 	}
 	if f.Reason == "order" {
-		if len(f.Order) == 0 {
+		if len(f.Report.Order) == 0 {
 			t.Fatal("order failure carries no divergence")
 		}
-		d := f.Order[0]
+		d := f.Report.Order[0]
 		if !strings.HasPrefix(d.State, "r") || !strings.Contains(d.State, "[") {
 			t.Errorf("divergence does not name a register slot: %q", d.State)
 		}
@@ -169,12 +169,12 @@ func TestShrinkNonFailure(t *testing.T) {
 }
 
 // TestShrinkFailureNonCore: the engine-aware reproduction predicate routes
-// to the right engine — shrinking against a full-sweep or dataplane-tagged
-// failure on a passing case runs that engine and reports no failure.
+// to the right engine — shrinking against a cross-latency or
+// dataplane-tagged failure on a passing case runs that engine and reports
+// no failure.
 func TestShrinkFailureNonCore(t *testing.T) {
 	c := &Case{ProgSeed: 1, Size: 2, WorkSeed: 1, Packets: 200, Pipelines: 4}
 	for _, like := range []*Failure{
-		{Engine: EngineSweep, Arch: core.ArchMP5, CrossLatency: sweepCrossLatency(c.WorkSeed)},
 		{Engine: EngineDataplane, Arch: core.ArchMP5, Workers: 2},
 		{Engine: EngineBytecode, Arch: core.ArchMP5},
 		{Engine: EngineCore, Arch: core.ArchMP5, CrossLatency: sweepCrossLatency(c.WorkSeed)},
@@ -245,7 +245,7 @@ func TestCrossLatencyLegParks(t *testing.T) {
 // FuzzDifferential is the native fuzz target: the fuzzer explores the
 // (program seed, workload seed, size, packets) space, and every input is
 // checked against the single-pipeline reference on all order-preserving
-// architectures, the full-sweep scheduler, the cross-latency leg, and the
+// architectures, the cross-latency leg, and the
 // concurrent engines (via Run's sweep over every engine). Run long with:
 //
 //	go test -run FuzzDifferential -fuzz=FuzzDifferential ./internal/fuzz

@@ -64,11 +64,11 @@ func Shrink(c *Case, arch core.Arch, budget int) (*Case, *Failure) {
 }
 
 // ShrinkFailure minimizes a failing case against the engine configuration
-// that produced like (core architecture at like.CrossLatency, full-sweep
-// scheduler, or a concurrent engine at like.Workers): first the workload (halving the packet count while the
-// failure reproduces), then the program (dropping statements, flattening
-// guards, pruning unused declarations), re-running the differential check
-// after every edit. budget caps the number of candidate runs. It returns the
+// that produced like (core architecture at like.CrossLatency, or a
+// concurrent engine at like.Workers): first the workload (halving the packet
+// count while the failure reproduces), then the program (dropping
+// statements, flattening guards, pruning unused declarations), re-running
+// the differential check after every edit. budget caps the number of candidate runs. It returns the
 // minimized case with its program pinned in Source, plus the failure the
 // minimized case still produces — nil if the original case did not reproduce
 // at all.

@@ -508,7 +508,7 @@ func (e *Engine) result(injected int64, elapsed time.Duration) *Result {
 }
 
 // Outputs returns each completed packet's final header fields, keyed by
-// packet id — the shape equiv.CheckState consumes. Only valid after
+// packet id — the shape equiv.Ref.Verify consumes. Only valid after
 // Run/Drain with Config.RecordOutputs set. Outputs live in per-worker maps
 // until this merge (no egress lock).
 func (e *Engine) Outputs() map[int64][]int64 {

@@ -26,7 +26,7 @@
 //     of packet s+1, whichever workers run them. That global serialization
 //     of stateful spans gives condition C1 — every register slot observes
 //     accesses in arrival order — by construction, verified differentially
-//     against equiv.ReferenceOrder in this package's tests and as a fourth
+//     by equiv.Ref.Verify in this package's tests and as a fourth
 //     engine leg in internal/fuzz.
 //
 // The trade against sharding is the one the benchmark's screp.over_sharded
@@ -67,7 +67,7 @@ type Config struct {
 	// are sized to the window so crossbar sends never block.
 	Window int
 	// RecordOutputs retains each packet's final header fields (required
-	// for equivalence checking via equiv.CheckState).
+	// for equivalence checking via equiv.Ref.Verify).
 	RecordOutputs bool
 	// RecordAccessOrder logs the per-slot effective access order, keyed
 	// like the simulator's EvAccess stream (required for C1 checking).

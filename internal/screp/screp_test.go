@@ -35,29 +35,11 @@ func runChecked(t *testing.T, prog *ir.Program, arrivals []core.Arrival, cfg Con
 
 func checkResult(t *testing.T, e *Engine, res *Result, prog *ir.Program, arrivals []core.Arrival, workers int) {
 	t.Helper()
-	if res.Stalled {
-		t.Fatalf("workers=%d: engine stalled (%d of %d completed)", workers, res.Completed, res.Injected)
+	if why := equiv.Liveness(res.Stalled, res.Completed, int64(len(arrivals))); why != "" {
+		t.Fatalf("workers=%d: %s: %d of %d completed (trace %d)", workers, why, res.Completed, res.Injected, len(arrivals))
 	}
-	if res.Completed != res.Injected || res.Injected != int64(len(arrivals)) {
-		t.Fatalf("workers=%d: %d of %d completed (trace %d)", workers, res.Completed, res.Injected, len(arrivals))
-	}
-	if rep := equiv.CheckState(prog, e.FinalRegs(), e.Outputs(), arrivals); !rep.Equivalent {
+	if rep := equiv.Run(prog, arrivals).Verify(e.FinalRegs(), e.Outputs(), e.AccessOrders()); !rep.Equivalent {
 		t.Fatalf("workers=%d: not equivalent to reference:\n%s", workers, rep)
-	}
-	want := equiv.ReferenceOrder(prog, arrivals)
-	got := e.AccessOrders()
-	if !reflect.DeepEqual(want, got) {
-		for k, w := range want {
-			if !reflect.DeepEqual(w, got[k]) {
-				t.Fatalf("workers=%d: access order of %s diverged:\nwant %v\ngot  %v", workers, k, w, got[k])
-			}
-		}
-		for k := range got {
-			if _, ok := want[k]; !ok {
-				t.Fatalf("workers=%d: spurious access sequence for %s: %v", workers, k, got[k])
-			}
-		}
-		t.Fatalf("workers=%d: access orders diverged", workers)
 	}
 }
 

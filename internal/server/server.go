@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -84,7 +83,9 @@ func ParsePolicy(s string) (Policy, error) {
 // Config parameterizes a Server.
 type Config struct {
 	// Engine configures the wrapped dataplane (workers, window, placement
-	// seed). OnEgress is owned by the server.
+	// seed). The server owns OnEgress, Metrics (registered on Registry) and
+	// Tracer (Config.Tracer), and sets RecordOutputs and RecordAccessOrder
+	// in Verify mode; whatever the caller puts in those fields is replaced.
 	Engine dataplane.Config
 	// TCPAddr/UDPAddr are the data-plane listen addresses; "" disables
 	// that listener (at least one must be set).
@@ -98,7 +99,7 @@ type Config struct {
 	// Policy is the UDP overflow behavior (TCP always blocks).
 	Policy Policy
 	// Verify records the admitted arrival order and turns on the engine's
-	// output/access-order recording, so VerifyRecorded can hold the
+	// output/access-order recording, so VerifyTenants can hold the
 	// network path to the differential bar after Shutdown. Costs memory
 	// proportional to the packet count — a soak/debug mode, not a
 	// production default.
@@ -270,13 +271,9 @@ func NewMulti(tenants []TenantProgram, cfg Config) (*Server, error) {
 		engCfg.RecordOutputs = true
 		engCfg.RecordAccessOrder = true
 	}
-	if engCfg.Metrics == nil {
-		engCfg.Metrics = dataplane.NewMetrics(cfg.Registry)
-	}
+	engCfg.Metrics = dataplane.NewMetrics(cfg.Registry)
 	s.engMet = engCfg.Metrics
-	if engCfg.Tracer == nil {
-		engCfg.Tracer = cfg.Tracer
-	}
+	engCfg.Tracer = cfg.Tracer
 	engCfg.OnEgress = s.onEgress
 	s.eng = dataplane.NewMulti(engCfg)
 	s.reg = tenant.NewRegistry(s.eng)
@@ -699,18 +696,6 @@ func (s *Server) Shutdown() *dataplane.Result {
 	return s.res
 }
 
-// Admitted returns the recorded admission-order trace of the first
-// tenant's boot version (Verify mode only; valid after Shutdown) — the
-// whole trace on a single-tenant daemon that never swapped.
-func (s *Server) Admitted() []core.Arrival {
-	if t := s.reg.ByID(0); t != nil {
-		if vs := t.Versions(); len(vs) > 0 {
-			return s.verify[vs[0]]
-		}
-	}
-	return nil
-}
-
 // TenantVerify is one program version's wire-differential verdict: its
 // recorded admission trace replayed through the single-pipeline reference
 // against what the engine actually did on that version's namespace.
@@ -718,6 +703,8 @@ type TenantVerify struct {
 	Tenant  string
 	Version int
 	Packets int
+	// Report is the version's C1 verdict (equiv.Ref.Verify): state and
+	// order. OrderOK repeats its order half alone.
 	Report  *equiv.Report
 	OrderOK bool
 }
@@ -725,8 +712,9 @@ type TenantVerify struct {
 // VerifyTenants holds every program version that saw traffic to the
 // differential bar, independently: per-version final registers, per-packet
 // outputs, and per-slot C1 access order, each against the version's own
-// reference — the tenant-isolation and hot-swap correctness oracle. Valid
-// after Shutdown of a Verify-mode server.
+// reference — the tenant-isolation and hot-swap correctness oracle. A
+// daemon that saw no traffic returns no verdicts. Valid after Shutdown of a
+// Verify-mode server.
 func (s *Server) VerifyTenants() ([]TenantVerify, error) {
 	if !s.cfg.Verify {
 		return nil, fmt.Errorf("server: not started in Verify mode")
@@ -750,42 +738,17 @@ func (s *Server) VerifyTenants() ([]TenantVerify, error) {
 		if name == "" {
 			name = v.Handle.Name()
 		}
-		ref := equiv.Run(v.Prog, trace)
+		h := v.Handle
+		rep := equiv.Run(v.Prog, trace).Verify(s.eng.FinalRegsFor(h), s.eng.OutputsFor(h), s.eng.AccessOrdersFor(h))
 		out = append(out, TenantVerify{
 			Tenant:  name,
 			Version: v.Seq,
 			Packets: len(trace),
-			Report:  ref.Check(s.eng.FinalRegsFor(v.Handle), s.eng.OutputsFor(v.Handle)),
-			OrderOK: reflect.DeepEqual(ref.Order, s.eng.AccessOrdersFor(v.Handle)),
+			Report:  rep,
+			OrderOK: len(rep.Order) == 0,
 		})
 	}
 	return out, nil
-}
-
-// VerifyRecorded is the aggregate differential verdict across every
-// version that saw traffic: the first failing version's report (or the
-// last report when all pass), plus whether every version's C1 access order
-// matched its reference. On a single-tenant daemon that never swapped this
-// is exactly the pre-multi-tenant behavior. Valid after Shutdown of a
-// Verify-mode server.
-func (s *Server) VerifyRecorded() (*equiv.Report, bool, error) {
-	tvs, err := s.VerifyTenants()
-	if err != nil {
-		return nil, false, err
-	}
-	if len(tvs) == 0 {
-		// No traffic: trivially equivalent against an empty trace.
-		rep := equiv.CheckState(s.prog, s.eng.FinalRegs(), s.eng.Outputs(), nil)
-		return rep, true, nil
-	}
-	rep, orderOK := tvs[len(tvs)-1].Report, true
-	for _, tv := range tvs {
-		if !tv.Report.Equivalent {
-			rep = tv.Report
-		}
-		orderOK = orderOK && tv.OrderOK
-	}
-	return rep, orderOK, nil
 }
 
 // Engine exposes the wrapped dataplane engine (health probes, shard map).

@@ -73,15 +73,19 @@ func TestLoopbackSoakTCP(t *testing.T) {
 	if res.Injected != int64(len(trace)) || res.Completed != res.Injected {
 		t.Fatalf("server completed %d of %d (sent %d)", res.Completed, res.Injected, rep.Sent)
 	}
-	eqRep, orderOK, err := s.VerifyRecorded()
+	tvs, err := s.VerifyTenants()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eqRep.Equivalent {
-		t.Fatalf("network path not equivalent to reference:\n%s", eqRep)
+	checked := 0
+	for _, tv := range tvs {
+		checked += tv.Packets
+		if !tv.Report.Equivalent {
+			t.Fatalf("network path not equivalent to reference (C1 state or order):\n%s", tv.Report)
+		}
 	}
-	if !orderOK {
-		t.Fatal("network path violated C1: per-slot access order diverges from the reference")
+	if checked != len(trace) {
+		t.Fatalf("verified %d packets, sent %d", checked, len(trace))
 	}
 }
 

@@ -1,14 +1,15 @@
 package tenant
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"mp5/internal/apps"
+	"mp5/internal/core"
 	"mp5/internal/dataplane"
 	"mp5/internal/equiv"
+	"mp5/internal/ir"
 	"mp5/internal/workload"
 )
 
@@ -150,17 +151,15 @@ func TestSwapUnderLoad(t *testing.T) {
 	}
 	// Each version against its own reference: the C1 contract holds within
 	// each version.
-	if rep := equiv.CheckState(progA, eng.FinalRegsFor(v1.Handle), eng.OutputsFor(v1.Handle), arrsA); !rep.Equivalent {
-		t.Fatalf("v1 not equivalent to its reference:\n%s", rep)
-	}
-	if rep := equiv.CheckState(progB, eng.FinalRegsFor(v2.Handle), eng.OutputsFor(v2.Handle), arrsB); !rep.Equivalent {
-		t.Fatalf("v2 not equivalent to its reference:\n%s", rep)
-	}
-	if !reflect.DeepEqual(equiv.ReferenceOrder(progA, arrsA), eng.AccessOrdersFor(v1.Handle)) {
-		t.Fatal("v1 access order diverged")
-	}
-	if !reflect.DeepEqual(equiv.ReferenceOrder(progB, arrsB), eng.AccessOrdersFor(v2.Handle)) {
-		t.Fatal("v2 access order diverged")
+	for _, c := range []struct {
+		v    *Version
+		prog *ir.Program
+		arrs []core.Arrival
+	}{{v1, progA, arrsA}, {v2, progB, arrsB}} {
+		h := c.v.Handle
+		if rep := equiv.Run(c.prog, c.arrs).Verify(eng.FinalRegsFor(h), eng.OutputsFor(h), eng.AccessOrdersFor(h)); !rep.Equivalent {
+			t.Fatalf("v%d not equivalent to its reference:\n%s", c.v.Seq, rep)
+		}
 	}
 	// The quota is shared across versions and fully returned after drain.
 	if got := tn.Quota().InUse(); got != 0 {
