@@ -131,10 +131,10 @@ trace-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# doc-refs fails on a stale reference in DESIGN.md or README.md: a
-# backticked test, benchmark, fuzz target or example that `go test -list`
-# does not find (root module or bench/), or a backticked repo path that does
-# not exist (scripts/doc_refs.sh).
+# doc-refs fails on a stale reference in DESIGN.md, README.md or
+# EXPERIMENTS.md: a backticked test, benchmark, fuzz target or example that
+# `go test -list` does not find (root module or bench/), or a backticked repo
+# path that does not exist (scripts/doc_refs.sh).
 doc-refs:
 	bash scripts/doc_refs.sh
 

@@ -187,8 +187,8 @@ func BenchmarkTraceDisabled(b *testing.B) {
 }
 
 // BenchmarkTraceTelemetry runs the same simulation with the full telemetry
-// stack attached (metrics, sampler, span builder, JSONL to io.Discard) to
-// quantify the enabled-path cost.
+// stack attached (the recorder and the JSONL event stream, to io.Discard)
+// to quantify the enabled-path cost.
 func BenchmarkTraceTelemetry(b *testing.B) {
 	prog, err := apps.Synthetic(4, 512, 16)
 	if err != nil {
@@ -197,17 +197,14 @@ func BenchmarkTraceTelemetry(b *testing.B) {
 	trace := workload.Synthetic(prog, workload.Spec{Packets: 20000, Pipelines: 4, Seed: 1}, 4, 512)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reg := telemetry.NewRegistry()
-		metrics := telemetry.NewSimMetrics(reg)
 		jsonl := telemetry.NewJSONL(io.Discard)
-		sampler := telemetry.NewSampler(1000, 4, jsonl.SampleSink())
-		spans := telemetry.NewSpanBuilder(nil)
+		rec := telemetry.NewRecorder(telemetry.NewRegistry(), 1000, 4, jsonl.SampleSink())
 		sim := core.NewSimulator(prog, core.Config{
 			Arch: core.ArchMP5, Pipelines: 4, Seed: 1,
-			Trace: telemetry.Tee(metrics.Hook(), jsonl.EventHook(), sampler.Hook(), spans.Hook()),
+			Trace: telemetry.Tee(jsonl.EventHook(), rec.Hook()),
 		})
 		sim.Run(trace)
-		sampler.Close()
+		rec.Close()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(trace))*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")

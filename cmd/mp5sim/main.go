@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -40,35 +41,55 @@ var archNames = map[string]core.Arch{
 	"recirc":        core.ArchRecirc,
 }
 
-func main() {
-	app := flag.String("app", "", "built-in application: flowlet, conga, wfq, sequencer")
-	programPath := flag.String("program", "", "Domino program file (uses a synthetic uniform workload over its fields)")
-	synthetic := flag.Int("synthetic", 0, "use the synthetic program with this many stateful stages")
-	regSize := flag.Int("regsize", 512, "register array size for -synthetic")
-	pattern := flag.String("pattern", "uniform", "access pattern for -synthetic: uniform or skewed")
-	pktSize := flag.Int("pktsize", 64, "packet size in bytes for -synthetic")
-	archName := flag.String("arch", "mp5", "architecture: mp5, mp5-nod4, ideal, naive, static-shard, recirculation")
-	k := flag.Int("k", core.DefaultPipelines, "number of pipelines")
-	packets := flag.Int("packets", 20000, "trace length")
-	seed := flag.Int64("seed", 1, "workload and sharding seed")
-	verify := flag.Bool("verify", true, "check functional equivalence against the single-pipeline reference")
-	traceN := flag.Int("trace", 0, "print the first N simulator events (admissions, executions, steering, queueing, egress)")
-	timelineN := flag.Int("timeline", 0, "render a pipeline-occupancy grid for the first N cycles")
-	crossLat := flag.Int64("crosslat", 0, "inter-pipeline link latency in cycles (chiplet exploration)")
-	traceJSONL := flag.String("trace-jsonl", "", "write the event stream, per-interval samples, and the run summary as JSONL to this file")
-	metricsOut := flag.String("metrics-out", "", "write a Prometheus-text metrics snapshot to this file at the end of the run")
-	sampleInterval := flag.Int64("sample-interval", 0, "time-series sampling interval in cycles (0 disables; defaults to 1000 when -trace-jsonl or -metrics-out is set)")
-	topIndices := flag.Int("top-indices", 0, "print the N hottest register indices (by resolution count) after the run")
-	engineName := flag.String("engine", "sim", "execution engine: sim (cycle-accurate simulator), dataplane (concurrent sharded engine), or screp (state-compute replication; both concurrent engines ignore -arch and the event-stream flags)")
-	workers := flag.Int("workers", 0, "worker count for -engine=dataplane or -engine=screp (0 = GOMAXPROCS)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters. The return value is
+// the process exit code: 1 for a failed verdict or reconciliation or an I/O
+// error, 2 for a usage error, 3 for a stalled run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mp5sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	app := fs.String("app", "", "built-in application: flowlet, conga, wfq, sequencer")
+	programPath := fs.String("program", "", "Domino program file (uses a synthetic uniform workload over its fields)")
+	synthetic := fs.Int("synthetic", 0, "use the synthetic program with this many stateful stages")
+	regSize := fs.Int("regsize", 512, "register array size for -synthetic")
+	pattern := fs.String("pattern", "uniform", "access pattern for -synthetic: uniform or skewed")
+	pktSize := fs.Int("pktsize", 64, "packet size in bytes for -synthetic")
+	archName := fs.String("arch", "mp5", "architecture: mp5, mp5-nod4, ideal, naive, static-shard, recirculation")
+	k := fs.Int("k", core.DefaultPipelines, "number of pipelines")
+	packets := fs.Int("packets", 20000, "trace length")
+	seed := fs.Int64("seed", 1, "workload and sharding seed")
+	verify := fs.Bool("verify", true, "check functional equivalence against the single-pipeline reference")
+	traceN := fs.Int("trace", 0, "print the first N simulator events (admissions, executions, steering, queueing, egress)")
+	timelineN := fs.Int("timeline", 0, "render a pipeline-occupancy grid for the first N cycles")
+	crossLat := fs.Int64("crosslat", 0, "inter-pipeline link latency in cycles (chiplet exploration)")
+	traceJSONL := fs.String("trace-jsonl", "", "write the event stream, per-interval samples, and the run summary as JSONL to this file")
+	metricsOut := fs.String("metrics-out", "", "write a Prometheus-text metrics snapshot to this file at the end of the run")
+	sampleInterval := fs.Int64("sample-interval", 0, "time-series sampling interval in cycles (0 disables; defaults to 1000 when -trace-jsonl or -metrics-out is set)")
+	topIndices := fs.Int("top-indices", 0, "print the N hottest register indices (by resolution count) after the run")
+	engineName := fs.String("engine", "sim", "execution engine: sim (cycle-accurate simulator), dataplane (concurrent sharded engine), or screp (state-compute replication; both concurrent engines ignore -arch and the event-stream flags)")
+	workers := fs.Int("workers", 0, "worker count for -engine=dataplane or -engine=screp (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "mp5sim: "+format+"\n", a...)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "mp5sim:", err)
+		return 1
+	}
 
 	if *engineName != "sim" && *engineName != "dataplane" && *engineName != "screp" {
-		fatal(fmt.Errorf("unknown engine %q (want sim, dataplane or screp)", *engineName))
+		return usage("unknown engine %q (want sim, dataplane or screp)", *engineName)
 	}
 	arch, ok := archNames[*archName]
 	if !ok {
-		fatal(fmt.Errorf("unknown architecture %q", *archName))
+		return usage("unknown architecture %q", *archName)
+	}
+	if *sampleInterval < 0 {
+		return usage("-sample-interval must be non-negative, got %d", *sampleInterval)
 	}
 
 	var prog *ir.Program
@@ -77,7 +98,7 @@ func main() {
 	case *app != "":
 		a, err := apps.ByName(*app)
 		if err != nil {
-			fatal(err)
+			return usage("%v", err)
 		}
 		prog = a.MustCompile(compiler.TargetMP5)
 		trace = workload.Flows(prog, workload.FlowSpec{
@@ -87,7 +108,7 @@ func main() {
 		var err error
 		prog, err = apps.Synthetic(*synthetic, *regSize, compiler.DefaultMaxStages)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		pat := workload.Uniform
 		if *pattern == "skewed" {
@@ -100,20 +121,20 @@ func main() {
 	case *programPath != "":
 		data, err := os.ReadFile(*programPath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		prog, err = compiler.Compile(string(data), compiler.Options{Target: compiler.TargetMP5})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		trace = randomFieldTrace(prog, *packets, *k, *seed)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: mp5sim (-app NAME | -synthetic N | -program FILE) [flags]")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: mp5sim (-app NAME | -synthetic N | -program FILE) [flags]")
+		return 2
 	}
 
 	if *engineName != "sim" {
-		os.Exit(runEngine(*engineName, prog, trace, *workers, *verify, *metricsOut))
+		return runEngine(*engineName, prog, trace, *workers, *verify, *metricsOut, stdout, stderr)
 	}
 
 	cfg := core.Config{
@@ -126,7 +147,7 @@ func main() {
 		remaining := *traceN
 		hooks = append(hooks, func(e core.Event) {
 			if remaining > 0 {
-				fmt.Println(e)
+				fmt.Fprintln(stdout, e)
 				remaining--
 			}
 		})
@@ -137,42 +158,40 @@ func main() {
 		hooks = append(hooks, timeline.Hook())
 	}
 
-	// Telemetry: JSONL event/sample/span stream, metrics registry, and
-	// the span builder are all pure Trace consumers.
-	if *sampleInterval < 0 {
-		fatal(fmt.Errorf("-sample-interval must be non-negative, got %d", *sampleInterval))
-	}
+	// Telemetry: the JSONL event stream and the recorder (metrics,
+	// samples, latency) are pure Trace consumers.
 	telemetryOn := *traceJSONL != "" || *metricsOut != "" || *sampleInterval > 0
 	interval := *sampleInterval
 	if telemetryOn && interval == 0 {
 		interval = 1000
 	}
 	var (
-		jsonl   *telemetry.JSONL
-		jsonlF  *os.File
-		reg     *telemetry.Registry
-		metrics *telemetry.SimMetrics
-		sampler *telemetry.Sampler
-		spans   *telemetry.SpanBuilder
+		jsonl  *telemetry.JSONL
+		jsonlF *os.File
+		reg    *telemetry.Registry
+		rec    *telemetry.Recorder
 	)
 	if telemetryOn {
 		reg = telemetry.NewRegistry()
-		metrics = telemetry.NewSimMetrics(reg)
-		hooks = append(hooks, metrics.Hook())
+		var sink func(telemetry.Sample)
 		if *traceJSONL != "" {
 			f, err := os.Create(*traceJSONL)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			jsonlF = f
 			jsonl = telemetry.NewJSONL(f)
 			hooks = append(hooks, jsonl.EventHook())
-			sampler = telemetry.NewSampler(interval, *k, jsonl.SampleSink())
-		} else {
-			sampler = telemetry.NewSampler(interval, *k, nil)
+			sink = jsonl.SampleSink()
 		}
-		spans = telemetry.NewSpanBuilder(nil)
-		hooks = append(hooks, sampler.Hook(), spans.Hook())
+		rec = telemetry.NewRecorder(reg, interval, *k, sink)
+		hooks = append(hooks, rec.Hook())
+	}
+	// The verdict's order comes from the EvAccess stream: the simulator's
+	// own access log records resolved accesses, not effective ones.
+	order := equiv.NewOrderLog()
+	if *verify {
+		hooks = append(hooks, order.Hook())
 	}
 	if len(hooks) > 0 {
 		cfg.Trace = telemetry.Tee(hooks...)
@@ -180,38 +199,37 @@ func main() {
 	sim := core.NewSimulator(prog, cfg)
 	res := sim.Run(trace)
 	if timeline != nil {
-		fmt.Print(timeline.Render())
+		fmt.Fprint(stdout, timeline.Render())
 	}
 
-	fmt.Printf("program            %s (%d stages, %d resolution, %d registers)\n",
+	fmt.Fprintf(stdout, "program            %s (%d stages, %d resolution, %d registers)\n",
 		prog.Name, prog.NumStages(), prog.ResolutionStages, len(prog.Regs))
-	fmt.Printf("architecture       %v, %d pipelines\n", arch, *k)
-	fmt.Printf("packets            %d injected, %d completed, %d dropped\n",
+	fmt.Fprintf(stdout, "architecture       %v, %d pipelines\n", arch, *k)
+	fmt.Fprintf(stdout, "packets            %d injected, %d completed, %d dropped\n",
 		res.Injected, res.Completed,
 		res.Injected-res.Completed)
-	fmt.Printf("throughput         %.3f of offered rate\n", res.Throughput)
-	fmt.Printf("cycles             %d (arrivals span %d)\n", res.Cycles, res.LastArrival-res.FirstArrival+1)
-	fmt.Printf("max queue depth    %d (ingress %d)\n", res.MaxFIFODepth, res.MaxIngressDepth)
-	fmt.Printf("shard moves        %d\n", res.ShardMoves)
-	fmt.Printf("recirculations     %d (%.2f per packet)\n", res.Recirculations,
+	fmt.Fprintf(stdout, "throughput         %.3f of offered rate\n", res.Throughput)
+	fmt.Fprintf(stdout, "cycles             %d (arrivals span %d)\n", res.Cycles, res.LastArrival-res.FirstArrival+1)
+	fmt.Fprintf(stdout, "max queue depth    %d (ingress %d)\n", res.MaxFIFODepth, res.MaxIngressDepth)
+	fmt.Fprintf(stdout, "shard moves        %d\n", res.ShardMoves)
+	fmt.Fprintf(stdout, "recirculations     %d (%.2f per packet)\n", res.Recirculations,
 		float64(res.Recirculations)/float64(max64(res.Injected, 1)))
-	fmt.Printf("C1 violations      %d packets (%.2f%%)\n", res.C1Violating, 100*res.ViolationFraction)
-	fmt.Printf("reordered egress   %d packets\n", res.Reordered)
+	fmt.Fprintf(stdout, "C1 violations      %d packets (%.2f%%)\n", res.C1Violating, 100*res.ViolationFraction)
+	fmt.Fprintf(stdout, "reordered egress   %d packets\n", res.Reordered)
 
 	if telemetryOn {
-		sampler.Close()
-		summary := spans.Summary()
-		spans.FillHistogram(metrics.Latency)
-		fmt.Printf("latency            mean %.1f, p50 %d, p99 %d, max %d cycles\n",
+		rec.Close()
+		summary := rec.Summary()
+		fmt.Fprintf(stdout, "latency            mean %.1f, p50 %d, p99 %d, max %d cycles\n",
 			summary.Mean, summary.P50, summary.P99, summary.Max)
-		fmt.Printf("latency breakdown  queue wait %.1f + service %.1f cycles (mean)\n",
+		fmt.Fprintf(stdout, "latency breakdown  queue wait %.1f + service %.1f cycles (mean)\n",
 			summary.MeanQueueWait, summary.MeanService)
-		if bad := metrics.Reconcile(res); len(bad) > 0 {
-			fmt.Fprintln(os.Stderr, "mp5sim: telemetry/result reconciliation failed:")
+		if bad := rec.Reconcile(res); len(bad) > 0 {
+			fmt.Fprintln(stderr, "mp5sim: telemetry/result reconciliation failed:")
 			for _, m := range bad {
-				fmt.Fprintln(os.Stderr, "  "+m)
+				fmt.Fprintln(stderr, "  "+m)
 			}
-			os.Exit(1)
+			return 1
 		}
 		if jsonl != nil {
 			jsonl.Object(struct {
@@ -220,35 +238,26 @@ func main() {
 				Latency telemetry.LatencySummary `json:"latency"`
 			}{"run", res, summary})
 			if err := jsonl.Flush(); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			if err := jsonlF.Close(); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		}
-		if *metricsOut != "" {
-			f, err := os.Create(*metricsOut)
-			if err != nil {
-				fatal(err)
-			}
-			if err := reg.WriteProm(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
+		if err := writeProm(*metricsOut, reg); err != nil {
+			return fail(err)
 		}
 	}
 
 	if *topIndices > 0 {
 		hot := sim.Shard().TopIndices(*topIndices)
-		fmt.Printf("top %d hot indices (by resolutions):\n", len(hot))
+		fmt.Fprintf(stdout, "top %d hot indices (by resolutions):\n", len(hot))
 		for rank, h := range hot {
 			idx := fmt.Sprint(h.Idx)
 			if h.Idx < 0 {
 				idx = "*" // unsharded: whole array
 			}
-			fmt.Printf("  %2d. r%d[%s]  %d accesses  (pipe %d)\n",
+			fmt.Fprintf(stdout, "  %2d. r%d[%s]  %d accesses  (pipe %d)\n",
 				rank+1, h.Reg, idx, h.Count, h.Pipe)
 		}
 	}
@@ -256,35 +265,49 @@ func main() {
 	if res.Stalled {
 		// A stalled run exceeded its cycle budget with packets still in
 		// flight; print the loss breakdown so scripts can diagnose it.
-		fmt.Fprintf(os.Stderr, "mp5sim: run stalled after %d cycles (%d of %d packets completed)\n",
+		fmt.Fprintf(stderr, "mp5sim: run stalled after %d cycles (%d of %d packets completed)\n",
 			res.Cycles, res.Completed, res.Injected)
-		fmt.Fprintf(os.Stderr, "  drops: data=%d insert=%d ingress=%d starved=%d phantom=%d (in flight: %d)\n",
+		fmt.Fprintf(stderr, "  drops: data=%d insert=%d ingress=%d starved=%d phantom=%d (in flight: %d)\n",
 			res.DroppedData, res.DroppedInsert, res.DroppedIngress, res.DroppedStarved,
 			res.DroppedPhantom, res.Injected-res.Completed-res.PacketDrops())
-		os.Exit(3)
+		return 3
 	}
-
-	// The simulator's own access log records resolved accesses, not
-	// effective ones, so its C1 standing is the violation count above and
-	// the verdict compares state alone.
 	if !*verify {
-		return
+		return 0
 	}
 	if res.Completed != res.Injected {
-		fmt.Println("equivalence        skipped (packet loss; see Sec 3.5.1)")
-		return
+		fmt.Fprintln(stdout, "equivalence        skipped (packet loss; see Sec 3.5.1)")
+		return 0
 	}
-	os.Exit(printVerdict(equiv.Check(prog, sim, trace), "all registers"))
+	rep := equiv.Run(prog, trace).Verify(sim.FinalRegs(), sim.Outputs(), order.Order())
+	return printVerdict(stdout, rep, "all registers, C1 order")
+}
+
+// writeProm writes reg's Prometheus-text snapshot to path ("" writes
+// nothing).
+func writeProm(path string, reg *telemetry.Registry) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := reg.WriteProm(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printVerdict prints the equivalence line of a verdict — covered names what
 // an OK compared beyond the packets — and returns the exit code.
-func printVerdict(rep *equiv.Report, covered string) int {
+func printVerdict(stdout io.Writer, rep *equiv.Report, covered string) int {
 	if !rep.Equivalent {
-		fmt.Printf("equivalence        FAILED: %s\n", rep)
+		fmt.Fprintf(stdout, "equivalence        FAILED: %s\n", rep)
 		return 1
 	}
-	fmt.Printf("equivalence        OK (%d packets, %s)\n", rep.PacketsCompared, covered)
+	fmt.Fprintf(stdout, "equivalence        OK (%d packets, %s)\n", rep.PacketsCompared, covered)
 	return 0
 }
 
@@ -313,7 +336,7 @@ type engineRun struct {
 // cycle-accurate simulator and prints the analogous summary. Verify holds
 // the run to the C1 verdict: state, outputs and per-slot access order
 // against the single-pipeline reference. Returns the process exit code.
-func runEngine(name string, prog *ir.Program, trace []core.Arrival, workers int, verify bool, metricsOut string) int {
+func runEngine(name string, prog *ir.Program, trace []core.Arrival, workers int, verify bool, metricsOut string, stdout, stderr io.Writer) int {
 	var reg *telemetry.Registry
 	if metricsOut != "" {
 		reg = telemetry.NewRegistry()
@@ -350,38 +373,30 @@ func runEngine(name string, prog *ir.Program, trace []core.Arrival, workers int,
 		}
 	}
 
-	fmt.Printf("program            %s (%d stages, %d resolution, %d registers)\n",
+	fmt.Fprintf(stdout, "program            %s (%d stages, %d resolution, %d registers)\n",
 		prog.Name, prog.NumStages(), prog.ResolutionStages, len(prog.Regs))
-	fmt.Printf("engine             %s (GOMAXPROCS %d)\n", r.title, runtime.GOMAXPROCS(0))
-	fmt.Printf("packets            %d injected, %d completed\n", r.injected, r.completed)
-	fmt.Printf("throughput         %.0f packets/sec (%.2f ms elapsed)\n",
+	fmt.Fprintf(stdout, "engine             %s (GOMAXPROCS %d)\n", r.title, runtime.GOMAXPROCS(0))
+	fmt.Fprintf(stdout, "packets            %d injected, %d completed\n", r.injected, r.completed)
+	fmt.Fprintf(stdout, "throughput         %.0f packets/sec (%.2f ms elapsed)\n",
 		r.pps, float64(r.elapsed.Microseconds())/1000)
-	fmt.Println(r.detail)
-	fmt.Printf("reordered egress   %d packets\n", r.reordered)
+	fmt.Fprintln(stdout, r.detail)
+	fmt.Fprintf(stdout, "reordered egress   %d packets\n", r.reordered)
 	if r.latency != nil && r.latency.Total() > 0 {
-		fmt.Printf("latency            p50 %.0f µs, p99 %.0f µs\n",
+		fmt.Fprintf(stdout, "latency            p50 %.0f µs, p99 %.0f µs\n",
 			r.latency.Quantile(0.5), r.latency.Quantile(0.99))
 	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := reg.WriteProm(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
+	if err := writeProm(metricsOut, reg); err != nil {
+		fmt.Fprintln(stderr, "mp5sim:", err)
+		return 1
 	}
 	switch equiv.Liveness(r.stalled, r.completed, r.injected) {
 	case "stall":
-		fmt.Fprintf(os.Stderr, "mp5sim: %s stalled (%d of %d packets completed)\n",
+		fmt.Fprintf(stderr, "mp5sim: %s stalled (%d of %d packets completed)\n",
 			name, r.completed, r.injected)
 		return 3
 	case "loss":
 		if verify {
-			fmt.Println("equivalence        skipped (packet loss)")
+			fmt.Fprintln(stdout, "equivalence        skipped (packet loss)")
 		}
 		return 0
 	}
@@ -389,7 +404,7 @@ func runEngine(name string, prog *ir.Program, trace []core.Arrival, workers int,
 		return 0
 	}
 	rep := equiv.Run(prog, trace).Verify(r.eng.FinalRegs(), r.eng.Outputs(), r.eng.AccessOrders())
-	return printVerdict(rep, "all registers, C1 order")
+	return printVerdict(stdout, rep, "all registers, C1 order")
 }
 
 // randomFieldTrace drives an arbitrary user program with uniformly random
@@ -404,9 +419,4 @@ func max64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mp5sim:", err)
-	os.Exit(1)
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mp5/internal/banzai"
 	"mp5/internal/core"
 	"mp5/internal/equiv"
 )
@@ -38,21 +37,16 @@ func accessOrderRun(t *testing.T, arch core.Arch) *equiv.Report {
 		tr[i].Fields[a] = int64(rng.Intn(1024))
 		tr[i].Fields[b] = int64(rng.Intn(1024))
 	}
-	got := map[string][]int64{}
+	order := equiv.NewOrderLog()
 	sim := core.NewSimulator(prog, core.Config{
 		Arch: arch, Pipelines: 4, Seed: 1, RecordOutputs: true,
-		Trace: func(e core.Event) {
-			if e.Kind == core.EvAccess {
-				key := banzai.AccessKey(e.Reg, e.Idx)
-				got[key] = append(got[key], e.PktID)
-			}
-		},
+		Trace: order.Hook(),
 	})
 	res := sim.Run(tr)
 	if res.Completed != res.Injected {
 		t.Fatalf("%v: loss (%d of %d)", arch, res.Completed, res.Injected)
 	}
-	return equiv.Run(prog, tr).Verify(sim.FinalRegs(), sim.Outputs(), got)
+	return equiv.Run(prog, tr).Verify(sim.FinalRegs(), sim.Outputs(), order.Order())
 }
 
 // TestAccessEventsMatchReference: on MP5 (D4 on) the access order

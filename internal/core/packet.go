@@ -123,6 +123,3 @@ func (p *Packet) visitAt(s int) *visit {
 
 // stateless reports whether the packet has no unperformed stateful visits.
 func (p *Packet) stateless() bool { return p.nextVisit >= len(p.visits) }
-
-// ECNMarked reports whether the packet received a congestion mark.
-func (p *Packet) ECNMarked() bool { return p.ecnMarked }

@@ -304,6 +304,35 @@ func Liveness(stalled bool, completed, injected int64) string {
 	return ""
 }
 
+// OrderLog collects a simulator run's effective per-slot access order from
+// its EvAccess stream (predicate held, as the reference logs), for Verify:
+// the simulator's own AccessOrders logs resolved accesses instead.
+type OrderLog struct {
+	slots map[[2]int][]int64
+}
+
+// NewOrderLog returns an empty log; attach Hook via core.Config.Trace.
+func NewOrderLog() *OrderLog { return &OrderLog{slots: map[[2]int][]int64{}} }
+
+// Hook returns the trace consumer appending every access to its slot.
+func (l *OrderLog) Hook() func(core.Event) {
+	return func(e core.Event) {
+		if e.Kind == core.EvAccess {
+			slot := [2]int{e.Reg, e.Idx}
+			l.slots[slot] = append(l.slots[slot], e.PktID)
+		}
+	}
+}
+
+// Order returns the logged order keyed as Ref.Order is.
+func (l *OrderLog) Order() map[string][]int64 {
+	order := make(map[string][]int64, len(l.slots))
+	for slot, seq := range l.slots {
+		order[banzai.AccessKey(slot[0], slot[1])] = seq
+	}
+	return order
+}
+
 // ReferenceOrder returns the per-slot access order of the single-pipeline
 // reference over the arrival trace (Run's Order, without the outputs).
 func ReferenceOrder(prog *ir.Program, arrivals []core.Arrival) map[string][]int64 {

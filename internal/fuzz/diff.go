@@ -247,30 +247,20 @@ func (r *reference) coreConfig(arch core.Arch, seed, crossLat int64) core.Config
 
 // runCore simulates the case on one architecture of the cycle-accurate
 // simulator, with crossLat cycles on every inter-pipeline crossing, and
-// compares against the reference. The observed order is built from the
-// EvAccess stream, which logs effective accesses (predicate held) as the
-// reference does. nil means the engine matched on every oracle.
+// compares against the reference, the order taken from the EvAccess stream.
+// nil means the engine matched on every oracle.
 func (r *reference) runCore(arch core.Arch, seed, crossLat int64) *Failure {
-	slots := map[[2]int][]int64{}
+	order := equiv.NewOrderLog()
 	cfg := r.coreConfig(arch, seed, crossLat)
 	cfg.RecordOutputs = true
-	cfg.Trace = func(e core.Event) {
-		if e.Kind == core.EvAccess {
-			slot := [2]int{e.Reg, e.Idx}
-			slots[slot] = append(slots[slot], e.PktID)
-		}
-	}
+	cfg.Trace = order.Hook()
 	sim := core.NewSimulator(r.prog, cfg)
 	fail := &Failure{Engine: EngineCore, Arch: arch, CrossLatency: crossLat}
 	res := sim.Run(r.arrivals)
 	if f := fail.lost(res.Stalled, res.Completed, int64(len(r.arrivals))); f != nil {
 		return f
 	}
-	got := make(map[string][]int64, len(slots))
-	for slot, seq := range slots {
-		got[banzai.AccessKey(slot[0], slot[1])] = seq
-	}
-	return fail.judge(r.ref.Verify(sim.FinalRegs(), sim.Outputs(), got))
+	return fail.judge(r.ref.Verify(sim.FinalRegs(), sim.Outputs(), order.Order()))
 }
 
 // runBytecode differences the bytecode VM against the tree-walking

@@ -49,13 +49,3 @@ func (p *Program) InstallTable(name string, value int64, keys ...int64) error {
 	p.TableEntries = append(p.TableEntries, TableEntry{Table: id, Keys: k, Value: value})
 	return nil
 }
-
-// TableIndex returns the id of the named table, or -1.
-func (p *Program) TableIndex(name string) int {
-	for i := range p.Tables {
-		if p.Tables[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}

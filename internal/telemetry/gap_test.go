@@ -12,12 +12,12 @@ import (
 
 // TestSamplerCycleJumps: the event-driven simulator core fast-forwards the
 // clock across idle gaps, so consecutive trace events can be thousands of
-// cycles apart. The sampler must still emit one sample per interval — the
+// cycles apart. The recorder must still emit one sample per interval — the
 // skipped intervals appear as explicit empty points, never as a gap or a
 // panic.
 func TestSamplerCycleJumps(t *testing.T) {
 	var samples []telemetry.Sample
-	s := telemetry.NewSampler(100, 4, func(x telemetry.Sample) { samples = append(samples, x) })
+	s := telemetry.NewRecorder(nil, 100, 4, func(x telemetry.Sample) { samples = append(samples, x) })
 	hook := s.Hook()
 	hook(core.Event{Cycle: 5, Kind: core.EvAdmit, PktID: 0})
 	hook(core.Event{Cycle: 1005, Kind: core.EvEgress, PktID: 0}) // 10-interval jump
@@ -56,14 +56,14 @@ func TestSameSeedTelemetryIdentical(t *testing.T) {
 	snapshot := func() []byte {
 		var buf bytes.Buffer
 		j := telemetry.NewJSONL(&buf)
-		sampler := telemetry.NewSampler(50, 4, j.SampleSink())
+		rec := telemetry.NewRecorder(nil, 50, 4, j.SampleSink())
 		sim := core.NewSimulator(prog, core.Config{
 			Arch: core.ArchMP5, Pipelines: 4, Seed: 3,
 			CrossLatency: 4, FIFOCap: 3, ECNThreshold: 2,
-			Trace: telemetry.Tee(j.EventHook(), sampler.Hook()),
+			Trace: telemetry.Tee(j.EventHook(), rec.Hook()),
 		})
 		res := sim.Run(trace)
-		sampler.Close()
+		rec.Close()
 		j.Object(res)
 		if err := j.Flush(); err != nil {
 			t.Fatal(err)

@@ -27,8 +27,8 @@ type EventRecord struct {
 	State string `json:"state,omitempty"`
 }
 
-// JSONL writes telemetry records — events, samples, spans, and arbitrary
-// tagged summary objects — as one JSON object per line. Safe for concurrent
+// JSONL writes telemetry records — events, samples, and arbitrary tagged
+// summary objects — as one JSON object per line. Safe for concurrent
 // use: records from many goroutines (the concurrent dataplane's workers, or
 // several simulators sharing one sink) serialize on an internal mutex, so
 // lines never interleave mid-record.
@@ -68,14 +68,9 @@ func (j *JSONL) EventHook() func(core.Event) {
 	}
 }
 
-// SampleSink returns a Sampler sink writing each interval as JSONL.
+// SampleSink returns a Recorder sink writing each interval as JSONL.
 func (j *JSONL) SampleSink() func(Sample) {
 	return func(s Sample) { j.write(s) }
-}
-
-// SpanSink returns a SpanBuilder sink writing each finished span as JSONL.
-func (j *JSONL) SpanSink() func(Span) {
-	return func(s Span) { j.write(s) }
 }
 
 // Object writes one arbitrary record (e.g. a tagged end-of-run summary).

@@ -1,14 +1,13 @@
 // Package telemetry is the observability layer of the reproduction: a
 // lightweight metrics registry (counters, gauges, windowed histograms with
-// quantile extraction) with a Prometheus-text snapshot, a time-series
-// sampler that folds the simulator's trace-event stream into per-interval
-// series, a packet-lifecycle span builder with a queue-wait vs.
-// service-time breakdown, and JSONL sinks for all of it.
+// quantile extraction) with a Prometheus-text snapshot, the Recorder that
+// folds the simulator's trace-event stream into metrics, per-interval
+// samples and a latency summary, and a JSONL sink for all of it.
 //
-// Every consumer here is a pure core.Config.Trace subscriber — the
-// simulator hot loop gains no new hooks, and a nil *Registry (telemetry
-// disabled) makes every metric operation a nil-receiver no-op with zero
-// allocation.
+// The Recorder and the JSONL event hook are pure core.Config.Trace
+// subscribers — the simulator hot loop gains no new hooks, and a nil
+// *Registry (telemetry disabled) makes every metric operation a
+// nil-receiver no-op with zero allocation.
 package telemetry
 
 import (

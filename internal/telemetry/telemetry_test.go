@@ -151,7 +151,7 @@ func TestWindowedHistogram(t *testing.T) {
 	}
 }
 
-// ---- sampler ----
+// ---- sampling ----
 
 func ev(cycle int64, kind core.EventKind, pkt int64, stage, pipe int) core.Event {
 	return core.Event{Cycle: cycle, Kind: kind, PktID: pkt, Stage: stage, Pipe: pipe}
@@ -159,7 +159,7 @@ func ev(cycle int64, kind core.EventKind, pkt int64, stage, pipe int) core.Event
 
 func TestSamplerIntervals(t *testing.T) {
 	var samples []telemetry.Sample
-	s := telemetry.NewSampler(10, 2, func(sm telemetry.Sample) { samples = append(samples, sm) })
+	s := telemetry.NewRecorder(nil, 10, 2, func(sm telemetry.Sample) { samples = append(samples, sm) })
 	hook := s.Hook()
 	hook(ev(0, core.EvAdmit, 1, -1, 0))
 	hook(ev(2, core.EvSteer, 1, 1, 1))
@@ -192,8 +192,10 @@ func TestSamplerIntervals(t *testing.T) {
 
 func TestSamplerOccupancy(t *testing.T) {
 	var samples []telemetry.Sample
-	s := telemetry.NewSampler(10, 1, func(sm telemetry.Sample) { samples = append(samples, sm) })
+	s := telemetry.NewRecorder(nil, 10, 1, func(sm telemetry.Sample) { samples = append(samples, sm) })
 	hook := s.Hook()
+	hook(ev(0, core.EvAdmit, 1, -1, 0))
+	hook(ev(0, core.EvAdmit, 2, -1, 0))
 	// Packet 1: phantom at (2,0), then data lands (phantom retires,
 	// data occupies), still queued at the interval boundary.
 	hook(ev(1, core.EvPhantom, 1, 2, 0))
@@ -227,12 +229,11 @@ func TestSamplerOccupancy(t *testing.T) {
 	}
 }
 
-// ---- span builder ----
+// ---- latency summary ----
 
-func TestSpanBuilderBreakdown(t *testing.T) {
-	var spans []telemetry.Span
-	b := telemetry.NewSpanBuilder(func(sp telemetry.Span) { spans = append(spans, sp) })
-	hook := b.Hook()
+func TestLatencyBreakdown(t *testing.T) {
+	r := telemetry.NewRecorder(nil, 100, 2, nil)
+	hook := r.Hook()
 	hook(ev(10, core.EvAdmit, 1, -1, 0))
 	hook(ev(11, core.EvResolve, 1, 0, 0))
 	hook(ev(12, core.EvEnqueue, 1, 3, 1))
@@ -244,43 +245,29 @@ func TestSpanBuilderBreakdown(t *testing.T) {
 	de.Cause = core.CauseData
 	hook(de)
 
-	if b.Live() != 0 {
-		t.Fatalf("live = %d", b.Live())
+	if r.Live() != 0 {
+		t.Fatalf("live = %d", r.Live())
 	}
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans", len(spans))
-	}
-	sp := spans[0]
-	if sp.Latency != 10 || sp.QueueWait != 5 || sp.Service != 5 {
-		t.Errorf("span = %+v, want latency 10 = 5 wait + 5 service", sp)
-	}
-	if sp.Admit != 10 || sp.Resolve != 11 || sp.End != 20 || sp.Dropped {
-		t.Errorf("span fields = %+v", sp)
-	}
-	dsp := spans[1]
-	if !dsp.Dropped || dsp.Cause != "data" || dsp.Latency != 4 {
-		t.Errorf("drop span = %+v", dsp)
-	}
-	sum := b.Summary()
+	sum := r.Summary()
 	if sum.Completed != 1 || sum.Dropped != 1 {
 		t.Errorf("summary counts = %+v", sum)
 	}
 	if sum.Mean != 10 || sum.MeanQueueWait != 5 || sum.MeanService != 5 || sum.Max != 10 {
-		t.Errorf("summary stats = %+v", sum)
+		t.Errorf("summary stats = %+v, want latency 10 = 5 wait + 5 service", sum)
 	}
 	if sum.P50 != 10 || sum.P99 != 10 {
 		t.Errorf("summary quantiles = %+v", sum)
 	}
 }
 
-func TestSpanBuilderRecircPasses(t *testing.T) {
-	b := telemetry.NewSpanBuilder(nil)
-	hook := b.Hook()
+func TestLatencyRecircPasses(t *testing.T) {
+	r := telemetry.NewRecorder(nil, 100, 2, nil)
+	hook := r.Hook()
 	hook(ev(0, core.EvAdmit, 1, -1, 0))
 	hook(ev(5, core.EvAdmit, 1, -1, 1)) // recirculation pass
 	hook(ev(6, core.EvAdmit, 1, -1, 0)) // another
 	hook(ev(9, core.EvEgress, 1, -1, 0))
-	sum := b.Summary()
+	sum := r.Summary()
 	if sum.Completed != 1 || sum.Mean != 9 {
 		t.Fatalf("summary = %+v", sum)
 	}
@@ -300,7 +287,7 @@ func setupRun(t testing.TB, cfg core.Config, packets int) (*core.Simulator, []co
 	return core.NewSimulator(prog, cfg), trace
 }
 
-func TestSimMetricsReconcile(t *testing.T) {
+func TestRecorderReconcile(t *testing.T) {
 	cfgs := map[string]core.Config{
 		"mp5":         {Arch: core.ArchMP5, Pipelines: 4, Seed: 2},
 		"mp5-drops":   {Arch: core.ArchMP5, Pipelines: 4, Seed: 2, FIFOCap: 2},
@@ -310,51 +297,48 @@ func TestSimMetricsReconcile(t *testing.T) {
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			reg := telemetry.NewRegistry()
-			m := telemetry.NewSimMetrics(reg)
-			spans := telemetry.NewSpanBuilder(nil)
-			cfg.Trace = telemetry.Tee(m.Hook(), spans.Hook())
+			rec := telemetry.NewRecorder(telemetry.NewRegistry(), 100, cfg.Pipelines, nil)
+			cfg.Trace = rec.Hook()
 			sim, trace := setupRun(t, cfg, 3000)
 			res := sim.Run(trace)
-			if bad := m.Reconcile(res); len(bad) > 0 {
+			if bad := rec.Reconcile(res); len(bad) > 0 {
 				t.Fatalf("reconciliation failed:\n  %s", strings.Join(bad, "\n  "))
 			}
-			if spans.Live() != 0 {
-				t.Errorf("%d spans still live after a drained run", spans.Live())
+			if rec.Live() != 0 {
+				t.Errorf("%d packets still live after a drained run", rec.Live())
 			}
-			sum := spans.Summary()
+			sum := rec.Summary()
 			if sum.Completed != res.Completed {
-				t.Errorf("span completions %d != Result %d", sum.Completed, res.Completed)
+				t.Errorf("summary completions %d != Result %d", sum.Completed, res.Completed)
 			}
-			// The span latency histogram replaces the scalar
-			// MeanLatency computation — they must agree wherever
-			// admission is immediate. (The recirculation baseline
-			// buffers packets at ingress before their first admit
-			// event, so spans exclude that wait by design.)
+			// The event-derived latency must agree with the Result's
+			// wherever admission is immediate. (The recirculation
+			// baseline buffers packets at ingress before their first
+			// admit event, so the summary excludes that wait by
+			// design.)
 			if res.Completed > 0 && cfg.Arch != core.ArchRecirc {
 				diff := sum.Mean - res.MeanLatency
 				if diff < -1e-9 || diff > 1e-9 {
-					t.Errorf("span mean %g != Result mean %g", sum.Mean, res.MeanLatency)
+					t.Errorf("summary mean %g != Result mean %g", sum.Mean, res.MeanLatency)
 				}
 				if sum.P99 != res.P99Latency {
-					t.Errorf("span p99 %d != Result p99 %d", sum.P99, res.P99Latency)
+					t.Errorf("summary p99 %d != Result p99 %d", sum.P99, res.P99Latency)
 				}
 			}
 			if cfg.Arch == core.ArchRecirc && res.Completed > 0 && sum.Mean > res.MeanLatency+1e-9 {
-				t.Errorf("span mean %g exceeds arrival-based mean %g", sum.Mean, res.MeanLatency)
+				t.Errorf("summary mean %g exceeds arrival-based mean %g", sum.Mean, res.MeanLatency)
 			}
 		})
 	}
 }
 
 func TestReconcileDetectsMismatch(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	m := telemetry.NewSimMetrics(reg)
-	cfg := core.Config{Arch: core.ArchMP5, Pipelines: 4, Seed: 2, Trace: m.Hook()}
+	rec := telemetry.NewRecorder(telemetry.NewRegistry(), 100, 4, nil)
+	cfg := core.Config{Arch: core.ArchMP5, Pipelines: 4, Seed: 2, Trace: rec.Hook()}
 	sim, trace := setupRun(t, cfg, 500)
 	res := sim.Run(trace)
 	res.Completed++ // corrupt the result
-	if bad := m.Reconcile(res); len(bad) == 0 {
+	if bad := rec.Reconcile(res); len(bad) == 0 {
 		t.Fatal("reconcile missed a corrupted result")
 	}
 }
@@ -364,15 +348,14 @@ func TestReconcileDetectsMismatch(t *testing.T) {
 func TestJSONLStream(t *testing.T) {
 	var buf bytes.Buffer
 	j := telemetry.NewJSONL(&buf)
-	sampler := telemetry.NewSampler(100, 4, j.SampleSink())
-	spans := telemetry.NewSpanBuilder(j.SpanSink())
+	rec := telemetry.NewRecorder(nil, 100, 4, j.SampleSink())
 	cfg := core.Config{
 		Arch: core.ArchMP5, Pipelines: 4, Seed: 2,
-		Trace: telemetry.Tee(j.EventHook(), sampler.Hook(), spans.Hook()),
+		Trace: telemetry.Tee(j.EventHook(), rec.Hook()),
 	}
 	sim, trace := setupRun(t, cfg, 800)
 	res := sim.Run(trace)
-	sampler.Close()
+	rec.Close()
 	j.Object(map[string]any{"type": "run", "completed": res.Completed})
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
@@ -381,7 +364,7 @@ func TestJSONLStream(t *testing.T) {
 	// Every line is a valid, type-tagged JSON object; the per-type
 	// tallies are consistent with the run.
 	counts := map[string]int64{}
-	var egressEvents, accessEvents, sampleEgress, spanCount int64
+	var egressEvents, accessEvents, sampleEgress int64
 	sc := bufio.NewScanner(&buf)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -406,8 +389,6 @@ func TestJSONLStream(t *testing.T) {
 			}
 		case "sample":
 			sampleEgress += int64(rec["egressed"].(float64))
-		case "span":
-			spanCount++
 		case "run":
 		default:
 			t.Fatalf("unknown record type %q", typ)
@@ -425,8 +406,8 @@ func TestJSONLStream(t *testing.T) {
 	if sampleEgress != res.Completed {
 		t.Errorf("samples account for %d egresses, want %d", sampleEgress, res.Completed)
 	}
-	if spanCount != res.Injected {
-		t.Errorf("spans %d != injected %d", spanCount, res.Injected)
+	if sum := rec.Summary(); sum.Completed+sum.Dropped != res.Injected {
+		t.Errorf("summary closes %d+%d packets, want %d injected", sum.Completed, sum.Dropped, res.Injected)
 	}
 	if accessEvents == 0 {
 		t.Error("stateful program produced no access events in the stream")

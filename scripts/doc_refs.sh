@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# doc_refs.sh checks the backticked references in DESIGN.md and README.md
-# against the tree, and exits non-zero listing every stale one:
+# doc_refs.sh checks the backticked references in DESIGN.md, README.md and
+# EXPERIMENTS.md against the tree, and exits non-zero listing every stale one:
 #   - a span that is a test name (`TestX`, `BenchmarkX`, `FuzzX`, `ExampleX`)
 #     must be listed by `go test -list` in the root module or in bench/;
 #   - a span that starts with a top-level directory (`internal/...`,
@@ -10,7 +10,7 @@
 # Spans holding spaces (commands) or braces are not read as references.
 # Run from the repository root: bash scripts/doc_refs.sh
 set -euo pipefail
-docs=(DESIGN.md README.md)
+docs=(DESIGN.md README.md EXPERIMENTS.md)
 tests=$( { go test -list . ./... && (cd bench && go test -list . ./...); } |
 	grep -E '^(Test|Benchmark|Fuzz|Example)' | sort -u)
 bad=0
