@@ -16,7 +16,7 @@ GO ?= go
 # all at PROCS.
 PROCS = GOMAXPROCS=8
 
-.PHONY: all build vet fmt-check test race race-dataplane flake-hunt race-server race-tenant allocs-gate race-poison serve-smoke trace-smoke tenant-smoke doc-refs check bench bench-test fuzz-smoke fuzz loc clean
+.PHONY: all build vet fmt-check test race race-dataplane flake-hunt race-server race-tenant allocs-gate race-poison serve-smoke trace-smoke tenant-smoke examples-smoke doc-refs check bench bench-test fuzz-smoke fuzz loc clean
 
 all: check
 
@@ -131,6 +131,12 @@ trace-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# examples-smoke builds and runs every program under examples/: each checks
+# its own run against the single-pipeline reference (mp5.Check) and exits
+# non-zero on a failed verdict, which fails the target. About a second.
+examples-smoke:
+	@for d in examples/*/; do $(GO) run ./$$d > /dev/null || { echo "examples-smoke: $$d failed"; exit 1; }; done
+
 # doc-refs fails on a stale reference in DESIGN.md, README.md or
 # EXPERIMENTS.md: a backticked test, benchmark, fuzz target or example that
 # `go test -list` does not find (root module or bench/), or a backticked repo
@@ -142,11 +148,11 @@ doc-refs:
 # build, gofmt, vet; the whole suite under -race at GOMAXPROCS=2;
 # the three interleaving-sensitive packages again under -race at $(PROCS),
 # and the dataplane once more with poison-on-free; the allocation gate; the
-# differential-fuzzing smoke; the three daemon soaks; the benchmark harness's
-# own tests; the docs' references. Each (package, GOMAXPROCS, build tags)
+# differential-fuzzing smoke; the three daemon soaks; the examples, run; the
+# benchmark harness's own tests; the docs' references. Each (package, GOMAXPROCS, build tags)
 # combination runs once. Numbers are not the gate's job: bench/run.sh
 # measures (bench/README.md).
-check: vet race race-dataplane race-server race-tenant race-poison allocs-gate fuzz-smoke serve-smoke trace-smoke tenant-smoke bench-test doc-refs
+check: vet race race-dataplane race-server race-tenant race-poison allocs-gate fuzz-smoke serve-smoke trace-smoke tenant-smoke examples-smoke bench-test doc-refs
 
 # fuzz-smoke is the deterministic, seeded, time-bounded slice of the
 # differential fuzzing harness: MP5_FUZZ_CASES fixed cases (program +

@@ -187,12 +187,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rec = telemetry.NewRecorder(reg, interval, *k, sink)
 		hooks = append(hooks, rec.Hook())
 	}
-	// The verdict's order comes from the EvAccess stream: the simulator's
-	// own access log records resolved accesses, not effective ones.
-	order := equiv.NewOrderLog()
-	if *verify {
-		hooks = append(hooks, order.Hook())
-	}
 	if len(hooks) > 0 {
 		cfg.Trace = telemetry.Tee(hooks...)
 	}
@@ -279,7 +273,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "equivalence        skipped (packet loss; see Sec 3.5.1)")
 		return 0
 	}
-	rep := equiv.Run(prog, trace).Verify(sim.FinalRegs(), sim.Outputs(), order.Order())
+	rep := equiv.Run(prog, trace).Verify(sim.FinalRegs(), sim.Outputs(), sim.AccessOrders())
 	return printVerdict(stdout, rep, "all registers, C1 order")
 }
 

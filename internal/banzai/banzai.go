@@ -38,11 +38,9 @@ type Machine struct {
 	// pins).
 	bc *bytecode.Program
 	vm *bytecode.VM
-	// slots, when enabled with RecordIndexedAccesses, logs every effective
-	// access per register slot: slots[reg][clamped idx] lists the packet
-	// ids in processing order. A register's row is allocated the first
-	// time the register is touched.
-	slots [][][]int64
+	// log, when enabled with RecordIndexedAccesses, holds every effective
+	// access per register slot in processing order.
+	log *AccessLog
 	// obs is the access observer, bound once at construction; obsID is the
 	// packet it logs and seen the (reg, idx) slots the packet has already
 	// touched in the current stage.
@@ -91,30 +89,70 @@ func (m *Machine) Regs() *RegFile { return m.regs }
 // a single pipeline is by construction the arrival order. This is the C1
 // reference order the differential fuzzing oracle compares against.
 func (m *Machine) RecordIndexedAccesses() {
-	m.slots = make([][][]int64, len(m.prog.Regs))
+	m.log = NewAccessLog(m.prog)
 }
 
-// IndexedAccessLog returns the per-slot access order, keyed "r<reg>[<idx>]"
-// with indices clamped the same way the register file clamps them — the
-// granularity of the simulator's EvAccess trace events. Each call renders
-// the keys afresh; the sequences alias the machine's log.
-func (m *Machine) IndexedAccessLog() map[string][]int64 {
-	if m.slots == nil {
-		return nil
+// IndexedAccessLog returns the per-slot access order (AccessLog.Map), or nil
+// when logging is off.
+func (m *Machine) IndexedAccessLog() map[string][]int64 { return m.log.Map() }
+
+// AccessLog is a per-slot access order: for every register index, clamped
+// the way the register file clamps it, the ids of the packets that
+// effectively accessed it (predicate held), in the order they did, counted
+// once per stage execution. The reference machine, the simulator and the
+// dataplane all log C1 order in one; on a single pipeline every sequence is
+// ascending. Appends to different slots may run concurrently.
+type AccessLog struct {
+	// off[r] is register r's first slot in seqs; a register of size n has
+	// max(n, 1) slots.
+	off  []int
+	seqs [][]int64
+}
+
+// NewAccessLog returns an empty log with a slot for every index of every
+// register of p.
+func NewAccessLog(p *ir.Program) *AccessLog {
+	l := &AccessLog{off: make([]int, len(p.Regs)+1)}
+	for r := range p.Regs {
+		l.off[r+1] = l.off[r] + max(p.Regs[r].Size, 1)
 	}
-	out := map[string][]int64{}
-	for reg, row := range m.slots {
-		for idx, seq := range row {
+	l.seqs = make([][]int64, l.off[len(p.Regs)])
+	return l
+}
+
+// Slot returns the sequence of register reg's clamped index idx.
+func (l *AccessLog) Slot(reg, idx int) *[]int64 { return &l.seqs[l.off[reg]+idx] }
+
+// Append logs packet id accessing register reg at clamped index idx.
+func (l *AccessLog) Append(reg, idx int, id int64) {
+	s := l.Slot(reg, idx)
+	*s = append(*s, id)
+}
+
+// Each calls f with every slot that has an access, in (reg, idx) order.
+func (l *AccessLog) Each(f func(reg, idx int, seq []int64)) {
+	for reg := 0; reg+1 < len(l.off); reg++ {
+		for idx, seq := range l.seqs[l.off[reg]:l.off[reg+1]] {
 			if len(seq) > 0 {
-				out[AccessKey(reg, idx)] = seq
+				f(reg, idx, seq)
 			}
 		}
 	}
+}
+
+// Map renders the log keyed AccessKey(reg, idx), one entry per slot with an
+// access; a nil log renders nil. The sequences alias the log.
+func (l *AccessLog) Map() map[string][]int64 {
+	if l == nil {
+		return nil
+	}
+	out := map[string][]int64{}
+	l.Each(func(reg, idx int, seq []int64) { out[AccessKey(reg, idx)] = seq })
 	return out
 }
 
 // AccessKey renders the canonical per-slot state name "r<reg>[<idx>]"
-// shared by the reference log and the simulator's EvAccess events.
+// shared by AccessLog and the simulator's EvAccess events.
 func AccessKey(reg, idx int) string {
 	var buf [48]byte
 	b := append(buf[:0], 'r')
@@ -130,7 +168,7 @@ func AccessKey(reg, idx int) string {
 func (m *Machine) Process(id int64, env *ir.Env) {
 	for si := range m.prog.Stages {
 		var obs ir.AccessObserver
-		if m.slots != nil && m.prog.Stages[si].Stateful() {
+		if m.log != nil && m.prog.Stages[si].Stateful() {
 			obs, m.obsID, m.seen = m.obs, id, m.seen[:0]
 		}
 		m.execStage(si, env, obs)
@@ -140,20 +178,14 @@ func (m *Machine) Process(id int64, env *ir.Env) {
 // observe appends the current packet to each distinct register slot it
 // effectively accesses in a stage (predicate held; index clamped).
 func (m *Machine) observe(reg int, idx int64, _ bool) {
-	size := m.prog.Regs[reg].Size
-	slot := [2]int{reg, ir.ClampIndex(int(idx), size)}
+	slot := [2]int{reg, ir.ClampIndex(int(idx), m.prog.Regs[reg].Size)}
 	for _, s := range m.seen {
 		if s == slot {
 			return
 		}
 	}
 	m.seen = append(m.seen, slot)
-	row := m.slots[reg]
-	if row == nil {
-		row = make([][]int64, max(size, 1))
-		m.slots[reg] = row
-	}
-	row[slot[1]] = append(row[slot[1]], m.obsID)
+	m.log.Append(reg, slot[1], m.obsID)
 }
 
 // Run processes a batch of packet environments in order (index = arrival

@@ -2,8 +2,10 @@ package core_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"mp5/internal/banzai"
 	"mp5/internal/core"
 	"mp5/internal/equiv"
 )
@@ -24,48 +26,83 @@ void f (struct Packet p) {
 }
 `
 
-// accessOrderRun simulates accessOrderSrc on arch, fails the test on loss,
-// and returns the C1 verdict on the run, with the observed per-slot access
-// order reconstructed from EvAccess events.
-func accessOrderRun(t *testing.T, arch core.Arch) *equiv.Report {
+// wastedVisitSrc guards a read-modify-write with a predicate computed from
+// state, which resolution cannot decide: every packet takes a conservative
+// visit to cnt's stage, and two in three of them access nothing there.
+const wastedVisitSrc = `
+struct Packet { int a; int seq; };
+int flag [1] = {0};
+int cnt [16] = {0};
+void f (struct Packet p) {
+    flag[0] = flag[0] + 1;
+    p.seq = flag[0];
+    if (p.seq % 3 == 0) {
+        cnt[p.a % 16] = cnt[p.a % 16] + 1;
+    }
+}
+`
+
+// accessOrderRun simulates src on arch with random a and b fields (those
+// the program has), fails the test on loss or when the EvAccess stream
+// disagrees with the recorded access order, and returns the run and the C1
+// verdict on its recorded order.
+func accessOrderRun(t *testing.T, src string, arch core.Arch) (*core.Result, *equiv.Report) {
 	t.Helper()
-	prog := compileMP5(t, accessOrderSrc)
+	prog := compileMP5(t, src)
 	tr := lineRateTrace(prog, 6000, 4, 11)
 	rng := rand.New(rand.NewSource(7))
-	a, b := prog.FieldIndex("a"), prog.FieldIndex("b")
-	for i := range tr {
-		tr[i].Fields[a] = int64(rng.Intn(1024))
-		tr[i].Fields[b] = int64(rng.Intn(1024))
+	for _, name := range []string{"a", "b"} {
+		if f := prog.FieldIndex(name); f >= 0 {
+			for i := range tr {
+				tr[i].Fields[f] = int64(rng.Intn(1024))
+			}
+		}
 	}
-	order := equiv.NewOrderLog()
+	events := banzai.NewAccessLog(prog)
 	sim := core.NewSimulator(prog, core.Config{
-		Arch: arch, Pipelines: 4, Seed: 1, RecordOutputs: true,
-		Trace: order.Hook(),
+		Arch: arch, Pipelines: 4, Seed: 1, RecordOutputs: true, RecordAccessOrder: true,
+		Trace: func(e core.Event) {
+			if e.Kind == core.EvAccess {
+				events.Append(e.Reg, e.Idx, e.PktID)
+			}
+		},
 	})
 	res := sim.Run(tr)
 	if res.Completed != res.Injected {
 		t.Fatalf("%v: loss (%d of %d)", arch, res.Completed, res.Injected)
 	}
-	return equiv.Run(prog, tr).Verify(sim.FinalRegs(), sim.Outputs(), order.Order())
+	order := sim.AccessOrders()
+	if !reflect.DeepEqual(events.Map(), order) {
+		t.Fatalf("%v: EvAccess stream and recorded access order differ", arch)
+	}
+	return res, equiv.Run(prog, tr).Verify(sim.FinalRegs(), sim.Outputs(), order)
 }
 
-// TestAccessEventsMatchReference: on MP5 (D4 on) the access order
-// reconstructed from EvAccess events must equal the single-pipeline
-// reference order exactly, slot by slot — the event stream is a faithful C1
-// witness.
+// TestAccessEventsMatchReference: with D4 on, the recorded access order (and
+// the EvAccess stream it is emitted with) must equal the single-pipeline
+// reference order exactly, slot by slot — including on a program whose
+// conservative visits are mostly wasted, where a log of resolved accesses
+// would list packets that never touched the slot.
 func TestAccessEventsMatchReference(t *testing.T) {
 	for _, arch := range []core.Arch{core.ArchMP5, core.ArchIdeal, core.ArchNaive} {
-		if rep := accessOrderRun(t, arch); !rep.Equivalent {
+		if _, rep := accessOrderRun(t, accessOrderSrc, arch); !rep.Equivalent {
 			t.Fatalf("%v: %s", arch, rep)
+		}
+		res, rep := accessOrderRun(t, wastedVisitSrc, arch)
+		if !rep.Equivalent {
+			t.Fatalf("%v, wasted visits: %s", arch, rep)
+		}
+		if arch == core.ArchMP5 && res.WastedVisits == 0 {
+			t.Fatalf("%v: program wasted no visits", arch)
 		}
 	}
 }
 
 // TestAccessEventsExposeNoD4: with D4 ablated the same workload must show
-// order divergence in the EvAccess stream — otherwise the oracle could
-// never falsify anything.
+// order divergence in the recorded order — otherwise the oracle could never
+// falsify anything.
 func TestAccessEventsExposeNoD4(t *testing.T) {
-	if rep := accessOrderRun(t, core.ArchMP5NoD4); len(rep.Order) == 0 {
+	if _, rep := accessOrderRun(t, accessOrderSrc, core.ArchMP5NoD4); len(rep.Order) == 0 {
 		t.Fatal("no-D4 run reproduced the reference order; oracle is blind")
 	}
 }

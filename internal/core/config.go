@@ -104,8 +104,11 @@ type Config struct {
 	// park in the crossbar buffer until the placeholder lands, so C1
 	// is preserved at any latency. 0 models a single die.
 	CrossLatency int64
-	// RecordAccessOrder logs the per-(register,index) access order for
-	// C1-violation accounting.
+	// RecordAccessOrder logs the per-slot effective access order — the
+	// packets whose predicate held on each clamped register index, each
+	// once per stage execution, the order banzai.Machine logs for the
+	// reference — which AccessOrders returns for the C1 verdict and
+	// Result.C1Violating counts.
 	RecordAccessOrder bool
 	// RecordOutputs retains each packet's final header fields for
 	// functional-equivalence checking.
@@ -219,9 +222,8 @@ func (r *Result) PacketDrops() int64 {
 	return r.DroppedData + r.DroppedInsert + r.DroppedIngress + r.DroppedStarved
 }
 
-// String renders the headline numbers. The drops total includes every drop
-// counter — ingress overflows and phantom losses were previously omitted,
-// under-reporting loss for the recirculation and bounded-FIFO configs.
+// String renders the headline numbers. The drops total sums every drop
+// counter, ingress overflows and phantom losses included.
 func (r *Result) String() string {
 	return fmt.Sprintf("%s k=%d: tput=%.3f completed=%d/%d drops=%d maxq=%d viol=%.1f%% recircs=%d",
 		r.Arch, r.Pipelines, r.Throughput, r.Completed, r.Injected,

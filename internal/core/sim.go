@@ -5,14 +5,15 @@ import (
 	"fmt"
 	"slices"
 
+	"mp5/internal/banzai"
 	"mp5/internal/ir"
 	"mp5/internal/ir/bytecode"
 	"mp5/internal/sharding"
 	"mp5/internal/stats"
 )
 
-// accessKey identifies one state for ordering purposes: a sharded register
-// index, or a whole unsharded array (idx = -1).
+// accessKey identifies one register slot: a resolved access's sharded index
+// or whole unsharded array (idx = -1), or an executed access's clamped index.
 type accessKey struct {
 	reg int
 	idx int
@@ -124,9 +125,8 @@ type Simulator struct {
 
 	// live counts every entity still inside the switch: data packets
 	// from ingress admission to egress or abandonment, plus phantom
-	// placeholders from scheduling to consumption. It replaces the
-	// former per-cycle idle() sweep over all queues and slots with an
-	// O(1) check.
+	// placeholders from scheduling to consumption, so the drained check
+	// is O(1).
 	live int64
 	// occ[i] is the number of entries (inline packets, FIFO entries
 	// including phantom placeholders, ideal-queue packets) currently in
@@ -156,10 +156,9 @@ type Simulator struct {
 	// (egress asserts phantomsLeft == 0), and recorded outputs are copies.
 	freePkts []*Packet
 
-	// order is the recorded per-slot access order (RecordAccessOrder):
-	// order[reg][idx] lists the packets that accessed the slot, in order; an
-	// unsharded array's whole-array slot (idx -1) is order[reg][0].
-	order [][][]int64
+	// order is the recorded per-slot effective access order
+	// (RecordAccessOrder).
+	order *banzai.AccessLog
 	// outIDs and outs record every egressed packet's final header fields
 	// (RecordOutputs): packet outIDs[i]'s fields are the i-th run of
 	// len(prog.Fields) words in outs.
@@ -168,15 +167,16 @@ type Simulator struct {
 	egressOrder []int64
 	latencies   []int64
 
-	// statefulStage marks stages carrying register accesses; used to skip
-	// the observed (EvAccess-emitting) execution path on stateless stages.
-	statefulStage []bool
 	// guards lists, per stage, the predicates of its stateful
 	// instructions, for counting wasted visits.
 	guards []stageGuards
-	// accessSeen dedupes EvAccess emission per (reg, clamped idx) within
-	// one stage execution; reused across executions to avoid allocation.
-	accessSeen map[accessKey]bool
+	// logAccesses is set when executed accesses are logged (order) or
+	// traced (EvAccess). accs then collects one stage execution's distinct
+	// slots, through obs, the observer bound once at construction, on a
+	// stage whose accesses are not known up front.
+	logAccesses bool
+	accs        []accessKey
+	obs         ir.AccessObserver
 
 	res Result
 	now int64
@@ -213,18 +213,17 @@ func NewSimulator(prog *ir.Program, cfg Config) *Simulator {
 	s.st = make([][]stageState, s.S)
 	s.occ = make([]int, s.S)
 	s.outCnt = make([]int, s.S)
-	s.statefulStage = make([]bool, s.S)
+	stateful := make([]bool, s.S)
 	for _, a := range prog.Accesses {
-		s.statefulStage[a.Stage] = true
+		stateful[a.Stage] = true
 	}
 	s.guards = make([]stageGuards, s.S)
 	for i := range s.guards {
 		s.guards[i] = guardsOf(prog.Stages[i].Instrs)
 	}
-	s.accessSeen = make(map[accessKey]bool)
 	for i := range s.st {
 		s.st[i] = make([]stageState, s.k)
-		if s.statefulStage[i] && cfg.Arch != ArchIdeal && cfg.Arch != ArchRecirc {
+		if stateful[i] && cfg.Arch != ArchIdeal && cfg.Arch != ArchRecirc {
 			for j := range s.st[i] {
 				s.st[i][j].fifo = NewStageFIFO(s.k, cfg.FIFOCap)
 			}
@@ -235,15 +234,10 @@ func NewSimulator(prog *ir.Program, cfg Config) *Simulator {
 		s.pipeRecirc = make([]pktQueue, s.k)
 	}
 	if cfg.RecordAccessOrder {
-		s.order = make([][][]int64, len(prog.Regs))
-		for r := range s.order {
-			n := 1
-			if s.shard.Sharded(r) {
-				n = prog.Regs[r].Size
-			}
-			s.order[r] = make([][]int64, n)
-		}
+		s.order = banzai.NewAccessLog(prog)
 	}
+	s.logAccesses = cfg.RecordAccessOrder || cfg.Trace != nil
+	s.obs = s.observe
 	s.res.Arch = cfg.Arch
 	s.res.Pipelines = s.k
 	s.res.MaxFIFOPerStage = make([]int, s.S)
@@ -285,9 +279,8 @@ func (s *Simulator) Run(arrivals []Arrival) *Result {
 
 	ai := 0
 	for {
-		// live == 0 is the former idle() sweep over every queue, slot,
-		// and schedule, maintained incrementally at admit, schedule,
-		// consume, egress, and abandon sites.
+		// live is maintained at admit, schedule, consume, egress, and
+		// abandon sites; zero means every queue, slot and schedule is empty.
 		if ai == len(arrivals) && s.live == 0 {
 			break
 		}
@@ -778,37 +771,54 @@ func (s *Simulator) processSlot(stage, pipe int) {
 }
 
 // execStage runs one stage's instructions for packet p on pipeline pipe on
-// the bytecode VM. When a trace hook is attached and the stage is stateful,
-// execution goes through the observed path so every effective register
-// access (predicate held, index resolved to its concrete clamped value)
-// emits one EvAccess event per distinct (register, index) the packet
-// touches. The event stream therefore
-// reconstructs the exact per-state access order — the ground truth for
-// checking C1 against the single-pipeline reference.
+// the bytecode VM. When accesses are logged or traced, it collects the
+// stage's effective accesses — predicate held, index clamped, each slot once
+// — the rule banzai.Machine logs the reference order by, and appends p to
+// each slot's order and emits one EvAccess per slot. A stable stage
+// (bytecode.StageProgram.Stable) takes them up front from its compiled
+// sites and runs unobserved; any other runs with the observer attached.
 func (s *Simulator) execStage(p *Packet, stage, pipe int) {
-	bst := &s.bc.Stages[stage]
-	if s.cfg.Trace == nil || !s.statefulStage[stage] {
-		if err := s.vm.ExecStage(bst, p.Env, s.regs[pipe]); err != nil {
-			panic("core: " + err.Error()) // envs are s.prog-shaped
-		}
+	sp := &s.bc.Stages[stage]
+	if err := sp.Fit(p.Env); err != nil {
+		panic("core: " + err.Error()) // envs are s.prog-shaped
+	}
+	frame := p.Env.Frame
+	sites := sp.Sites()
+	if !s.logAccesses || len(sites) == 0 {
+		s.vm.Run(sp, frame, s.regs[pipe], nil)
 		return
 	}
-	seen := s.accessSeen
-	obs := func(reg int, idx int64, write bool) {
-		key := accessKey{reg, ir.ClampIndex(int(idx), s.prog.Regs[reg].Size)}
-		if seen[key] {
-			return
+	s.accs = s.accs[:0]
+	var obs ir.AccessObserver
+	if sp.Stable() {
+		for i := range sites {
+			if site := &sites[i]; site.Held(frame) {
+				s.observe(site.Reg, frame[site.Idx], false)
+			}
 		}
-		seen[key] = true
-		s.cfg.Trace(Event{
-			Cycle: s.now, Kind: EvAccess, PktID: p.ID,
-			Stage: stage, Pipe: pipe, Reg: key.reg, Idx: key.idx,
-		})
+	} else {
+		obs = s.obs
 	}
-	if err := s.vm.ExecStageObserved(bst, p.Env, s.regs[pipe], obs); err != nil {
-		panic("core: " + err.Error())
+	s.vm.Run(sp, frame, s.regs[pipe], obs)
+	for _, a := range s.accs {
+		if s.order != nil {
+			s.order.Append(a.reg, a.idx, p.ID)
+		}
+		if s.cfg.Trace != nil {
+			s.cfg.Trace(Event{
+				Cycle: s.now, Kind: EvAccess, PktID: p.ID,
+				Stage: stage, Pipe: pipe, Reg: a.reg, Idx: a.idx,
+			})
+		}
 	}
-	clear(seen)
+}
+
+// observe adds one executed access to the stage's distinct slots (accs).
+func (s *Simulator) observe(reg int, idx int64, _ bool) {
+	key := accessKey{reg, ir.ClampIndex(int(idx), s.prog.Regs[reg].Size)}
+	if !slices.Contains(s.accs, key) {
+		s.accs = append(s.accs, key)
+	}
 }
 
 // stageGuards summarizes the predicates of one stage's stateful
@@ -855,7 +865,7 @@ func (s *Simulator) accountVisitExecution(p *Packet, stage int) {
 }
 
 // completeVisit finishes the packet's pending visit at this stage:
-// in-flight counters drop, access order is logged, eligibility fronts pop.
+// in-flight counters drop, eligibility fronts pop.
 func (s *Simulator) completeVisit(p *Packet, stage int) {
 	v := p.pendingVisit()
 	if v == nil || v.stage != stage {
@@ -863,10 +873,6 @@ func (s *Simulator) completeVisit(p *Packet, stage int) {
 	}
 	for _, a := range v.accs {
 		s.shard.NoteDone(a.reg, a.idx)
-		if s.order != nil {
-			seq := &s.order[a.reg][maxIdx(a.idx)]
-			*seq = append(*seq, p.ID)
-		}
 		if s.cfg.Arch == ArchIdeal {
 			s.popPendingOrder(accessKey{a.reg, a.idx}, p.ID)
 		}
@@ -1129,9 +1135,9 @@ func (s *Simulator) finalize() {
 		s.res.Throughput = achievedRate / offeredRate
 	}
 	if len(s.latencies) > 0 {
-		// One counting pass plus a histogram quantile instead of the
-		// former full sort. Unit-width buckets (max < 64Ki) make the
-		// P99 exact; wider runs are approximate within max/64Ki cycles.
+		// One counting pass plus a histogram quantile. Unit-width
+		// buckets (max < 64Ki) make the P99 exact; wider runs are
+		// approximate within max/64Ki cycles.
 		var sum, maxL int64
 		for _, l := range s.latencies {
 			sum += l
@@ -1158,11 +1164,7 @@ func (s *Simulator) finalize() {
 	s.res.Reordered = CountOvertakers(s.egressOrder)
 	if s.order != nil {
 		violators := map[int64]bool{}
-		for _, row := range s.order {
-			for _, seq := range row {
-				markViolators(seq, violators)
-			}
-		}
+		s.order.Each(func(_, _ int, seq []int64) { markViolators(seq, violators) })
 		s.res.C1Violating = int64(len(violators))
 		if s.res.Completed > 0 {
 			s.res.ViolationFraction = float64(s.res.C1Violating) / float64(s.res.Completed)
@@ -1189,8 +1191,8 @@ func CountOvertakers(seq []int64) int64 {
 }
 
 // markViolators adds to set every id that accessed the state before some
-// smaller id that had already been resolved to access it (condition C1:
-// same state, same order as arrival order).
+// smaller id that accessed it too (condition C1: same state, same order as
+// arrival order).
 func markViolators(seq []int64, set map[int64]bool) {
 	minSuffix := int64(1<<63 - 1)
 	for i := len(seq) - 1; i >= 0; i-- {
@@ -1203,24 +1205,10 @@ func markViolators(seq []int64, set map[int64]bool) {
 	}
 }
 
-// AccessOrders returns the recorded per-slot access order
-// (RecordAccessOrder), keyed "r<reg>[<idx>]" like the reference machine's
-// indexed log.
-func (s *Simulator) AccessOrders() map[string][]int64 {
-	out := make(map[string][]int64)
-	for reg, row := range s.order {
-		for i, seq := range row {
-			if len(seq) == 0 {
-				continue
-			}
-			if !s.shard.Sharded(reg) {
-				i = -1
-			}
-			out[fmt.Sprintf("r%d[%d]", reg, i)] = append([]int64(nil), seq...)
-		}
-	}
-	return out
-}
+// AccessOrders returns the recorded per-slot effective access order
+// (RecordAccessOrder; nil otherwise), keyed like equiv.ReferenceOrder. The
+// sequences share the simulator's record.
+func (s *Simulator) AccessOrders() map[string][]int64 { return s.order.Map() }
 
 // Outputs returns the recorded per-packet final header fields
 // (RecordOutputs; nil otherwise). The slices share the simulator's record.

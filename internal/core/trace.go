@@ -39,10 +39,9 @@ const (
 	// EvAccess: a stateful instruction actually executed (its predicate
 	// held) on a concrete register slot. Reg and Idx carry the register
 	// array id and the clamped index; one event fires per distinct
-	// (register, index) a packet touches during one stage execution.
-	// This is the raw material for reconstructing the per-state access
-	// order and checking correctness condition C1 directly — the
-	// reference order being arrival order (see internal/fuzz).
+	// (register, index) a packet touches during one stage execution —
+	// the same list Config.RecordAccessOrder logs, so the stream carries
+	// the order the C1 verdict judges.
 	EvAccess
 )
 

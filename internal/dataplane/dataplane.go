@@ -75,8 +75,9 @@ type Config struct {
 	// RecordOutputs retains each packet's final header fields (required
 	// for equivalence checking via equiv.Ref.Verify).
 	RecordOutputs bool
-	// RecordAccessOrder logs the per-slot effective access order, keyed
-	// like the simulator's EvAccess stream (required for C1 checking).
+	// RecordAccessOrder logs the per-slot effective access order in a
+	// banzai.AccessLog, as the simulator and the reference do (required
+	// for C1 checking).
 	RecordAccessOrder bool
 	// RecordEgressOrder retains the wall-clock egress sequence so Result
 	// can report Reordered (adds one shared atomic increment and one

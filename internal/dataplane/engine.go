@@ -29,9 +29,6 @@ type regShard struct {
 	// ticket lock, in its owner's block, so the per-access resolve and cover
 	// paths index instead of hashing.
 	slots []*slotState
-	// log[i] is index i's effective access order (RecordAccessOrder only),
-	// appended to by the owner of the slot holding index i.
-	log [][]int64
 }
 
 // Engine runs compiled MP5 programs on a real goroutine topology (see the
@@ -949,16 +946,12 @@ func (e *Engine) FinalRegsFor(h *Handle) [][]int64 {
 }
 
 // AccessOrders returns the default handle's per-slot effective access
-// order in global packet ids, keyed like the simulator's EvAccess stream
-// and banzai's indexed log ("r<reg>[<idx>]"). On a single-program engine
-// global ids coincide with arrival indices, so this is directly comparable
-// to equiv.ReferenceOrder. Only valid after Run/Drain, with
-// Config.RecordAccessOrder set. Multi-program engines use AccessOrdersFor.
-func (e *Engine) AccessOrders() map[string][]int64 {
-	out := make(map[string][]int64)
-	e.def.eachLog(func(key string, seq []int64) { out[key] = seq })
-	return out
-}
+// order in global packet ids (banzai.AccessLog.Map). On a single-program
+// engine global ids coincide with arrival indices, so this is directly
+// comparable to equiv.ReferenceOrder. Only valid after Run/Drain, with
+// Config.RecordAccessOrder set (nil otherwise). Multi-program engines use
+// AccessOrdersFor.
+func (e *Engine) AccessOrders() map[string][]int64 { return e.def.log.Map() }
 
 // AccessOrdersFor returns handle h's per-slot effective access order with
 // every global packet id remapped to the handle's dense per-program arrival
@@ -970,14 +963,14 @@ func (e *Engine) AccessOrdersFor(h *Handle) map[string][]int64 {
 	for i, gid := range h.idSeq {
 		idx[gid] = int64(i)
 	}
-	out := make(map[string][]int64)
-	h.eachLog(func(key string, seq []int64) {
+	out := h.log.Map()
+	for key, seq := range out {
 		m := make([]int64, len(seq))
 		for j, gid := range seq {
 			m[j] = idx[gid]
 		}
 		out[key] = m
-	})
+	}
 	return out
 }
 

@@ -100,6 +100,9 @@ type Handle struct {
 
 	// shard holds every register array's placement and ticket locks.
 	shard []regShard
+	// log is the effective access order (RecordAccessOrder only); a slot's
+	// sequence is appended to by the owner of its ticket lock.
+	log *banzai.AccessLog
 
 	quota *Quota
 
@@ -179,25 +182,13 @@ func newHandle(e *Engine, name string, version int, prog *ir.Program, quota *Quo
 			}
 			bySize[info.Size] = sh.owner
 		}
-		if e.cfg.RecordAccessOrder {
-			sh.log = make([][]int64, info.Size)
-		}
+	}
+	if e.cfg.RecordAccessOrder {
+		h.log = banzai.NewAccessLog(prog)
 	}
 	newPlacement(h.shard, e.k)
 	h.plan = resolvePlan(prog, h.shard)
 	return h
-}
-
-// eachLog calls f with every recorded per-index access sequence of the
-// handle, keyed like banzai's indexed log. Only valid after Drain.
-func (h *Handle) eachLog(f func(key string, seq []int64)) {
-	for reg := range h.shard {
-		for ci, seq := range h.shard[reg].log {
-			if len(seq) > 0 {
-				f(banzai.AccessKey(reg, ci), seq)
-			}
-		}
-	}
 }
 
 // Name returns the name the handle was registered under (the tenant name).

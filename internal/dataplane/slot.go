@@ -15,7 +15,7 @@ import (
 // access each. Nothing here is locked; every word has exactly one writer:
 //
 //	issued        the admitter (regShard.issued, the handle's admitter block)
-//	served, wait  the slot's owning pipeline (and its log row, regShard.log)
+//	served, wait  the slot's owning pipeline (and its access log sequences, Handle.log)
 //
 // Placement is fixed when the handle is built, so the two halves live
 // apart, laid out by writer: every array's issued counters form one dense

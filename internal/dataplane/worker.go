@@ -417,8 +417,10 @@ func (w *worker) cover(p *packet, v *visit, reg int, idx int64) {
 			continue
 		}
 		w.hit[i>>6] |= 1 << (i & 63)
-		if sh.log != nil && !slices.Contains(w.touched, &sh.log[ci]) {
-			w.touched = append(w.touched, &sh.log[ci])
+		if p.h.log != nil {
+			if row := p.h.log.Slot(reg, ci); !slices.Contains(w.touched, row) {
+				w.touched = append(w.touched, row)
+			}
 		}
 		return
 	}

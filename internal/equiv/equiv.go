@@ -71,6 +71,9 @@ type Report struct {
 	// Order lists the first access-order divergence per state, in state-name
 	// order, up to OrderLimit states.
 	Order []OrderDiv
+	// OrderTotal counts every state whose order diverged, including those
+	// beyond the OrderLimit cap on Order.
+	OrderTotal int
 }
 
 // String renders the report in a stable, diff-friendly form: a verdict
@@ -83,8 +86,8 @@ func (r *Report) String() string {
 		return b.String()
 	}
 	fmt.Fprintf(&b, "NOT equivalent: %d mismatches", r.Total)
-	if len(r.Order) > 0 {
-		fmt.Fprintf(&b, ", %d states out of order", len(r.Order))
+	if r.OrderTotal > 0 {
+		fmt.Fprintf(&b, ", %d states out of order", r.OrderTotal)
 	}
 	fmt.Fprintf(&b, " (%d packets compared)", r.PacketsCompared)
 	for _, m := range r.Mismatches {
@@ -97,6 +100,9 @@ func (r *Report) String() string {
 	for _, d := range r.Order {
 		b.WriteString("\n  order: ")
 		b.WriteString(d.String())
+	}
+	if r.OrderTotal > len(r.Order) {
+		fmt.Fprintf(&b, "\n  ... and %d more states out of order", r.OrderTotal-len(r.Order))
 	}
 	return b.String()
 }
@@ -237,17 +243,17 @@ func (ref *Ref) Verify(simRegs [][]int64, simOut map[int64][]int64, order map[st
 			}
 		}
 	}
-	rep.Order = diffOrders(ref.Order, order)
-	rep.Equivalent = rep.Total == 0 && len(rep.Order) == 0
+	rep.Order, rep.OrderTotal = diffOrders(ref.Order, order)
+	rep.Equivalent = rep.Total == 0 && rep.OrderTotal == 0
 	return rep
 }
 
 // diffOrders returns the first divergence of every state whose observed
 // access sequence differs from the reference, in state-name order and
-// capped at OrderLimit; a state missing from got, or present only there,
-// diverges at position 0. The pass path walks the keys once, and only
-// divergences are sorted.
-func diffOrders(want, got map[string][]int64) []OrderDiv {
+// capped at OrderLimit, and the number of such states; a state missing from
+// got, or present only there, diverges at position 0. The pass path walks
+// the keys once, and only divergences are sorted.
+func diffOrders(want, got map[string][]int64) ([]OrderDiv, int) {
 	var divs []OrderDiv
 	shared := 0
 	for k, w := range want {
@@ -268,7 +274,7 @@ func diffOrders(want, got map[string][]int64) []OrderDiv {
 		}
 	}
 	slices.SortFunc(divs, func(a, b OrderDiv) int { return strings.Compare(a.State, b.State) })
-	return divs[:min(len(divs), OrderLimit)]
+	return divs[:min(len(divs), OrderLimit)], len(divs)
 }
 
 // firstDiv finds the first position where two access sequences of state
@@ -304,72 +310,8 @@ func Liveness(stalled bool, completed, injected int64) string {
 	return ""
 }
 
-// OrderLog collects a simulator run's effective per-slot access order from
-// its EvAccess stream (predicate held, as the reference logs), for Verify:
-// the simulator's own AccessOrders logs resolved accesses instead.
-type OrderLog struct {
-	slots map[[2]int][]int64
-}
-
-// NewOrderLog returns an empty log; attach Hook via core.Config.Trace.
-func NewOrderLog() *OrderLog { return &OrderLog{slots: map[[2]int][]int64{}} }
-
-// Hook returns the trace consumer appending every access to its slot.
-func (l *OrderLog) Hook() func(core.Event) {
-	return func(e core.Event) {
-		if e.Kind == core.EvAccess {
-			slot := [2]int{e.Reg, e.Idx}
-			l.slots[slot] = append(l.slots[slot], e.PktID)
-		}
-	}
-}
-
-// Order returns the logged order keyed as Ref.Order is.
-func (l *OrderLog) Order() map[string][]int64 {
-	order := make(map[string][]int64, len(l.slots))
-	for slot, seq := range l.slots {
-		order[banzai.AccessKey(slot[0], slot[1])] = seq
-	}
-	return order
-}
-
 // ReferenceOrder returns the per-slot access order of the single-pipeline
 // reference over the arrival trace (Run's Order, without the outputs).
 func ReferenceOrder(prog *ir.Program, arrivals []core.Arrival) map[string][]int64 {
 	return run(prog, arrivals, false, true).Order
-}
-
-// ViolationStats summarizes C1 bookkeeping for a run: the number of state
-// access sequences inspected and how many packets jumped ahead of an
-// earlier arrival on some shared state.
-type ViolationStats struct {
-	States     int
-	Accesses   int64
-	Violating  int64
-	OfComplete float64
-}
-
-// Violations recomputes C1-violation statistics from a simulator run with
-// RecordAccessOrder enabled.
-func Violations(sim *core.Simulator, completed int64) ViolationStats {
-	var st ViolationStats
-	violators := map[int64]bool{}
-	for _, seq := range sim.AccessOrders() {
-		st.States++
-		st.Accesses += int64(len(seq))
-		minSuffix := int64(1<<63 - 1)
-		for i := len(seq) - 1; i >= 0; i-- {
-			if seq[i] > minSuffix {
-				violators[seq[i]] = true
-			}
-			if seq[i] < minSuffix {
-				minSuffix = seq[i]
-			}
-		}
-	}
-	st.Violating = int64(len(violators))
-	if completed > 0 {
-		st.OfComplete = float64(st.Violating) / float64(completed)
-	}
-	return st
 }

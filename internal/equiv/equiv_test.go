@@ -110,12 +110,8 @@ func TestCheckDetectsViolation(t *testing.T) {
 	if s := rep.Mismatches[0].String(); !strings.Contains(s, "reference=") {
 		t.Errorf("mismatch rendering: %q", s)
 	}
-	vs := equiv.Violations(sim, res.Completed)
-	if vs.Violating == 0 || vs.States == 0 {
-		t.Errorf("violation stats empty: %+v", vs)
-	}
-	if vs.Violating != res.C1Violating {
-		t.Errorf("equiv.Violations = %d, simulator counted %d", vs.Violating, res.C1Violating)
+	if res.C1Violating == 0 {
+		t.Error("no-D4 sequencer at 4x contention counted no C1-violating packets")
 	}
 }
 

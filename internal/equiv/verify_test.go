@@ -3,6 +3,7 @@ package equiv_test
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mp5/internal/equiv"
@@ -85,7 +86,8 @@ func TestVerifyOrder(t *testing.T) {
 }
 
 // TestVerifyOrderCapped: divergences are recorded first per state, in
-// state-name order, and stop at OrderLimit states.
+// state-name order, and stop at OrderLimit states; OrderTotal and the
+// rendered report still count every diverged state.
 func TestVerifyOrderCapped(t *testing.T) {
 	want, got := map[string][]int64{}, map[string][]int64{}
 	for i := 0; i < 3*equiv.OrderLimit; i++ {
@@ -96,6 +98,18 @@ func TestVerifyOrderCapped(t *testing.T) {
 	rep := (&equiv.Ref{Order: want}).Verify(nil, map[int64][]int64{}, got)
 	if rep.Equivalent || len(rep.Order) != equiv.OrderLimit {
 		t.Fatalf("recorded %d divergences (equivalent=%v), want the cap %d", len(rep.Order), rep.Equivalent, equiv.OrderLimit)
+	}
+	if rep.OrderTotal != 3*equiv.OrderLimit {
+		t.Fatalf("OrderTotal = %d, want %d", rep.OrderTotal, 3*equiv.OrderLimit)
+	}
+	s := rep.String()
+	for _, line := range []string{
+		fmt.Sprintf(", %d states out of order", 3*equiv.OrderLimit),
+		fmt.Sprintf("\n  ... and %d more states out of order", 2*equiv.OrderLimit),
+	} {
+		if !strings.Contains(s, line) {
+			t.Errorf("report lacks %q:\n%s", line, s)
+		}
 	}
 	for i, d := range rep.Order {
 		if d.State != fmt.Sprintf("r%02d[0]", i) || d.Pos != 0 || d.Want != 0 || d.Got != 1 {

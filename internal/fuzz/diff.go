@@ -247,20 +247,18 @@ func (r *reference) coreConfig(arch core.Arch, seed, crossLat int64) core.Config
 
 // runCore simulates the case on one architecture of the cycle-accurate
 // simulator, with crossLat cycles on every inter-pipeline crossing, and
-// compares against the reference, the order taken from the EvAccess stream.
-// nil means the engine matched on every oracle.
+// compares against the reference. nil means the engine matched on every
+// oracle.
 func (r *reference) runCore(arch core.Arch, seed, crossLat int64) *Failure {
-	order := equiv.NewOrderLog()
 	cfg := r.coreConfig(arch, seed, crossLat)
-	cfg.RecordOutputs = true
-	cfg.Trace = order.Hook()
+	cfg.RecordOutputs, cfg.RecordAccessOrder = true, true
 	sim := core.NewSimulator(r.prog, cfg)
 	fail := &Failure{Engine: EngineCore, Arch: arch, CrossLatency: crossLat}
 	res := sim.Run(r.arrivals)
 	if f := fail.lost(res.Stalled, res.Completed, int64(len(r.arrivals))); f != nil {
 		return f
 	}
-	return fail.judge(r.ref.Verify(sim.FinalRegs(), sim.Outputs(), order.Order()))
+	return fail.judge(r.ref.Verify(sim.FinalRegs(), sim.Outputs(), sim.AccessOrders()))
 }
 
 // runBytecode differences the bytecode VM against the tree-walking

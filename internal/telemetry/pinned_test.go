@@ -20,7 +20,7 @@ import (
 var pinnedTelemetry = map[string]string{
 	"mp5":           "f405745ba7b527dcdb55879caff82309359454b04bdd5b754e099701168d9959",
 	"recirc-tiny":   "c07dbdef324366dc7f09766df23cf972fb7fdc738e4455b837674f663f02aca9",
-	"mp5-tiny-fifo": "10fe2fc5bf3b2c8613148d61c30c1d968117ef991be921b734dfd763725e778f",
+	"mp5-tiny-fifo": "42c1c49a9dbd17dda706f52e11179cf4429dd8da104b568ce841fea0b0ff6716",
 	"crosslat":      "afa481ad150f731f172a0a0f871cc2af2f28002c832eeebf852b9948230fd8cd",
 }
 

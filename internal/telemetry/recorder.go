@@ -171,11 +171,12 @@ func (r *Recorder) observe(e core.Event) {
 	case core.EvResolve:
 		r.cur.Resolves++
 	case core.EvPhantom:
-		// A placeholder can land after its packet died; nothing in the
-		// stream retires it then, so it stays counted.
-		loc := stagePipe{e.Stage, e.Pipe}
-		r.at(loc).phantom++
+		// A placeholder counts only while its packet is live: one that
+		// lands after its packet died is popped dead with no event, as
+		// EvDrop retires those that landed earlier.
 		if p := r.pkts[e.PktID]; p != nil {
+			loc := stagePipe{e.Stage, e.Pipe}
+			r.at(loc).phantom++
 			p.phantoms = append(p.phantoms, loc)
 		}
 	case core.EvEnqueue:

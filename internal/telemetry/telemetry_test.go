@@ -332,6 +332,24 @@ func TestRecorderReconcile(t *testing.T) {
 	}
 }
 
+// TestRecorderRetiresDeadPhantoms: a placeholder that lands after its packet
+// died is popped dead by the simulator with no event, so the recorder must
+// not count it. With FIFOCap 2 hundreds of phantoms land late, and the
+// drained run's last sample must still show no phantom occupancy.
+func TestRecorderRetiresDeadPhantoms(t *testing.T) {
+	var last telemetry.Sample
+	rec := telemetry.NewRecorder(nil, 100, 4, func(s telemetry.Sample) { last = s })
+	cfg := core.Config{Arch: core.ArchMP5, Pipelines: 4, Seed: 2, FIFOCap: 2, Trace: rec.Hook()}
+	sim, trace := setupRun(t, cfg, 3000)
+	if res := sim.Run(trace); res.DroppedPhantom == 0 || res.Completed == res.Injected {
+		t.Fatalf("run drops no phantoms or no packets: %+v", res)
+	}
+	rec.Close()
+	if len(last.PhantomDepth) != 0 {
+		t.Fatalf("drained run's last sample shows phantoms: %+v", last.PhantomDepth)
+	}
+}
+
 func TestReconcileDetectsMismatch(t *testing.T) {
 	rec := telemetry.NewRecorder(telemetry.NewRegistry(), 100, 4, nil)
 	cfg := core.Config{Arch: core.ArchMP5, Pipelines: 4, Seed: 2, Trace: rec.Hook()}
