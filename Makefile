@@ -16,7 +16,7 @@ GO ?= go
 # all at PROCS.
 PROCS = GOMAXPROCS=8
 
-.PHONY: all build vet fmt-check test race race-dataplane flake-hunt race-server race-tenant allocs-gate race-poison serve-smoke trace-smoke tenant-smoke examples-smoke doc-refs check bench bench-test fuzz-smoke fuzz loc clean
+.PHONY: all build vet fmt-check test race race-dataplane flake-hunt race-server race-tenant allocs-gate race-poison serve-smoke trace-smoke tenant-smoke examples-smoke doc-refs experiments-check check bench bench-test fuzz-smoke fuzz loc clean
 
 all: check
 
@@ -144,15 +144,24 @@ examples-smoke:
 doc-refs:
 	bash scripts/doc_refs.sh
 
+# experiments-check builds mp5bench, runs it at the default scale (every
+# seed and sweep point; 15–25 s on 2 vCPUs, budget 60 s) and diffs its
+# stdout byte for byte against the marker blocks of EXPERIMENTS.md, naming
+# the first table that differs (scripts/experiments_check.sh; its -w form
+# rewrites the blocks from the run).
+experiments-check:
+	bash scripts/experiments_check.sh
+
 # check is the gate, and its only definition (scripts/check.sh execs it):
 # build, gofmt, vet; the whole suite under -race at GOMAXPROCS=2;
 # the three interleaving-sensitive packages again under -race at $(PROCS),
 # and the dataplane once more with poison-on-free; the allocation gate; the
 # differential-fuzzing smoke; the three daemon soaks; the examples, run; the
-# benchmark harness's own tests; the docs' references. Each (package, GOMAXPROCS, build tags)
+# benchmark harness's own tests; the docs' references; EXPERIMENTS.md
+# against a fresh mp5bench run. Each (package, GOMAXPROCS, build tags)
 # combination runs once. Numbers are not the gate's job: bench/run.sh
 # measures (bench/README.md).
-check: vet race race-dataplane race-server race-tenant race-poison allocs-gate fuzz-smoke serve-smoke trace-smoke tenant-smoke examples-smoke bench-test doc-refs
+check: vet race race-dataplane race-server race-tenant race-poison allocs-gate fuzz-smoke serve-smoke trace-smoke tenant-smoke examples-smoke bench-test doc-refs experiments-check
 
 # fuzz-smoke is the deterministic, seeded, time-bounded slice of the
 # differential fuzzing harness: MP5_FUZZ_CASES fixed cases (program +

@@ -2,141 +2,19 @@ package mp5_test
 
 import (
 	"io"
-	"sync"
 	"testing"
 
 	"mp5"
 	"mp5/internal/apps"
 	"mp5/internal/compiler"
 	"mp5/internal/core"
-	"mp5/internal/experiments"
 	"mp5/internal/telemetry"
 	"mp5/internal/workload"
 )
 
-// The Benchmark* functions below regenerate the paper's tables and figures
-// (one benchmark per table/figure) and report domain metrics — normalized
-// throughput, simulated packets per second — alongside the usual ns/op.
-// Each experiment's formatted table is printed once per `go test -bench`
-// run via b.Logf; a smaller scale than mp5bench keeps iterations fast.
-
-var benchScale = experiments.Scale{Packets: 10000, Seeds: 1}
-
-var logOnce sync.Map
-
-func logTable(b *testing.B, name string, f func() *experiments.Table) {
-	if _, done := logOnce.LoadOrStore(name, true); done {
-		return
-	}
-	b.Logf("\n%s", f().Format())
-}
-
-// BenchmarkTable1 regenerates the chip area / clock table (E1).
-func BenchmarkTable1(b *testing.B) {
-	logTable(b, "table1", experiments.Table1)
-	for i := 0; i < b.N; i++ {
-		experiments.Table1()
-	}
-}
-
-// BenchmarkSRAMOverhead regenerates the §4.2 SRAM overhead numbers (E2).
-func BenchmarkSRAMOverhead(b *testing.B) {
-	logTable(b, "sram", experiments.SRAM)
-	for i := 0; i < b.N; i++ {
-		experiments.SRAM()
-	}
-}
-
-// BenchmarkD2Sharding regenerates the dynamic-vs-static sharding
-// microbenchmark (E3, §4.3.2).
-func BenchmarkD2Sharding(b *testing.B) {
-	logTable(b, "d2", func() *experiments.Table { return experiments.D2Sharding(benchScale) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.D2Sharding(experiments.Scale{Packets: 5000, Seeds: 1})
-	}
-}
-
-// BenchmarkD4Violations regenerates the order-enforcement ablation (E4).
-func BenchmarkD4Violations(b *testing.B) {
-	logTable(b, "d4", func() *experiments.Table { return experiments.D4Violations(benchScale) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.D4Violations(experiments.Scale{Packets: 5000, Seeds: 1})
-	}
-}
-
-// BenchmarkD3Steering regenerates the steering-vs-recirculation
-// microbenchmark including the worse-than-naive crossover (E5).
-func BenchmarkD3Steering(b *testing.B) {
-	logTable(b, "d3", func() *experiments.Table { return experiments.D3Steering(benchScale) })
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.D3Steering(experiments.Scale{Packets: 5000, Seeds: 1})
-	}
-}
-
-// benchFig7 shares the sweep benchmarks' shape: log the full figure once,
-// then time a single representative cell per iteration.
-func benchFig7(b *testing.B, name string, table func(experiments.Scale) *experiments.Table, cell experiments.SynthConfig) {
-	logTable(b, name, func() *experiments.Table { return table(benchScale) })
-	b.ResetTimer()
-	var tput float64
-	for i := 0; i < b.N; i++ {
-		cfg := cell
-		cfg.Seed = int64(i)
-		r := experiments.RunSynth(cfg)
-		tput = r.Throughput
-	}
-	b.ReportMetric(tput, "tput")
-}
-
-// BenchmarkFig7a — throughput vs number of pipelines (E6).
-func BenchmarkFig7a(b *testing.B) {
-	benchFig7(b, "fig7a", experiments.Fig7a, experiments.SynthConfig{
-		Arch: core.ArchMP5, Pipelines: 8, Stateful: 4, Packets: 5000,
-	})
-}
-
-// BenchmarkFig7b — throughput vs stateful stages (E7).
-func BenchmarkFig7b(b *testing.B) {
-	benchFig7(b, "fig7b", experiments.Fig7b, experiments.SynthConfig{
-		Arch: core.ArchMP5, Pipelines: 4, Stateful: 10, Packets: 5000,
-	})
-}
-
-// BenchmarkFig7c — throughput vs register size (E8).
-func BenchmarkFig7c(b *testing.B) {
-	benchFig7(b, "fig7c", experiments.Fig7c, experiments.SynthConfig{
-		Arch: core.ArchMP5, Pipelines: 4, Stateful: 4, RegSize: 4096, Packets: 5000,
-	})
-}
-
-// BenchmarkFig7d — throughput vs packet size (E9).
-func BenchmarkFig7d(b *testing.B) {
-	benchFig7(b, "fig7d", experiments.Fig7d, experiments.SynthConfig{
-		Arch: core.ArchMP5, Pipelines: 4, Stateful: 4, PacketSize: 128, Packets: 5000,
-	})
-}
-
-// BenchmarkFig8 regenerates the real-application figure (E10–E14) and
-// times one flowlet run per iteration.
-func BenchmarkFig8(b *testing.B) {
-	logTable(b, "fig8", func() *experiments.Table { return experiments.Fig8(benchScale) })
-	app := apps.Flowlet()
-	prog := app.MustCompile(compiler.TargetMP5)
-	trace := workload.Flows(prog, workload.FlowSpec{Packets: 5000, Pipelines: 4, Seed: 1}, app.Bind)
-	b.ResetTimer()
-	var tput float64
-	for i := 0; i < b.N; i++ {
-		sim := core.NewSimulator(prog, core.Config{Arch: core.ArchMP5, Pipelines: 4, Seed: int64(i)})
-		tput = sim.Run(trace).Throughput
-	}
-	b.ReportMetric(tput, "tput")
-}
-
-// --- Component microbenchmarks (not paper artifacts, but useful for
-// tracking the reproduction's own performance) ---
+// Component microbenchmarks: the reproduction's own performance. The
+// paper's tables and figures come from cmd/mp5bench, whose output
+// EXPERIMENTS.md holds.
 
 // BenchmarkCompileFlowlet measures end-to-end Domino → MP5 compilation.
 func BenchmarkCompileFlowlet(b *testing.B) {

@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"mp5/internal/experiments"
 )
 
 // bench runs the CLI in-process and returns its exit code and both streams.
@@ -17,13 +20,26 @@ func bench(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
+// TestOnlyTable1 pins -only's output: the one table's markdown and a blank
+// line, with no scale line and no host timing.
 func TestOnlyTable1(t *testing.T) {
-	code, out, errs := bench("-only", "table1")
+	code, out, errs := bench("-only", "TABLE1")
 	if code != 0 || errs != "" {
 		t.Fatalf("exit %d, stderr %q", code, errs)
 	}
-	if !strings.Contains(out, "Table 1") {
-		t.Fatalf("table not printed:\n%s", out)
+	if want := experiments.Table1().Format() + "\n"; out != want {
+		t.Fatalf("stdout:\n%s\nwant:\n%s", out, want)
+	}
+}
+
+// TestStdoutDeterministic holds the tables to the worker count: cells run
+// in parallel across GOMAXPROCS workers but land in indexed slots.
+func TestStdoutDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, one, _ := bench("-only", "fig7c", "-packets", "1500", "-seeds", "2")
+	runtime.GOMAXPROCS(4)
+	if _, four, _ := bench("-only", "fig7c", "-packets", "1500", "-seeds", "2"); four != one {
+		t.Fatalf("GOMAXPROCS=1:\n%s\nGOMAXPROCS=4:\n%s", one, four)
 	}
 }
 
@@ -62,14 +78,17 @@ func TestMetricsOut(t *testing.T) {
 	}
 }
 
+// TestUnknownExperiment checks that the error and the -h text both name
+// every experiment.
 func TestUnknownExperiment(t *testing.T) {
 	code, _, errs := bench("-only", "fig9")
-	if code != 2 {
-		t.Fatalf("exit %d, want 2", code)
+	if code != 2 || !strings.Contains(errs, `"fig9"`) {
+		t.Fatalf("exit %d (want 2), stderr %q", code, errs)
 	}
-	for _, want := range []string{`"fig9"`, "table1", "fig8", "atoms"} {
-		if !strings.Contains(errs, want) {
-			t.Fatalf("stderr %q does not mention %s", errs, want)
+	_, _, help := bench("-h")
+	for _, e := range tables {
+		if !strings.Contains(errs, e.name) || !strings.Contains(help, e.name) {
+			t.Errorf("%s missing from the error %q or from -h", e.name, errs)
 		}
 	}
 }

@@ -46,8 +46,9 @@ type stageState struct {
 	// fifo buffers stateful visitors (nil for stateless stages and in
 	// ideal mode).
 	fifo *StageFIFO
-	// idealQ replaces the FIFO in ideal mode: selection is by per-index
-	// eligibility instead of a single logical FIFO.
+	// idealQ replaces the FIFO in ideal mode, kept in ascending id order:
+	// selection is by per-index eligibility instead of a single logical
+	// FIFO.
 	idealQ []*Packet
 }
 
@@ -121,7 +122,10 @@ type Simulator struct {
 	pipeRecirc  []pktQueue    // per-pipe recirculation queue (priority)
 	recircWait  []recircEntry // packets between pipeline passes
 
-	pendingOrder map[accessKey][]int64 // ideal-mode eligibility fronts
+	// pending holds, under ArchIdeal only, every register slot's resolved
+	// and not yet served packet ids in ascending order: the per-index
+	// eligibility fronts. An unsharded array's marker (-1) uses slot 0.
+	pending *banzai.AccessLog
 
 	// live counts every entity still inside the switch: data packets
 	// from ingress admission to egress or abandonment, plus phantom
@@ -194,16 +198,15 @@ func NewSimulator(prog *ir.Program, cfg Config) *Simulator {
 		panic("core: stateful program lacks resolution stages; compile with TargetMP5")
 	}
 	s := &Simulator{
-		cfg:          cfg,
-		prog:         prog,
-		k:            cfg.Pipelines,
-		S:            prog.NumStages(),
-		resStage:     prog.ResolutionStages - 1,
-		shard:        sharding.New(prog, cfg.Pipelines, cfg.shardPolicy(), cfg.Seed),
-		phantoms:     make([][]phantomEv, prog.NumStages()+int(cfg.CrossLatency)+2),
-		crossings:    make([][]crossEv, cfg.CrossLatency+2),
-		pendingOrder: make(map[accessKey][]int64),
-		bc:           bytecode.MustCompile(prog),
+		cfg:       cfg,
+		prog:      prog,
+		k:         cfg.Pipelines,
+		S:         prog.NumStages(),
+		resStage:  prog.ResolutionStages - 1,
+		shard:     sharding.New(prog, cfg.Pipelines, cfg.shardPolicy(), cfg.Seed),
+		phantoms:  make([][]phantomEv, prog.NumStages()+int(cfg.CrossLatency)+2),
+		crossings: make([][]crossEv, cfg.CrossLatency+2),
+		bc:        bytecode.MustCompile(prog),
 	}
 	s.vm = bytecode.NewVM(s.bc)
 	s.regs = make([]*ir.RegFile, s.k)
@@ -235,6 +238,9 @@ func NewSimulator(prog *ir.Program, cfg Config) *Simulator {
 	}
 	if cfg.RecordAccessOrder {
 		s.order = banzai.NewAccessLog(prog)
+	}
+	if cfg.Arch == ArchIdeal {
+		s.pending = banzai.NewAccessLog(prog)
 	}
 	s.logAccesses = cfg.RecordAccessOrder || cfg.Trace != nil
 	s.obs = s.observe
@@ -518,7 +524,10 @@ func (s *Simulator) arriveAtVisit(p *Packet, stage int) {
 			s.abandon(p, CauseData)
 		}
 	case ArchIdeal:
-		st.idealQ = append(st.idealQ, p)
+		i, _ := slices.BinarySearchFunc(st.idealQ, p.ID, func(q *Packet, id int64) int {
+			return cmp.Compare(q.ID, id)
+		})
+		st.idealQ = slices.Insert(st.idealQ, i, p)
 		s.occ[stage]++
 		s.work = true
 		s.emit(EvEnqueue, p.ID, stage, p.pipe)
@@ -874,7 +883,7 @@ func (s *Simulator) completeVisit(p *Packet, stage int) {
 	for _, a := range v.accs {
 		s.shard.NoteDone(a.reg, a.idx)
 		if s.cfg.Arch == ArchIdeal {
-			s.popPendingOrder(accessKey{a.reg, a.idx}, p.ID)
+			s.popPending(a.reg, a.idx, p.ID)
 		}
 	}
 	p.nextVisit++
@@ -884,50 +893,44 @@ func (s *Simulator) completeVisit(p *Packet, stage int) {
 // access is at the front of its per-index pending order (per-index order
 // enforcement with no head-of-line blocking — the ideal design of §3.5.2).
 func (s *Simulator) popIdeal(st *stageState) *Packet {
-	best := -1
 	for i, p := range st.idealQ {
-		v := p.pendingVisit()
-		ok := true
-		for _, a := range v.accs {
-			q := s.pendingOrder[accessKey{a.reg, a.idx}]
-			if len(q) == 0 || q[0] != p.ID {
-				ok = false
-				break
-			}
-		}
-		if ok && (best < 0 || p.ID < st.idealQ[best].ID) {
-			best = i
+		if s.atFronts(p) {
+			st.idealQ = slices.Delete(st.idealQ, i, i+1)
+			return p
 		}
 	}
-	if best < 0 {
-		return nil
-	}
-	p := st.idealQ[best]
-	st.idealQ = append(st.idealQ[:best], st.idealQ[best+1:]...)
-	return p
+	return nil
 }
 
-// popPendingOrder removes id from the front of key's eligibility list.
-func (s *Simulator) popPendingOrder(key accessKey, id int64) {
-	q := s.pendingOrder[key]
-	if len(q) == 0 || q[0] != id {
+// atFronts reports whether p's pending visit heads every list it is in.
+func (s *Simulator) atFronts(p *Packet) bool {
+	for _, a := range p.pendingVisit().accs {
+		if q := *s.pendingSlot(a.reg, a.idx); len(q) == 0 || q[0] != p.ID {
+			return false
+		}
+	}
+	return true
+}
+
+// pendingSlot returns the eligibility list of register reg's slot idx.
+func (s *Simulator) pendingSlot(reg, idx int) *[]int64 {
+	return s.pending.Slot(reg, maxIdx(idx))
+}
+
+// popPending removes id from the front of a slot's eligibility list.
+func (s *Simulator) popPending(reg, idx int, id int64) {
+	q := s.pendingSlot(reg, idx)
+	if len(*q) == 0 || (*q)[0] != id {
 		panic("core: ideal eligibility order corrupted")
 	}
-	if len(q) == 1 {
-		delete(s.pendingOrder, key)
-	} else {
-		s.pendingOrder[key] = q[1:]
-	}
+	*q = (*q)[1:]
 }
 
-// removePendingOrder removes id from anywhere in key's list (drop path).
-func (s *Simulator) removePendingOrder(key accessKey, id int64) {
-	q := s.pendingOrder[key]
-	for i, v := range q {
-		if v == id {
-			s.pendingOrder[key] = append(q[:i], q[i+1:]...)
-			return
-		}
+// removePending removes id from anywhere in a slot's list (drop path).
+func (s *Simulator) removePending(reg, idx int, id int64) {
+	q := s.pendingSlot(reg, idx)
+	if i := slices.Index(*q, id); i >= 0 {
+		*q = slices.Delete(*q, i, i+1)
 	}
 }
 
@@ -976,7 +979,7 @@ func (s *Simulator) resolve(p *Packet, pipe int) {
 			})
 		}
 		if s.cfg.Arch == ArchIdeal {
-			s.insertPendingOrder(accessKey{a.Reg, idx}, p.ID)
+			s.insertPending(a.Reg, idx, p.ID)
 		}
 	}
 	if s.usePhantoms() {
@@ -999,18 +1002,15 @@ func (s *Simulator) resolve(p *Packet, pipe int) {
 	}
 }
 
-// insertPendingOrder inserts id into key's list keeping ascending order
+// insertPending inserts id into a slot's list keeping ascending order
 // (resolutions of different pipelines can interleave within a cycle).
-func (s *Simulator) insertPendingOrder(key accessKey, id int64) {
-	q := s.pendingOrder[key]
-	i := len(q)
-	for i > 0 && q[i-1] > id {
+func (s *Simulator) insertPending(reg, idx int, id int64) {
+	q := s.pendingSlot(reg, idx)
+	i := len(*q)
+	for i > 0 && (*q)[i-1] > id {
 		i--
 	}
-	q = append(q, 0)
-	copy(q[i+1:], q[i:])
-	q[i] = id
-	s.pendingOrder[key] = q
+	*q = slices.Insert(*q, i, id)
 }
 
 // maxIdx maps the array-level marker (-1) to slot 0 for the sharding map.
@@ -1030,7 +1030,7 @@ func (s *Simulator) abandon(p *Packet, cause DropCause) {
 		for _, a := range p.visits[vi].accs {
 			s.shard.NoteDone(a.reg, a.idx)
 			if s.cfg.Arch == ArchIdeal {
-				s.removePendingOrder(accessKey{a.reg, a.idx}, p.ID)
+				s.removePending(a.reg, a.idx, p.ID)
 			}
 		}
 	}

@@ -3,12 +3,13 @@
 // §4.3.2 design-principle microbenchmarks (D2 dynamic sharding, D3
 // steering vs recirculation, D4 order enforcement), the Figure-7
 // sensitivity sweeps, and the Figure-8 real-application runs. The same
-// entry points back the mp5bench command and the repository's Go
-// benchmarks.
+// entry points back the mp5bench command, whose output EXPERIMENTS.md
+// holds verbatim.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -53,39 +54,38 @@ type Table struct {
 	Rows   [][]string
 }
 
-// Format renders the table as aligned text.
+// Format renders the table as GitHub markdown: the title in bold, then the
+// note (if any), then the table, its columns padded so that the text reads
+// as aligned columns too. A '|' inside a cell is escaped.
 func (t *Table) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "== %s ==\n", t.Title)
-	if t.Note != "" {
-		fmt.Fprintf(&b, "%s\n", t.Note)
-	}
+	grid := append([][]string{t.Header}, t.Rows...)
 	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
+	for _, row := range grid {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(escapeCell(c)), 3)
 		}
 	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteString("\n")
+	dashes := make([]string, len(widths))
+	for i, w := range widths {
+		dashes[i] = strings.Repeat("-", w)
 	}
-	line(t.Header)
-	for _, row := range t.Rows {
-		line(row)
+	grid = slices.Insert(grid, 1, dashes)
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "**%s**\n\n", t.Title)
+	if t.Note != "" {
+		fmt.Fprintf(&b, "%s\n\n", t.Note)
+	}
+	for _, row := range grid {
+		for i, c := range row {
+			fmt.Fprintf(&b, "| %-*s ", widths[i], escapeCell(c))
+		}
+		b.WriteString("|\n")
 	}
 	return b.String()
 }
+
+func escapeCell(c string) string { return strings.ReplaceAll(c, "|", `\|`) }
 
 // Scale controls how much work the experiments do; the defaults keep a
 // full regeneration under a few minutes, while -full in mp5bench matches
@@ -95,7 +95,7 @@ type Scale struct {
 	Seeds   int
 }
 
-// DefaultScale is used by the Go benchmarks and quick CLI runs.
+// DefaultScale is mp5bench's default, the scale EXPERIMENTS.md is taken at.
 var DefaultScale = Scale{Packets: 20000, Seeds: 3}
 
 // PaperScale matches §4.3's "ten independent input packet streams".
@@ -508,21 +508,4 @@ func Fig8(sc Scale) *Table {
 		t.Rows = append(t.Rows, row)
 	}
 	return t
-}
-
-// All regenerates every table and figure at the given scale, in paper
-// order.
-func All(sc Scale) []*Table {
-	return []*Table{
-		Table1(),
-		SRAM(),
-		D2Sharding(sc),
-		D4Violations(sc),
-		D3Steering(sc),
-		Fig7a(sc),
-		Fig7b(sc),
-		Fig7c(sc),
-		Fig7d(sc),
-		Fig8(sc),
-	}
 }

@@ -6,7 +6,10 @@
 #   - a span that starts with a top-level directory (`internal/...`,
 #     `cmd/...`, `bench/...`, `scripts/...`, `examples/...`) must name a file
 #     or directory that exists (a `:line` suffix is ignored), or read as
-#     `pkg/path.Symbol`: a package directory plus an identifier it declares.
+#     `pkg/path.Symbol`: a package directory plus an identifier it declares;
+#   - a span naming a root-level file (`mp5.go`, `EXPERIMENTS.md`: one path
+#     component ending in .go, .md, .txt, .json, .jsonl, .sh, .mod or .sum)
+#     or directory (`name/`) must exist at the repository root.
 # Spans holding spaces (commands) or braces are not read as references.
 # Run from the repository root: bash scripts/doc_refs.sh
 set -euo pipefail
@@ -26,6 +29,10 @@ for doc in "${docs[@]}"; do
 		case $ref in *[[:space:]{]* | "") continue ;; esac
 		if [[ $ref =~ ^(Test|Benchmark|Fuzz|Example)[A-Z0-9_][A-Za-z0-9_]*$ ]]; then
 			grep -qxF "$ref" <<<"$tests" || stale "$doc:$line" "$ref" "no such test in go test -list"
+			continue
+		fi
+		if [[ $ref =~ ^[A-Za-z0-9_.-]+(\.(go|md|txt|json|jsonl|sh|mod|sum)|/)$ ]]; then
+			[[ -e $ref ]] || stale "$doc:$line" "$ref" "no such file or directory at the root"
 			continue
 		fi
 		[[ $ref =~ ^(internal|cmd|bench|scripts|examples)(/|$) ]] || continue
