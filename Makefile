@@ -73,13 +73,15 @@ flake-hunt:
 # (counting, Figure 6, the returned moves) allocates nothing. The C1
 # reference order (one interpreter pass with a dense per-slot log) stays
 # under one allocation per packet; recording outputs and access order adds
-# at most half of one to a simulator run.
+# at most half of one to a simulator run; and a line-rate simulator run
+# (4 x 512, and 8 x 8 backed up thousands deep in stage FIFOs) stays under
+# 0.1 allocations per packet, its packets and FIFO entries living in slabs.
 allocs-gate:
 	$(GO) test -count 1 -run 'TestSubmitSteadyStateAllocs|TestSubmitBatchSteadyStateAllocs' ./internal/dataplane
 	$(GO) test -count 1 -run TestWireSteadyStateAllocs ./internal/server
 	$(GO) test -count 1 -run TestRemapSteadyStateAllocs ./internal/sharding
 	$(GO) test -count 1 -run TestReferenceOrderAllocs ./internal/equiv
-	$(GO) test -count 1 -run TestRecordedRunAllocs ./internal/core
+	$(GO) test -count 1 -run 'TestRecordedRunAllocs|TestRunRecyclesPackets' ./internal/core
 
 # race-poison runs the dataplane suite with poison-on-free compiled in
 # (-tags mp5debug) under the race detector: every recycled packet is
@@ -157,11 +159,11 @@ experiments-check:
 # the three interleaving-sensitive packages again under -race at $(PROCS),
 # and the dataplane once more with poison-on-free; the allocation gate; the
 # differential-fuzzing smoke; the three daemon soaks; the examples, run; the
-# benchmark harness's own tests; the docs' references; EXPERIMENTS.md
-# against a fresh mp5bench run. Each (package, GOMAXPROCS, build tags)
-# combination runs once. Numbers are not the gate's job: bench/run.sh
-# measures (bench/README.md).
-check: vet race race-dataplane race-server race-tenant race-poison allocs-gate fuzz-smoke serve-smoke trace-smoke tenant-smoke examples-smoke bench-test doc-refs experiments-check
+# root microbenchmarks, run once each; the benchmark harness's own tests;
+# the docs' references; EXPERIMENTS.md against a fresh mp5bench run. Each
+# (package, GOMAXPROCS, build tags) combination runs once. Numbers are not
+# the gate's job: bench/run.sh measures (bench/README.md).
+check: vet race race-dataplane race-server race-tenant race-poison allocs-gate fuzz-smoke serve-smoke trace-smoke tenant-smoke examples-smoke bench bench-test doc-refs experiments-check
 
 # fuzz-smoke is the deterministic, seeded, time-bounded slice of the
 # differential fuzzing harness: MP5_FUZZ_CASES fixed cases (program +
@@ -181,6 +183,9 @@ fuzz-smoke:
 fuzz:
 	$(GO) test -run FuzzDifferential -fuzz FuzzDifferential ./internal/fuzz
 
+# bench runs every root microbenchmark (bench_test.go) once, a couple of
+# seconds: in `check` it catches a benchmark that no longer builds or
+# panics after an API change, not a slowdown.
 bench:
 	$(GO) test -bench . -benchtime 1x -run ^$$ .
 

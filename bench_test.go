@@ -8,6 +8,7 @@ import (
 	"mp5/internal/apps"
 	"mp5/internal/compiler"
 	"mp5/internal/core"
+	"mp5/internal/ir"
 	"mp5/internal/telemetry"
 	"mp5/internal/workload"
 )
@@ -26,38 +27,34 @@ func BenchmarkCompileFlowlet(b *testing.B) {
 }
 
 // BenchmarkSimulatorPacketRate measures simulated packets per wall-clock
-// second for the default configuration.
-func BenchmarkSimulatorPacketRate(b *testing.B) {
-	prog, err := apps.Synthetic(4, 512, 16)
+// second for the default configuration: 4 stateful stages of 512 entries,
+// 20,000 uniform packets at k = 4 line rate, a fresh simulator per run and
+// no trace hook. It is also the disabled side of two pairs: tracing
+// (BenchmarkTraceTelemetry) and scheduling (BenchmarkCoreDenseFullSweep).
+func BenchmarkSimulatorPacketRate(b *testing.B) { benchCore(b, false, false) }
+
+// BenchmarkSimulatorScatter runs the engine-scatter workload's prediction
+// shape: eight stateful stages of 8 entries, 8,192 skewed packets whose hot
+// set is re-drawn every 256 cycles, at k = 4 line rate. The trace backs up
+// into stage FIFOs thousands deep, so most packets are live at once and the
+// simulator's per-packet store dominates.
+func BenchmarkSimulatorScatter(b *testing.B) {
+	prog, err := apps.Synthetic(8, 8, 16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	trace := workload.Synthetic(prog, workload.Spec{Packets: 20000, Pipelines: 4, Seed: 1}, 4, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim := core.NewSimulator(prog, core.Config{Arch: core.ArchMP5, Pipelines: 4, Seed: 1})
-		sim.Run(trace)
-	}
-	b.StopTimer()
-	pktsPerOp := float64(len(trace))
-	b.ReportMetric(pktsPerOp*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
+	benchSim(b, prog, workload.Synthetic(prog, workload.Spec{
+		Packets: 8192, Pipelines: 4, Seed: 1, Pattern: workload.Skewed, ChurnInterval: 256,
+	}, 8, 8), false)
 }
 
-// BenchmarkTraceDisabled is the telemetry overhead guard: the exact
-// simulator loop of BenchmarkSimulatorPacketRate with Config.Trace unset.
-// Telemetry must be pay-for-use — compare against BenchmarkTraceTelemetry
-// to see the cost of the full consumer stack, and against the seed's
-// BenchmarkSimulatorPacketRate numbers to confirm the disabled path did not
-// regress (acceptance: within 2%).
-func BenchmarkTraceDisabled(b *testing.B) {
-	prog, err := apps.Synthetic(4, 512, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace := workload.Synthetic(prog, workload.Spec{Packets: 20000, Pipelines: 4, Seed: 1}, 4, 512)
+// benchSim runs trace through a fresh ArchMP5 k = 4 simulator per
+// iteration, with no trace hook, on the chosen scheduler.
+func benchSim(b *testing.B, prog *ir.Program, trace []core.Arrival, fullSweep bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim := core.NewSimulator(prog, core.Config{Arch: core.ArchMP5, Pipelines: 4, Seed: 1})
+		sim.SetFullSweep(fullSweep)
 		sim.Run(trace)
 	}
 	b.StopTimer()
@@ -110,14 +107,7 @@ func benchCore(b *testing.B, sparse, fullSweep bool) {
 	if sparse {
 		trace = sparsifyTrace(trace, 256, 20000)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim := core.NewSimulator(prog, core.Config{Arch: core.ArchMP5, Pipelines: 4, Seed: 1})
-		sim.SetFullSweep(fullSweep)
-		sim.Run(trace)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(trace))*float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
+	benchSim(b, prog, trace, fullSweep)
 }
 
 // BenchmarkCoreSparseBursty / BenchmarkCoreSparseBurstyFullSweep: the
@@ -127,10 +117,10 @@ func benchCore(b *testing.B, sparse, fullSweep bool) {
 func BenchmarkCoreSparseBursty(b *testing.B)          { benchCore(b, true, false) }
 func BenchmarkCoreSparseBurstyFullSweep(b *testing.B) { benchCore(b, true, true) }
 
-// BenchmarkCoreDense / BenchmarkCoreDenseFullSweep: the full-load pair —
-// with every cycle busy the occupancy skip lists must cost ≤ 5% over the
-// plain sweeps.
-func BenchmarkCoreDense(b *testing.B)          { benchCore(b, false, false) }
+// BenchmarkCoreDenseFullSweep is the full-load trace of
+// BenchmarkSimulatorPacketRate under the legacy full-sweep scheduler: with
+// every cycle busy the occupancy skip lists must cost ≤ 5% over the plain
+// sweeps.
 func BenchmarkCoreDenseFullSweep(b *testing.B) { benchCore(b, false, true) }
 
 // BenchmarkReferenceExecutor measures the single-pipeline ground-truth
@@ -144,20 +134,5 @@ func BenchmarkReferenceExecutor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mp5.Reference(prog, trace)
-	}
-}
-
-// BenchmarkStageFIFO measures the push/insert/pop cycle of the k-FIFO.
-func BenchmarkStageFIFO(b *testing.B) {
-	f := core.NewStageFIFO(4, 0)
-	p := &core.Packet{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := int64(i)
-		p.ID = id
-		seq, _ := f.PushPhantom(i%4, p, id)
-		f.Insert(i%4, seq, p, id)
-		_, fi, _ := f.Head()
-		f.PopHead(fi)
 	}
 }

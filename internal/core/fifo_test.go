@@ -7,19 +7,17 @@ import (
 )
 
 func TestRingBasic(t *testing.T) {
-	var r ring
-	for i := 0; i < 100; i++ {
-		seq := r.push(fifoEntry{ts: int64(i)})
-		if seq != int64(i) {
-			t.Fatalf("push %d returned seq %d", i, seq)
-		}
+	r := ring{pool: &blockPool{}}
+	pos := make([]int32, 100)
+	for i := range pos {
+		pos[i] = r.push(fifoEntry{ts: int64(i)})
 	}
 	if r.len() != 100 {
 		t.Fatalf("len = %d", r.len())
 	}
-	for i := 0; i < 100; i++ {
-		if got := r.at(int64(i)).ts; got != int64(i) {
-			t.Fatalf("at(%d).ts = %d", i, got)
+	for i, at := range pos {
+		if got := r.pool.entries[at].ts; got != int64(i) {
+			t.Fatalf("entry at pos[%d] has ts %d", i, got)
 		}
 	}
 	for i := 0; i < 100; i++ {
@@ -31,82 +29,89 @@ func TestRingBasic(t *testing.T) {
 	if r.len() != 0 {
 		t.Fatalf("len after drain = %d", r.len())
 	}
+	// 100 entries span four blocks; the three popped past went back to
+	// the pool, the partly used fourth stays for the next push.
+	if got, want := len(r.pool.free), 100/blockLen; got != want {
+		t.Fatalf("%d blocks free after drain, want %d", got, want)
+	}
 }
 
 func TestRingStableAddressingAcrossPops(t *testing.T) {
-	var r ring
+	r := ring{pool: &blockPool{}}
+	pos := make([]int32, 50)
 	for i := 0; i < 10; i++ {
-		r.push(fifoEntry{ts: int64(i)})
+		pos[i] = r.push(fifoEntry{ts: int64(i)})
 	}
 	r.popHead()
 	r.popHead()
-	// Sequence 5 must still address the same entry.
-	if got := r.at(5).ts; got != 5 {
-		t.Fatalf("at(5).ts = %d after pops", got)
+	// Entry 5 must still sit at its position.
+	if got := r.pool.entries[pos[5]].ts; got != 5 {
+		t.Fatalf("entry 5 has ts %d after pops", got)
 	}
-	// Push enough to force growth, then re-check.
+	// Push enough to grow the pool, then re-check.
 	for i := 10; i < 50; i++ {
-		r.push(fifoEntry{ts: int64(i)})
+		pos[i] = r.push(fifoEntry{ts: int64(i)})
 	}
-	if got := r.at(5).ts; got != 5 {
-		t.Fatalf("at(5).ts = %d after growth", got)
+	if got := r.pool.entries[pos[5]].ts; got != 5 {
+		t.Fatalf("entry 5 has ts %d after growth", got)
 	}
-	if got := r.at(49).ts; got != 49 {
-		t.Fatalf("at(49).ts = %d after growth", got)
+	if got := r.pool.entries[pos[49]].ts; got != 49 {
+		t.Fatalf("entry 49 has ts %d after growth", got)
 	}
 }
 
+// phantomOf and dataOf build the FIFO entries of packet p, whose arrival
+// sequence number (the ordering timestamp) is p itself.
+func phantomOf(p pkt) fifoEntry { return fifoEntry{ts: int64(p), p: p} }
+func dataOf(p pkt) fifoEntry    { return fifoEntry{ts: int64(p), p: p, data: true} }
+
 func TestStageFIFOPhantomBlocksPop(t *testing.T) {
-	f := NewStageFIFO(2, 0)
+	f := newStageFIFO(2, 0, &blockPool{})
 	// Phantom for packet 1 in fifo 0; data packet 2 in fifo 1.
-	p1 := &Packet{ID: 1}
-	seq, ok := f.PushPhantom(0, p1, 0)
+	pos, ok := f.push(0, phantomOf(1))
 	if !ok {
 		t.Fatal("phantom push failed")
 	}
-	p2 := &Packet{ID: 2}
-	if !f.PushData(1, p2, 0) {
+	if _, ok := f.push(1, dataOf(2)); !ok {
 		t.Fatal("data push failed")
 	}
 	// Head must be the phantom (smaller ts) — pop is blocked.
-	h, fi, ok := f.Head()
-	if !ok || !h.isPhantom() || fi != 0 || h.owner != p1 {
+	h, fi, ok := f.head()
+	if !ok || h.data || fi != 0 || h.p != 1 {
 		t.Fatalf("head = %+v fifo %d", h, fi)
 	}
 	// Data for packet 1 arrives: insert replaces the phantom.
-	f.Insert(0, seq, p1, 0)
-	h, fi, _ = f.Head()
-	if h.isPhantom() || h.data != p1 {
+	f.insert(pos, 1, 0)
+	h, fi, _ = f.head()
+	if !h.data || h.p != 1 {
 		t.Fatalf("head after insert = %+v", h)
 	}
-	e := f.PopHead(fi)
-	if e.data != p1 {
+	if e := f.popHead(fi); e.p != 1 {
 		t.Fatal("pop did not return packet 1")
 	}
-	h, fi, _ = f.Head()
-	if h.data != p2 {
+	h, fi, _ = f.head()
+	if h.p != 2 {
 		t.Fatal("packet 2 not next")
 	}
-	f.PopHead(fi)
-	if f.Len() != 0 {
-		t.Fatalf("len = %d", f.Len())
+	f.popHead(fi)
+	if f.len() != 0 {
+		t.Fatalf("len = %d", f.len())
 	}
 }
 
 func TestStageFIFOCapacity(t *testing.T) {
-	f := NewStageFIFO(1, 2)
-	p1 := &Packet{ID: 1}
-	seq, ok1 := f.PushPhantom(0, p1, 0)
-	_, ok2 := f.PushPhantom(0, &Packet{ID: 2}, 0)
+	f := newStageFIFO(1, 2, &blockPool{})
+	pos, ok1 := f.push(0, phantomOf(1))
+	_, ok2 := f.push(0, phantomOf(2))
 	if !ok1 || !ok2 {
 		t.Fatal("pushes under capacity failed")
 	}
-	if _, ok := f.PushPhantom(0, &Packet{ID: 3}, 0); ok {
+	if _, ok := f.push(0, phantomOf(3)); ok {
 		t.Fatal("push over capacity succeeded")
 	}
 	// Insert into a full FIFO still works: it replaces in place.
-	f.Insert(0, seq, p1, 0)
-	if h, _, _ := f.Head(); h.data != p1 {
+	f.insert(pos, 1, 0)
+	if h, _, _ := f.head(); !h.data || h.p != 1 {
 		t.Fatal("insert into full fifo did not replace the phantom")
 	}
 }
@@ -115,57 +120,57 @@ func TestStageFIFOCapacity(t *testing.T) {
 // inserting packet's own phantom — a stale or mismatched position is a
 // simulator bug, not a drop.
 func TestStageFIFOInsertWrongPacketPanics(t *testing.T) {
-	f := NewStageFIFO(1, 0)
-	seq, _ := f.PushPhantom(0, &Packet{ID: 1}, 0)
+	f := newStageFIFO(1, 0, &blockPool{})
+	pos, _ := f.push(0, phantomOf(1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("insert over another packet's phantom did not panic")
 		}
 	}()
-	f.Insert(0, seq, &Packet{ID: 2}, 0)
+	f.insert(pos, 2, 0)
 }
 
 func TestStageFIFOMinTimestampAcrossFifos(t *testing.T) {
-	f := NewStageFIFO(3, 0)
-	f.PushData(2, &Packet{ID: 30}, 0)
-	f.PushData(0, &Packet{ID: 10}, 0)
-	f.PushData(1, &Packet{ID: 20}, 0)
-	f.PushData(0, &Packet{ID: 40}, 0)
+	f := newStageFIFO(3, 0, &blockPool{})
+	f.push(2, dataOf(30))
+	f.push(0, dataOf(10))
+	f.push(1, dataOf(20))
+	f.push(0, dataOf(40))
 	want := []int64{10, 20, 30, 40}
 	for _, w := range want {
-		h, fi, ok := f.Head()
+		h, fi, ok := f.head()
 		if !ok {
 			t.Fatalf("empty before draining %d", w)
 		}
 		if h.ts != w {
 			t.Fatalf("head ts = %d, want %d", h.ts, w)
 		}
-		f.PopHead(fi)
+		f.popHead(fi)
 	}
 }
 
 // TestStageFIFOLogicalOrderProperty: regardless of the interleaving of
-// pushes across sub-FIFOs, draining via Head/PopHead yields entries in
+// pushes across sub-FIFOs, draining via head/popHead yields entries in
 // global timestamp order, provided each sub-FIFO receives ascending
 // timestamps (which the architecture guarantees per source pipeline).
 func TestStageFIFOLogicalOrderProperty(t *testing.T) {
 	prop := func(seed int64, kRaw uint8) bool {
 		k := int(kRaw%7) + 1
 		rng := rand.New(rand.NewSource(seed))
-		f := NewStageFIFO(k, 0)
+		f := newStageFIFO(k, 0, &blockPool{})
 		n := 50 + rng.Intn(100)
 		// Assign ascending global timestamps to random sub-FIFOs.
 		for ts := 0; ts < n; ts++ {
-			f.PushData(rng.Intn(k), &Packet{ID: int64(ts)}, 0)
+			f.push(rng.Intn(k), dataOf(pkt(ts)))
 		}
 		prev := int64(-1)
-		for f.Len() > 0 {
-			h, fi, ok := f.Head()
+		for f.len() > 0 {
+			h, fi, ok := f.head()
 			if !ok || h.ts <= prev {
 				return false
 			}
 			prev = h.ts
-			f.PopHead(fi)
+			f.popHead(fi)
 		}
 		return true
 	}
@@ -176,21 +181,31 @@ func TestStageFIFOLogicalOrderProperty(t *testing.T) {
 
 // TestStageFIFODepthTracking checks the high-water mark accounting.
 func TestStageFIFODepthTracking(t *testing.T) {
-	f := NewStageFIFO(2, 0)
-	pkts := make([]*Packet, 5)
-	seqs := make([]int64, 5)
-	for i := range pkts {
-		pkts[i] = &Packet{ID: int64(i)}
-		seqs[i], _ = f.PushPhantom(i%2, pkts[i], 0)
+	f := newStageFIFO(2, 0, &blockPool{})
+	poss := make([]int32, 5)
+	for i := range poss {
+		poss[i], _ = f.push(i%2, phantomOf(pkt(i)))
 	}
-	for i, p := range pkts {
-		f.Insert(i%2, seqs[i], p, 0)
+	for i, pos := range poss {
+		f.insert(pos, pkt(i), 0)
 	}
-	for f.Len() > 0 {
-		_, fi, _ := f.Head()
-		f.PopHead(fi)
+	for f.len() > 0 {
+		_, fi, _ := f.head()
+		f.popHead(fi)
 	}
-	if f.MaxDepth() != 5 {
-		t.Fatalf("MaxDepth = %d, want 5", f.MaxDepth())
+	if f.maxDepth() != 5 {
+		t.Fatalf("maxDepth = %d, want 5", f.maxDepth())
+	}
+}
+
+// BenchmarkStageFIFO measures the push/insert/pop cycle of the k-FIFO.
+func BenchmarkStageFIFO(b *testing.B) {
+	f := newStageFIFO(4, 0, &blockPool{})
+	for i := 0; i < b.N; i++ {
+		p := pkt(i%1000 + 1)
+		pos, _ := f.push(i%4, fifoEntry{ts: int64(i), enq: int64(i), p: p})
+		f.insert(pos, p, int64(i))
+		_, fi, _ := f.head()
+		f.popHead(fi)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"mp5/internal/banzai"
@@ -21,66 +22,64 @@ type accessKey struct {
 
 // phantomEv is a scheduled phantom-channel delivery (Invariant 1: phantoms
 // are never queued before their destination stage, so delivery time is
-// generation time plus the stage distance) of packet pkt's phantom for its
+// generation time plus the stage distance) of packet p's phantom for its
 // visit vi, generated in pipeline srcPipe.
 type phantomEv struct {
-	pkt     *Packet
-	vi      int
-	srcPipe int
+	p       pkt
+	vi      int32
+	srcPipe int32
 }
 
 // crossEv is a data packet in flight across an inter-pipeline link.
 type crossEv struct {
-	stage int
-	pkt   *Packet
+	stage int32
+	p     pkt
 }
 
 // stageState is the per-(stage, pipeline) runtime state.
 type stageState struct {
 	// inline is the packet delivered this cycle on the pass-through
 	// path (same pipeline, no state access here).
-	inline *Packet
+	inline pkt
 	// out is the packet emitted by this stage this cycle, delivered to
 	// the next stage at the start of the next cycle.
-	out *Packet
+	out pkt
 	// fifo buffers stateful visitors (nil for stateless stages and in
 	// ideal mode).
-	fifo *StageFIFO
+	fifo *stageFIFO
 	// idealQ replaces the FIFO in ideal mode, kept in ascending id order:
 	// selection is by per-index eligibility instead of a single logical
 	// FIFO.
-	idealQ []*Packet
+	idealQ []pkt
 }
 
-// pktQueue is an amortized O(1) FIFO of packets.
-type pktQueue struct {
-	items []*Packet
+// queue is an amortized O(1) FIFO: of arrival indices at ingress, of
+// packet handles on the recirculation port.
+type queue[T any] struct {
+	items []T
 	head  int
 }
 
-func (q *pktQueue) len() int { return len(q.items) - q.head }
-func (q *pktQueue) push(p *Packet) {
+func (q *queue[T]) len() int { return len(q.items) - q.head }
+func (q *queue[T]) push(p T) {
 	q.items = append(q.items, p)
 }
-func (q *pktQueue) pop() *Packet {
+func (q *queue[T]) pop() T {
 	p := q.items[q.head]
-	q.items[q.head] = nil
 	q.head++
 	if q.head > 1024 && q.head*2 > len(q.items) {
 		// Compact in place: the backing array keeps its capacity, so
 		// push does not regrow it.
 		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
 		q.items = q.items[:n]
 		q.head = 0
 	}
 	return p
 }
-func (q *pktQueue) peek() *Packet { return q.items[q.head] }
 
 // recircEntry is a packet waiting to re-enter a pipeline input.
 type recircEntry struct {
-	p     *Packet
+	p     pkt
 	ready int64
 }
 
@@ -114,12 +113,13 @@ type Simulator struct {
 	// (possible only with CrossLatency > 0); they retry every cycle in id
 	// order. retry is the previous cycle's batch, kept for its backing
 	// array.
-	pendingInserts []*Packet
-	retry          []*Packet
+	pendingInserts []pkt
+	retry          []pkt
 
-	ingress     pktQueue      // global ingress (sprayed architectures)
-	pipeIngress []pktQueue    // per-pipe ingress (recirculation)
-	pipeRecirc  []pktQueue    // per-pipe recirculation queue (priority)
+	// Ingress holds arrival indices; a packet takes a handle at stage 0.
+	ingress     queue[int]    // global ingress (sprayed architectures)
+	pipeIngress []queue[int]  // per-pipe ingress (recirculation)
+	pipeRecirc  []queue[pkt]  // per-pipe recirculation queue (priority)
 	recircWait  []recircEntry // packets between pipeline passes
 
 	// pending holds, under ArchIdeal only, every register slot's resolved
@@ -148,17 +148,18 @@ type Simulator struct {
 	// sub-line-rate traffic toward the low pipelines; rotating the start
 	// keeps per-pipe admissions near-uniform as §3.1 assumes.
 	sprayNext int
-	// fullSweep disables the occupancy skip lists and the idle
-	// fast-forward, restoring the pre-event-driven per-cycle sweeps.
+	// fullSweep disables the occupancy skip lists, the blocked-slot skip
+	// and the idle fast-forward, restoring the pre-event-driven per-cycle
+	// sweeps.
 	// Testing aid: the equivalence gate runs both schedulers and
 	// compares event streams, results, and outputs bit for bit.
 	fullSweep bool
 
-	// freePkts holds egressed packets for newPacket to reuse. Nothing
-	// refers to a packet once it has left the last stage: every phantom
-	// event and FIFO entry that points at it was consumed on the way
-	// (egress asserts phantomsLeft == 0), and recorded outputs are copies.
-	freePkts []*Packet
+	// pk holds every in-flight packet; everything else refers to a packet
+	// by its handle. A handle is released once the packet has left the
+	// switch (egress or abandon) and its last phantom is consumed, so no
+	// phantom event or FIFO entry can reach a recycled one.
+	pk *store
 
 	// order is the recorded per-slot effective access order
 	// (RecordAccessOrder).
@@ -208,7 +209,11 @@ func NewSimulator(prog *ir.Program, cfg Config) *Simulator {
 		crossings: make([][]crossEv, cfg.CrossLatency+2),
 		bc:        bytecode.MustCompile(prog),
 	}
+	if s.S > math.MaxInt16 || s.k > math.MaxInt16 || len(prog.Accesses) > math.MaxUint16 {
+		panic("core: program or switch too large for the packet store's visit records")
+	}
 	s.vm = bytecode.NewVM(s.bc)
+	s.pk = newStore(prog, s.bc.NewFrame())
 	s.regs = make([]*ir.RegFile, s.k)
 	for j := 0; j < s.k; j++ {
 		s.regs[j] = ir.NewRegFile(prog)
@@ -228,13 +233,13 @@ func NewSimulator(prog *ir.Program, cfg Config) *Simulator {
 		s.st[i] = make([]stageState, s.k)
 		if stateful[i] && cfg.Arch != ArchIdeal && cfg.Arch != ArchRecirc {
 			for j := range s.st[i] {
-				s.st[i][j].fifo = NewStageFIFO(s.k, cfg.FIFOCap)
+				s.st[i][j].fifo = newStageFIFO(s.k, cfg.FIFOCap, &s.pk.blocks)
 			}
 		}
 	}
 	if cfg.Arch == ArchRecirc {
-		s.pipeIngress = make([]pktQueue, s.k)
-		s.pipeRecirc = make([]pktQueue, s.k)
+		s.pipeIngress = make([]queue[int], s.k)
+		s.pipeRecirc = make([]queue[pkt], s.k)
 	}
 	if cfg.RecordAccessOrder {
 		s.order = banzai.NewAccessLog(prog)
@@ -260,8 +265,12 @@ func (s *Simulator) usePhantoms() bool {
 }
 
 // Run executes the simulation over the arrival trace (must be sorted by
-// Cycle, ties by Port) and returns the result summary.
+// Cycle, ties by Port) and returns the result summary. A Simulator runs one
+// trace.
 func (s *Simulator) Run(arrivals []Arrival) *Result {
+	if s.pk == nil {
+		panic("core: Simulator.Run called again after a drained run")
+	}
 	for i := 1; i < len(arrivals); i++ {
 		a, b := arrivals[i-1], arrivals[i]
 		if b.Cycle < a.Cycle || (b.Cycle == a.Cycle && b.Port < a.Port) {
@@ -312,6 +321,11 @@ func (s *Simulator) Run(arrivals []Arrival) *Result {
 		}
 	}
 	s.finalize()
+	if s.live == 0 {
+		// Every packet has left and every FIFO is empty.
+		stores.Put(s.pk)
+		s.pk = nil
+	}
 	return &s.res
 }
 
@@ -382,20 +396,21 @@ func (s *Simulator) deliverPhantoms() {
 		s.phantoms[slot] = evs[:0]
 		s.work = true
 		for _, ev := range evs {
-			p := ev.pkt
-			v := &p.visits[ev.vi]
-			st := &s.st[v.stage][v.pipe]
-			if seq, ok := st.fifo.PushPhantom(ev.srcPipe, p, s.now); ok {
-				v.phantom, v.fifo, v.seq = phantomQueued, int32(ev.srcPipe), seq
-				s.occ[v.stage]++
-				s.emit(EvPhantom, p.ID, v.stage, v.pipe)
+			h := ev.p
+			v := &s.pk.visitsOf(h)[ev.vi]
+			stage, pipe, id := int(v.stage), int(v.pipe), s.pk.at(h).id
+			st := &s.st[stage][pipe]
+			if pos, ok := st.fifo.push(int(ev.srcPipe), fifoEntry{ts: id, enq: s.now, p: h}); ok {
+				v.phantom, v.pos = phantomQueued, pos
+				s.occ[stage]++
+				s.emit(EvPhantom, id, stage, pipe)
 			} else {
 				v.phantom = phantomGone
 				s.res.DroppedPhantom++
-				s.emit(EvPhantomDrop, p.ID, v.stage, v.pipe)
-				s.phantomConsumed(p)
+				s.emit(EvPhantomDrop, id, stage, pipe)
+				s.phantomConsumed(h)
 			}
-			s.noteFIFODepth(v.stage, st)
+			s.noteFIFODepth(stage, st)
 		}
 	}
 	if len(s.pendingInserts) > 0 {
@@ -405,20 +420,24 @@ func (s *Simulator) deliverPhantoms() {
 		// insert/drop events.
 		retry := s.pendingInserts
 		s.pendingInserts = s.retry[:0]
-		slices.SortFunc(retry, func(a, b *Packet) int { return cmp.Compare(a.ID, b.ID) })
-		for _, p := range retry {
-			s.arriveAtVisit(p, p.pendingVisit().stage)
+		slices.SortFunc(retry, func(a, b pkt) int { return cmp.Compare(s.pk.at(a).id, s.pk.at(b).id) })
+		for _, h := range retry {
+			s.arriveAtVisit(h, int(s.pk.pendingVisit(h).stage))
 		}
-		clear(retry)
 		s.retry = retry[:0]
 	}
 }
 
-// phantomConsumed retires one of packet p's outstanding phantom
-// placeholders (successful insert, push overflow, or dead pop).
-func (s *Simulator) phantomConsumed(p *Packet) {
+// phantomConsumed retires one of packet h's outstanding phantom
+// placeholders (successful insert, push overflow, or dead pop), releasing a
+// dropped packet's handle with its last one.
+func (s *Simulator) phantomConsumed(h pkt) {
 	s.live--
+	p := s.pk.at(h)
 	p.phantomsLeft--
+	if p.dead && p.phantomsLeft == 0 {
+		s.pk.release(h)
+	}
 }
 
 // deliverCrossings lands data packets whose inter-pipeline link traversal
@@ -432,7 +451,7 @@ func (s *Simulator) deliverCrossings() {
 	s.crossings[slot] = evs[:0]
 	s.work = true
 	for _, ev := range evs {
-		s.arriveAtVisit(ev.pkt, ev.stage)
+		s.arriveAtVisit(ev.p, int(ev.stage))
 	}
 }
 
@@ -445,54 +464,48 @@ func (s *Simulator) deliverOutputs() {
 		}
 		for j := 0; j < s.k; j++ {
 			st := &s.st[i][j]
-			if st.out == nil {
+			if st.out == noPkt {
 				continue
 			}
-			p := st.out
-			st.out = nil
+			h := st.out
+			st.out = noPkt
 			s.outCnt[i]--
 			s.work = true
-			s.route(p, i+1)
+			s.route(h, i+1)
 		}
 	}
 }
 
-// route places packet p into stage (or egress when stage == S).
-func (s *Simulator) route(p *Packet, stage int) {
+// route places packet h into stage (or egress when stage == S).
+func (s *Simulator) route(h pkt, stage int) {
 	if stage == s.S {
-		s.egress(p)
+		s.egress(h)
 		return
 	}
-	if s.cfg.Arch == ArchRecirc {
-		// No crossbar: the packet continues in its pipeline.
-		st := &s.st[stage][p.pipe]
-		if st.inline != nil {
-			panic("core: inline slot collision (recirc)")
-		}
-		st.inline = p
-		s.occ[stage]++
-		return
-	}
-	if v := p.visitAt(stage); v != nil {
-		crossing := v.pipe != p.pipe
-		p.srcPipe = p.pipe
-		p.pipe = v.pipe
-		if crossing {
-			s.emit(EvSteer, p.ID, stage, v.pipe)
-		}
-		if crossing && s.cfg.CrossLatency > 0 {
-			slot := int((s.now + s.cfg.CrossLatency) % int64(len(s.crossings)))
-			s.crossings[slot] = append(s.crossings[slot], crossEv{stage: stage, pkt: p})
+	p := s.pk.at(h)
+	if s.cfg.Arch != ArchRecirc { // recirc has no crossbar: stay in the pipeline
+		if v := s.pk.visitAt(h, stage); v != nil {
+			dest := int32(v.pipe)
+			crossing := dest != p.pipe
+			p.srcPipe = p.pipe
+			p.pipe = dest
+			if crossing {
+				s.emit(EvSteer, p.id, stage, int(dest))
+			}
+			if crossing && s.cfg.CrossLatency > 0 {
+				slot := int((s.now + s.cfg.CrossLatency) % int64(len(s.crossings)))
+				s.crossings[slot] = append(s.crossings[slot], crossEv{stage: int32(stage), p: h})
+				return
+			}
+			s.arriveAtVisit(h, stage)
 			return
 		}
-		s.arriveAtVisit(p, stage)
-		return
 	}
 	st := &s.st[stage][p.pipe]
-	if st.inline != nil {
+	if st.inline != noPkt {
 		panic("core: inline slot collision")
 	}
-	st.inline = p
+	st.inline = h
 	s.occ[stage]++
 }
 
@@ -500,12 +513,13 @@ func (s *Simulator) route(p *Packet, stage int) {
 // marking, then the architecture's buffering discipline. With a slow
 // crossbar a packet can beat its phantom here; it parks until the
 // placeholder lands or is known dropped.
-func (s *Simulator) arriveAtVisit(p *Packet, stage int) {
+func (s *Simulator) arriveAtVisit(h pkt, stage int) {
+	p := s.pk.at(h)
 	st := &s.st[stage][p.pipe]
 	if th := s.cfg.ECNThreshold; th > 0 {
 		depth := len(st.idealQ)
 		if st.fifo != nil {
-			depth = st.fifo.Len()
+			depth = st.fifo.len()
 		}
 		if depth > th && !p.ecnMarked {
 			s.res.MarkedECN++
@@ -516,21 +530,21 @@ func (s *Simulator) arriveAtVisit(p *Packet, stage int) {
 	switch s.cfg.Arch {
 	case ArchMP5NoD4:
 		s.work = true
-		if st.fifo.PushData(p.srcPipe, p, s.now) {
+		if _, ok := st.fifo.push(int(p.srcPipe), fifoEntry{ts: p.id, enq: s.now, p: h, data: true}); ok {
 			s.occ[stage]++
-			s.emit(EvEnqueue, p.ID, stage, p.pipe)
+			s.emit(EvEnqueue, p.id, stage, int(p.pipe))
 		} else {
 			s.res.DroppedData++
-			s.abandon(p, CauseData)
+			s.abandon(h, CauseData)
 		}
 	case ArchIdeal:
-		i, _ := slices.BinarySearchFunc(st.idealQ, p.ID, func(q *Packet, id int64) int {
-			return cmp.Compare(q.ID, id)
+		i, _ := slices.BinarySearchFunc(st.idealQ, p.id, func(q pkt, id int64) int {
+			return cmp.Compare(s.pk.at(q).id, id)
 		})
-		st.idealQ = slices.Insert(st.idealQ, i, p)
+		st.idealQ = slices.Insert(st.idealQ, i, h)
 		s.occ[stage]++
 		s.work = true
-		s.emit(EvEnqueue, p.ID, stage, p.pipe)
+		s.emit(EvEnqueue, p.id, stage, int(p.pipe))
 		if d := len(st.idealQ); d > s.res.MaxFIFOPerStage[stage] {
 			s.res.MaxFIFOPerStage[stage] = d
 			if d > s.res.MaxFIFODepth {
@@ -538,15 +552,15 @@ func (s *Simulator) arriveAtVisit(p *Packet, stage int) {
 			}
 		}
 	default:
-		switch v := p.pendingVisit(); v.phantom {
+		switch v := s.pk.pendingVisit(h); v.phantom {
 		case phantomQueued:
 			// The data packet replaces its placeholder in place:
 			// stage occupancy is unchanged, the phantom is consumed.
-			st.fifo.Insert(int(v.fifo), v.seq, p, s.now)
+			st.fifo.insert(v.pos, h, s.now)
 			v.phantom = phantomGone
 			s.work = true
-			s.phantomConsumed(p)
-			s.emit(EvEnqueue, p.ID, stage, p.pipe)
+			s.phantomConsumed(h)
+			s.emit(EvEnqueue, p.id, stage, int(p.pipe))
 		case phantomInFlight:
 			// The phantom is still on the (slower) phantom
 			// channel — only possible with CrossLatency > 0: wait
@@ -557,12 +571,12 @@ func (s *Simulator) arriveAtVisit(p *Packet, stage int) {
 				p.parked = true
 				s.res.ParkedEarly++
 			}
-			s.pendingInserts = append(s.pendingInserts, p)
+			s.pendingInserts = append(s.pendingInserts, h)
 		default:
 			// The phantom overflowed its sub-FIFO.
 			s.work = true
 			s.res.DroppedInsert++
-			s.abandon(p, CauseInsert)
+			s.abandon(h, CauseInsert)
 		}
 	}
 	s.noteFIFODepth(stage, st)
@@ -572,7 +586,7 @@ func (s *Simulator) noteFIFODepth(stage int, st *stageState) {
 	if st.fifo == nil {
 		return
 	}
-	if d := st.fifo.Len(); d > s.res.MaxFIFOPerStage[stage] {
+	if d := st.fifo.len(); d > s.res.MaxFIFOPerStage[stage] {
 		s.res.MaxFIFOPerStage[stage] = d
 		if d > s.res.MaxFIFODepth {
 			s.res.MaxFIFODepth = d
@@ -585,7 +599,6 @@ func (s *Simulator) noteFIFODepth(stage int, st *stageState) {
 func (s *Simulator) admitArrivals(arrivals []Arrival, ai int) int {
 	for ai < len(arrivals) && arrivals[ai].Cycle <= s.now {
 		a := &arrivals[ai]
-		p := s.newPacket(int64(ai), a)
 		s.work = true
 		if s.cfg.Arch == ArchRecirc {
 			pipe := a.Port * s.k / s.cfg.Ports
@@ -596,14 +609,13 @@ func (s *Simulator) admitArrivals(arrivals []Arrival, ai int) int {
 				// Ingress buffer overflow: today's switches
 				// drop rather than queue without bound.
 				s.res.DroppedIngress++
-				s.emitDrop(p.ID, -1, pipe, CauseIngress)
+				s.emitDrop(int64(ai), -1, pipe, CauseIngress)
 			} else {
-				p.pipe = pipe
-				s.pipeIngress[pipe].push(p)
+				s.pipeIngress[pipe].push(ai)
 				s.live++
 			}
 		} else {
-			s.ingress.push(p)
+			s.ingress.push(ai)
 			s.live++
 		}
 		ai++
@@ -616,7 +628,7 @@ func (s *Simulator) admitArrivals(arrivals []Arrival, ai int) int {
 		kept := s.recircWait[:0]
 		for _, e := range s.recircWait {
 			if e.ready <= s.now {
-				s.pipeRecirc[e.p.pipe].push(e.p)
+				s.pipeRecirc[s.pk.at(e.p).pipe].push(e.p)
 				s.work = true
 			} else {
 				kept = append(kept, e)
@@ -628,21 +640,21 @@ func (s *Simulator) admitArrivals(arrivals []Arrival, ai int) int {
 			if d := q.len() + s.pipeRecirc[j].len(); d > s.res.MaxIngressDepth {
 				s.res.MaxIngressDepth = d
 			}
-			if s.st[0][j].inline != nil {
+			if s.st[0][j].inline != noPkt {
 				continue
 			}
 			switch {
 			case s.pipeRecirc[j].len() > 0:
 				s.st[0][j].inline = s.pipeRecirc[j].pop()
-				s.occ[0]++
-				s.work = true
-				s.emit(EvAdmit, s.st[0][j].inline.ID, 0, j)
 			case q.len() > 0:
-				s.st[0][j].inline = q.pop()
-				s.occ[0]++
-				s.work = true
-				s.emit(EvAdmit, s.st[0][j].inline.ID, 0, j)
+				ai := q.pop()
+				s.st[0][j].inline = s.pk.alloc(int64(ai), &arrivals[ai], j)
+			default:
+				continue
 			}
+			s.occ[0]++
+			s.work = true
+			s.emit(EvAdmit, s.pk.at(s.st[0][j].inline).id, 0, j)
 		}
 		return ai
 	}
@@ -654,47 +666,33 @@ func (s *Simulator) admitArrivals(arrivals []Arrival, ai int) int {
 	start := s.sprayNext
 	for t := 0; t < s.k && s.ingress.len() > 0; t++ {
 		j := (start + t) % s.k
-		if s.st[0][j].inline == nil {
-			p := s.ingress.pop()
-			p.pipe = j
-			s.st[0][j].inline = p
+		if s.st[0][j].inline == noPkt {
+			ai := s.ingress.pop()
+			h := s.pk.alloc(int64(ai), &arrivals[ai], j)
+			s.st[0][j].inline = h
 			s.occ[0]++
 			s.work = true
-			s.emit(EvAdmit, p.ID, 0, j)
+			s.emit(EvAdmit, s.pk.at(h).id, 0, j)
 			s.sprayNext = (j + 1) % s.k
 		}
 	}
 	return ai
 }
 
-// newPacket builds the in-flight record of arrival a, reusing an egressed
-// packet (its env and its visit-list backing arrays) when one is free: a
-// line-rate run otherwise allocates three objects per packet and spends a
-// fifth of its time collecting them.
-func (s *Simulator) newPacket(id int64, a *Arrival) *Packet {
-	var p *Packet
-	if n := len(s.freePkts); n > 0 {
-		p, s.freePkts = s.freePkts[n-1], s.freePkts[:n-1]
-		*p = Packet{Env: p.Env, visits: p.visits[:0], accsBuf: p.accsBuf[:0]}
-		p.Env.ResetFor(a.Fields)
-	} else {
-		p = &Packet{Env: ir.NewEnv(s.prog)}
-		copy(p.Env.Fields, a.Fields)
-	}
-	p.ID, p.Port, p.Size, p.ArrivalCycle = id, a.Port, a.Size, a.Cycle
-	return p
-}
-
 // processStages runs every (stage, pipeline) slot for one cycle: serve at
 // most one packet — the inline pass-through packet if present (Invariant 2:
 // stateless packets are never queued and take priority), else an eligible
-// queued stateful packet.
+// queued stateful packet. A slot without an inline packet whose FIFO is
+// blocked would serve nothing and change nothing, so it is skipped.
 func (s *Simulator) processStages() {
 	for i := 0; i < s.S; i++ {
 		if s.occ[i] == 0 && !s.fullSweep {
 			continue // no inline packet, FIFO entry, or ideal-queue entry
 		}
 		for j := 0; j < s.k; j++ {
+			if st := &s.st[i][j]; st.inline == noPkt && st.fifo != nil && st.fifo.blocked && !s.fullSweep {
+				continue
+			}
 			s.processSlot(i, j)
 		}
 	}
@@ -709,62 +707,64 @@ func (s *Simulator) processSlot(stage, pipe int) {
 
 	// Starvation guard (§3.4): drop an incoming truly-stateless packet
 	// in favour of a long-waiting queued stateful packet.
-	if st.inline != nil && s.cfg.StarveThreshold > 0 && st.fifo != nil && st.inline.stateless() {
-		if h, _, ok := st.fifo.Head(); ok && !h.isPhantom() && s.now-h.enq > s.cfg.StarveThreshold {
+	if st.inline != noPkt && s.cfg.StarveThreshold > 0 && st.fifo != nil && s.pk.pendingVisit(st.inline) == nil {
+		if h, _, ok := st.fifo.head(); ok && h.data && s.now-h.enq > s.cfg.StarveThreshold {
 			s.res.DroppedStarved++
 			s.abandon(st.inline, CauseStarved)
-			st.inline = nil
+			st.inline = noPkt
 			s.occ[stage]--
 			s.work = true
 		}
 	}
 
-	var serve *Packet
+	serve := noPkt
 	fromQueue := false
 	switch {
-	case st.inline != nil:
+	case st.inline != noPkt:
 		serve = st.inline
-		st.inline = nil
+		st.inline = noPkt
 		s.occ[stage]--
 	case s.cfg.Arch == ArchIdeal && len(st.idealQ) > 0:
 		serve = s.popIdeal(st)
-		fromQueue = serve != nil
+		fromQueue = serve != noPkt
 		if fromQueue {
 			s.occ[stage]--
 		}
 	case st.fifo != nil:
 		for {
-			h, fi, ok := st.fifo.Head()
+			h, fi, ok := st.fifo.head()
 			if !ok {
 				break
 			}
-			if h.isPhantom() {
-				if h.owner.dead {
+			if !h.data {
+				if owner := h.p; s.pk.at(owner).dead {
 					// The awaited packet was dropped
 					// upstream: clear the placeholder.
-					// (PopHead zeroes the slot h points at,
-					// so retire the popped copy's owner.)
-					dead := st.fifo.PopHead(fi)
+					st.fifo.popHead(fi)
 					s.occ[stage]--
 					s.work = true
 					s.res.DeadPhantomPops++
-					s.phantomConsumed(dead.owner)
+					s.phantomConsumed(owner)
 					continue
 				}
-				break // D4: block until the data packet arrives
+				// D4: block until the data packet arrives. Only a
+				// push, an insert or the owner's death (abandon)
+				// can change that.
+				st.fifo.blocked = true
+				break
 			}
-			e := st.fifo.PopHead(fi)
+			serve = st.fifo.popHead(fi).p
 			s.occ[stage]--
-			serve = e.data
 			fromQueue = true
 			break
 		}
 	}
-	if serve == nil {
+	if serve == noPkt {
 		return
 	}
+	p := s.pk.at(serve)
 	s.work = true
-	s.emit(EvExec, serve.ID, stage, pipe)
+	s.emit(EvExec, p.id, stage, pipe)
 	if fromQueue {
 		s.accountVisitExecution(serve, stage)
 	}
@@ -772,26 +772,24 @@ func (s *Simulator) processSlot(stage, pipe int) {
 	if fromQueue {
 		s.completeVisit(serve, stage)
 	}
-	if stage == s.resStage && !serve.resolved {
+	if stage == s.resStage && !p.resolved {
 		s.resolve(serve, pipe)
 	}
 	st.out = serve
 	s.outCnt[stage]++
 }
 
-// execStage runs one stage's instructions for packet p on pipeline pipe on
-// the bytecode VM. When accesses are logged or traced, it collects the
-// stage's effective accesses — predicate held, index clamped, each slot once
-// — the rule banzai.Machine logs the reference order by, and appends p to
-// each slot's order and emits one EvAccess per slot. A stable stage
-// (bytecode.StageProgram.Stable) takes them up front from its compiled
-// sites and runs unobserved; any other runs with the observer attached.
-func (s *Simulator) execStage(p *Packet, stage, pipe int) {
+// execStage runs one stage's instructions for packet h on pipeline pipe on
+// the bytecode VM, over h's frame row. When accesses are logged or traced,
+// it collects the stage's effective accesses — predicate held, index
+// clamped, each slot once — the rule banzai.Machine logs the reference
+// order by, and appends h to each slot's order and emits one EvAccess per
+// slot. A stable stage (bytecode.StageProgram.Stable) takes them up front
+// from its compiled sites and runs unobserved; any other runs with the
+// observer attached.
+func (s *Simulator) execStage(h pkt, stage, pipe int) {
 	sp := &s.bc.Stages[stage]
-	if err := sp.Fit(p.Env); err != nil {
-		panic("core: " + err.Error()) // envs are s.prog-shaped
-	}
-	frame := p.Env.Frame
+	frame := s.pk.frame(h)
 	sites := sp.Sites()
 	if !s.logAccesses || len(sites) == 0 {
 		s.vm.Run(sp, frame, s.regs[pipe], nil)
@@ -809,13 +807,14 @@ func (s *Simulator) execStage(p *Packet, stage, pipe int) {
 		obs = s.obs
 	}
 	s.vm.Run(sp, frame, s.regs[pipe], obs)
+	id := s.pk.at(h).id
 	for _, a := range s.accs {
 		if s.order != nil {
-			s.order.Append(a.reg, a.idx, p.ID)
+			s.order.Append(a.reg, a.idx, id)
 		}
 		if s.cfg.Trace != nil {
 			s.cfg.Trace(Event{
-				Cycle: s.now, Kind: EvAccess, PktID: p.ID,
+				Cycle: s.now, Kind: EvAccess, PktID: id,
 				Stage: stage, Pipe: pipe, Reg: a.reg, Idx: a.idx,
 			})
 		}
@@ -860,13 +859,13 @@ func guardsOf(instrs []ir.Instr) stageGuards {
 
 // accountVisitExecution counts conservative-phantom visits whose stateful
 // work is predicated off (§3.3's wasted cycle).
-func (s *Simulator) accountVisitExecution(p *Packet, stage int) {
+func (s *Simulator) accountVisitExecution(h pkt, stage int) {
 	g := &s.guards[stage]
 	if g.always {
 		return
 	}
 	for _, c := range g.preds {
-		if (p.Env.Load(c.pred) != 0) != c.neg {
+		if (s.pk.load(h, c.pred) != 0) != c.neg {
 			return
 		}
 	}
@@ -875,15 +874,16 @@ func (s *Simulator) accountVisitExecution(p *Packet, stage int) {
 
 // completeVisit finishes the packet's pending visit at this stage:
 // in-flight counters drop, eligibility fronts pop.
-func (s *Simulator) completeVisit(p *Packet, stage int) {
-	v := p.pendingVisit()
-	if v == nil || v.stage != stage {
+func (s *Simulator) completeVisit(h pkt, stage int) {
+	v := s.pk.pendingVisit(h)
+	if v == nil || int(v.stage) != stage {
 		panic("core: queued packet served at wrong stage")
 	}
-	for _, a := range v.accs {
-		s.shard.NoteDone(a.reg, a.idx)
+	p := s.pk.at(h)
+	for _, a := range s.pk.accsOf(h, v) {
+		s.shard.NoteDone(int(a.reg), int(a.idx))
 		if s.cfg.Arch == ArchIdeal {
-			s.popPending(a.reg, a.idx, p.ID)
+			s.popPending(int(a.reg), int(a.idx), p.id)
 		}
 	}
 	p.nextVisit++
@@ -892,20 +892,21 @@ func (s *Simulator) completeVisit(p *Packet, stage int) {
 // popIdeal selects, among queued packets, the smallest-id packet whose every
 // access is at the front of its per-index pending order (per-index order
 // enforcement with no head-of-line blocking — the ideal design of §3.5.2).
-func (s *Simulator) popIdeal(st *stageState) *Packet {
-	for i, p := range st.idealQ {
-		if s.atFronts(p) {
+func (s *Simulator) popIdeal(st *stageState) pkt {
+	for i, h := range st.idealQ {
+		if s.atFronts(h) {
 			st.idealQ = slices.Delete(st.idealQ, i, i+1)
-			return p
+			return h
 		}
 	}
-	return nil
+	return noPkt
 }
 
-// atFronts reports whether p's pending visit heads every list it is in.
-func (s *Simulator) atFronts(p *Packet) bool {
-	for _, a := range p.pendingVisit().accs {
-		if q := *s.pendingSlot(a.reg, a.idx); len(q) == 0 || q[0] != p.ID {
+// atFronts reports whether h's pending visit heads every list it is in.
+func (s *Simulator) atFronts(h pkt) bool {
+	id := s.pk.at(h).id
+	for _, a := range s.pk.accsOf(h, s.pk.pendingVisit(h)) {
+		if q := *s.pendingSlot(int(a.reg), int(a.idx)); len(q) == 0 || q[0] != id {
 			return false
 		}
 	}
@@ -934,56 +935,52 @@ func (s *Simulator) removePending(reg, idx int, id int64) {
 	}
 }
 
-// resolve performs preemptive address resolution for packet p (processed in
+// resolve performs preemptive address resolution for packet h (processed in
 // the final resolution stage of pipeline pipe): evaluate resolvable
 // predicates, clamp indices, look up the index-to-pipeline map, bump
 // counters, build the visit list, and emit phantoms over the phantom
 // channel (one per stateful stage visit).
-func (s *Simulator) resolve(p *Packet, pipe int) {
+func (s *Simulator) resolve(h pkt, pipe int) {
+	p := s.pk.at(h)
 	p.resolved = true
-	s.emit(EvResolve, p.ID, s.resStage, pipe)
-	if n := len(s.prog.Accesses); n > 0 {
-		// One flat allocation each for the visit list and the access
-		// records; same-stage access groups sub-slice accsBuf (which
-		// never reallocates, so the sub-slices stay valid).
-		if cap(p.accsBuf) < n { // a recycled packet brings its own
-			p.visits = make([]visit, 0, n)
-			p.accsBuf = make([]visitAcc, 0, n)
-		}
-	}
+	s.emit(EvResolve, p.id, s.resStage, pipe)
+	// The visit and access rows hold one record per program access, the
+	// most a packet can have; co-located accesses share one visit.
+	row := int(h) * s.pk.na
+	vis, accs := s.pk.visits[row:row+s.pk.na], s.pk.accs[row:row+s.pk.na]
+	nv, na := 0, 0
 	for ai := range s.prog.Accesses {
 		a := &s.prog.Accesses[ai]
 		if a.PredResolvable && !a.Pred.IsNone() {
-			truth := p.Env.Load(a.Pred) != 0
+			truth := s.pk.load(h, a.Pred) != 0
 			if truth == a.PredNeg {
 				continue // resolved: this access will not happen
 			}
 		}
 		idx := -1
 		if s.shard.Sharded(a.Reg) {
-			idx = ir.ClampIndex(int(p.Env.Load(a.Idx)), s.prog.Regs[a.Reg].Size)
+			idx = ir.ClampIndex(int(s.pk.load(h, a.Idx)), s.prog.Regs[a.Reg].Size)
 		}
 		dest := s.shard.PipeOf(a.Reg, maxIdx(idx))
 		s.shard.NoteResolved(a.Reg, maxIdx(idx))
-		p.accsBuf = append(p.accsBuf, visitAcc{reg: a.Reg, idx: idx})
-		n := len(p.visits)
-		if n > 0 && p.visits[n-1].stage == a.Stage {
-			if p.visits[n-1].pipe != dest {
+		accs[na] = visitAcc{reg: int32(a.Reg), idx: int32(idx)}
+		na++
+		if nv > 0 && int(vis[nv-1].stage) == a.Stage {
+			if int(vis[nv-1].pipe) != dest {
 				panic("core: co-located accesses resolved to different pipelines")
 			}
-			p.visits[n-1].accs = p.accsBuf[len(p.accsBuf)-len(p.visits[n-1].accs)-1:]
+			vis[nv-1].nacc++
 		} else {
-			p.visits = append(p.visits, visit{
-				stage: a.Stage, pipe: dest,
-				accs: p.accsBuf[len(p.accsBuf)-1:],
-			})
+			vis[nv] = visit{stage: int16(a.Stage), pipe: int16(dest), acc0: uint16(na - 1), nacc: 1}
+			nv++
 		}
 		if s.cfg.Arch == ArchIdeal {
-			s.insertPending(a.Reg, idx, p.ID)
+			s.insertPending(a.Reg, idx, p.id)
 		}
 	}
+	p.nvisits = int32(nv)
 	if s.usePhantoms() {
-		for vi := range p.visits {
+		for vi := range vis[:nv] {
 			// With a slow crossbar (CrossLatency > 0) every phantom
 			// takes the worst-case path — the phantom channel is
 			// pipelined to constant depth — so phantoms still land
@@ -991,10 +988,10 @@ func (s *Simulator) resolve(p *Packet, pipe int) {
 			// arriving "late" only parks its (earlier) data packet
 			// briefly; a crossing phantom arriving after another
 			// flow's service would break C1.
-			v := &p.visits[vi]
-			at := s.now + int64(v.stage-s.resStage) + s.cfg.CrossLatency
+			v := &vis[vi]
+			at := s.now + int64(int(v.stage)-s.resStage) + s.cfg.CrossLatency
 			slot := int(at % int64(len(s.phantoms)))
-			s.phantoms[slot] = append(s.phantoms[slot], phantomEv{pkt: p, vi: vi, srcPipe: pipe})
+			s.phantoms[slot] = append(s.phantoms[slot], phantomEv{p: h, vi: int32(vi), srcPipe: int32(pipe)})
 			v.phantom = phantomInFlight
 			s.live++
 			p.phantomsLeft++
@@ -1021,88 +1018,100 @@ func maxIdx(idx int) int {
 	return idx
 }
 
-// abandon drops packet p mid-flight: releases its in-flight counters,
+// abandon drops packet h mid-flight: releases its in-flight counters and
 // eligibility entries, and marks it dead so its phantom placeholders get
-// cleared instead of blocking forever.
-func (s *Simulator) abandon(p *Packet, cause DropCause) {
-	s.emitDrop(p.ID, -1, p.pipe, cause)
-	for vi := p.nextVisit; vi < len(p.visits); vi++ {
-		for _, a := range p.visits[vi].accs {
-			s.shard.NoteDone(a.reg, a.idx)
+// cleared instead of blocking forever (a FIFO that one of them blocks is
+// woken). The handle is released now if no phantom is outstanding, else
+// with the last one (phantomConsumed).
+func (s *Simulator) abandon(h pkt, cause DropCause) {
+	p := s.pk.at(h)
+	s.emitDrop(p.id, -1, int(p.pipe), cause)
+	vis := s.pk.visitsOf(h)
+	for vi := int(p.nextVisit); vi < len(vis); vi++ {
+		v := &vis[vi]
+		for _, a := range s.pk.accsOf(h, v) {
+			s.shard.NoteDone(int(a.reg), int(a.idx))
 			if s.cfg.Arch == ArchIdeal {
-				s.removePending(a.reg, a.idx, p.ID)
+				s.removePending(int(a.reg), int(a.idx), p.id)
 			}
 		}
+		if v.phantom == phantomQueued {
+			s.st[v.stage][v.pipe].fifo.blocked = false
+		}
 	}
-	p.nextVisit = len(p.visits)
+	p.nextVisit = p.nvisits
 	p.dead = true
 	s.live--
+	if p.phantomsLeft == 0 {
+		s.pk.release(h)
+	}
 }
 
 // processRecircSlot models a legacy pipeline stage: strictly inline, one
 // packet per cycle, executing only the not-yet-executed stage span and
 // freezing when the needed state lives in another pipeline.
 func (s *Simulator) processRecircSlot(stage, pipe int, st *stageState) {
-	p := st.inline
-	if p == nil {
+	h := st.inline
+	if h == noPkt {
 		return
 	}
-	st.inline = nil
+	st.inline = noPkt
 	s.occ[stage]--
 	s.work = true
-	s.emit(EvExec, p.ID, stage, pipe)
-	if !p.frozen && stage >= p.resumeStage {
-		if v := p.visitAt(stage); v != nil && v.pipe != pipe {
+	p := s.pk.at(h)
+	s.emit(EvExec, p.id, stage, pipe)
+	if !p.frozen && stage >= int(p.resumeStage) {
+		if v := s.pk.visitAt(h, stage); v != nil && int(v.pipe) != pipe {
 			// State lives elsewhere: stop executing; the packet
 			// drains and re-circulates (§2.3).
 			p.frozen = true
-			p.resumeStage = stage
+			p.resumeStage = int32(stage)
 		} else {
-			s.execStage(p, stage, pipe)
+			s.execStage(h, stage, pipe)
 			if v != nil {
-				s.completeVisit(p, stage)
+				s.completeVisit(h, stage)
 			}
 			if stage == s.resStage && !p.resolved {
-				s.resolve(p, pipe)
+				s.resolve(h, pipe)
 			}
 		}
 	}
-	st.out = p
+	st.out = h
 	s.outCnt[stage]++
 }
 
 // egress handles a packet leaving the last stage: completion, or (for the
 // recirculation baseline) re-injection towards its next pipeline.
-func (s *Simulator) egress(p *Packet) {
-	if s.cfg.Arch == ArchRecirc && !p.stateless() {
-		v := p.pendingVisit()
+func (s *Simulator) egress(h pkt) {
+	p := s.pk.at(h)
+	if s.cfg.Arch == ArchRecirc && s.pk.pendingVisit(h) != nil {
+		v := s.pk.pendingVisit(h)
 		p.frozen = false
-		p.pipe = v.pipe
-		p.recircs++
+		p.pipe = int32(v.pipe)
 		s.res.Recirculations++
-		s.emit(EvSteer, p.ID, -1, v.pipe)
-		s.recircWait = append(s.recircWait, recircEntry{p: p, ready: s.now + s.cfg.RecircDelay})
+		s.emit(EvSteer, p.id, -1, int(v.pipe))
+		s.recircWait = append(s.recircWait, recircEntry{p: h, ready: s.now + s.cfg.RecircDelay})
 		return
 	}
 	s.res.Completed++
 	s.live--
-	s.emit(EvEgress, p.ID, s.S-1, p.pipe)
+	s.emit(EvEgress, p.id, s.S-1, int(p.pipe))
 	if s.res.Completed == 1 {
 		s.res.FirstDone = s.now
 	}
 	s.res.LastDone = s.now
-	s.egressOrder = append(s.egressOrder, p.ID)
-	s.latencies = append(s.latencies, s.now-p.ArrivalCycle)
+	s.egressOrder = append(s.egressOrder, p.id)
+	s.latencies = append(s.latencies, s.now-p.arrival)
 	if s.cfg.RecordOutputs {
-		s.outIDs = append(s.outIDs, p.ID)
-		s.outs = append(s.outs, p.Env.Fields...)
+		s.outIDs = append(s.outIDs, p.id)
+		s.outs = append(s.outs, s.pk.frame(h)[:s.pk.nf]...)
 	}
 	if p.phantomsLeft != 0 {
-		// Phantom events and FIFO entries point at their packet, so
-		// reusing one they still reference would corrupt its successor.
+		// A phantom event or FIFO entry would still reach the handle,
+		// so recycling it would corrupt its successor.
 		panic("core: egressing packet still has phantoms outstanding")
 	}
-	s.freePkts = append(s.freePkts, p)
+	s.pk.release(h)
 }
 
 // maybeRemap runs the dynamic-sharding step on its period and applies the

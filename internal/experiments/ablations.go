@@ -24,30 +24,45 @@ func AblationRemapInterval(sc Scale) *Table {
 		Note:   "skewed pattern, default config",
 		Header: []string{"interval", "tput", "moves/run"},
 	}
-	for _, iv := range []int64{25, 50, 100, 200, 400, 800, 1 << 40} {
-		var tputs, moves []float64
-		for seed := 0; seed < sc.Seeds; seed++ {
-			prog := synthProgram(DefaultStatefulStages, DefaultRegSize)
-			trace := workload.Synthetic(prog, workload.Spec{
-				Packets: sc.Packets, Pipelines: DefaultPipelines,
-				Pattern: workload.Skewed, Seed: int64(seed),
-			}, DefaultStatefulStages, DefaultRegSize)
-			sim := core.NewSimulator(prog, core.Config{
-				Arch: core.ArchMP5, Pipelines: DefaultPipelines,
-				Seed: int64(seed), RemapInterval: iv,
-			})
-			r := sim.Run(trace)
-			noteRun(r)
-			tputs = append(tputs, r.Throughput)
-			moves = append(moves, float64(r.ShardMoves))
-		}
+	intervals := []int64{25, 50, 100, 200, 400, 800, 1 << 40}
+	tputs, moves := grid(len(intervals), sc.Seeds), grid(len(intervals), sc.Seeds)
+	sweep(len(intervals), sc.Seeds, func(i, seed int) {
+		prog := synthProgram(DefaultStatefulStages, DefaultRegSize)
+		trace := workload.Synthetic(prog, workload.Spec{
+			Packets: sc.Packets, Pipelines: DefaultPipelines,
+			Pattern: workload.Skewed, Seed: int64(seed),
+		}, DefaultStatefulStages, DefaultRegSize)
+		sim := core.NewSimulator(prog, core.Config{
+			Arch: core.ArchMP5, Pipelines: DefaultPipelines,
+			Seed: int64(seed), RemapInterval: intervals[i],
+		})
+		r := sim.Run(trace)
+		noteRun(r)
+		tputs[i][seed], moves[i][seed] = r.Throughput, float64(r.ShardMoves)
+	})
+	for i, iv := range intervals {
 		label := fmt.Sprint(iv)
 		if iv > 1<<30 {
 			label = "off"
 		}
-		t.Rows = append(t.Rows, []string{label, f3(stats.Mean(tputs)), f2(stats.Mean(moves))})
+		t.Rows = append(t.Rows, []string{label, f3(stats.Mean(tputs[i])), f2(stats.Mean(moves[i]))})
 	}
 	return t
+}
+
+// sweep runs cell(row, seed) for every sweep point and seed in parallel.
+// Each cell writes only its own slots of grids (one value per row and
+// seed), which the table reads back in seed order, as a serial loop would.
+func sweep(rows, seeds int, cell func(row, seed int)) {
+	parallelFor(rows*seeds, func(i int) { cell(i/seeds, i%seeds) })
+}
+
+func grid(rows, seeds int) [][]float64 {
+	g := make([][]float64, rows)
+	for i := range g {
+		g[i] = make([]float64, seeds)
+	}
+	return g
 }
 
 // AblationFIFOCapacity sweeps the per-stage sub-FIFO depth. The paper
@@ -63,41 +78,39 @@ func AblationFIFOCapacity(sc Scale) *Table {
 	app := apps.Flowlet()
 	prog := app.MustCompile(compiler.TargetMP5)
 	sprog := synthProgram(DefaultStatefulStages, DefaultRegSize)
-	for _, cap := range []int{2, 4, 8, 16, 0} {
-		var fd, ft, sd, st float64
-		for seed := 0; seed < sc.Seeds; seed++ {
-			ftrace := workload.Flows(prog, workload.FlowSpec{
-				Packets: sc.Packets, Pipelines: DefaultPipelines, Seed: int64(seed),
-			}, app.Bind)
-			fsim := core.NewSimulator(prog, core.Config{
-				Arch: core.ArchMP5, Pipelines: DefaultPipelines,
-				Seed: int64(seed), FIFOCap: cap,
-			})
-			fr := fsim.Run(ftrace)
-			noteRun(fr)
-			fd += float64(fr.DroppedInsert + fr.DroppedPhantom)
-			ft += fr.Throughput
+	caps := []int{2, 4, 8, 16, 0}
+	fd, ft, sd, st := grid(len(caps), sc.Seeds), grid(len(caps), sc.Seeds), grid(len(caps), sc.Seeds), grid(len(caps), sc.Seeds)
+	sweep(len(caps), sc.Seeds, func(i, seed int) {
+		ftrace := workload.Flows(prog, workload.FlowSpec{
+			Packets: sc.Packets, Pipelines: DefaultPipelines, Seed: int64(seed),
+		}, app.Bind)
+		fsim := core.NewSimulator(prog, core.Config{
+			Arch: core.ArchMP5, Pipelines: DefaultPipelines,
+			Seed: int64(seed), FIFOCap: caps[i],
+		})
+		fr := fsim.Run(ftrace)
+		noteRun(fr)
+		fd[i][seed], ft[i][seed] = float64(fr.DroppedInsert+fr.DroppedPhantom), fr.Throughput
 
-			strace := workload.Synthetic(sprog, workload.Spec{
-				Packets: sc.Packets, Pipelines: DefaultPipelines,
-				Pattern: workload.Skewed, Seed: int64(seed),
-			}, DefaultStatefulStages, DefaultRegSize)
-			ssim := core.NewSimulator(sprog, core.Config{
-				Arch: core.ArchMP5, Pipelines: DefaultPipelines,
-				Seed: int64(seed), FIFOCap: cap,
-			})
-			sr := ssim.Run(strace)
-			noteRun(sr)
-			sd += float64(sr.DroppedInsert)
-			st += sr.Throughput
-		}
-		n := float64(sc.Seeds)
+		strace := workload.Synthetic(sprog, workload.Spec{
+			Packets: sc.Packets, Pipelines: DefaultPipelines,
+			Pattern: workload.Skewed, Seed: int64(seed),
+		}, DefaultStatefulStages, DefaultRegSize)
+		ssim := core.NewSimulator(sprog, core.Config{
+			Arch: core.ArchMP5, Pipelines: DefaultPipelines,
+			Seed: int64(seed), FIFOCap: caps[i],
+		})
+		sr := ssim.Run(strace)
+		noteRun(sr)
+		sd[i][seed], st[i][seed] = float64(sr.DroppedInsert), sr.Throughput
+	})
+	for i, cap := range caps {
 		label := fmt.Sprint(cap)
 		if cap == 0 {
 			label = "unbounded"
 		}
 		t.Rows = append(t.Rows, []string{
-			label, f2(fd / n), f3(ft / n), f2(sd / n), f3(st / n),
+			label, f2(stats.Mean(fd[i])), f3(stats.Mean(ft[i])), f2(stats.Mean(sd[i])), f3(stats.Mean(st[i])),
 		})
 	}
 	return t
@@ -111,30 +124,31 @@ func AblationSkew(sc Scale) *Table {
 		Title:  "Ablation: hot-set fraction (95% of packets on the hot set)",
 		Header: []string{"hot fraction", "mp5", "static", "ideal", "dyn gain"},
 	}
-	for _, hf := range []float64{0.05, 0.1, 0.2, 0.3, 0.5} {
-		var mp, st, id []float64
-		for seed := 0; seed < sc.Seeds; seed++ {
-			prog := synthProgram(DefaultStatefulStages, DefaultRegSize)
-			trace := workload.Synthetic(prog, workload.Spec{
-				Packets: sc.Packets, Pipelines: DefaultPipelines,
-				Pattern: workload.Skewed, HotFraction: hf, Seed: int64(seed),
-			}, DefaultStatefulStages, DefaultRegSize)
-			run := func(arch core.Arch) float64 {
-				sim := core.NewSimulator(prog, core.Config{
-					Arch: arch, Pipelines: DefaultPipelines, Seed: int64(seed),
-				})
-				r := sim.Run(trace)
-				noteRun(r)
-				return r.Throughput
-			}
-			mp = append(mp, run(core.ArchMP5))
-			st = append(st, run(core.ArchStaticShard))
-			id = append(id, run(core.ArchIdeal))
+	fractions := []float64{0.05, 0.1, 0.2, 0.3, 0.5}
+	mp, st, id := grid(len(fractions), sc.Seeds), grid(len(fractions), sc.Seeds), grid(len(fractions), sc.Seeds)
+	sweep(len(fractions), sc.Seeds, func(i, seed int) {
+		prog := synthProgram(DefaultStatefulStages, DefaultRegSize)
+		trace := workload.Synthetic(prog, workload.Spec{
+			Packets: sc.Packets, Pipelines: DefaultPipelines,
+			Pattern: workload.Skewed, HotFraction: fractions[i], Seed: int64(seed),
+		}, DefaultStatefulStages, DefaultRegSize)
+		run := func(arch core.Arch) float64 {
+			sim := core.NewSimulator(prog, core.Config{
+				Arch: arch, Pipelines: DefaultPipelines, Seed: int64(seed),
+			})
+			r := sim.Run(trace)
+			noteRun(r)
+			return r.Throughput
 		}
+		mp[i][seed] = run(core.ArchMP5)
+		st[i][seed] = run(core.ArchStaticShard)
+		id[i][seed] = run(core.ArchIdeal)
+	})
+	for i, hf := range fractions {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.2f", hf),
-			f3(stats.Mean(mp)), f3(stats.Mean(st)), f3(stats.Mean(id)),
-			f2(stats.Mean(mp) / stats.Mean(st)),
+			f3(stats.Mean(mp[i])), f3(stats.Mean(st[i])), f3(stats.Mean(id[i])),
+			f2(stats.Mean(mp[i]) / stats.Mean(st[i])),
 		})
 	}
 	return t
@@ -179,7 +193,9 @@ func AblationMitigations(sc Scale) *Table {
 		{"ecn(16)", false, core.Config{ECNThreshold: 16}},
 		{"ordering-stage", true, core.Config{}},
 	}
-	for _, v := range variants {
+	t.Rows = make([][]string, len(variants))
+	sweep(len(variants), 1, func(i, _ int) {
+		v := variants[i]
 		prog, trace := mk(v.guard)
 		cfg := v.cfg
 		cfg.Arch = core.ArchMP5
@@ -188,12 +204,12 @@ func AblationMitigations(sc Scale) *Table {
 		sim := core.NewSimulator(prog, cfg)
 		r := sim.Run(trace)
 		noteRun(r)
-		t.Rows = append(t.Rows, []string{
+		t.Rows[i] = []string{
 			v.name, f3(r.Throughput), fmt.Sprint(r.Reordered),
 			fmt.Sprint(r.DroppedStarved), fmt.Sprint(r.MarkedECN),
 			fmt.Sprint(r.MaxFIFODepth),
-		})
-	}
+		}
+	})
 	return t
 }
 
@@ -208,33 +224,32 @@ func AblationChiplet(sc Scale) *Table {
 		Note:   "default config; latency 0 = paper's single-die design",
 		Header: []string{"link cycles", "tput(unif)", "tput(skew)", "mean latency", "p99 latency"},
 	}
-	for _, lat := range []int64{0, 1, 2, 4, 8} {
-		var tu, ts, ml, p99 []float64
-		for seed := 0; seed < sc.Seeds; seed++ {
-			for _, pat := range []workload.Pattern{workload.Uniform, workload.Skewed} {
-				prog := synthProgram(DefaultStatefulStages, DefaultRegSize)
-				trace := workload.Synthetic(prog, workload.Spec{
-					Packets: sc.Packets, Pipelines: DefaultPipelines,
-					Pattern: pat, Seed: int64(seed),
-				}, DefaultStatefulStages, DefaultRegSize)
-				sim := core.NewSimulator(prog, core.Config{
-					Arch: core.ArchMP5, Pipelines: DefaultPipelines,
-					Seed: int64(seed), CrossLatency: lat,
-				})
-				r := sim.Run(trace)
-				noteRun(r)
-				if pat == workload.Uniform {
-					tu = append(tu, r.Throughput)
-					ml = append(ml, r.MeanLatency)
-					p99 = append(p99, float64(r.P99Latency))
-				} else {
-					ts = append(ts, r.Throughput)
-				}
+	lats := []int64{0, 1, 2, 4, 8}
+	tu, ts, ml, p99 := grid(len(lats), sc.Seeds), grid(len(lats), sc.Seeds), grid(len(lats), sc.Seeds), grid(len(lats), sc.Seeds)
+	sweep(len(lats), sc.Seeds, func(i, seed int) {
+		for _, pat := range []workload.Pattern{workload.Uniform, workload.Skewed} {
+			prog := synthProgram(DefaultStatefulStages, DefaultRegSize)
+			trace := workload.Synthetic(prog, workload.Spec{
+				Packets: sc.Packets, Pipelines: DefaultPipelines,
+				Pattern: pat, Seed: int64(seed),
+			}, DefaultStatefulStages, DefaultRegSize)
+			sim := core.NewSimulator(prog, core.Config{
+				Arch: core.ArchMP5, Pipelines: DefaultPipelines,
+				Seed: int64(seed), CrossLatency: lats[i],
+			})
+			r := sim.Run(trace)
+			noteRun(r)
+			if pat == workload.Uniform {
+				tu[i][seed], ml[i][seed], p99[i][seed] = r.Throughput, r.MeanLatency, float64(r.P99Latency)
+			} else {
+				ts[i][seed] = r.Throughput
 			}
 		}
+	})
+	for i, lat := range lats {
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(lat), f3(stats.Mean(tu)), f3(stats.Mean(ts)),
-			f2(stats.Mean(ml)), f2(stats.Mean(p99)),
+			fmt.Sprint(lat), f3(stats.Mean(tu[i])), f3(stats.Mean(ts[i])),
+			f2(stats.Mean(ml[i])), f2(stats.Mean(p99[i])),
 		})
 	}
 	return t

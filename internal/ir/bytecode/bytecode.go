@@ -159,23 +159,40 @@ func (sp *StageProgram) Fit(e *ir.Env) error {
 	return sp.fit(e)
 }
 
-// fit gives e the frame sp's micro-ops address: it allocates the full
-// frame, copies the env's fields and temps in, re-slices Fields and Temps
-// onto it, and seeds every stage's pool region. A pooled env is fitted
-// once; the full-capacity slice expressions keep appends — which never
-// happen — from aliasing.
+// fit gives e the frame sp's micro-ops address: it builds the full frame
+// around the env's fields and temps (newFrame) and re-slices Fields and
+// Temps onto it. A pooled env is fitted once; the full-capacity slice
+// expressions keep appends — which never happen — from aliasing.
 func (sp *StageProgram) fit(e *ir.Env) error {
 	nf, nt := sp.nf, sp.nt
 	if len(e.Fields) != nf || len(e.Temps) != nt {
 		return fmt.Errorf("bytecode: env has %d fields and %d temps, program has %d and %d",
 			len(e.Fields), len(e.Temps), nf, nt)
 	}
-	frame := make([]int64, sp.frameLen)
-	copy(frame, e.Fields)
-	copy(frame[nf:], e.Temps)
-	copy(frame[nf+nt+scratchSlots:], sp.pools)
+	frame := sp.newFrame(e.Fields, e.Temps)
 	e.Fields = frame[:nf:nf]
 	e.Temps = frame[nf : nf+nt : nf+nt]
 	e.Frame = frame
 	return nil
+}
+
+// newFrame allocates a frame: fields, temps, zeroed scratch, every pool.
+func (sp *StageProgram) newFrame(fields, temps []int64) []int64 {
+	frame := make([]int64, sp.frameLen)
+	copy(frame, fields)
+	copy(frame[sp.nf:], temps)
+	copy(frame[sp.nf+sp.nt+scratchSlots:], sp.pools)
+	return frame
+}
+
+// NewFrame returns the program's frame template: what fit gives an env with
+// every field and temp zero (fields first, then temps). An engine keeping
+// frames in an arena of its own seeds each row from it once; like a
+// recycled env's frame (ir.Env.ResetFor), a row then needs only its fields
+// and temps rewritten per packet.
+func (p *Program) NewFrame() []int64 {
+	if len(p.Stages) == 0 {
+		return make([]int64, len(p.IR.Fields)+p.IR.NumTemps)
+	}
+	return p.Stages[0].newFrame(nil, nil)
 }

@@ -477,6 +477,11 @@ func TestFit(t *testing.T) {
 		}, false},
 		{"Clone of a fitted env", func() *ir.Env { return fitted().Clone() }, true},
 		{"fitted env after ResetFor", fitted, true},
+		{"arena row seeded from NewFrame", func() *ir.Env {
+			frame := bp.NewFrame()
+			copy(frame, fields)
+			return &ir.Env{Fields: frame[:3:3], Temps: frame[3:6:6], Frame: frame}
+		}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -337,45 +337,46 @@ func (p *Program) StatefulStages() []int {
 // additionally guarantees that multi-array stages only hold unsharded,
 // co-located arrays.
 func (p *Program) Validate() error {
-	checkOp := func(o Operand, where string) error {
+	// where names the checked site, formatted only for an error.
+	checkOp := func(o Operand, where func() string) error {
 		switch o.Kind {
 		case KindField:
 			if o.ID < 0 || o.ID >= len(p.Fields) {
-				return fmt.Errorf("%s: field id %d out of range", where, o.ID)
+				return fmt.Errorf("%s: field id %d out of range", where(), o.ID)
 			}
 		case KindTemp:
 			if o.ID < 0 || o.ID >= p.NumTemps {
-				return fmt.Errorf("%s: temp id %d out of range", where, o.ID)
+				return fmt.Errorf("%s: temp id %d out of range", where(), o.ID)
 			}
 		}
 		return nil
 	}
 	for si := range p.Stages {
 		for ii, in := range p.Stages[si].Instrs {
-			where := fmt.Sprintf("stage %d instr %d (%s)", si, ii, in)
-			for _, o := range []Operand{in.Dst, in.A, in.B, in.C, in.Idx, in.Pred} {
+			where := func() string { return fmt.Sprintf("stage %d instr %d (%s)", si, ii, in) }
+			for _, o := range [...]Operand{in.Dst, in.A, in.B, in.C, in.Idx, in.Pred} {
 				if err := checkOp(o, where); err != nil {
 					return err
 				}
 			}
 			if in.Op == OpLookup {
 				if in.Reg < 0 || in.Reg >= len(p.Tables) {
-					return fmt.Errorf("%s: table id %d out of range", where, in.Reg)
+					return fmt.Errorf("%s: table id %d out of range", where(), in.Reg)
 				}
 			}
 			if in.Op.IsStateful() {
 				if in.Reg < 0 || in.Reg >= len(p.Regs) {
-					return fmt.Errorf("%s: register id %d out of range", where, in.Reg)
+					return fmt.Errorf("%s: register id %d out of range", where(), in.Reg)
 				}
 				if p.Regs[in.Reg].Stage != si {
 					return fmt.Errorf("%s: register %s placed in stage %d but used in stage %d",
-						where, p.Regs[in.Reg].Name, p.Regs[in.Reg].Stage, si)
+						where(), p.Regs[in.Reg].Name, p.Regs[in.Reg].Stage, si)
 				}
 				if si < p.ResolutionStages {
-					return fmt.Errorf("%s: stateful op inside resolution stage", where)
+					return fmt.Errorf("%s: stateful op inside resolution stage", where())
 				}
 			} else if in.Dst.Kind == KindNone && in.Op != OpNop {
-				return fmt.Errorf("%s: missing destination", where)
+				return fmt.Errorf("%s: missing destination", where())
 			}
 		}
 		if regs := p.Stages[si].RegsUsed(); len(regs) > 1 {
@@ -394,10 +395,10 @@ func (p *Program) Validate() error {
 		if a.Stage < p.ResolutionStages || a.Stage >= len(p.Stages) {
 			return fmt.Errorf("access %d: stage %d outside stateful region", ai, a.Stage)
 		}
-		if err := checkOp(a.Idx, fmt.Sprintf("access %d index", ai)); err != nil {
+		if err := checkOp(a.Idx, func() string { return fmt.Sprintf("access %d index", ai) }); err != nil {
 			return err
 		}
-		if err := checkOp(a.Pred, fmt.Sprintf("access %d predicate", ai)); err != nil {
+		if err := checkOp(a.Pred, func() string { return fmt.Sprintf("access %d predicate", ai) }); err != nil {
 			return err
 		}
 		if p.Regs[a.Reg].Sharded && a.Idx.IsNone() {

@@ -149,6 +149,7 @@ func Flows(prog *ir.Program, spec FlowSpec, bind Binder) []core.Arrival {
 
 	sizeSpec := Spec{Sizes: SizeBimodal}
 	arr := make([]core.Arrival, spec.Packets)
+	slab := make([]int64, len(arr)*len(prog.Fields))
 	for i := range arr {
 		fi := rng.Intn(len(active))
 		f := active[fi]
@@ -160,7 +161,7 @@ func Flows(prog *ir.Program, spec FlowSpec, bind Binder) []core.Arrival {
 			size = MinPacketSize
 		}
 		cycle := clock.next(size)
-		fields := make([]int64, len(prog.Fields))
+		fields := fieldRow(slab, i, len(prog.Fields))
 		ctx := &PktCtx{
 			ID:    int64(i),
 			Cycle: cycle,

@@ -67,18 +67,18 @@ func FuzzTrace(prog *ir.Program, fs FuzzSpec) []core.Arrival {
 	}
 
 	arr := make([]core.Arrival, spec.Packets)
+	slab := make([]int64, len(arr)*len(prog.Fields))
 	burst := 0
 	var burstFields []int64
 	for i := range arr {
 		size := drawSize(spec, rng)
 		cycle := clock.next(size)
 		sampler.maybeChurn(cycle)
-		var fields []int64
+		fields := fieldRow(slab, i, len(prog.Fields))
 		if burst > 0 {
-			fields = append([]int64(nil), burstFields...)
+			copy(fields, burstFields)
 			burst--
 		} else {
-			fields = make([]int64, len(prog.Fields))
 			var base []int64
 			if flows != nil {
 				base = flows[rng.Intn(len(flows))]

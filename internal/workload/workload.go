@@ -229,10 +229,11 @@ func Synthetic(prog *ir.Program, spec Spec, statefulStages, regSize int) []core.
 	}
 
 	arr := make([]core.Arrival, spec.Packets)
+	slab := make([]int64, len(arr)*len(prog.Fields))
 	for i := range arr {
 		size := drawSize(spec, rng)
 		cycle := clock.next(size)
-		fields := make([]int64, len(prog.Fields))
+		fields := fieldRow(slab, i, len(prog.Fields))
 		stateless := spec.StatelessFraction > 0 && rng.Float64() < spec.StatelessFraction
 		if stateless && statelessIdx >= 0 {
 			fields[statelessIdx] = 1
@@ -260,9 +261,10 @@ func RandomFields(prog *ir.Program, spec Spec) []core.Arrival {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	clock := newArrivalClock(spec.Pipelines, spec.Load)
 	arr := make([]core.Arrival, spec.Packets)
+	slab := make([]int64, len(arr)*len(prog.Fields))
 	for i := range arr {
 		size := drawSize(spec, rng)
-		fields := make([]int64, len(prog.Fields))
+		fields := fieldRow(slab, i, len(prog.Fields))
 		for j := range fields {
 			fields[j] = int64(rng.Intn(1024))
 		}
@@ -275,6 +277,12 @@ func RandomFields(prog *ir.Program, spec Spec) []core.Arrival {
 	}
 	sortArrivals(arr)
 	return arr
+}
+
+// fieldRow returns row i of width w in slab: a trace's fields are one
+// allocation, and a capped row reallocates on append instead of overrunning.
+func fieldRow(slab []int64, i, w int) []int64 {
+	return slab[i*w : (i+1)*w : (i+1)*w]
 }
 
 // sortArrivals enforces the (cycle, port) order the simulator requires; the
